@@ -7,7 +7,7 @@ is taken in the additive table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,8 +16,6 @@ from .errors import InternalConsistencyError, PreconditionError
 from .groups import FiniteGroup, Subgroup
 from .maps import GroupMap
 
-TRIPLE_EXHAUSTIVE_CAP = 256
-TRIPLE_SAMPLE_COUNT = 10**6
 BRACE_BLOCK_BOUND = 8
 
 
@@ -34,16 +32,6 @@ class OpTable:
     @property
     def order(self) -> int:
         return self.op.shape[0]
-
-    def inverses(self) -> np.ndarray:
-        return np.argmax(self.op == 0, axis=1).astype(np.int64)
-
-    def is_group(self) -> bool:
-        try:
-            groups.verify_group_table(self.op)
-        except PreconditionError:
-            return False
-        return True
 
     def require_group(self) -> "OpTable":
         groups.verify_group_table(self.op)
@@ -95,40 +83,18 @@ class BraceReport:
                 "failure": list(self.failure) if self.failure else None}
 
 
-def _first_bad_triple(bad: np.ndarray) -> tuple[int, int, int]:
-    flat = int(np.flatnonzero(bad.reshape(-1))[0])
-    n = bad.shape[0]
-    return (flat // (n * n), (flat // n) % n, flat % n)
-
-
 def verify_brace(additive: OpTable, multiplicative: OpTable, *,
-                 exhaustive_cap: int = TRIPLE_EXHAUSTIVE_CAP,
-                 seed: int = 0) -> BraceReport:
-    """Check the brace relation over all (or, above the cap, sampled) triples."""
+                 exhaustive_cap: int | None = None, seed: int = 0) -> BraceReport:
+    """Check that the additive table is a group and the brace relation holds,
+    exactly; above `exhaustive_cap`, on TRIPLE_SAMPLE_COUNT sampled triples."""
     if additive.order != multiplicative.order:
         raise PreconditionError("carrier mismatch between the two tables")
-    A, M = additive.op, multiplicative.op
-    n = additive.order
-    ainv = additive.inverses()
-    idx = np.arange(n)
-    if n <= exhaustive_cap:
-        g = idx[:, None, None]
-        lhs = M[g, A[None, :, :]]
-        t1 = A[M, ainv[:, None]]  # (g o h) . g^-1
-        rhs = A[t1[:, :, None], M[:, None, :]]
-        bad = lhs != rhs
-        if bad.any():
-            return BraceReport(False, "exhaustive", _first_bad_triple(bad))
-        return BraceReport(True, "exhaustive")
-    rng = np.random.default_rng(seed)
-    g, h, k = rng.integers(0, n, size=(3, TRIPLE_SAMPLE_COUNT))
-    lhs = M[g, A[h, k]]
-    rhs = A[A[M[g, h], ainv[g]], M[g, k]]
-    bad = lhs != rhs
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        return BraceReport(False, "sampled", (int(g[i]), int(h[i]), int(k[i])))
-    return BraceReport(True, "sampled")
+    sampled = exhaustive_cap is not None and additive.order > exhaustive_cap
+    failure = groups.relation_failure(
+        multiplicative.op, additive.op, groups.inverses(additive.op),
+        samples=groups.TRIPLE_SAMPLE_COUNT if sampled else 0, seed=seed)
+    return BraceReport(failure is None, "sampled" if sampled else "exhaustive",
+                       failure)
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,7 +111,6 @@ class SkewBrace:
 def make_brace(additive: OpTable, multiplicative: OpTable,
                psi: GroupMap | None = None) -> SkewBrace:
     """Verify both group structures and the brace relation, then bundle them."""
-    additive.require_group()
     multiplicative.require_group()
     report = verify_brace(additive, multiplicative)
     if not report.holds:
@@ -165,19 +130,13 @@ def gamma_family(brace: SkewBrace) -> np.ndarray:
     """gamma(g)[h] = g^-1 .A (g oM h), verified to be a homomorphism from
     the multiplicative group into automorphisms of the additive group."""
     A, M = brace.additive.op, brace.multiplicative.op
-    n = brace.order
-    ainv = brace.additive.inverses()
-    gamma = A[ainv[:, None], M]
-    # each gamma(g) must be an additive automorphism
-    for g in range(n):
-        row = gamma[g]
-        if sorted(row.tolist()) != list(range(n)):
-            raise PreconditionError("gamma(g) is not a permutation; invalid brace")
-        if not np.array_equal(row[A], A[row[:, None], row[None, :]]):
-            raise PreconditionError("gamma(g) is not an additive automorphism")
+    # each gamma(g) is an additive endomorphism iff the brace relation
+    # holds; it is then bijective, as both tables are groups
+    if not verify_brace(brace.additive, brace.multiplicative).holds:
+        raise PreconditionError("gamma(g) is not an additive automorphism")
+    gamma = A[groups.inverses(A)[:, None], M]
     # g |-> gamma(g) must be multiplicative
-    idx = np.arange(n)
-    if not np.array_equal(gamma[M], gamma[idx[:, None, None], gamma[None, :, :]]):
+    if groups.action_failure(gamma, M):
         raise PreconditionError("gamma is not a homomorphism")
     return gamma
 
@@ -215,24 +174,13 @@ def quotient_brace(brace: SkewBrace, H) -> SkewBrace:
     precondition failure.
     """
     members = tuple(H.members) if isinstance(H, Subgroup) else tuple(sorted(set(H)))
-    A = brace.additive.op
-    n = brace.order
-    coset_of = np.full(n, -1, dtype=np.int64)
-    reps = []
-    for g in range(n):
-        if coset_of[g] >= 0:
-            continue
-        c = len(reps)
-        reps.append(g)
-        for h in members:
-            coset_of[A[g, h]] = c
-    if len(reps) * len(members) != n:
+    cosets = groups.left_cosets(brace.additive.op, members)
+    if cosets is None:
         raise PreconditionError("H does not partition the carrier into cosets")
-    reps_arr = np.array(reps, dtype=np.int64)
     quotients = []
     for t in (brace.additive, brace.multiplicative):
-        induced = coset_of[t.op[reps_arr[:, None], reps_arr[None, :]]]
-        if not np.array_equal(coset_of[t.op], induced[coset_of[:, None], coset_of[None, :]]):
+        induced = groups.induced_table(t.op, *cosets)
+        if induced is None:
             raise PreconditionError(
                 f"operation {t.label!r} is not well-defined on the cosets of H")
         quotients.append(OpTable(induced, t.label))

@@ -62,30 +62,22 @@ class BracoidReport:
 
 
 def verify_bracoid(b: Bracoid) -> BracoidReport:
-    """Exhaustive check of the action axioms, transitivity, and the bracoid
-    relation; reports the lexicographically first failing witness."""
+    """Exact check of the action axioms, transitivity, and the bracoid relation
+    on group tables; reports the lexicographically first failing witness."""
     act = b.action
-    G, T = b.acting.op, b.target.op
     n, m = b.acting_order, b.target_order
     if act.shape != (n, m):
         raise PreconditionError("action table has the wrong shape")
     # e acts as the identity and the action respects the acting product
     if not np.array_equal(act[0], np.arange(m)):
         return BracoidReport(False, False, False, (0,))
-    compat = act[G] == act[np.arange(n)[:, None, None], act[None, :, :]]
-    if not compat.all():
-        g, h, eta = np.argwhere(~compat)[0]
-        return BracoidReport(False, False, False, (int(g), int(h), int(eta)))
+    failure = groups.action_failure(act, b.acting.op)
+    if failure is not None:
+        return BracoidReport(False, False, False, failure)
     transitive = len(set(act[:, 0].tolist())) == m
-    tinv = b.target.inverses()
-    lhs = act[np.arange(n)[:, None, None], T[None, :, :]]
-    t1 = T[act, tinv[act[:, 0]][:, None]]  # (g+eta) * (g+e)^-1
-    rhs = T[t1[:, :, None], act[:, None, :]]
-    bad = lhs != rhs
-    if bad.any():
-        g, eta, mu = np.argwhere(bad)[0]
-        return BracoidReport(True, transitive, False, (int(g), int(eta), int(mu)))
-    return BracoidReport(True, transitive, True)
+    T = b.target.op
+    failure = groups.relation_failure(act, T, groups.inverses(T)[act[:, 0]])
+    return BracoidReport(True, transitive, failure is None, failure)
 
 
 def _require_valid(b: Bracoid) -> Bracoid:
@@ -112,8 +104,8 @@ def bracoid_from_C1(G: FiniteGroup, psi: GroupMap, H: Subgroup,
     if not np.array_equal(cos[circ.op[:, members]],
                           np.repeat(cos[:, None], len(members), axis=1)):
         raise InternalConsistencyError("y o H differs from yH")
-    induced = cos[circ.op[reps[:, None], reps[None, :]]]
-    if not np.array_equal(cos[circ.op], induced[cos[:, None], cos[None, :]]):
+    induced = groups.induced_table(circ.op, cos, reps)
+    if induced is None:
         raise InternalConsistencyError("circle operation ill-defined on cosets")
     label = "o'" if opposite else "o"
     target = OpTable(induced.T.copy() if opposite else induced, label)
@@ -134,8 +126,8 @@ def bracoid_from_C2(G: FiniteGroup, psi: GroupMap, H: Subgroup,
     cs = groups.coset_space(G, H)
     cos = cs.coset_of
     reps = np.array(cs.representatives, dtype=np.int64)
-    induced = cos[G.mul[reps[:, None], reps[None, :]]]
-    if not np.array_equal(cos[G.mul], induced[cos[:, None], cos[None, :]]):
+    induced = groups.induced_table(G.mul, cos, reps)
+    if induced is None:
         raise InternalConsistencyError("dot operation ill-defined on cosets")
     label = ".'" if opposite else "."
     target = OpTable(induced.T.copy() if opposite else induced, label)
@@ -173,8 +165,8 @@ def reduce_bracoid(b: Bracoid) -> Bracoid:
     cs = groups.coset_space(Gact, K)
     cos = cs.coset_of
     reps = np.array(cs.representatives, dtype=np.int64)
-    induced = cos[b.acting.op[reps[:, None], reps[None, :]]]
-    if not np.array_equal(cos[b.acting.op], induced[cos[:, None], cos[None, :]]):
+    induced = groups.induced_table(b.acting.op, cos, reps)
+    if induced is None:
         raise InternalConsistencyError("acting operation ill-defined on kernel cosets")
     # all members of a coset act identically
     if not np.array_equal(act, act[reps[cos]]):
@@ -236,16 +228,11 @@ def phi_tower_bracoid(G: FiniteGroup, psi: GroupMap, n: int) -> Bracoid:
     target = OpTable(pos[G.mul[marr[:, None], marr[None, :]]], ".")
     target.require_group()
     timg = pos[phin]  # x |-> target index of phi^n(x)
-    action = np.empty((G.order, len(members)), dtype=np.int64)
-    # well-definedness: phi^n(gx) must depend on x only through phi^n(x)
     full = timg[G.mul]  # [g, x] -> target index of phi^n(g x)
-    rep_of = np.empty(len(members), dtype=np.int64)
-    for t in range(len(members)):
-        xs = np.flatnonzero(timg == t)
-        rep_of[t] = xs[0]
-        if not all(np.array_equal(full[:, x], full[:, xs[0]]) for x in xs[1:]):
-            raise InternalConsistencyError("phi-tower action ill-defined")
-    action = full[:, rep_of]
+    action = full[:, np.unique(timg, return_index=True)[1]]
+    # well-definedness: phi^n(gx) must depend on x only through phi^n(x)
+    if not np.array_equal(full, action[:, timg]):
+        raise InternalConsistencyError("phi-tower action ill-defined")
     b = Bracoid(braces.table_of(G), target, action,
                 {"construction": "phi_tower", "n": n,
                  "contained_candidates": [members] if psi.idempotent else [],

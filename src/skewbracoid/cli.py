@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from importlib import metadata
 
@@ -171,7 +170,7 @@ def _cmd_ybe_build(args) -> int:
             solutions = {"R": ybe.build_ybe_from_contained_brace(b, K)}
     out = dict(solutions)
     if args.verify:
-        cap = 0 if args.sample else ybe.TRIPLE_EXHAUSTIVE_CAP
+        cap = 0 if args.sample else groups.TRIPLE_EXHAUSTIVE_CAP
         out["reports"] = {key: ybe.verify_ybe(sol, exhaustive_cap=cap,
                                               seed=args.seed)
                           for key, sol in solutions.items()}
@@ -189,16 +188,10 @@ def _cmd_corpus_run(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="canonical JSON output (the default)")
     common.add_argument("--pretty", action="store_true",
                         help="indented JSON output")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for sampled verification sweeps")
-    common.add_argument("--threads", type=int,
-                        default=int(os.environ.get("SKEWBRACOID_THREADS", "1")),
-                        help="worker count hint (sweeps are deterministic "
-                             "regardless)")
     common.add_argument("--max-order", type=int,
                         default=groups.DEFAULT_ORDER_CAP,
                         help="refuse to build groups above this order")

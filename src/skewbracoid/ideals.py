@@ -69,13 +69,13 @@ _LABEL_PAIRS = {
 
 
 def _is_subgroup_under(t: OpTable, members: frozenset[int]) -> bool:
-    inv = t.inverses()
+    inv = groups.inverses(t.op)
     return all(int(t.op[a, b]) in members for a in members for b in members) and \
         all(int(inv[a]) in members for a in members)
 
 
 def _is_normal_under(t: OpTable, members: frozenset[int]) -> bool:
-    inv = t.inverses()
+    inv = groups.inverses(t.op)
     return all(int(t.op[t.op[g, h], inv[g]]) in members
                for g in range(t.order) for h in members)
 
@@ -85,7 +85,7 @@ def _is_sli_direct(A: OpTable, M: OpTable, members: frozenset[int]) -> bool:
         return False
     if not _is_normal_under(A, members):
         return False
-    ainv = A.inverses()
+    ainv = groups.inverses(A.op)
     return all(int(A.op[ainv[g], M.op[g, h]]) in members
                for g in range(A.order) for h in members)
 

@@ -15,14 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import maps
+from . import groups, maps
 from .bracoids import Bracoid
 from .errors import InternalConsistencyError, PreconditionError
 from .groups import FiniteGroup, Subgroup
 from .maps import GroupMap
-
-TRIPLE_EXHAUSTIVE_CAP = 256
-TRIPLE_SAMPLE_COUNT = 10**6
 
 
 @dataclass(eq=False)
@@ -75,26 +72,16 @@ class YbeReport:
                 "nondegeneracy": self.nondegeneracy.to_jsonable()}
 
 
-def _braid_sides(s: YbeSolution, x, y, z):
-    lam, rho = s.lam, s.rho
-    # left side: R12, R23, R12
-    a1, b1 = lam[x, y], rho[y, x]
-    b2, c2 = lam[b1, z], rho[z, b1]
-    l3 = (lam[a1, b2], rho[b2, a1], c2)
-    # right side: R23, R12, R23
-    bp, cp = lam[y, z], rho[z, y]
-    ap2, bp2 = lam[x, bp], rho[bp, x]
-    r3 = (ap2, lam[bp2, cp], rho[cp, bp2])
-    return l3, r3
-
-
-def verify_ybe(s: YbeSolution, *, exhaustive_cap: int = TRIPLE_EXHAUSTIVE_CAP,
+def verify_ybe(s: YbeSolution, *, exhaustive_cap: int = groups.TRIPLE_EXHAUSTIVE_CAP,
                seed: int = 0) -> YbeReport:
+    """Non-degeneracy and the braid relation, which has no known generator
+    reduction: swept over all order^3 triples up to `exhaustive_cap`, and
+    on TRIPLE_SAMPLE_COUNT triples sampled with `seed` above it."""
     n = s.set_order
-    idx = np.arange(n)
+    lam, rho = s.lam, s.rho
     full = list(range(n))
-    left_bad = [x for x in range(n) if sorted(s.lam[x].tolist()) != full]
-    right_bad = [y for y in range(n) if sorted(s.rho[y].tolist()) != full]
+    left_bad = [x for x in range(n) if sorted(lam[x].tolist()) != full]
+    right_bad = [y for y in range(n) if sorted(rho[y].tolist()) != full]
     witnesses = {}
     if left_bad:
         witnesses["left_x"] = left_bad[0]
@@ -102,24 +89,21 @@ def verify_ybe(s: YbeSolution, *, exhaustive_cap: int = TRIPLE_EXHAUSTIVE_CAP,
         witnesses["right_y"] = right_bad[0]
     nd = NondegeneracyReport(not left_bad, not right_bad, witnesses)
 
-    if n <= exhaustive_cap:
-        x = idx[:, None, None]
-        y = idx[None, :, None]
-        z = idx[None, None, :]
-        l3, r3 = _braid_sides(s, x, y, z)
-        bad = (l3[0] != r3[0]) | (l3[1] != r3[1]) | (l3[2] != r3[2])
-        if bad.any():
-            w = np.argwhere(bad)[0]
-            return YbeReport(False, nd, "exhaustive", tuple(int(v) for v in w))
-        return YbeReport(True, nd, "exhaustive")
-    rng = np.random.default_rng(seed)
-    x, y, z = rng.integers(0, n, size=(3, TRIPLE_SAMPLE_COUNT))
-    l3, r3 = _braid_sides(s, x, y, z)
-    bad = (l3[0] != r3[0]) | (l3[1] != r3[1]) | (l3[2] != r3[2])
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        return YbeReport(False, nd, "sampled", (int(x[i]), int(y[i]), int(z[i])))
-    return YbeReport(True, nd, "sampled")
+    def bad(x, y, z):
+        # left side: R12, R23, R12
+        a1, b1 = lam[x, y], rho[y, x]
+        b2, c2 = lam[b1, z], rho[z, b1]
+        # right side: R23, R12, R23
+        bp, cp = lam[y, z], rho[z, y]
+        ap2, bp2 = lam[x, bp], rho[bp, x]
+        return ((lam[a1, b2] != ap2) | (rho[b2, a1] != lam[bp2, cp])
+                | (c2 != rho[cp, bp2]))
+
+    sampled = n > exhaustive_cap
+    witness = groups.sweep(bad, (np.arange(n),) * 3, seed=seed,
+                           samples=groups.TRIPLE_SAMPLE_COUNT if sampled else 0)
+    return YbeReport(witness is None, nd, "sampled" if sampled else "exhaustive",
+                     witness)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +223,8 @@ def build_ybe_from_contained_brace(b: Bracoid, K) -> YbeSolution:
         if ident[t] >= 0:
             raise PreconditionError("K does not act freely on the target")
         ident[t] = k
-    tinv = np.argmax(T == 0, axis=1)
-    ginv = np.argmax(G == 0, axis=1)
+    tinv = groups.inverses(T)
+    ginv = groups.inverses(G)
     e_col = act[:, 0]
     inner = act[np.arange(n)[:, None], e_col[None, :]]      # x + (y + e)
     lam = ident[T[tinv[e_col][:, None], inner]]

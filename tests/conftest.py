@@ -80,3 +80,30 @@ def braid_oracle(s):
                 if left != right:
                     return (x, y, z)
     return None
+
+
+def bracoid_oracle(b):
+    """Scalar loop over g (+) (eta * mu) = (g (+) eta) * (g (+) e)^-1 * (g (+) mu)."""
+    act, T = b.action, b.target.op
+    n, m = act.shape
+    tinv = [int(np.argmax(T[t] == 0)) for t in range(m)]
+    for g in range(n):
+        for eta in range(m):
+            for mu in range(m):
+                lhs = act[g, T[eta, mu]]
+                rhs = T[T[act[g, eta], tinv[act[g, 0]]], act[g, mu]]
+                if lhs != rhs:
+                    return (g, eta, mu)
+    return None
+
+
+def action_oracle(b):
+    """Scalar loop over (g h) (+) eta = g (+) (h (+) eta)."""
+    act, G = b.action, b.acting.op
+    n, m = act.shape
+    for g in range(n):
+        for h in range(n):
+            for eta in range(m):
+                if act[G[g, h], eta] != act[g, act[h, eta]]:
+                    return (g, h, eta)
+    return None

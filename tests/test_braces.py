@@ -51,19 +51,29 @@ def test_verify_brace_agrees_with_oracle():
 
 
 def test_verify_brace_failure_witness_matches_oracle():
-    # dihedral of order 12 admits abelian maps whose opposite pair fails
+    # dihedral of order 12 admits abelian maps whose opposite pair fails;
+    # every failing map must report the oracle's first witness
     G = groups.dihedral(6)
-    failing = None
+    A = braces.opposite_table(braces.table_of(G))
+    failures = []
     for psi in maps.enumerate_abelian_maps(G):
-        A = braces.opposite_table(braces.table_of(G))
         M = braces.opposite_table(braces.circle_table(G, psi))
         rep = braces.verify_brace(A, M)
+        assert rep.failure == brace_oracle(A.op, M.op)
+        assert rep.holds == (rep.failure is None)
         if not rep.holds:
-            failing = (A, M, rep)
-            break
-    assert failing is not None
-    A, M, rep = failing
-    assert rep.failure == brace_oracle(A.op, M.op)
+            failures.append(rep.failure)
+    assert len(failures) == 24
+    # all 24 fail first at (1, 1, 1); swapping two cells in one row g of a
+    # brace's multiplicative table moves the first failure to the g-slice
+    dot = braces.table_of(G)
+    M = braces.circle_table(G, maps.enumerate_abelian_maps(G)[1]).op
+    for g, k1, k2 in [(1, 2, 7), (5, 0, 11), (9, 3, 4), (11, 6, 10)]:
+        bad = np.array(M)
+        bad[g, k1], bad[g, k2] = M[g, k2], M[g, k1]
+        want = brace_oracle(dot.op, bad)
+        assert want is not None and want[0] == g
+        assert braces.verify_brace(dot, braces.OpTable(bad, "x")).failure == want
 
 
 def test_verify_brace_sampled_path():

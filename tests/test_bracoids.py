@@ -4,26 +4,13 @@ import pytest
 from skewbracoid import braces, bracoids, groups, maps
 from skewbracoid.errors import PreconditionError
 
+from conftest import action_oracle, bracoid_oracle
+
 
 def d4_setup():
     G = groups.dihedral(4)
     psi = maps.make_map(G, G, {"r": "rs", "s": "e"})
     return G, psi
-
-
-def bracoid_oracle(b):
-    """Scalar loop over g (+) (eta * mu) = (g (+) eta) * (g (+) e)^-1 * (g (+) mu)."""
-    act, T = b.action, b.target.op
-    n, m = act.shape
-    tinv = [int(np.argmax(T[t] == 0)) for t in range(m)]
-    for g in range(n):
-        for eta in range(m):
-            for mu in range(m):
-                lhs = act[g, T[eta, mu]]
-                rhs = T[T[act[g, eta], tinv[act[g, 0]]], act[g, mu]]
-                if lhs != rhs:
-                    return (g, eta, mu)
-    return None
 
 
 def test_c1_bracoid_valid_and_matches_oracle():
@@ -79,7 +66,10 @@ def test_verify_bracoid_detects_corruption():
     act[3, 1], act[3, 2] = act[3, 2], act[3, 1]
     bad = bracoids.Bracoid(b.acting, b.target, act, {"construction": "corrupted"})
     rep = bracoids.verify_bracoid(bad)
-    assert not rep.ok and rep.first_failure is not None
+    assert not rep.ok and not rep.action_valid
+    assert action_oracle(b) is None
+    assert rep.first_failure is not None
+    assert rep.first_failure == action_oracle(bad)
 
 
 def test_reduce_bracoid_faithful_and_idempotent():

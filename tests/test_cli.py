@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -151,3 +153,20 @@ def test_version(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     assert "skewbracoid" in capsys.readouterr().out
+
+
+# exit codes and stdout digests recorded by bench/record.py
+RECORDED = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
+C8_S4_PRODUCT = [
+    "ybe", "build", "--construction", "product",
+    "--g1", '{"kind":"cyclic","n":8}', "--g2", '{"kind":"symmetric","n":4}',
+    "--alpha", '{"images":{"g":"1230"}}',
+    "--beta", '{"images":{"1023":"g^4","1230":"g^4"}}', "--verify"]
+
+
+@pytest.mark.parametrize("name, argv", [("corpus_run", ["corpus", "run"]),
+                                        ("ybe_c8xs4", C8_S4_PRODUCT)])
+def test_stdout_matches_recorded_digest(capsys, name, argv):
+    want = json.loads(RECORDED.read_text())["corpus"][name]
+    code, out, _ = run(capsys, argv)
+    assert {"exit": code, "sha256": hashlib.sha256(out.encode()).hexdigest()} == want

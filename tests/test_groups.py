@@ -1,11 +1,12 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewbracoid import groups
+from skewbracoid import cli, groups
 from skewbracoid.errors import InternalConsistencyError, PreconditionError
 
 from conftest import brute_force_subgroups
@@ -66,6 +67,43 @@ def test_bad_table_rejected():
         groups.from_table([[0, 1], [1, 1]])  # not a Latin square
     with pytest.raises(PreconditionError):
         groups.from_table([[1, 0], [0, 1]])  # identity not at 0
+    with pytest.raises(PreconditionError, match="associativity"):
+        # identity and right inverses, but 3 > log2(4) greedy generators
+        groups.from_table([[0, 1, 2, 3], [1, 0, 2, 3], [2, 2, 0, 3], [3, 3, 3, 0]])
+
+
+def _c1000_swapped_unsampled() -> np.ndarray:
+    """C1000 with two cells of row 5 swapped, in cells that associativity
+    sampling on 100k triples from default_rng(0) never reads."""
+    n = 1000
+    idx = np.arange(n)
+    mul = (idx[:, None] + idx[None, :]) % n
+    a, b, c = np.random.default_rng(0).integers(0, n, size=(3, 100_000))
+    read = np.zeros((n, n), dtype=bool)
+    read[a, b] = read[mul[a, b], c] = read[b, c] = read[a, mul[b, c]] = True
+    c1, c2 = np.flatnonzero(~read[5, 1:])[:2] + 1
+    mul[5, c1], mul[5, c2] = mul[5, c2], mul[5, c1]
+    return mul
+
+
+def test_large_non_associative_table_rejected(capsys):
+    bad = _c1000_swapped_unsampled()
+    with pytest.raises(PreconditionError, match="associativity"):
+        groups.from_table(bad)
+    spec = json.dumps({"kind": "table", "mul": bad.tolist()})
+    assert cli.main(["group", "build", spec]) == 1
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("block_bytes", [1, 8 * 5 * 6 * 2, 2**30])
+def test_sweep_returns_first_failure_across_blocks(monkeypatch, block_bytes):
+    monkeypatch.setattr(groups, "SWEEP_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(3)
+    axes = (np.arange(7), np.array([0, 2, 3, 6, 8]), np.arange(6))
+    for density in (0.0, 0.002, 0.05, 0.5):
+        mask = rng.random((7, 9, 6)) < density
+        want = next((t for t in itertools.product(*axes) if mask[t]), None)
+        assert groups.sweep(lambda x, y, z: mask[x, y, z], axes) == want
 
 
 def test_direct_product_coordinates():
@@ -101,6 +139,10 @@ def test_semidirect_rejects_bad_action():
     with pytest.raises(PreconditionError):
         # nontrivial action of the identity
         groups.semidirect(base, acting, [[0, 3, 2, 1], list(range(4))])
+    with pytest.raises(PreconditionError, match="homomorphism"):
+        # x -> 2x has order 4 in Aut(C5), so C2 cannot act through it
+        groups.semidirect(groups.cyclic(5), acting,
+                          [list(range(5)), [2 * i % 5 for i in range(5)]])
 
 
 def test_build_group_specs():

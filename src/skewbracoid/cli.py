@@ -190,8 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true",
                         help="indented JSON output")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for sampled verification sweeps")
     common.add_argument("--max-order", type=int,
                         default=groups.DEFAULT_ORDER_CAP,
                         help="refuse to build groups above this order")
@@ -272,6 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     y.add_argument("--verify", action="store_true")
     y.add_argument("--sample", action="store_true",
                    help="force sampled verification instead of exhaustive")
+    y.add_argument("--seed", type=int, default=0,
+                   help="seed for the sampled verification of --sample")
     y.set_defaults(func=_cmd_ybe_build)
 
     p = sub.add_parser("corpus", help="built-in end-to-end fixtures")

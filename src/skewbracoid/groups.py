@@ -50,8 +50,11 @@ def sweep(bad, axes, *, samples: int = 0, seed: int = 0):
         hit = sweep(lambda i: bad(*(d[i] for d in draws)), [np.arange(samples)])
         return None if hit is None else tuple(int(d[hit[0]]) for d in draws)
     step = max(1, SWEEP_BLOCK_BYTES // (8 * max(1, math.prod(map(len, axes[1:])))))
-    for start in range(0, len(axes[0]), step):
-        block = np.ix_(axes[0][start:start + step], *axes[1:])
+    # the open mesh np.ix_ builds: axis k runs along dimension k
+    first, *rest = (a.reshape([-1 if j == k else 1 for j in range(len(axes))])
+                    for k, a in enumerate(axes))
+    for start in range(0, len(first), step):
+        block = (first[start:start + step], *rest)
         hit = bad(*block)
         if hit.any():
             pos = np.unravel_index(np.argmax(hit), hit.shape)
@@ -367,8 +370,6 @@ def _spec_order(spec: dict) -> int:
     if kind == "dihedral":
         return 2 * int(spec["n"])
     if kind == "symmetric":
-        import math
-
         return math.factorial(int(spec["n"]))
     if kind == "product":
         out = 1
@@ -421,15 +422,17 @@ class Subgroup:
         G = self.parent
         if any(m < 0 or m >= G.order for m in mem):
             raise PreconditionError("subgroup member index out of range")
-        mset = set(mem)
-        if 0 not in mset:
+        if 0 not in mem:
             raise PreconditionError("subgroup must contain the identity")
-        for a in mem:
-            if int(G.inv[a]) not in mset:
-                raise PreconditionError("subgroup not closed under inversion")
-            for b in mem:
-                if int(G.mul[a, b]) not in mset:
-                    raise PreconditionError("subgroup not closed under multiplication")
+        # the first member (in index order) whose inverse or a product with
+        # some member falls outside decides the message
+        mask = self.member_mask()
+        bad_inv = sweep(lambda a: ~mask[G.inv[a]], (mem,))
+        bad_mul = sweep(lambda a, b: ~mask[G.mul[a, b]], (mem, mem))
+        if bad_inv is not None and (bad_mul is None or bad_inv[0] <= bad_mul[0]):
+            raise PreconditionError("subgroup not closed under inversion")
+        if bad_mul is not None:
+            raise PreconditionError("subgroup not closed under multiplication")
         if G.order % len(mem) != 0:
             raise InternalConsistencyError("Lagrange violated by a closed subset")
 
@@ -439,6 +442,12 @@ class Subgroup:
 
     def member_set(self) -> frozenset[int]:
         return frozenset(self.members)
+
+    def member_mask(self) -> np.ndarray:
+        """Boolean array over the parent's elements, True on the members."""
+        mask = np.zeros(self.parent.order, dtype=bool)
+        mask[list(self.members)] = True
+        return mask
 
     def __contains__(self, g: int) -> bool:
         return int(g) in self.member_set()
@@ -464,37 +473,125 @@ def subgroup_generated(G: FiniteGroup, gens) -> Subgroup:
     return Subgroup(G, closure(G, gens))
 
 
+def _known_subgroup(G: FiniteGroup, members: tuple[int, ...]) -> Subgroup:
+    """The Subgroup of `members`, sorted and checked once already, built
+    without checking them again."""
+    H = object.__new__(Subgroup)
+    object.__setattr__(H, "parent", G)
+    object.__setattr__(H, "members", members)
+    return H
+
+
+def _element_orders(G: FiniteGroup) -> np.ndarray:
+    """Order of every element, by powering all elements at once."""
+    idx = np.arange(G.order)
+    orders = np.zeros(G.order, dtype=np.int64)
+    power, k = idx, 1
+    while True:
+        orders[(power == 0) & (orders == 0)] = k
+        if orders.all():
+            return orders
+        power, k = G.mul[power, idx], k + 1
+
+
+def _prime_of_power(n: int) -> int | None:
+    """The prime p if n > 1 is a power of p, else None."""
+    p = next(d for d in range(2, n + 1) if n % d == 0)
+    while n % p == 0:
+        n //= p
+    return p if n == 1 else None
+
+
+def _join(mul: np.ndarray, members: np.ndarray, x: int) -> np.ndarray:
+    """Mask of <H, x> for the subgroup H with member array `members`.
+
+    Grown from H as a union of left cosets of H: each new element w adds
+    its coset wH, until right multiplication by x reaches nothing new.
+    """
+    mask = np.zeros(mul.shape[0], dtype=bool)
+    mask[members] = True
+    frontier = members
+    while True:
+        step = mul[frontier, x]
+        step = step[~mask[step]]
+        if not step.size:
+            return mask
+        fresh = np.zeros_like(mask)
+        fresh[mul[step[:, None], members[None, :]]] = True
+        fresh &= ~mask
+        mask |= fresh
+        frontier = np.flatnonzero(fresh)
+
+
 def enumerate_subgroups(G: FiniteGroup, *, work_limit: int = SUBGROUP_WORK_LIMIT) -> list[Subgroup]:
     """All subgroups of G, each once, sorted by (order, member tuple).
 
-    Breadth-first closure over generator extensions; complete for any order
-    the work limit admits (guaranteed for order <= 64).
+    Cyclic extension (Neubueser): every subgroup is the join of its cyclic
+    subgroups of prime-power order, the zuppos, because each element is a
+    product of powers of itself of prime-power order.  Adding a subgroup's
+    zuppos in order of increasing size joins each <z>, of order p^k, to a
+    subgroup that already holds z^p.  So extending every subgroup found by
+    every zuppo <z> it lacks whose z^p it holds reaches every subgroup.
+
+    Work counts the members of every closure and join computed; past
+    `work_limit` WorkLimitError is raised.  The lattice is computed once
+    per group; later calls do no work, whatever their `work_limit`, and
+    each returns a new list of new Subgroup objects.
     """
-    trivial = (0,)
-    seen = {trivial}
-    queue = [trivial]
+    cached = getattr(G, "_subgroups", None)
+    if cached is not None:
+        return [_known_subgroup(G, members) for members in cached]
     work = 0
+
+    def count(size: int) -> None:
+        nonlocal work
+        work += size
+        if work > work_limit:
+            raise WorkLimitError("subgroup enumeration work limit exceeded")
+
+    orders = _element_orders(G)
+    prime_of = {o: _prime_of_power(o) for o in set(orders.tolist()) if o > 1}
+    # a generator z of each zuppo, and a generator of its subgroup <z^p>
+    # (any element of <z> of order |z|/p)
+    zuppos, roots = [], []
+    covered = np.zeros(G.order, dtype=bool)
+    for x in range(1, G.order):
+        o = int(orders[x])
+        if covered[x] or prime_of[o] is None:
+            continue
+        cyc = np.asarray(closure(G, [x]))
+        count(len(cyc))
+        covered[cyc[orders[cyc] == o]] = True
+        zuppos.append(x)
+        roots.append(cyc[np.argmax(orders[cyc] == o // prime_of[o])])
+    zuppos, roots = np.array(zuppos, dtype=np.int64), np.array(roots, dtype=np.int64)
+
+    trivial = np.zeros(G.order, dtype=bool)
+    trivial[0] = True
+    found = {trivial.tobytes(): trivial}
+    queue = [trivial]
     while queue:
-        current = queue.pop()
-        cset = set(current)
-        for x in range(G.order):
-            if x in cset:
-                continue
-            ext = closure(G, list(current) + [x])
-            work += len(ext)
-            if work > work_limit:
-                raise WorkLimitError("subgroup enumeration work limit exceeded")
-            if ext not in seen:
-                seen.add(ext)
+        mask = queue.pop()
+        members = np.flatnonzero(mask)
+        for z in zuppos[~mask[zuppos] & mask[roots]].tolist():
+            ext = _join(G.mul, members, z)
+            count(int(np.count_nonzero(ext)))
+            key = ext.tobytes()
+            if key not in found:
+                found[key] = ext
                 queue.append(ext)
-    subs = [Subgroup(G, members) for members in seen]
+    subs = [Subgroup(G, tuple(np.flatnonzero(m).tolist())) for m in found.values()]
     subs.sort(key=lambda s: (s.order, s.members))
+    # member tuples only: cached Subgroups would refer back to G, and G in
+    # a reference cycle outlives its last use until the cycle collector runs
+    object.__setattr__(G, "_subgroups", tuple(s.members for s in subs))
     return subs
 
 
 def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
-    mset = H.member_set()
-    return all(G.conjugate(g, h) in mset for g in range(G.order) for h in H.members)
+    mask = H.member_mask()
+    return sweep(lambda g, h: ~mask[G.mul[G.mul[g, h], G.inv[g]]],
+                 (range(G.order), H.members)) is None
 
 
 def center(G: FiniteGroup) -> Subgroup:
@@ -504,9 +601,9 @@ def center(G: FiniteGroup) -> Subgroup:
 
 def commutator_condition(G: FiniteGroup, S, H: Subgroup) -> bool:
     """True iff the commutator [g, s] lies in H for every g in G, s in S."""
-    mset = H.member_set()
-    return all(G.commutator(g, int(s)) in mset
-               for g in range(G.order) for s in S)
+    mask = H.member_mask()
+    return sweep(lambda g, s: ~mask[G.mul[G.mul[g, s], G.mul[G.inv[g], G.inv[s]]]],
+                 (range(G.order), S)) is None
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,12 +14,12 @@ InternalConsistencyError.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import braces, groups, maps
-from .braces import OpTable
 from .errors import InternalConsistencyError, PreconditionError
 from .groups import FiniteGroup, Subgroup
 from .maps import GroupMap
@@ -48,15 +48,13 @@ class IdealVerdict:
         }
 
 
-def _brace_tables(G: FiniteGroup, psi: GroupMap) -> dict[str, OpTable]:
+def _brace_tables(G: FiniteGroup, psi: GroupMap) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Each brace operation's table and inverse array, by label."""
     dot = braces.table_of(G)
     circ = braces.circle_table(G, psi)
-    return {
-        ".": dot,
-        "o": circ,
-        ".'": braces.opposite_table(dot),
-        "o'": braces.opposite_table(circ),
-    }
+    ops = {".": dot, "o": circ, ".'": braces.opposite_table(dot),
+           "o'": braces.opposite_table(circ)}
+    return {label: (t.op, groups.inverses(t.op)) for label, t in ops.items()}
 
 
 _LABEL_PAIRS = {
@@ -68,38 +66,37 @@ _LABEL_PAIRS = {
 }
 
 
-def _is_subgroup_under(t: OpTable, members: frozenset[int]) -> bool:
-    inv = groups.inverses(t.op)
-    return all(int(t.op[a, b]) in members for a in members for b in members) and \
-        all(int(inv[a]) in members for a in members)
+def _is_subgroup_under(t, mask: np.ndarray, members: np.ndarray) -> bool:
+    op, inv = t
+    return groups.sweep(lambda a, b: ~mask[op[a, b]], (members, members)) is None \
+        and groups.sweep(lambda a: ~mask[inv[a]], (members,)) is None
 
 
-def _is_normal_under(t: OpTable, members: frozenset[int]) -> bool:
-    inv = groups.inverses(t.op)
-    return all(int(t.op[t.op[g, h], inv[g]]) in members
-               for g in range(t.order) for h in members)
+def _is_normal_under(t, mask: np.ndarray, members: np.ndarray) -> bool:
+    op, inv = t
+    return groups.sweep(lambda g, h: ~mask[op[op[g, h], inv[g]]],
+                        (range(len(op)), members)) is None
 
 
-def _is_sli_direct(A: OpTable, M: OpTable, members: frozenset[int]) -> bool:
-    if not _is_subgroup_under(M, members):
-        return False
-    if not _is_normal_under(A, members):
-        return False
-    ainv = groups.inverses(A.op)
-    return all(int(A.op[ainv[g], M.op[g, h]]) in members
-               for g in range(A.order) for h in members)
+def _is_gamma_stable(A, M, mask: np.ndarray, members: np.ndarray) -> bool:
+    """A-inverse(g) M(g, h) lies in H for every g and every h in H."""
+    (aop, ainv), mop = A, M[0]
+    return groups.sweep(lambda g, h: ~mask[aop[ainv[g], mop[g, h]]],
+                        (range(len(aop)), members)) is None
 
 
 def classify_subgroup(G: FiniteGroup, psi: GroupMap, H: Subgroup,
-                      tables: dict[str, OpTable] | None = None) -> IdealVerdict:
-    """Verdict for a single subgroup, predicate vs definition cross-checked."""
+                      tables: dict | None = None) -> IdealVerdict:
+    """Verdict for a single subgroup, predicate vs definition cross-checked.
+
+    `tables` holds the brace tables and inverses of (G, psi), made once
+    per psi by `find_strong_left_ideals`."""
     if H.parent is not G:
         raise PreconditionError("subgroup does not belong to the given group")
     if not (psi.is_endomorphism() and psi.abelian_image):
         raise PreconditionError("psi must be an abelian endomorphism")
-    phi = maps.phi_of(psi)
-    phiH = sorted(set(int(phi.image_of[h]) for h in H.members))
-    C1 = groups.commutator_condition(G, phiH, H)
+    mask, members = H.member_mask(), np.asarray(H.members)
+    C1 = groups.commutator_condition(G, maps.phi_of(psi).image_of[members], H)
     C2 = groups.is_normal(G, H)
 
     sli_pred = []
@@ -110,14 +107,23 @@ def classify_subgroup(G: FiniteGroup, psi: GroupMap, H: Subgroup,
     ideal_pred = list(IDEAL_LABELS) if (C1 and C2) else []
 
     tables = tables or _brace_tables(G, psi)
-    members = H.member_set()
-    sli_direct = [label for label in SLI_LABELS
-                  if _is_sli_direct(tables[_LABEL_PAIRS[label][0]],
-                                    tables[_LABEL_PAIRS[label][1]], members)]
-    ideal_direct = [label for label in IDEAL_LABELS
-                    if _is_sli_direct(tables[_LABEL_PAIRS[label][0]],
-                                      tables[_LABEL_PAIRS[label][1]], members)
-                    and _is_normal_under(tables[_LABEL_PAIRS[label][1]], members)]
+    # labels share tables, so each check runs once per table (or pair)
+    subgroup_under = functools.cache(
+        lambda t: _is_subgroup_under(tables[t], mask, members))
+    normal_under = functools.cache(
+        lambda t: _is_normal_under(tables[t], mask, members))
+
+    @functools.cache
+    def sli_direct_for(label: str) -> bool:
+        """The definition: H is a subgroup of (G, M), normal in (G, A) and
+        gamma-stable, for the brace (A, M) labelled `label`."""
+        a, m = _LABEL_PAIRS[label]
+        return subgroup_under(m) and normal_under(a) and \
+            _is_gamma_stable(tables[a], tables[m], mask, members)
+
+    sli_direct = [label for label in SLI_LABELS if sli_direct_for(label)]
+    ideal_direct = [label for label in IDEAL_LABELS if sli_direct_for(label)
+                    and normal_under(_LABEL_PAIRS[label][1])]
 
     if sorted(sli_pred) != sorted(sli_direct) or sorted(ideal_pred) != sorted(ideal_direct):
         raise InternalConsistencyError(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from skewbracoid import groups
+from skewbracoid.errors import WorkLimitError
 
 _Q8_NAMES = ("e", "-e", "i", "-i", "j", "-j", "k", "-k")
 _Q8_AXIS = {("e", "e"): ("+", "e"), ("e", "i"): ("+", "i"),
@@ -47,6 +48,59 @@ def brute_force_subgroups(G: groups.FiniteGroup) -> list[tuple[int, ...]]:
             if closed and all(int(G.inv[a]) in mset for a in members):
                 out.append(tuple(sorted(members)))
     return out
+
+
+def extension_bfs_subgroups(G: groups.FiniteGroup, *,
+                            work_limit: int = groups.SUBGROUP_WORK_LIMIT):
+    """All subgroups by breadth-first closure over single-element extensions,
+    sorted by (order, member tuple): the subgroup enumeration this library
+    used before cyclic extension."""
+    trivial = (0,)
+    seen = {trivial}
+    queue = [trivial]
+    work = 0
+    while queue:
+        current = queue.pop()
+        cset = set(current)
+        for x in range(G.order):
+            if x in cset:
+                continue
+            ext = groups.closure(G, list(current) + [x])
+            work += len(ext)
+            if work > work_limit:
+                raise WorkLimitError("subgroup enumeration work limit exceeded")
+            if ext not in seen:
+                seen.add(ext)
+                queue.append(ext)
+    subs = [groups.Subgroup(G, members) for members in seen]
+    subs.sort(key=lambda s: (s.order, s.members))
+    return subs
+
+
+def normal_oracle(mul, inv, members):
+    """Scalar loop: g h g^-1 in H for every g and every h in H."""
+    mset = set(members)
+    return all(mul[mul[g, h], inv[g]] in mset
+               for g in range(len(mul)) for h in members)
+
+
+def commutator_oracle(G, S, members):
+    """Scalar loop: g s g^-1 s^-1 in H for every g in G and s in S."""
+    mset = set(members)
+    return all(G.commutator(g, s) in mset for g in range(G.order) for s in S)
+
+
+def sli_oracle(A, M, members):
+    """Scalar re-implementation of the strong left ideal definition."""
+    n = A.shape[0]
+    mset = set(members)
+    ainv = [int(np.argmax(A[g] == 0)) for g in range(n)]
+    minv = [int(np.argmax(M[g] == 0)) for g in range(n)]
+    sub = all(M[a, b] in mset for a in members for b in members) and \
+        all(minv[a] in mset for a in members)
+    normal = normal_oracle(A, ainv, members)
+    stable = all(A[ainv[g], M[g, h]] in mset for g in range(n) for h in members)
+    return sub and normal and stable
 
 
 def brace_oracle(A, M):

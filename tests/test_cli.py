@@ -148,6 +148,18 @@ def test_max_order_flag(capsys):
     assert "exceeds cap" in json.loads(err)["message"]
 
 
+def test_seed_is_an_option_of_ybe_build_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["group", "build", D4, "--seed", "5"])
+    assert exc.value.code == 2
+    code, out, _ = run(capsys, ["ybe", "build", D4, PSI, "--construction",
+                                "idempotent", "--verify", "--sample",
+                                "--seed", "5"])
+    assert code == 0
+    rep = json.loads(out)["reports"]["R"]
+    assert rep["holds"] is True and rep["checked"] == "sampled"
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
@@ -164,9 +176,18 @@ C8_S4_PRODUCT = [
     "--beta", '{"images":{"1023":"g^4","1230":"g^4"}}', "--verify"]
 
 
-@pytest.mark.parametrize("name, argv", [("corpus_run", ["corpus", "run"]),
-                                        ("ybe_c8xs4", C8_S4_PRODUCT)])
+D4XD4 = ('{"kind":"product","factors":[{"kind":"dihedral","n":4},'
+         '{"kind":"dihedral","n":4}]}')
+D4XD4_TOWER = ('{"images":{"(r,e)":"(e,e)","(s,e)":"(e,s)",'
+               '"(e,r)":"(e,e)","(e,s)":"(s,e)"}}')
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("corpus_run", ["corpus", "run"]),
+    ("ybe_c8xs4", C8_S4_PRODUCT),
+    ("ideals_d4xd4_all", ["ideals", "classify", D4XD4, D4XD4_TOWER, "--all"])])
 def test_stdout_matches_recorded_digest(capsys, name, argv):
-    want = json.loads(RECORDED.read_text())["corpus"][name]
+    recorded = json.loads(RECORDED.read_text())
+    want = next(section[name] for section in recorded.values() if name in section)
     code, out, _ = run(capsys, argv)
     assert {"exit": code, "sha256": hashlib.sha256(out.encode()).hexdigest()} == want

@@ -1,15 +1,18 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewbracoid import cli, groups
-from skewbracoid.errors import InternalConsistencyError, PreconditionError
+from skewbracoid import cli, groups, maps
+from skewbracoid.errors import (InternalConsistencyError, PreconditionError,
+                                WorkLimitError)
 
-from conftest import brute_force_subgroups
+from conftest import (brute_force_subgroups, commutator_oracle,
+                      extension_bfs_subgroups, normal_oracle, quaternion_group)
 
 
 def test_cyclic_matches_modular_addition():
@@ -179,6 +182,110 @@ def test_subgroup_validation():
         groups.Subgroup(G, (1, 2))  # missing the identity
     H = groups.Subgroup(G, (0, 4))
     assert H.order == 2 and 4 in H and 1 not in H
+
+
+@pytest.mark.parametrize("builder, members, message", [
+    (lambda: groups.dihedral(4), (0, 1), "subgroup not closed under inversion"),
+    (lambda: groups.dihedral(4), (1, 2), "subgroup must contain the identity"),
+    (lambda: groups.dihedral(4), (), "subgroup must contain the identity"),
+    (lambda: groups.dihedral(4), (0, 8), "subgroup member index out of range"),
+    # s * rs = r^3 leaves the set; every inverse stays in it
+    (lambda: groups.dihedral(4), (0, 4, 5),
+     "subgroup not closed under multiplication"),
+    # g^3 * g^4 = g leaves the set before g^4's inverse g^2 is looked at
+    (lambda: groups.cyclic(6), (0, 3, 4),
+     "subgroup not closed under multiplication"),
+    # g's inverse g^3 is looked at before the product g * g = g^2
+    (lambda: groups.cyclic(4), (0, 1), "subgroup not closed under inversion"),
+    (lambda: groups.cyclic(4), (0, 1, 2), "subgroup not closed under inversion"),
+])
+def test_subgroup_rejection_messages(builder, members, message):
+    """The first member in index order whose inverse or product with some
+    member leaves the set decides the message, inverse first."""
+    with pytest.raises(PreconditionError) as exc:
+        groups.Subgroup(builder(), members)
+    assert str(exc.value) == message
+
+
+def test_subgroup_and_normality_checks_stay_small_on_large_groups():
+    G = groups.cyclic(3000)  # its 72 MB table is built outside the trace
+    tracemalloc.start()
+    try:
+        H = groups.Subgroup(G, tuple(range(G.order)))
+        normal = groups.is_normal(G, H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert normal and H.order == 3000
+    assert peak < 32 * 2**20
+
+
+# the acceptance criterion-02 catalogue: C2..C16, D3..D8, Q8, S3
+CATALOGUE = ([(f"C{n}", lambda n=n: groups.cyclic(n)) for n in range(2, 17)]
+             + [(f"D{n}", lambda n=n: groups.dihedral(n)) for n in range(3, 9)]
+             + [("Q8", quaternion_group), ("S3", lambda: groups.symmetric(3))])
+LARGER = [("C2xD4", lambda: groups.direct_product(groups.cyclic(2), groups.dihedral(4))),
+          ("S4", lambda: groups.symmetric(4)),
+          ("D4xD4", lambda: groups.direct_product(groups.dihedral(4),
+                                                  groups.dihedral(4)))]
+
+
+@pytest.mark.parametrize("name, builder", CATALOGUE + LARGER)
+def test_lattice_matches_extension_oracle(name, builder):
+    G = builder()
+    got = [s.members for s in groups.enumerate_subgroups(G)]
+    want = [s.members for s in extension_bfs_subgroups(G)]
+    assert got == want
+    if name == "D4xD4":
+        assert len(got) == 389
+
+
+def test_s5_lattice_within_default_work_limit():
+    subs = groups.enumerate_subgroups(groups.symmetric(5))
+    assert len(subs) == 156
+    assert [s.order for s in subs].count(60) == 1  # A5, which is perfect
+    assert subs[-1].order == 120
+
+
+def test_lattice_work_limit_still_applies():
+    with pytest.raises(WorkLimitError):
+        groups.enumerate_subgroups(groups.symmetric(4), work_limit=100)
+
+
+def test_lattice_is_computed_once_per_group(monkeypatch):
+    calls = []
+    closure = groups.closure
+    monkeypatch.setattr(groups, "closure",
+                        lambda G, gens: calls.append(gens) or closure(G, gens))
+    G = groups.dihedral(6)
+    first = groups.enumerate_subgroups(G)
+    assert calls
+    calls.clear()
+    first.clear()
+    second = groups.enumerate_subgroups(G)
+    assert not calls
+    assert [s.members for s in second] == sorted(brute_force_subgroups(G),
+                                                 key=lambda m: (len(m), m))
+    # another group object computes its own lattice
+    groups.enumerate_subgroups(groups.dihedral(6))
+    assert calls
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_predicates_match_scalar_oracles(n):
+    G = groups.dihedral(n)
+    everything = range(G.order)
+    subs = groups.enumerate_subgroups(G)
+    for H in subs:
+        assert groups.is_normal(G, H) == normal_oracle(G.mul, G.inv, H.members)
+        assert groups.commutator_condition(G, everything, H) == \
+            commutator_oracle(G, everything, H.members)
+    for psi in maps.enumerate_abelian_maps(G):
+        phi = maps.phi_of(psi)
+        for H in subs:
+            phiH = sorted({int(phi.image_of[h]) for h in H.members})
+            assert groups.commutator_condition(G, phiH, H) == \
+                commutator_oracle(G, phiH, H.members)
 
 
 def test_closure_matches_naive_word_enumeration():

@@ -4,6 +4,8 @@ import pytest
 from skewbracoid import braces, groups, ideals, maps
 from skewbracoid.errors import InternalConsistencyError, PreconditionError
 
+from conftest import normal_oracle, sli_oracle
+
 
 def d4_setup():
     G = groups.dihedral(4)
@@ -23,19 +25,6 @@ def cpq_setup():
         "action": [ident, inv, inv, ident]})
     psi = maps.make_map(G, G, [15 * (i // 15) for i in range(60)])
     return G, psi
-
-
-def sli_oracle(A, M, members):
-    """Scalar re-implementation of the strong left ideal definition."""
-    n = A.shape[0]
-    mset = set(members)
-    ainv = [int(np.argmax(A[g] == 0)) for g in range(n)]
-    minv = [int(np.argmax(M[g] == 0)) for g in range(n)]
-    sub = all(M[a, b] in mset for a in members for b in members) and \
-        all(minv[a] in mset for a in members)
-    normal = all(A[A[g, h], ainv[g]] in mset for g in range(n) for h in members)
-    stable = all(A[ainv[g], M[g, h]] in mset for g in range(n) for h in members)
-    return sub and normal and stable
 
 
 def test_named_subgroups_d4():
@@ -126,3 +115,49 @@ def test_named_subgroups_require_endomorphism():
     f = maps.left_regular_map(A)
     with pytest.raises(PreconditionError):
         ideals.named_subgroups(A, f)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_direct_definition_matches_oracle_for_every_map(n):
+    """Each label of the definition route, and each predicate it is built
+    from, against the scalar strong-left-ideal definition."""
+    G = groups.dihedral(n)
+    subs = groups.enumerate_subgroups(G)
+    for psi in maps.enumerate_abelian_maps(G):
+        tables = ideals._brace_tables(G, psi)
+        ops = {label: op for label, (op, _) in tables.items()}
+        invs = {label: [int(np.argmax(op[g] == 0)) for g in range(G.order)]
+                for label, op in ops.items()}
+        for H in subs:
+            verdict = ideals.classify_subgroup(G, psi, H, tables)
+            mask, members = H.member_mask(), np.asarray(H.members)
+            for label, (a, m) in ideals._LABEL_PAIRS.items():
+                sli = sli_oracle(ops[a], ops[m], H.members)
+                if label in ideals.SLI_LABELS:
+                    assert (label in verdict.strong_left_ideal_of) == sli
+                if label in ideals.IDEAL_LABELS:
+                    ideal = sli and normal_oracle(ops[m], invs[m], H.members)
+                    assert (label in verdict.ideal_of) == ideal
+            for label, op in ops.items():
+                inv = invs[label]
+                assert ideals._is_normal_under(tables[label], mask, members) == \
+                    normal_oracle(op, inv, H.members)
+                closed = all(op[a, b] in H for a in H.members for b in H.members)
+                assert ideals._is_subgroup_under(tables[label], mask, members) == \
+                    (closed and all(inv[a] in H for a in H.members))
+
+
+def test_find_strong_left_ideals_enumerates_the_lattice_once(monkeypatch):
+    calls = []
+    closure = groups.closure
+    monkeypatch.setattr(groups, "closure",
+                        lambda G, gens: calls.append(gens) or closure(G, gens))
+    G = groups.dihedral(8)
+    found = maps.enumerate_abelian_maps(G)
+    assert len(found) > 1
+    for psi in found:
+        assert len(ideals.find_strong_left_ideals(G, psi)) == 19
+    once = len(calls)
+    calls.clear()
+    groups.enumerate_subgroups(groups.dihedral(8))
+    assert once == len(calls) > 0

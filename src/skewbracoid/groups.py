@@ -78,6 +78,12 @@ def _right_closure(mul: np.ndarray, gens, members=(0,)) -> set[int]:
     return members
 
 
+def require_generating(mul: np.ndarray, gens) -> None:
+    """Raise PreconditionError unless `gens` generate the group `mul`."""
+    if len(_right_closure(mul, gens)) != mul.shape[0]:
+        raise PreconditionError("generators do not generate the group")
+
+
 def verify_group_table(mul: np.ndarray) -> tuple[int, ...]:
     """Check the group axioms on a candidate Cayley table, exactly.
 
@@ -214,8 +220,10 @@ def from_table(mul, names=None, generators=None) -> FiniteGroup:
         if len(names) != n:
             raise PreconditionError("names length does not match order")
     gens = tuple(int(g) for g in generators) if generators is not None else None
-    if gens is not None and any(g < 0 or g >= n for g in gens):
-        raise PreconditionError("generator index out of range")
+    if gens is not None:
+        if any(g < 0 or g >= n for g in gens):
+            raise PreconditionError("generator index out of range")
+        require_generating(table, gens)
     return FiniteGroup(table, inverses(table), names, gens)
 
 
@@ -586,6 +594,28 @@ def enumerate_subgroups(G: FiniteGroup, *, work_limit: int = SUBGROUP_WORK_LIMIT
     # a reference cycle outlives its last use until the cycle collector runs
     object.__setattr__(G, "_subgroups", tuple(s.members for s in subs))
     return subs
+
+
+def derived_subgroup(G: FiniteGroup) -> np.ndarray:
+    """Ascending member array of [G, G], the normal closure of the
+    commutators of G's generators: modulo it the generators commute, so
+    the quotient is abelian.  Normality is tested by conjugating with the
+    generators only, so no order x order table is built."""
+    gens = np.asarray(G.generators, dtype=np.int64)
+    ginv = G.inv[gens]
+    pending = G.mul[G.mul[gens[:, None], gens[None, :]],
+                    G.mul[ginv[:, None], ginv[None, :]]].ravel()
+    members = np.zeros(1, dtype=np.int64)
+    mask = np.zeros(G.order, dtype=bool)
+    mask[0] = True
+    while True:
+        pending = pending[~mask[pending]]
+        if not pending.size:
+            return members
+        mask = _join(G.mul, members, int(pending[0]))
+        members = np.flatnonzero(mask)
+        pending = np.concatenate(
+            [pending, G.mul[G.mul[gens[:, None], members[None, :]], ginv[:, None]].ravel()])
 
 
 def is_normal(G: FiniteGroup, H: Subgroup) -> bool:

@@ -48,13 +48,16 @@ class IdealVerdict:
         }
 
 
-def _brace_tables(G: FiniteGroup, psi: GroupMap) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Each brace operation's table and inverse array, by label."""
+def _brace_tables(G: FiniteGroup, psi: GroupMap) -> dict:
+    """Each brace operation's table and inverse array, by label, and the
+    image array of phi under "phi"."""
     dot = braces.table_of(G)
     circ = braces.circle_table(G, psi)
     ops = {".": dot, "o": circ, ".'": braces.opposite_table(dot),
            "o'": braces.opposite_table(circ)}
-    return {label: (t.op, groups.inverses(t.op)) for label, t in ops.items()}
+    tables = {label: (t.op, groups.inverses(t.op)) for label, t in ops.items()}
+    tables["phi"] = maps.phi_of(psi).image_of
+    return tables
 
 
 _LABEL_PAIRS = {
@@ -89,14 +92,15 @@ def classify_subgroup(G: FiniteGroup, psi: GroupMap, H: Subgroup,
                       tables: dict | None = None) -> IdealVerdict:
     """Verdict for a single subgroup, predicate vs definition cross-checked.
 
-    `tables` holds the brace tables and inverses of (G, psi), made once
-    per psi by `find_strong_left_ideals`."""
+    `tables` holds the brace tables and inverses of (G, psi) and phi,
+    made once per psi by `find_strong_left_ideals`."""
     if H.parent is not G:
         raise PreconditionError("subgroup does not belong to the given group")
     if not (psi.is_endomorphism() and psi.abelian_image):
         raise PreconditionError("psi must be an abelian endomorphism")
+    tables = tables or _brace_tables(G, psi)
     mask, members = H.member_mask(), np.asarray(H.members)
-    C1 = groups.commutator_condition(G, maps.phi_of(psi).image_of[members], H)
+    C1 = groups.commutator_condition(G, tables["phi"][members], H)
     C2 = groups.is_normal(G, H)
 
     sli_pred = []
@@ -106,7 +110,6 @@ def classify_subgroup(G: FiniteGroup, psi: GroupMap, H: Subgroup,
         sli_pred += ["(.,o)", "(.',o)"]
     ideal_pred = list(IDEAL_LABELS) if (C1 and C2) else []
 
-    tables = tables or _brace_tables(G, psi)
     # labels share tables, so each check runs once per table (or pair)
     subgroup_under = functools.cache(
         lambda t: _is_subgroup_under(tables[t], mask, members))

@@ -10,6 +10,7 @@ maps psi_n; those live here, the operation tables they induce live in
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,9 +54,11 @@ class GroupMap:
             raise PreconditionError("map is not a homomorphism")
         im.setflags(write=False)
         self.image_of = im
-        img = sorted(set(im.tolist()))
-        cm = self.codomain.mul
-        self.abelian_image = all(cm[a, b] == cm[b, a] for a in img for b in img)
+        seen = np.zeros(self.codomain.order, dtype=bool)
+        seen[im] = True
+        img = np.flatnonzero(seen)
+        sub = self.codomain.mul[img[:, None], img[None, :]]
+        self.abelian_image = bool(np.array_equal(sub, sub.T))
         if self.is_endomorphism():
             self.idempotent = bool(np.array_equal(im[im], im))
             fix = np.flatnonzero(im == np.arange(self.domain.order))
@@ -88,14 +91,15 @@ def identity_map(G: FiniteGroup) -> GroupMap:
     return GroupMap(G, G, np.arange(G.order, dtype=np.int64), provenance="identity")
 
 
-def _extend_generator_images(G: FiniteGroup, Gp: FiniteGroup,
+def _extend_generator_images(mul: np.ndarray, mul_p: np.ndarray,
                              gen_idx: list[int], gen_img: list[int]):
-    """Propagate generator images over the whole group.
+    """Propagate generator images over the whole group with table `mul`,
+    multiplying images in the table `mul_p`.
 
     Returns the full image array, or None if the assignment is inconsistent
     (cheap relation pruning; callers still run the full table check).
     """
-    img = np.full(G.order, -1, dtype=np.int64)
+    img = np.full(mul.shape[0], -1, dtype=np.int64)
     img[0] = 0
     for t, v in zip(gen_idx, gen_img):
         if img[t] >= 0 and img[t] != v:
@@ -106,8 +110,8 @@ def _extend_generator_images(G: FiniteGroup, Gp: FiniteGroup,
         nxt = []
         for g in frontier:
             for t, v in zip(gen_idx, gen_img):
-                h = int(G.mul[g, t])
-                w = int(Gp.mul[img[g], v])
+                h = int(mul[g, t])
+                w = int(mul_p[img[g], v])
                 if img[h] < 0:
                     img[h] = w
                     nxt.append(h)
@@ -132,7 +136,7 @@ def make_map(G: FiniteGroup, Gp: FiniteGroup, images, *,
         for k, v in images.items():
             gen_idx.append(G.index_of(k) if isinstance(k, str) else int(k))
             gen_img.append(Gp.index_of(v) if isinstance(v, str) else int(v))
-        img = _extend_generator_images(G, Gp, gen_idx, gen_img)
+        img = _extend_generator_images(G.mul, Gp.mul, gen_idx, gen_img)
         if img is None:
             raise PreconditionError(
                 "generator images do not extend to a homomorphism "
@@ -141,28 +145,90 @@ def make_map(G: FiniteGroup, Gp: FiniteGroup, images, *,
     return GroupMap(G, Gp, np.asarray(images, dtype=np.int64), provenance=provenance)
 
 
+def _powers(mul: np.ndarray, d: int) -> np.ndarray:
+    """y^d for every element y of the group table `mul`, by squaring."""
+    out = np.zeros(mul.shape[0], dtype=np.int64)
+    base = np.arange(mul.shape[0])
+    while d:
+        if d & 1:
+            out = mul[out, base]
+        base = mul[base, base]
+        d >>= 1
+    return out
+
+
+def _order_of(mul: np.ndarray, x: int) -> int:
+    """Order of x in the group table `mul`."""
+    k, y = 1, x
+    while y != 0:
+        k, y = k + 1, int(mul[y, x])
+    return k
+
+
 def enumerate_abelian_maps(G: FiniteGroup, Gp: FiniteGroup | None = None, *,
                            candidate_cap: int = ABELIAN_MAP_CANDIDATE_CAP) -> list[GroupMap]:
-    """All homomorphisms G -> G' with abelian image, by backtracking over
-    generator images in lexicographic order."""
+    """All homomorphisms G -> G' with abelian image, in lexicographic order
+    of their generator images.
+
+    An abelian map kills [G, G], so it factors through G/[G, G]: generator
+    x can only map to some y with y^d = e, where d is the order of x[G, G],
+    and the generator images commute pairwise.  These candidates are
+    backtracked over in ascending index order, and every full assignment
+    is extended over the quotient table, lifted to G and checked as a
+    GroupMap.  WorkLimitError is raised before the search when the product
+    of the candidate counts exceeds `candidate_cap`.
+    """
     Gp = Gp or G
     gens = G.generators
     if not gens:
         raise PreconditionError("domain group has no generator list")
-    if Gp.order ** len(gens) > candidate_cap:
+    groups.require_generating(G.mul, gens)
+    derived = groups.derived_subgroup(G)
+    if len(derived) == 1:
+        coset_of, quotient = np.arange(G.order), G.mul
+    else:
+        coset_of, reps = groups.left_cosets(G.mul, derived)
+        quotient = groups.induced_table(G.mul, coset_of, reps)
+        if quotient is None:
+            raise InternalConsistencyError("derived subgroup is not normal")
+    qgens = [int(coset_of[x]) for x in gens]
+    orders = [_order_of(quotient, x) for x in qgens]
+    killed_by = {d: np.flatnonzero(_powers(Gp.mul, d) == 0) for d in set(orders)}
+    candidates = [killed_by[d] for d in orders]
+    if math.prod(len(c) for c in candidates) > candidate_cap:
         raise WorkLimitError("abelian map search space exceeds candidate cap")
+
     out = []
-    for assignment in itertools.product(range(Gp.order), repeat=len(gens)):
-        img = _extend_generator_images(G, Gp, list(gens), list(assignment))
+    for chosen in _commuting_choices(Gp.mul, candidates,
+                                     np.ones(Gp.order, dtype=bool)):
+        img = _extend_generator_images(quotient, Gp.mul, qgens, chosen)
         if img is None:
             continue
         try:
-            f = GroupMap(G, Gp, img, provenance="enumerated")
-        except PreconditionError:
-            continue
-        if f.abelian_image:
-            out.append(f)
+            f = GroupMap(G, Gp, img[coset_of], provenance="enumerated")
+        except PreconditionError as exc:
+            raise InternalConsistencyError(
+                "an extension over G/[G, G] is not a homomorphism") from exc
+        if not f.abelian_image:
+            raise InternalConsistencyError(
+                "an extension over G/[G, G] does not have abelian image")
+        out.append(f)
     return out
+
+
+def _commuting_choices(mul: np.ndarray, candidates: list[np.ndarray],
+                       allowed: np.ndarray, chosen: tuple[int, ...] = ()):
+    """Every pairwise commuting choice of one element from each candidate
+    array, extending `chosen`, in lexicographic order; `allowed` marks the
+    elements that commute with all of `chosen`."""
+    level = candidates[len(chosen)]
+    for y in level[allowed[level]].tolist():
+        if len(chosen) + 1 == len(candidates):
+            yield chosen + (y,)
+        else:
+            yield from _commuting_choices(mul, candidates,
+                                          allowed & (mul[y] == mul[:, y]),
+                                          chosen + (y,))
 
 
 @dataclass(eq=False)

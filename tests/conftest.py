@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from skewbracoid import groups
-from skewbracoid.errors import WorkLimitError
+from skewbracoid import groups, maps
+from skewbracoid.errors import PreconditionError, WorkLimitError
 
 _Q8_NAMES = ("e", "-e", "i", "-i", "j", "-j", "k", "-k")
 _Q8_AXIS = {("e", "e"): ("+", "e"), ("e", "i"): ("+", "i"),
@@ -34,10 +36,62 @@ def q8():
     return quaternion_group()
 
 
+# the acceptance criterion-02 catalogue: C2..C16, D3..D8, Q8, S3
+CATALOGUE = ([(f"C{n}", lambda n=n: groups.cyclic(n)) for n in range(2, 17)]
+             + [(f"D{n}", lambda n=n: groups.dihedral(n)) for n in range(3, 9)]
+             + [("Q8", quaternion_group), ("S3", lambda: groups.symmetric(3))])
+
+
+def _extend_by_bfs(G, Gp, gen_idx, gen_img):
+    """Generator images propagated over G by breadth-first search, or None
+    if they are inconsistent or do not reach all of G."""
+    img = np.full(G.order, -1, dtype=np.int64)
+    img[0] = 0
+    for t, v in zip(gen_idx, gen_img):
+        if img[t] >= 0 and img[t] != v:
+            return None
+        img[t] = v
+    frontier = [0] + [t for t in gen_idx if t != 0]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for t, v in zip(gen_idx, gen_img):
+                h = int(G.mul[g, t])
+                w = int(Gp.mul[img[g], v])
+                if img[h] < 0:
+                    img[h] = w
+                    nxt.append(h)
+                elif img[h] != w:
+                    return None
+        frontier = nxt
+    if (img < 0).any():
+        return None
+    return img
+
+
+def brute_force_abelian_maps(G, Gp=None):
+    """Every assignment of codomain elements to the generators, in
+    itertools.product order, kept when it extends to a homomorphism with
+    abelian image: the abelian-map enumeration this library used before
+    the search went through G/[G, G]."""
+    Gp = Gp or G
+    gens = G.generators
+    out = []
+    for assignment in itertools.product(range(Gp.order), repeat=len(gens)):
+        img = _extend_by_bfs(G, Gp, list(gens), list(assignment))
+        if img is None:
+            continue
+        try:
+            f = maps.GroupMap(G, Gp, img, provenance="enumerated")
+        except PreconditionError:
+            continue
+        if f.abelian_image:
+            out.append(f)
+    return out
+
+
 def brute_force_subgroups(G: groups.FiniteGroup) -> list[tuple[int, ...]]:
     """All subgroups by testing every subset; usable only for tiny groups."""
-    import itertools
-
     out = []
     rest = [g for g in range(G.order) if g != 0]
     for r in range(len(rest) + 1):

@@ -185,7 +185,13 @@ D4XD4_TOWER = ('{"images":{"(r,e)":"(e,e)","(s,e)":"(e,s)",'
 @pytest.mark.parametrize("name, argv", [
     ("corpus_run", ["corpus", "run"]),
     ("ybe_c8xs4", C8_S4_PRODUCT),
-    ("ideals_d4xd4_all", ["ideals", "classify", D4XD4, D4XD4_TOWER, "--all"])])
+    ("ideals_d4xd4_all", ["ideals", "classify", D4XD4, D4XD4_TOWER, "--all"]),
+    ("abmaps_D50", ["abmaps", "enumerate", '{"kind":"dihedral","n":50}']),
+    ("abmaps_C2xS4", ["abmaps", "enumerate", '{"kind":"product","factors":['
+                      '{"kind":"cyclic","n":2},{"kind":"symmetric","n":4}]}']),
+    ("abmaps_S5", ["abmaps", "enumerate", '{"kind":"symmetric","n":5}']),
+    ("abmaps_C2xD4", ["abmaps", "enumerate", '{"kind":"product","factors":['
+                      '{"kind":"cyclic","n":2},{"kind":"dihedral","n":4}]}'])])
 def test_stdout_matches_recorded_digest(capsys, name, argv):
     recorded = json.loads(RECORDED.read_text())
     want = next(section[name] for section in recorded.values() if name in section)

@@ -11,8 +11,8 @@ from skewbracoid import cli, groups, maps
 from skewbracoid.errors import (InternalConsistencyError, PreconditionError,
                                 WorkLimitError)
 
-from conftest import (brute_force_subgroups, commutator_oracle,
-                      extension_bfs_subgroups, normal_oracle, quaternion_group)
+from conftest import (CATALOGUE, brute_force_subgroups, commutator_oracle,
+                      extension_bfs_subgroups, normal_oracle)
 
 
 def test_cyclic_matches_modular_addition():
@@ -73,6 +73,19 @@ def test_bad_table_rejected():
     with pytest.raises(PreconditionError, match="associativity"):
         # identity and right inverses, but 3 > log2(4) greedy generators
         groups.from_table([[0, 1, 2, 3], [1, 0, 2, 3], [2, 2, 0, 3], [3, 3, 3, 0]])
+
+
+def test_generators_that_do_not_generate_rejected(capsys):
+    c4 = ((np.arange(4)[:, None] + np.arange(4)[None, :]) % 4).tolist()
+    assert groups.from_table(c4, generators=[3]).generators == (3,)
+    for gens in ([2], [0, 2], []):
+        with pytest.raises(PreconditionError, match="do not generate"):
+            groups.from_table(c4, generators=gens)
+    spec = json.dumps({"kind": "table", "mul": c4, "generators": [2]})
+    assert cli.main(["group", "build", spec]) == 1
+    assert "do not generate" in json.loads(capsys.readouterr().err)["message"]
+    assert cli.main(["abmaps", "enumerate", spec]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def _c1000_swapped_unsampled() -> np.ndarray:
@@ -220,10 +233,6 @@ def test_subgroup_and_normality_checks_stay_small_on_large_groups():
     assert peak < 32 * 2**20
 
 
-# the acceptance criterion-02 catalogue: C2..C16, D3..D8, Q8, S3
-CATALOGUE = ([(f"C{n}", lambda n=n: groups.cyclic(n)) for n in range(2, 17)]
-             + [(f"D{n}", lambda n=n: groups.dihedral(n)) for n in range(3, 9)]
-             + [("Q8", quaternion_group), ("S3", lambda: groups.symmetric(3))])
 LARGER = [("C2xD4", lambda: groups.direct_product(groups.cyclic(2), groups.dihedral(4))),
           ("S4", lambda: groups.symmetric(4)),
           ("D4xD4", lambda: groups.direct_product(groups.dihedral(4),
@@ -342,3 +351,29 @@ def test_closure_is_always_a_subgroup(n, gens):
     assert G.order % H.order == 0
     mset = H.member_set()
     assert all(int(G.mul[a, b]) in mset for a in H.members for b in H.members)
+
+
+def _all_commutators_closure(G):
+    """Closure of every commutator [a, b], by scalar loops."""
+    return groups.closure(G, {G.commutator(a, b) for a in range(G.order)
+                              for b in range(G.order)})
+
+
+@pytest.mark.parametrize("name, builder", CATALOGUE + LARGER + [
+    ("S5", lambda: groups.symmetric(5)),
+    ("C8xS4", lambda: groups.direct_product(groups.cyclic(8), groups.symmetric(4)))])
+def test_derived_subgroup_matches_all_commutators(name, builder):
+    G = builder()
+    assert tuple(groups.derived_subgroup(G).tolist()) == _all_commutators_closure(G)
+
+
+def test_derived_subgroup_stays_small_on_large_groups():
+    G = groups.direct_product(groups.cyclic(500), groups.symmetric(3))
+    tracemalloc.start()
+    try:
+        derived = groups.derived_subgroup(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert derived.tolist() == [0, 1500, 2000]  # A3 in the second factor
+    assert peak < 2**20  # an order x order bool table would take 8.6 MiB

@@ -125,7 +125,7 @@ def test_direct_definition_matches_oracle_for_every_map(n):
     subs = groups.enumerate_subgroups(G)
     for psi in maps.enumerate_abelian_maps(G):
         tables = ideals._brace_tables(G, psi)
-        ops = {label: op for label, (op, _) in tables.items()}
+        ops = {label: tables[label][0] for label in (".", "o", ".'", "o'")}
         invs = {label: [int(np.argmax(op[g] == 0)) for g in range(G.order)]
                 for label, op in ops.items()}
         for H in subs:
@@ -161,3 +161,18 @@ def test_find_strong_left_ideals_enumerates_the_lattice_once(monkeypatch):
     calls.clear()
     groups.enumerate_subgroups(groups.dihedral(8))
     assert once == len(calls) > 0
+
+
+def test_find_strong_left_ideals_computes_phi_once(monkeypatch):
+    calls = []
+    phi_of = maps.phi_of
+    monkeypatch.setattr(maps, "phi_of", lambda psi: calls.append(psi) or phi_of(psi))
+    G = groups.dihedral(4)
+    found = maps.enumerate_abelian_maps(G)
+    for psi in found:
+        assert len(ideals.find_strong_left_ideals(G, psi)) == 10
+    assert calls == found
+    calls.clear()
+    H = groups.Subgroup(G, (0, 2))
+    ideals.classify_subgroup(G, found[1], H)
+    assert calls == [found[1]]

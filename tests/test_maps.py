@@ -1,10 +1,13 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from skewbracoid import groups, maps
 from skewbracoid.errors import PreconditionError, WorkLimitError
+
+from conftest import CATALOGUE, brute_force_abelian_maps
 
 
 def d4_psi():
@@ -76,6 +79,73 @@ def test_enumerate_abelian_maps_work_limit():
     G = groups.symmetric(4)
     with pytest.raises(WorkLimitError):
         maps.enumerate_abelian_maps(G, candidate_cap=10)
+
+
+# the groups of the benchmark's abmaps workload
+ABMAPS_GROUPS = [
+    ("D50", lambda: groups.dihedral(50)),
+    ("C2xS4", lambda: groups.direct_product(groups.cyclic(2), groups.symmetric(4))),
+    ("S5", lambda: groups.symmetric(5)),
+    ("C2xD4", lambda: groups.direct_product(groups.cyclic(2), groups.dihedral(4)))]
+
+
+def _images(found):
+    return [f.image_of.tolist() for f in found]
+
+
+@pytest.mark.parametrize("name, builder", CATALOGUE + ABMAPS_GROUPS)
+def test_enumerate_abelian_maps_matches_brute_force(name, builder):
+    G = builder()
+    assert _images(maps.enumerate_abelian_maps(G)) == \
+        _images(brute_force_abelian_maps(G))
+
+
+@pytest.mark.parametrize("domain, codomain", [
+    (lambda: groups.symmetric(3), lambda: groups.cyclic(6)),
+    (lambda: groups.cyclic(4), lambda: groups.dihedral(4))])
+def test_enumerate_abelian_maps_between_groups_matches_brute_force(domain, codomain):
+    G, Gp = domain(), codomain()
+    got = maps.enumerate_abelian_maps(G, Gp)
+    assert got and all(f.codomain is Gp for f in got)
+    assert _images(got) == _images(brute_force_abelian_maps(G, Gp))
+
+
+def test_enumerate_abelian_maps_c8xs4():
+    G = groups.direct_product(groups.cyclic(8), groups.symmetric(4))
+    found = maps.enumerate_abelian_maps(G)
+    assert len(found) == 1024
+    keys = [tuple(f.image_of[list(G.generators)].tolist()) for f in found]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_enumerate_abelian_maps_into_a_large_codomain_stays_small():
+    G = groups.symmetric(3)
+    Gp = groups.direct_product(groups.cyclic(500), groups.symmetric(3))
+    tracemalloc.start()
+    try:
+        found = maps.enumerate_abelian_maps(G, Gp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the transposition goes to one of the 8 elements of order <= 2, the
+    # 3-cycle, a commutator, to e
+    assert len(found) == 8
+    assert peak < 2**20  # an order x order bool table would take 8.6 MiB
+
+
+def test_abelian_image_flag_matches_pairwise_check():
+    for G in (groups.dihedral(4), groups.symmetric(3)):
+        flags = []
+        for a, b in itertools.product(range(G.order), repeat=2):
+            try:
+                f = maps.make_map(G, G, dict(zip(G.generators, (a, b))))
+            except PreconditionError:
+                continue
+            img = f.image_members()
+            flags.append(f.abelian_image)
+            assert f.abelian_image == all(G.op(x, y) == G.op(y, x)
+                                          for x in img for y in img)
+        assert True in flags and False in flags
 
 
 def test_map_analysis_named_sets():

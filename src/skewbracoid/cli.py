@@ -9,6 +9,7 @@ of the classification or construction theorems).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from importlib import metadata
@@ -186,7 +187,10 @@ def _cmd_corpus_run(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once on first use: parsing leaves it
+    unchanged, and each new parser would leave reference cycles behind."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true",
                         help="indented JSON output")

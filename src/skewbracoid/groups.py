@@ -117,22 +117,18 @@ def verify_group_table(mul: np.ndarray) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def relation_failure(act: np.ndarray, T: np.ndarray, off: np.ndarray, *,
-                     samples: int = 0, seed: int = 0) -> tuple | None:
+def relation_failure(act: np.ndarray, T: np.ndarray, off: np.ndarray) -> tuple | None:
     """First (g, eta, mu) failing  g+(eta mu) = (g+eta) off[g] (g+mu)  for
     the action `act` on the group table `T`: the brace relation when off is
     the additive inverse, the bracoid relation when off[g] = (g+e)^-1.  It
     holds iff each eta -> off[g] (g+eta) is an endomorphism, so mu runs over
     generators of T to find the first failing g, whose full slice gives the
-    witness.  `samples` checks sampled triples instead."""
+    witness."""
     def bad(g, eta, mu):
         return act[g, T[eta, mu]] != T[T[act[g, eta], off[g]], act[g, mu]]
 
-    gens = verify_group_table(T)
     g_all, t_all = np.arange(act.shape[0]), np.arange(T.shape[0])
-    if samples:
-        return sweep(bad, (g_all, t_all, t_all), samples=samples, seed=seed)
-    hit = sweep(bad, (g_all, t_all, gens))
+    hit = sweep(bad, (g_all, t_all, verify_group_table(T)))
     return None if hit is None else sweep(bad, ((hit[0],), t_all, t_all))
 
 
@@ -183,9 +179,12 @@ class FiniteGroup:
     def inverse(self, a: int) -> int:
         return int(self.inv[a])
 
-    def conjugate(self, g: int, h: int) -> int:
-        """g h g^-1"""
-        return int(self.mul[self.mul[g, h], self.inv[g]])
+    def generating_set(self) -> tuple[int, ...]:
+        """`generators`, or for a group built without them the generating
+        set that the group-table check finds."""
+        if self.generators is not None:
+            return self.generators
+        return verify_group_table(self.mul)
 
     def commutator(self, g: int, h: int) -> int:
         """g h g^-1 h^-1"""
@@ -309,7 +308,7 @@ def direct_product(*groups: FiniteGroup) -> FiniteGroup:
     )
     gens = []
     for k, g in enumerate(groups):
-        for gen in g.generators or ():
+        for gen in g.generating_set():
             gens.append(int(weights[k] * gen))
     return FiniteGroup(mul, inverses(mul), names, tuple(gens), tuple(groups))
 
@@ -367,7 +366,7 @@ def semidirect(base: FiniteGroup, acting: FiniteGroup, action) -> FiniteGroup:
             mul[g, h] = base.op(b1, int(action[a1, b2])) + nb * acting.op(a1, a2)
     names = [f"({base.names[g % nb]},{acting.names[g // nb]})"
              for g in range(total)]
-    gens = list(base.generators or ()) + [nb * a for a in (acting.generators or ())]
+    gens = list(base.generating_set()) + [nb * a for a in acting.generating_set()]
     return FiniteGroup(mul, inverses(mul), tuple(names), tuple(gens))
 
 
@@ -601,7 +600,7 @@ def derived_subgroup(G: FiniteGroup) -> np.ndarray:
     commutators of G's generators: modulo it the generators commute, so
     the quotient is abelian.  Normality is tested by conjugating with the
     generators only, so no order x order table is built."""
-    gens = np.asarray(G.generators, dtype=np.int64)
+    gens = np.asarray(G.generating_set(), dtype=np.int64)
     ginv = G.inv[gens]
     pending = G.mul[G.mul[gens[:, None], gens[None, :]],
                     G.mul[ginv[:, None], ginv[None, :]]].ravel()

@@ -6,7 +6,10 @@ Two routes are always computed and cross-checked:
 * the predicate route: C1 = "[g, phi(h)] in H for all g, h" and
   C2 = "H normal in (G, .)", mapped to brace labels;
 * the definition route: for each labelled brace (A, M), check directly that
-  H is a subgroup of (G, M), normal in (G, A), and gamma-stable.
+  H is a subgroup of (G, M), normal in (G, A), and gamma-stable, that is
+  A-inverse(g) M(g, h) in H for all g and all h in H.  Only the tables of
+  `.` and `o` are built: an opposite operation, x .' y = y . x, is read
+  from its original's table with the arguments swapped.
 
 A disagreement would contradict the classification theorem and raises
 InternalConsistencyError.
@@ -14,7 +17,6 @@ InternalConsistencyError.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,51 +51,20 @@ class IdealVerdict:
 
 
 def _brace_tables(G: FiniteGroup, psi: GroupMap) -> dict:
-    """Each brace operation's table and inverse array, by label, and the
-    image array of phi under "phi"."""
-    dot = braces.table_of(G)
-    circ = braces.circle_table(G, psi)
-    ops = {".": dot, "o": circ, ".'": braces.opposite_table(dot),
-           "o'": braces.opposite_table(circ)}
-    tables = {label: (t.op, groups.inverses(t.op)) for label, t in ops.items()}
-    tables["phi"] = maps.phi_of(psi).image_of
-    return tables
-
-
-_LABEL_PAIRS = {
-    "(o,.)": ("o", "."),
-    "(o',.)": ("o'", "."),
-    "(.,o)": (".", "o"),
-    "(.',o)": (".'", "o"),
-    "(.,o')": (".", "o'"),
-}
-
-
-def _is_subgroup_under(t, mask: np.ndarray, members: np.ndarray) -> bool:
-    op, inv = t
-    return groups.sweep(lambda a, b: ~mask[op[a, b]], (members, members)) is None \
-        and groups.sweep(lambda a: ~mask[inv[a]], (members,)) is None
-
-
-def _is_normal_under(t, mask: np.ndarray, members: np.ndarray) -> bool:
-    op, inv = t
-    return groups.sweep(lambda g, h: ~mask[op[op[g, h], inv[g]]],
-                        (range(len(op)), members)) is None
-
-
-def _is_gamma_stable(A, M, mask: np.ndarray, members: np.ndarray) -> bool:
-    """A-inverse(g) M(g, h) lies in H for every g and every h in H."""
-    (aop, ainv), mop = A, M[0]
-    return groups.sweep(lambda g, h: ~mask[aop[ainv[g], mop[g, h]]],
-                        (range(len(aop)), members)) is None
+    """The tables and inverse arrays of `.` and `o`, by label, and the image
+    array of phi under "phi".  An opposite operation is its table with the
+    arguments swapped, so it is read from these."""
+    circ = braces.circle_table(G, psi).op
+    return {".": (G.mul, G.inv), "o": (circ, groups.inverses(circ)),
+            "phi": maps.phi_of(psi).image_of}
 
 
 def classify_subgroup(G: FiniteGroup, psi: GroupMap, H: Subgroup,
                       tables: dict | None = None) -> IdealVerdict:
     """Verdict for a single subgroup, predicate vs definition cross-checked.
 
-    `tables` holds the brace tables and inverses of (G, psi) and phi,
-    made once per psi by `find_strong_left_ideals`."""
+    `tables` holds the tables and inverses of `.` and `o`, and phi, made
+    once per psi by `find_strong_left_ideals`."""
     if H.parent is not G:
         raise PreconditionError("subgroup does not belong to the given group")
     if not (psi.is_endomorphism() and psi.abelian_image):
@@ -110,23 +81,31 @@ def classify_subgroup(G: FiniteGroup, psi: GroupMap, H: Subgroup,
         sli_pred += ["(.,o)", "(.',o)"]
     ideal_pred = list(IDEAL_LABELS) if (C1 and C2) else []
 
-    # labels share tables, so each check runs once per table (or pair)
-    subgroup_under = functools.cache(
-        lambda t: _is_subgroup_under(tables[t], mask, members))
-    normal_under = functools.cache(
-        lambda t: _is_normal_under(tables[t], mask, members))
+    # H is a subgroup of (G, .) already, and C2 is its normality there.  An
+    # opposite operation has the subgroups and normal subgroups of its
+    # original, so only the gamma checks tell the opposites apart.
+    (dot, inv), (circ, cinv) = tables["."], tables["o"]
 
-    @functools.cache
-    def sli_direct_for(label: str) -> bool:
-        """The definition: H is a subgroup of (G, M), normal in (G, A) and
-        gamma-stable, for the brace (A, M) labelled `label`."""
-        a, m = _LABEL_PAIRS[label]
-        return subgroup_under(m) and normal_under(a) and \
-            _is_gamma_stable(tables[a], tables[m], mask, members)
+    def stable(value) -> bool:
+        """value(g, h) lies in H for every g in G and h in H."""
+        return groups.sweep(lambda g, h: ~mask[value(g, h)],
+                            (range(G.order), members)) is None
 
-    sli_direct = [label for label in SLI_LABELS if sli_direct_for(label)]
-    ideal_direct = [label for label in IDEAL_LABELS if sli_direct_for(label)
-                    and normal_under(_LABEL_PAIRS[label][1])]
+    sub_o = groups.sweep(lambda a, b: ~mask[circ[a, b]], (members, members)) is None \
+        and groups.sweep(lambda a: ~mask[cinv[a]], (members,)) is None
+    normal_o = stable(lambda g, h: circ[circ[g, h], cinv[g]])
+    direct = {
+        "(o,.)": normal_o and stable(lambda g, h: circ[cinv[g], dot[g, h]]),
+        "(o',.)": normal_o and stable(lambda g, h: circ[dot[g, h], cinv[g]]),
+        "(.,o)": sub_o and C2 and stable(lambda g, h: dot[inv[g], circ[g, h]]),
+        "(.',o)": sub_o and C2 and stable(lambda g, h: dot[circ[g, h], inv[g]]),
+        "(.,o')": sub_o and C2 and stable(lambda g, h: dot[inv[g], circ[h, g]]),
+    }
+    # an ideal is also normal in (G, M)
+    normal_m = {"(.,o)": normal_o, "(.,o')": normal_o, "(o',.)": C2}
+    sli_direct = [label for label in SLI_LABELS if direct[label]]
+    ideal_direct = [label for label in IDEAL_LABELS
+                    if direct[label] and normal_m[label]]
 
     if sorted(sli_pred) != sorted(sli_direct) or sorted(ideal_pred) != sorted(ideal_direct):
         raise InternalConsistencyError(

@@ -74,9 +74,6 @@ class GroupMap:
     def image_members(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.image_of.tolist())))
 
-    def is_abelian_map(self) -> bool:
-        return self.abelian_image
-
     def __repr__(self):
         return (f"GroupMap(|G|={self.domain.order} -> |G'|={self.codomain.order}, "
                 f"abelian_image={self.abelian_image})")
@@ -179,9 +176,7 @@ def enumerate_abelian_maps(G: FiniteGroup, Gp: FiniteGroup | None = None, *,
     of the candidate counts exceeds `candidate_cap`.
     """
     Gp = Gp or G
-    gens = G.generators
-    if not gens:
-        raise PreconditionError("domain group has no generator list")
+    gens = G.generating_set()
     groups.require_generating(G.mul, gens)
     derived = groups.derived_subgroup(G)
     if len(derived) == 1:
@@ -221,14 +216,14 @@ def _commuting_choices(mul: np.ndarray, candidates: list[np.ndarray],
     """Every pairwise commuting choice of one element from each candidate
     array, extending `chosen`, in lexicographic order; `allowed` marks the
     elements that commute with all of `chosen`."""
+    if len(chosen) == len(candidates):
+        yield chosen
+        return
     level = candidates[len(chosen)]
     for y in level[allowed[level]].tolist():
-        if len(chosen) + 1 == len(candidates):
-            yield chosen + (y,)
-        else:
-            yield from _commuting_choices(mul, candidates,
-                                          allowed & (mul[y] == mul[:, y]),
-                                          chosen + (y,))
+        yield from _commuting_choices(mul, candidates,
+                                      allowed & (mul[y] == mul[:, y]),
+                                      chosen + (y,))
 
 
 @dataclass(eq=False)

@@ -76,14 +76,6 @@ def test_verify_brace_failure_witness_matches_oracle():
         assert braces.verify_brace(dot, braces.OpTable(bad, "x")).failure == want
 
 
-def test_verify_brace_sampled_path():
-    G, psi = d4_setup()
-    dot = braces.table_of(G)
-    circ = braces.circle_table(G, psi)
-    rep = braces.verify_brace(dot, circ, exhaustive_cap=0)
-    assert rep.holds and rep.checked == "sampled"
-
-
 def test_make_brace_and_braces_from_map():
     G, psi = d4_setup()
     left, right = braces.braces_from_map(G, psi)

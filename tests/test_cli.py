@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from skewbracoid import cli, corpus
+from skewbracoid import cli, corpus, groups
 from skewbracoid.errors import InternalConsistencyError
 
 D4 = '{"kind":"dihedral","n":4}'
@@ -35,6 +35,31 @@ def test_abmaps_enumerate(capsys):
     code, out, _ = run(capsys, ["abmaps", "enumerate", D4])
     assert code == 0
     assert json.loads(out)["count"] == 28
+
+
+D3_TABLE = json.dumps({"kind": "table", "mul": groups.dihedral(3).mul.tolist()})
+C2_TABLE = '{"kind":"table","mul":[[0,1],[1,0]]}'
+
+
+def abmap_images(capsys, spec):
+    code, out, _ = run(capsys, ["abmaps", "enumerate", spec])
+    assert code == 0
+    return {tuple(m["image_array"]) for m in json.loads(out)["maps"]}
+
+
+@pytest.mark.parametrize("template, table, built", [
+    ("%s", D3_TABLE, '{"kind":"dihedral","n":3}'),
+    ('{"kind":"product","factors":[%s,{"kind":"cyclic","n":2}]}', D3_TABLE,
+     '{"kind":"dihedral","n":3}'),
+    ('{"kind":"semidirect","base":{"kind":"cyclic","n":3},"acting":%s,'
+     '"action":[[0,1,2],[0,2,1]]}', C2_TABLE, '{"kind":"cyclic","n":2}')],
+    ids=["table", "product", "semidirect"])
+def test_abmaps_enumerate_table_group_without_generators(capsys, template,
+                                                          table, built):
+    """A table spec without "generators" enumerates as the same group
+    built by its own builder, alone and as a factor."""
+    assert abmap_images(capsys, template % table) == \
+        abmap_images(capsys, template % built)
 
 
 def test_ideals_classify_named(capsys):

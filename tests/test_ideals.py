@@ -4,7 +4,7 @@ import pytest
 from skewbracoid import braces, groups, ideals, maps
 from skewbracoid.errors import InternalConsistencyError, PreconditionError
 
-from conftest import normal_oracle, sli_oracle
+from conftest import CATALOGUE, normal_oracle, sli_oracle
 
 
 def d4_setup():
@@ -117,34 +117,39 @@ def test_named_subgroups_require_endomorphism():
         ideals.named_subgroups(A, f)
 
 
-@pytest.mark.parametrize("n", [4, 6])
-def test_direct_definition_matches_oracle_for_every_map(n):
-    """Each label of the definition route, and each predicate it is built
-    from, against the scalar strong-left-ideal definition."""
-    G = groups.dihedral(n)
-    subs = groups.enumerate_subgroups(G)
+@pytest.mark.parametrize("name", ["D4", "D6", "Q8", "S3"])
+def test_direct_definition_matches_oracle_for_every_map(name):
+    """Every strong-left-ideal and ideal label of each verdict against the
+    scalar definitions, on the braces (A, M) built here from the tables of
+    . and o and their transposes."""
+    G = dict(CATALOGUE)[name]()
+    dot = G.mul
     for psi in maps.enumerate_abelian_maps(G):
-        tables = ideals._brace_tables(G, psi)
-        ops = {label: tables[label][0] for label in (".", "o", ".'", "o'")}
-        invs = {label: [int(np.argmax(op[g] == 0)) for g in range(G.order)]
-                for label, op in ops.items()}
-        for H in subs:
-            verdict = ideals.classify_subgroup(G, psi, H, tables)
-            mask, members = H.member_mask(), np.asarray(H.members)
-            for label, (a, m) in ideals._LABEL_PAIRS.items():
-                sli = sli_oracle(ops[a], ops[m], H.members)
+        circ = braces.circle_table(G, psi).op
+        pairs = {"(o,.)": (circ, dot), "(o',.)": (circ.T, dot),
+                 "(.,o)": (dot, circ), "(.',o)": (dot.T, circ),
+                 "(.,o')": (dot, circ.T)}
+        for verdict in ideals.find_strong_left_ideals(G, psi):
+            members = verdict.subgroup.members
+            for label, (A, M) in pairs.items():
+                sli = sli_oracle(A, M, members)
                 if label in ideals.SLI_LABELS:
-                    assert (label in verdict.strong_left_ideal_of) == sli
+                    assert (label in verdict.strong_left_ideal_of) == sli, \
+                        f"{label} strong left ideal mismatch on {members}"
                 if label in ideals.IDEAL_LABELS:
-                    ideal = sli and normal_oracle(ops[m], invs[m], H.members)
-                    assert (label in verdict.ideal_of) == ideal
-            for label, op in ops.items():
-                inv = invs[label]
-                assert ideals._is_normal_under(tables[label], mask, members) == \
-                    normal_oracle(op, inv, H.members)
-                closed = all(op[a, b] in H for a in H.members for b in H.members)
-                assert ideals._is_subgroup_under(tables[label], mask, members) == \
-                    (closed and all(inv[a] in H for a in H.members))
+                    minv = [int(np.argmax(M[g] == 0)) for g in range(G.order)]
+                    ideal = sli and normal_oracle(M, minv, members)
+                    assert (label in verdict.ideal_of) == ideal, \
+                        f"{label} ideal mismatch on {members}"
+
+
+def test_classification_builds_no_opposite_table(monkeypatch):
+    def refuse(t):
+        raise AssertionError("an opposite table was built")
+
+    monkeypatch.setattr(braces, "opposite_table", refuse)
+    G, psi = d4_setup()
+    assert len(ideals.find_strong_left_ideals(G, psi)) == 10
 
 
 def test_find_strong_left_ideals_enumerates_the_lattice_once(monkeypatch):

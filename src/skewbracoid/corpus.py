@@ -187,15 +187,11 @@ def _run_c8_s4(fx: dict) -> dict:
         "right_nondegenerate": rep.nondegeneracy.right,
     }
 
-    psi = maps.product_swap_map(alpha, beta)
-    G = psi.domain
-    H = Subgroup(G, tuple(groups.factor_embedding(G, 0)))
-    b = bracoids.bracoid_from_C2(G, psi, H)
-    K = bracoids.find_contained_brace(b)
-    if K is None:
+    # the product builder records the C2 bracoid on the G1 factor and its K
+    if sol.source is None:
         out["matches_contained_brace_recipe"] = False
     else:
-        sol2 = ybe.build_ybe_from_contained_brace(b, K)
+        sol2 = ybe.build_ybe_from_contained_brace(*sol.source)
         out["matches_contained_brace_recipe"] = bool(
             np.array_equal(sol.lam, sol2.lam)
             and np.array_equal(sol.rho, sol2.rho))

@@ -181,10 +181,14 @@ class FiniteGroup:
 
     def generating_set(self) -> tuple[int, ...]:
         """`generators`, or for a group built without them the generating
-        set that the group-table check finds."""
+        set that the group-table check finds, computed once per group."""
         if self.generators is not None:
             return self.generators
-        return verify_group_table(self.mul)
+        cached = getattr(self, "_generating_set", None)
+        if cached is None:
+            cached = verify_group_table(self.mul)
+            object.__setattr__(self, "_generating_set", cached)
+        return cached
 
     def commutator(self, g: int, h: int) -> int:
         """g h g^-1 h^-1"""

@@ -29,9 +29,9 @@ class GroupMap:
     """A verified total map between finite groups.
 
     `image_of[g]` is the codomain index of the image of g.  The map is
-    checked to be a homomorphism at construction; `abelian_image`,
-    `idempotent` and `fixed_point_free` are computed flags (the latter two
-    only for endomorphisms, else None).
+    checked to be a homomorphism at construction, exactly, over a generating
+    set of the domain; `abelian_image`, `idempotent` and `fixed_point_free`
+    are computed flags (the latter two only for endomorphisms, else None).
     """
 
     domain: FiniteGroup
@@ -48,8 +48,11 @@ class GroupMap:
             raise PreconditionError("image array length must equal the domain order")
         if im.min() < 0 or im.max() >= self.codomain.order:
             raise PreconditionError("image index out of codomain range")
-        lhs = im[self.domain.mul]
-        rhs = self.codomain.mul[im[:, None], im[None, :]]
+        # f(xa) = f(x) f(a) for every x and every a in {e} and a generating
+        # set is exact: the a for which it holds are closed under products
+        gens = np.array((0, *self.domain.generating_set()), dtype=np.int64)
+        lhs = im[self.domain.mul[:, gens]]
+        rhs = self.codomain.mul[im[:, None], im[gens][None, :]]
         if not np.array_equal(lhs, rhs):
             raise PreconditionError("map is not a homomorphism")
         im.setflags(write=False)

@@ -5,19 +5,25 @@ coordinate of R(x, y) and ``rho[y][x]`` the second.  The braid relation
 
     (R x id)(id x R)(R x id) = (id x R)(R x id)(id x R)
 
-is verified exhaustively on all order^3 triples up to a cap (sampled with a
-fixed seed above it).
+is proved, at any order, from the skew bracoid (G, N, (+)) and the subgroup
+K of G acting regularly on N that every builder here records: their
+contained-brace recipe (`build_ybe_from_contained_brace`) always gives a
+solution (Martin-Lyons and Truman; the argument is in `_certified`), so a
+valid bracoid whose recipe gives both tables exactly is an exact
+certificate.  A solution without one, or whose certificate fails, has the
+relation swept over all order^3 triples up to a cap, and sampled with a
+fixed seed above it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import groups, maps
+from . import bracoids, groups, maps
 from .bracoids import Bracoid
-from .errors import InternalConsistencyError, PreconditionError
+from .errors import InternalConsistencyError, PreconditionError, SkewBracoidError
 from .groups import FiniteGroup, Subgroup
 from .maps import GroupMap
 
@@ -27,6 +33,9 @@ class YbeSolution:
     lam: np.ndarray  # lam[x, y]  = first coordinate of R(x, y)
     rho: np.ndarray  # rho[y, x]  = second coordinate of R(x, y)
     provenance: dict
+    # (bracoid, K) whose contained-brace recipe gives these tables, if known;
+    # not exported, and dropped by with_tables
+    source: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         n = self.lam.shape[0]
@@ -65,6 +74,7 @@ class YbeReport:
     nondegeneracy: NondegeneracyReport
     checked: str
     witness: tuple | None = None
+    method: str = "sweep"  # "bracoid" or "sweep"; not exported
 
     def to_jsonable(self) -> dict:
         return {"holds": self.holds, "checked": self.checked,
@@ -74,20 +84,28 @@ class YbeReport:
 
 def verify_ybe(s: YbeSolution, *, exhaustive_cap: int = groups.TRIPLE_EXHAUSTIVE_CAP,
                seed: int = 0) -> YbeReport:
-    """Non-degeneracy and the braid relation, which has no known generator
-    reduction: swept over all order^3 triples up to `exhaustive_cap`, and
-    on TRIPLE_SAMPLE_COUNT triples sampled with `seed` above it."""
+    """Non-degeneracy and the braid relation.
+
+    The braid relation is first certified from `s.source`: if it holds a
+    valid bracoid and a regular subgroup K whose recipe gives exactly the
+    tables of s, the relation holds on every triple, at any order (method
+    "bracoid", checked "exhaustive").  Otherwise it is swept (method
+    "sweep"): over all order^3 triples up to `exhaustive_cap`, and on
+    TRIPLE_SAMPLE_COUNT triples sampled with `seed` above it, reporting the
+    first failing triple.  `exhaustive_cap=0` forces the sampled sweep."""
     n = s.set_order
     lam, rho = s.lam, s.rho
-    full = list(range(n))
-    left_bad = [x for x in range(n) if sorted(lam[x].tolist()) != full]
-    right_bad = [y for y in range(n) if sorted(rho[y].tolist()) != full]
+    idx = np.arange(n)
+    left_bad = np.flatnonzero((np.sort(lam, axis=1) != idx).any(axis=1))
+    right_bad = np.flatnonzero((np.sort(rho, axis=1) != idx).any(axis=1))
     witnesses = {}
-    if left_bad:
-        witnesses["left_x"] = left_bad[0]
-    if right_bad:
-        witnesses["right_y"] = right_bad[0]
-    nd = NondegeneracyReport(not left_bad, not right_bad, witnesses)
+    if left_bad.size:
+        witnesses["left_x"] = int(left_bad[0])
+    if right_bad.size:
+        witnesses["right_y"] = int(right_bad[0])
+    nd = NondegeneracyReport(not left_bad.size, not right_bad.size, witnesses)
+    if exhaustive_cap and _certified(s):
+        return YbeReport(True, nd, "exhaustive", None, "bracoid")
 
     def bad(x, y, z):
         # left side: R12, R23, R12
@@ -104,6 +122,46 @@ def verify_ybe(s: YbeSolution, *, exhaustive_cap: int = groups.TRIPLE_EXHAUSTIVE
                            samples=groups.TRIPLE_SAMPLE_COUNT if sampled else 0)
     return YbeReport(witness is None, nd, "sampled" if sampled else "exhaustive",
                      witness)
+
+
+def _certified(s: YbeSolution) -> bool:
+    """Whether `s.source` = (b, K) proves the braid relation for s: b is a
+    valid bracoid, K a subgroup of its acting group G acting regularly on
+    its target N, and the recipe on (b, K) gives exactly the tables of s.
+
+    Why that suffices: write gamma_x(eta) = (x+e)^-1 (x+eta), pi(y) = y+e
+    and iota for the inverse of k -> k+e on K.  The bracoid relation makes
+    each gamma_x an automorphism of N and, with the action axiom, gamma a
+    homomorphism; and pi(ab) = pi(a) gamma_a(pi(b)).  The recipe's
+    lambda_x(y) is iota(gamma_x(pi(y))), so lambda_x lambda_y = lambda_xy,
+    and rho makes R preserve the product.  Then in
+    (R x id)(id x R)(R x id)(x, y, z) and its mirror the first coordinates
+    are both lambda_xy(z) = A; the middle ones both lie in K with the same
+    pi-image gamma_{A^-1}(pi(A)^-1 pi(B) pi(A)), where B = lambda_x(y), so
+    they are equal; and the product xyz fixes the third.
+    """
+    if s.source is None:
+        return False
+    b, K = s.source
+    try:
+        if not bracoids.verify_bracoid(b).ok:
+            return False
+        r = build_ybe_from_contained_brace(b, K)
+    except PreconditionError:  # e.g. a table that is not a group
+        return False
+    return np.array_equal(r.lam, s.lam) and np.array_equal(r.rho, s.rho)
+
+
+def _contained_source(build) -> tuple | None:
+    """(b, K) for the bracoid b = build() and a subgroup K of its acting
+    group acting regularly on its target; None if a step raises or there
+    is no such K."""
+    try:
+        b = build()
+        K = bracoids.find_contained_brace(b)
+    except SkewBracoidError:
+        return None
+    return None if K is None else (b, K)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +188,8 @@ def build_ybe_idempotent(G: FiniteGroup, psi: GroupMap) -> YbeSolution:
         raise InternalConsistencyError(
             "the two closed forms of the second coordinate disagree")
     return YbeSolution(lam, rho_xy.T.copy(),
-                       {"construction": "idempotent", "order": n})
+                       {"construction": "idempotent", "order": n},
+                       _contained_source(lambda: bracoids.phi_tower_bracoid(G, psi, 1)))
 
 
 def build_ybe_product(G1: FiniteGroup, G2: FiniteGroup,
@@ -171,8 +230,17 @@ def build_ybe_product(G1: FiniteGroup, G2: FiniteGroup,
     u = m2[u, ax[:, None]]
 
     rho_xy = r1 + n1 * u
+
+    def bracoid():
+        # the C2 bracoid on the G1 factor, which records G2 as its candidate K
+        psi = maps.product_swap_map(alpha, beta)
+        G = psi.domain
+        H = Subgroup(G, tuple(groups.factor_embedding(G, 0)))
+        return bracoids.bracoid_from_C2(G, psi, H)
+
     return YbeSolution(lam, rho_xy.T.copy(),
-                       {"construction": "product", "n1": n1, "n2": n2})
+                       {"construction": "product", "n1": n1, "n2": n2},
+                       _contained_source(bracoid))
 
 
 def build_ybe_abelian_pair(G: FiniteGroup, psi: GroupMap) -> tuple[YbeSolution, YbeSolution]:
@@ -187,14 +255,17 @@ def build_ybe_abelian_pair(G: FiniteGroup, psi: GroupMap) -> tuple[YbeSolution, 
     im = psi.image_of
     lam_r = np.broadcast_to(phi[None, :], (n, n)).copy()
     rho_r = G.mul[im[:, None], np.arange(n)[None, :]]  # rho[y, x] = psi(y) x
-    R = YbeSolution(lam_r, rho_r, {"construction": "abelian_pair_R"})
     general = build_ybe_idempotent(G, psi)
+    R = YbeSolution(lam_r, rho_r, {"construction": "abelian_pair_R"}, general.source)
     if not (np.array_equal(R.lam, general.lam) and np.array_equal(R.rho, general.rho)):
         raise InternalConsistencyError(
             "abelian specialization disagrees with the idempotent constructor")
     lam_rp = np.broadcast_to(im[None, :], (n, n)).copy()
     rho_rp = G.mul[phi[:, None], np.arange(n)[None, :]]
-    Rp = YbeSolution(lam_rp, rho_rp, {"construction": "abelian_pair_Rprime"})
+    # R' is the idempotent solution of phi, itself idempotent on abelian G
+    Rp = YbeSolution(lam_rp, rho_rp, {"construction": "abelian_pair_Rprime"},
+                     _contained_source(lambda: bracoids.phi_tower_bracoid(
+                         G, GroupMap(G, G, phi), 1)))
     return R, Rp
 
 
@@ -211,9 +282,9 @@ def build_ybe_from_contained_brace(b: Bracoid, K) -> YbeSolution:
     G = b.acting.op
     T = b.target.op
     n, m = b.acting_order, b.target_order
-    mset = set(members)
-    if 0 not in mset or any(int(G[a_, b_]) not in mset
-                            for a_ in members for b_ in members):
+    karr = np.array(members, dtype=np.int64)
+    if 0 not in members or karr.min() < 0 or karr.max() >= n or \
+            not np.isin(G[karr[:, None], karr[None, :]], karr).all():
         raise PreconditionError("K is not a subgroup of the acting group")
     if len(members) != m:
         raise PreconditionError("K cannot act regularly: |K| differs from the target order")
@@ -232,4 +303,4 @@ def build_ybe_from_contained_brace(b: Bracoid, K) -> YbeSolution:
     rho_xy = G[r1, np.arange(n)[None, :]]                   # ... y
     return YbeSolution(lam, rho_xy.T.copy(),
                        {"construction": "contained_brace", "K": list(members),
-                        "inner": b.provenance})
+                        "inner": b.provenance}, (b, K))

@@ -226,6 +226,10 @@ def test_criterion_07_product_braid_exhaustive():
     rep = ybe.verify_ybe(sol)
     ok = (sol.set_order == 192 and rep.holds and rep.checked == "exhaustive"
           and rep.nondegeneracy.right and not rep.nondegeneracy.left)
+    # the same tables without the bracoid certificate: the full triple sweep
+    swept = ybe.verify_ybe(sol.with_tables())
+    ok = ok and (swept.method == "sweep" and swept.holds
+                 and swept.checked == "exhaustive")
     elapsed = time.monotonic() - start
     assert _verdict(7, "product solution, all 192^3 triples",
                     ok and elapsed < 120, elapsed)

@@ -342,6 +342,19 @@ def test_coset_space_partitions():
         assert rep == min(np.flatnonzero(cs.coset_of == c))
 
 
+def test_generating_set_of_a_table_group_is_computed_once(monkeypatch):
+    G = groups.from_table(groups.dihedral(5).mul)
+    calls = []
+    check = groups.verify_group_table
+    monkeypatch.setattr(groups, "verify_group_table",
+                        lambda mul: calls.append(1) or check(mul))
+    gens = G.generating_set()
+    maps.identity_map(G)
+    maps.trivial_map(G)
+    assert G.generating_set() == gens and len(calls) == 1
+    groups.require_generating(G.mul, gens)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([3, 4, 5, 6]), st.lists(st.integers(0, 11), max_size=3))
 def test_closure_is_always_a_subgroup(n, gens):

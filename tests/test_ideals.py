@@ -50,21 +50,6 @@ def test_ker_times_products():
         named.ker_times(groups.Subgroup(G, (0, 1, 2, 3, 4)))  # not inside fix
 
 
-def test_classification_against_direct_oracle():
-    G, psi = d4_setup()
-    dot = G.mul
-    circ = braces.circle_table(G, psi).op
-    tables = {"(o,.)": (circ, dot),
-              "(o',.)": (circ.T.copy(), dot),
-              "(.,o)": (dot, circ),
-              "(.',o)": (dot.T.copy(), circ)}
-    for verdict in ideals.find_strong_left_ideals(G, psi):
-        for label, (A, M) in tables.items():
-            assert (label in verdict.strong_left_ideal_of) == \
-                sli_oracle(A, M, verdict.subgroup.members), \
-                f"{label} mismatch on {verdict.subgroup.members}"
-
-
 def test_fix_verdict_matches_published_example():
     G, psi = d4_setup()
     fix = groups.subgroup_generated(G, [G.index_of("rs")])

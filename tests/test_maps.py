@@ -1,13 +1,16 @@
+import functools
 import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewbracoid import groups, maps
 from skewbracoid.errors import PreconditionError, WorkLimitError
 
-from conftest import CATALOGUE, brute_force_abelian_maps
+from conftest import CATALOGUE, brute_force_abelian_maps, quaternion_group
 
 
 def d4_psi():
@@ -131,6 +134,58 @@ def test_enumerate_abelian_maps_into_a_large_codomain_stays_small():
     # 3-cycle, a commutator, to e
     assert len(found) == 8
     assert peak < 2**20  # an order x order bool table would take 8.6 MiB
+
+
+HOM_GROUPS = {"D4": lambda: groups.dihedral(4),
+              "S3": lambda: groups.symmetric(3),
+              # a table group without a generator list
+              "Q8": lambda: groups.from_table(quaternion_group().mul),
+              "C6": lambda: groups.cyclic(6)}
+
+
+@functools.cache
+def hom_setup(name):
+    """G, its endomorphisms by conjugation and its abelian endomorphisms."""
+    G = HOM_GROUPS[name]()
+    idx = np.arange(G.order)
+    homs = [G.mul[G.mul[g, idx], G.inv[g]] for g in range(G.order)]
+    homs += [f.image_of for f in maps.enumerate_abelian_maps(G)]
+    return G, homs
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("name", sorted(HOM_GROUPS))
+def test_homomorphism_check_matches_all_pairs(name, data):
+    """GroupMap checks f(xa) = f(x) f(a) with a over generators only; it
+    must accept exactly the image arrays that pass on all order^2 pairs."""
+    G, homs = hom_setup(name)
+    n = G.order
+    kind = data.draw(st.sampled_from(["random", "hom", "corrupt", "non_generator"]))
+    if kind == "random":
+        im = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    else:
+        im = np.array(data.draw(st.sampled_from(homs)))
+        # "non_generator" changes only images of elements outside the
+        # generating set, so the generator images stay those of a homomorphism
+        cells = [g for g in range(n)
+                 if kind == "corrupt" or g not in G.generating_set()]
+        for g in data.draw(st.lists(st.sampled_from(cells), min_size=1, max_size=2)):
+            im[g] = data.draw(st.integers(0, n - 1))
+    all_pairs = np.array_equal(im[G.mul], G.mul[im[:, None], im[None, :]])
+    if all_pairs:
+        assert np.array_equal(maps.GroupMap(G, G, im).image_of, im)
+    else:
+        with pytest.raises(PreconditionError, match="^map is not a homomorphism$"):
+            maps.GroupMap(G, G, im)
+
+
+def test_homomorphism_check_on_the_trivial_group():
+    G = groups.from_table([[0]])  # its generating set is empty
+    assert G.generating_set() == ()
+    assert maps.identity_map(G).image_of.tolist() == [0]
+    with pytest.raises(PreconditionError, match="not a homomorphism"):
+        maps.GroupMap(G, groups.cyclic(2), np.array([1]))
 
 
 def test_abelian_image_flag_matches_pairwise_check():

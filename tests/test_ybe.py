@@ -1,3 +1,7 @@
+import gc
+import time
+import weakref
+
 import numpy as np
 import pytest
 
@@ -164,4 +168,165 @@ def test_verify_sampled_path():
     G, psi = d4_setup()
     sol = ybe.build_ybe_idempotent(G, psi)
     rep = ybe.verify_ybe(sol, exhaustive_cap=0, seed=7)
-    assert rep.holds and rep.checked == "sampled"
+    assert rep.holds and rep.checked == "sampled" and rep.method == "sweep"
+
+
+def assert_certified(sol, swept=None):
+    """verify_ybe takes the bracoid route on sol and reports what the sweep
+    reports on the same tables without a source."""
+    rep = ybe.verify_ybe(sol)
+    assert rep.method == "bracoid"
+    assert rep.holds and rep.checked == "exhaustive" and rep.witness is None
+    swept = swept or ybe.verify_ybe(sol.with_tables())
+    assert swept.method == "sweep"
+    assert rep.to_jsonable() == swept.to_jsonable()
+    return swept
+
+
+def regular_subgroups(b):
+    A = groups.from_table(b.acting.op)
+    return [K for K in groups.enumerate_subgroups(A)
+            if K.order == b.target_order
+            and len(set(b.action[list(K.members), 0].tolist())) == K.order]
+
+
+def test_certificate_on_every_contained_brace_solution():
+    swept = {}
+    routes = {"C1": 0, "C2": 0}
+    for G in (groups.dihedral(4), groups.symmetric(3)):
+        for psi in maps.enumerate_abelian_maps(G):
+            for H in groups.enumerate_subgroups(G):
+                for route, build in (("C1", bracoids.bracoid_from_C1),
+                                     ("C2", bracoids.bracoid_from_C2)):
+                    for opposite in (False, True):
+                        try:
+                            b = build(G, psi, H, opposite=opposite)
+                        except PreconditionError:
+                            continue
+                        for K in regular_subgroups(b):
+                            sol = ybe.build_ybe_from_contained_brace(b, K)
+                            key = (G.order, sol.lam.tobytes(), sol.rho.tobytes())
+                            if key not in swept:
+                                assert braid_oracle(sol) is None
+                            swept[key] = assert_certified(sol, swept.get(key))
+                            routes[route] += 1
+    assert routes == {"C1": 734, "C2": 652} and len(swept) == 127
+
+
+def test_certificate_on_builder_solutions():
+    G, _ = d4_setup()
+    idempotent = [ybe.build_ybe_idempotent(G, f)
+                  for f in maps.enumerate_abelian_maps(G) if f.idempotent]
+    A = groups.direct_product(groups.cyclic(4), groups.cyclic(2))
+    pairs = [sol for f in maps.enumerate_abelian_maps(A) if f.idempotent
+             for sol in ybe.build_ybe_abelian_pair(A, f)]
+    G1, G2 = groups.cyclic(4), groups.symmetric(3)
+    alpha = maps.make_map(G1, G2, {"g": "102"})
+    beta = maps.make_map(G2, G1, {"102": "g^2", "120": "e"})
+    product = ybe.build_ybe_product(G1, G2, alpha, beta)
+    assert len(idempotent) > 1 and len(pairs) > 2
+    for sol in idempotent + pairs + [product]:
+        assert sol.source is not None
+        assert_certified(sol)
+        assert braid_oracle(sol) is None
+
+
+def test_certificate_rejects_a_corrupted_source_action():
+    # the criterion-10 corruption: two cells of one row of the action swapped
+    G, psi = d4_setup()
+    fix = groups.subgroup_generated(G, [G.index_of("rs")])
+    b = bracoids.bracoid_from_C1(G, psi, fix)
+    K = bracoids.find_contained_brace(b)
+    act = np.array(b.action)
+    act[5, 0], act[5, 1] = act[5, 1], act[5, 0]
+    bad = bracoids.Bracoid(b.acting, b.target, act, {"construction": "corrupted"})
+    assert not bracoids.verify_bracoid(bad).ok
+    # the recipe reproduces its own tables, so only the bracoid check stops it
+    sol = ybe.build_ybe_from_contained_brace(bad, K)
+    assert sol.source == (bad, K)
+    rep = ybe.verify_ybe(sol)
+    assert rep.method == "sweep" and not rep.holds
+    assert rep.witness == braid_oracle(sol) == (0, 0, 4)
+    assert rep.to_jsonable() == ybe.verify_ybe(sol.with_tables()).to_jsonable()
+    # a valid solution carrying the corrupted source is swept, and holds
+    good = ybe.build_ybe_from_contained_brace(b, K)
+    attached = ybe.YbeSolution(good.lam, good.rho, good.provenance, (bad, K))
+    rep = ybe.verify_ybe(attached)
+    assert rep.method == "sweep" and rep.holds and rep.checked == "exhaustive"
+
+
+def test_certificate_rejects_a_source_with_other_tables():
+    G, psi = d4_setup()
+    sol = ybe.build_ybe_idempotent(G, psi)
+    lam = np.array(sol.lam)
+    lam[3, 4] = (lam[3, 4] + 1) % 8
+    bad = ybe.YbeSolution(lam, sol.rho, sol.provenance, sol.source)
+    rep = ybe.verify_ybe(bad)
+    assert rep.method == "sweep" and not rep.holds
+    assert rep.witness == braid_oracle(bad)
+    assert rep.to_jsonable() == ybe.verify_ybe(sol.with_tables(lam=lam)).to_jsonable()
+    # a source whose tables are not group tables is not a certificate
+    b, K = sol.source
+    broken = bracoids.Bracoid(braces.OpTable(np.zeros((8, 8), dtype=np.int64), "."),
+                              b.target, b.action, {})
+    rep = ybe.verify_ybe(ybe.YbeSolution(sol.lam, sol.rho, {}, (broken, K)))
+    assert rep.method == "sweep" and rep.holds
+
+
+def test_with_tables_drops_the_source():
+    G, psi = d4_setup()
+    sol = ybe.build_ybe_idempotent(G, psi)
+    assert sol.source is not None and sol.with_tables().source is None
+
+
+def test_source_holds_no_reference_cycle():
+    G1, G2 = groups.cyclic(4), groups.symmetric(3)
+    alpha = maps.make_map(G1, G2, {"g": "102"})
+    beta = maps.make_map(G2, G1, {"102": "g^2", "120": "e"})
+    gc.disable()
+    try:
+        sol = ybe.build_ybe_product(G1, G2, alpha, beta)
+        ybe.verify_ybe(sol)
+        refs = [weakref.ref(sol), weakref.ref(sol.source[0]),
+                weakref.ref(sol.source[1].parent)]
+        del sol
+        # freed by reference counting alone, without the cycle collector
+        assert [r() for r in refs] == [None, None, None]
+    finally:
+        gc.enable()
+
+
+def test_certificate_at_order_512():
+    start = time.perf_counter()
+    G1, G2 = groups.cyclic(16), groups.dihedral(16)
+    alpha = maps.make_map(G1, G2, {"g": "r"})
+    beta = maps.make_map(G2, G1, {"r": "e", "s": "g^8"})
+    sol = ybe.build_ybe_product(G1, G2, alpha, beta)
+    rep = ybe.verify_ybe(sol)
+    elapsed = time.perf_counter() - start
+    assert sol.set_order == 512
+    assert rep.method == "bracoid" and rep.holds and rep.checked == "exhaustive"
+    assert elapsed < 1, elapsed
+
+
+def first_degenerate_row(table):
+    for i, row in enumerate(table.tolist()):
+        if sorted(row) != list(range(len(row))):
+            return i
+    return None
+
+
+def test_nondegeneracy_witnesses_are_the_first_bad_rows():
+    G = groups.cyclic(8)
+    flip, _ = ybe.build_ybe_abelian_pair(G, maps.trivial_map(G))
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        lam, rho = np.array(flip.lam), np.array(flip.rho)
+        for table in (lam, rho):
+            x, y = rng.integers(0, 8, size=2)
+            table[x, y] = rng.integers(0, 8)
+        nd = ybe.verify_ybe(flip.with_tables(lam=lam, rho=rho)).nondegeneracy
+        left, right = first_degenerate_row(lam), first_degenerate_row(rho)
+        assert nd.witnesses == ({} if left is None else {"left_x": left}) | \
+            ({} if right is None else {"right_y": right})
+        assert (nd.left, nd.right) == (left is None, right is None)

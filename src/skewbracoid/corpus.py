@@ -283,12 +283,16 @@ def _run_gencase_generic(fx: dict) -> dict:
     out["fix_in_circle_center"] = all(
         np.array_equal(circ.op[g], circ.op[:, g]) for g in fix.members)
 
-    b = bracoids.bracoid_from_C2(G, psi, H)
-    K = Subgroup(G, tuple(groups.factor_embedding(G, 1)))
-    found = bracoids.find_contained_brace(b)
+    # sol.source, when set, is the C2 bracoid on G1 and the K found in it
+    sol = ybe.build_ybe_product(G1, G2, alpha, beta)
+    if sol.source is not None:
+        b, found = sol.source
+    else:
+        b = bracoids.bracoid_from_C2(G, psi, H)
+        found = bracoids.find_contained_brace(b)
     out["contained_K_regular"] = found is not None
 
-    sol = ybe.build_ybe_product(G1, G2, alpha, beta)
+    K = Subgroup(G, tuple(groups.factor_embedding(G, 1)))
     sol2 = ybe.build_ybe_from_contained_brace(b, K)
     out["product_equals_recipe"] = bool(
         np.array_equal(sol.lam, sol2.lam) and np.array_equal(sol.rho, sol2.rho))

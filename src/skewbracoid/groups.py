@@ -230,13 +230,21 @@ def from_table(mul, names=None, generators=None) -> FiniteGroup:
     return FiniteGroup(table, inverses(table), names, gens)
 
 
-def cyclic(n: int) -> FiniteGroup:
+def _check_order(order: int, order_cap: int) -> None:
+    """Refuse a group of `order` above `order_cap` before its order x order
+    table is allocated."""
+    if order > order_cap:
+        raise PreconditionError(f"requested order {order} exceeds cap {order_cap}")
+
+
+def cyclic(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     if n < 1:
         raise PreconditionError("cyclic order must be positive")
+    _check_order(n, order_cap)
     idx = np.arange(n)
     mul = (idx[:, None] + idx[None, :]) % n
     names = ["e"] + [f"g^{i}" if i > 1 else "g" for i in range(1, n)]
-    return FiniteGroup(mul.astype(np.int64), inverses(mul), tuple(names),
+    return FiniteGroup(mul, inverses(mul), tuple(names),
                        (1,) if n > 1 else (0,))
 
 
@@ -246,41 +254,51 @@ def _dihedral_name(i: int, refl: bool, n: int) -> str:
     return "s" if i == 0 else ("rs" if i == 1 else f"r^{i}s")
 
 
-def dihedral(n: int) -> FiniteGroup:
-    """Dihedral group of order 2n with presentation r^n = s^2 = (rs)^2 = e."""
+def dihedral(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+    """Dihedral group of order 2n with presentation r^n = s^2 = (rs)^2 = e.
+    All cells at once: r^i s^p * r^j s^q = r^(i + (-1)^p j) s^(p+q)."""
     if n < 1:
         raise PreconditionError("dihedral parameter must be positive")
-    order = 2 * n
-    mul = np.empty((order, order), dtype=np.int64)
-    for a in range(order):
-        i, p = a % n, a // n
-        for b in range(order):
-            j, q = b % n, b // n
-            # r^i s^p * r^j s^q = r^(i + (-1)^p j) s^(p+q)
-            k = (i + (j if p == 0 else -j)) % n
-            mul[a, b] = k + n * ((p + q) % 2)
-    names = tuple(_dihedral_name(a % n, a >= n, n) for a in range(order))
+    _check_order(2 * n, order_cap)
+    a = np.arange(2 * n)
+    i, p = a % n, a // n
+    mul = np.outer(1 - 2 * p, i)  # (-1)^p j
+    mul += i[:, None]
+    mul %= n
+    mul[:n, n:] += n
+    mul[n:, :n] += n
+    names = tuple(_dihedral_name(x % n, x >= n, n) for x in range(2 * n))
     return FiniteGroup(mul, inverses(mul), names, (1, n))
 
 
-def symmetric(n: int) -> FiniteGroup:
-    """Symmetric group on 0..n-1; composition (s*t)(x) = s(t(x))."""
+def symmetric(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+    """Symmetric group on 0..n-1; composition (s*t)(x) = s(t(x)).
+
+    A one-line permutation read as a base-n number is its key, so
+    lexicographic order is key order and the index of s*t is the rank of
+    the key of s[t] among the sorted keys.  Rows are composed in blocks
+    whose rows x order x n arrays take at most SWEEP_BLOCK_BYTES."""
     if n < 1 or n > 8:
         raise PreconditionError("symmetric group builder supports 1 <= n <= 8")
-    perms = list(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    order = len(perms)
+    order = math.factorial(n)
+    _check_order(order, order_cap)
+    perms = symmetric_perms(n)
+    P = np.array(perms, dtype=np.int64)
+    weights = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    keys = P @ weights
     mul = np.empty((order, order), dtype=np.int64)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            mul[i, j] = index[tuple(p[q[k]] for k in range(n))]
+    step = max(1, SWEEP_BLOCK_BYTES // (8 * order * n))
+    for start in range(0, order, step):
+        mul[start:start + step] = np.searchsorted(
+            keys, P[start:start + step][:, P] @ weights)
     names = tuple("".join(map(str, p)) for p in perms)
     if n == 1:
         gens: tuple[int, ...] = (0,)
     else:
-        transposition = tuple([1, 0] + list(range(2, n)))
-        ncycle = tuple(list(range(1, n)) + [0])
-        gens = (index[transposition], index[ncycle])
+        transposition = [1, 0] + list(range(2, n))
+        ncycle = list(range(1, n)) + [0]
+        gens = tuple(np.searchsorted(keys, np.array([transposition, ncycle])
+                                     @ weights).tolist())
     return FiniteGroup(mul, inverses(mul), names, gens)
 
 
@@ -289,20 +307,16 @@ def symmetric_perms(n: int) -> list[tuple[int, ...]]:
     return list(itertools.permutations(range(n)))
 
 
-def direct_product(*groups: FiniteGroup) -> FiniteGroup:
+def direct_product(*groups: FiniteGroup,
+                   order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Direct product; index encodes (i1, .., ik) with the first factor fastest."""
     if len(groups) < 2:
         raise PreconditionError("direct product needs at least two factors")
     orders = [g.order for g in groups]
-    total = 1
-    for o in orders:
-        total *= o
-    coords = np.empty((total, len(groups)), dtype=np.int64)
-    rem = np.arange(total)
-    for k, o in enumerate(orders):
-        coords[:, k] = rem % o
-        rem = rem // o
+    total = math.prod(orders)
+    _check_order(total, order_cap)
     weights = np.cumprod([1] + orders[:-1])
+    coords = np.arange(total)[:, None] // weights % orders
     mul = np.zeros((total, total), dtype=np.int64)
     for k, g in enumerate(groups):
         mul += weights[k] * g.mul[coords[:, k][:, None], coords[:, k][None, :]]
@@ -321,36 +335,32 @@ def factor_embedding(G: FiniteGroup, k: int) -> list[int]:
     """Indices of the embedded k-th factor of a direct product."""
     if G.factors is None:
         raise PreconditionError("group is not a direct product")
-    orders = [f.order for f in G.factors]
-    weight = 1
-    for o in orders[:k]:
-        weight *= o
-    return [weight * i for i in range(orders[k])]
+    weight = math.prod(f.order for f in G.factors[:k])
+    return [weight * i for i in range(G.factors[k].order)]
 
 
 def project_to_factor(G: FiniteGroup, k: int, idx: int) -> int:
     """Coordinate of element `idx` in the k-th factor of a direct product."""
     if G.factors is None:
         raise PreconditionError("group is not a direct product")
-    for j, f in enumerate(G.factors):
-        coord = idx % f.order
-        idx //= f.order
-        if j == k:
-            return coord
-    raise PreconditionError("factor index out of range")
+    if not 0 <= k < len(G.factors):
+        raise PreconditionError("factor index out of range")
+    return idx // math.prod(f.order for f in G.factors[:k]) % G.factors[k].order
 
 
-def semidirect(base: FiniteGroup, acting: FiniteGroup, action) -> FiniteGroup:
+def semidirect(base: FiniteGroup, acting: FiniteGroup, action, *,
+               order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Semidirect product base x| acting.
 
     `action` lists, for each acting element, the image array of an
     automorphism of `base`; the list must itself be a homomorphism from
     the acting group into Aut(base).  Both conditions are verified.
     """
+    nb = base.order
+    _check_order(nb * acting.order, order_cap)
     action = [np.asarray(a, dtype=np.int64) for a in action]
     if len(action) != acting.order:
         raise PreconditionError("need one automorphism per acting element")
-    nb = base.order
     for a in action:
         if sorted(a.tolist()) != list(range(nb)):
             raise PreconditionError("action entry is not a permutation of the base")
@@ -361,15 +371,12 @@ def semidirect(base: FiniteGroup, acting: FiniteGroup, action) -> FiniteGroup:
         raise PreconditionError("acting identity must act trivially")
     if action_failure(action, acting.mul):
         raise PreconditionError("action is not a homomorphism from the acting group")
-    total = nb * acting.order
-    mul = np.empty((total, total), dtype=np.int64)
-    for g in range(total):
-        b1, a1 = g % nb, g // nb
-        for h in range(total):
-            b2, a2 = h % nb, h // nb
-            mul[g, h] = base.op(b1, int(action[a1, b2])) + nb * acting.op(a1, a2)
-    names = [f"({base.names[g % nb]},{acting.names[g // nb]})"
-             for g in range(total)]
+    g = np.arange(nb * acting.order)
+    b, a = g % nb, g // nb
+    # (b1, a1)(b2, a2) = (b1 a1(b2), a1 a2), gathered for all cells at once
+    mul = base.mul[:, action][b[:, None], a[:, None], b]
+    mul += (nb * acting.mul)[a[:, None], a]
+    names = [f"({base.names[x % nb]},{acting.names[x // nb]})" for x in g.tolist()]
     gens = list(base.generating_set()) + [nb * a for a in acting.generating_set()]
     return FiniteGroup(mul, inverses(mul), tuple(names), tuple(gens))
 
@@ -383,10 +390,7 @@ def _spec_order(spec: dict) -> int:
     if kind == "symmetric":
         return math.factorial(int(spec["n"]))
     if kind == "product":
-        out = 1
-        for f in spec["factors"]:
-            out *= _spec_order(f)
-        return out
+        return math.prod(map(_spec_order, spec["factors"]))
     if kind == "semidirect":
         return _spec_order(spec["base"]) * _spec_order(spec["acting"])
     if kind == "table":
@@ -395,24 +399,24 @@ def _spec_order(spec: dict) -> int:
 
 
 def build_group(spec: dict, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Build a group from a GroupSpec dict (see the JSON interface docs)."""
-    if _spec_order(spec) > order_cap:
-        raise PreconditionError(
-            f"requested order {_spec_order(spec)} exceeds cap {order_cap}")
+    """Build a group from a GroupSpec dict (see the JSON interface docs).
+    The order of the whole spec is checked against `order_cap` before any
+    part of it is built."""
+    _check_order(_spec_order(spec), order_cap)
     kind = spec["kind"]
     if kind == "cyclic":
-        return cyclic(int(spec["n"]))
+        return cyclic(int(spec["n"]), order_cap=order_cap)
     if kind == "dihedral":
-        return dihedral(int(spec["n"]))
+        return dihedral(int(spec["n"]), order_cap=order_cap)
     if kind == "symmetric":
-        return symmetric(int(spec["n"]))
+        return symmetric(int(spec["n"]), order_cap=order_cap)
     if kind == "product":
         return direct_product(*(build_group(f, order_cap=order_cap)
-                                for f in spec["factors"]))
+                                for f in spec["factors"]), order_cap=order_cap)
     if kind == "semidirect":
         base = build_group(spec["base"], order_cap=order_cap)
         acting = build_group(spec["acting"], order_cap=order_cap)
-        return semidirect(base, acting, spec["action"])
+        return semidirect(base, acting, spec["action"], order_cap=order_cap)
     if kind == "table":
         return from_table(spec["mul"], spec.get("names"), spec.get("generators"))
     raise PreconditionError(f"unknown group spec kind {kind!r}")

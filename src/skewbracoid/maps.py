@@ -9,7 +9,6 @@ maps psi_n; those live here, the operation tables they induce live in
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -364,21 +363,14 @@ def cyclic_chain_map(maps: list[GroupMap]) -> GroupMap:
             raise PreconditionError("codomain/domain chain does not close cyclically")
         if not m.abelian_image:
             raise PreconditionError("chain entries must be abelian maps")
-    factors = [m.domain for m in maps]
-    G = groups.direct_product(*factors)
-    orders = [f.order for f in factors]
-    weights = list(itertools.accumulate([1] + orders[:-1], lambda a, b: a * b))
-    img = np.zeros(G.order, dtype=np.int64)
-    for idx in range(G.order):
-        rem = idx
-        coords = []
-        for o in orders:
-            coords.append(rem % o)
-            rem //= o
-        out = 0
-        for i in range(n):
-            out += weights[i] * int(maps[i - 1].image_of[coords[i - 1]])
-        img[idx] = out
+    G = groups.direct_product(*(m.domain for m in maps))
+    orders = [m.domain.order for m in maps]
+    weights = np.cumprod([1] + orders[:-1])
+    rem, img = np.arange(G.order), np.zeros(G.order, dtype=np.int64)
+    for i, m in enumerate(maps):
+        # coordinate i goes through alpha_i into slot i + 1
+        img += weights[(i + 1) % n] * m.image_of[rem % orders[i]]
+        rem //= orders[i]
     psi = GroupMap(G, G, img, provenance="cyclic_chain")
     if not psi.abelian_image:
         raise InternalConsistencyError("cyclic chain map lost the abelian image")

@@ -5,6 +5,8 @@ import pytest
 
 from skewbracoid import groups, maps
 from skewbracoid.errors import PreconditionError, WorkLimitError
+from skewbracoid.groups import (FiniteGroup, _dihedral_name, action_failure,
+                                inverses, relation_failure)
 
 _Q8_NAMES = ("e", "-e", "i", "-i", "j", "-j", "k", "-k")
 _Q8_AXIS = {("e", "e"): ("+", "e"), ("e", "i"): ("+", "i"),
@@ -40,6 +42,81 @@ def q8():
 CATALOGUE = ([(f"C{n}", lambda n=n: groups.cyclic(n)) for n in range(2, 17)]
              + [(f"D{n}", lambda n=n: groups.dihedral(n)) for n in range(3, 9)]
              + [("Q8", quaternion_group), ("S3", lambda: groups.symmetric(3))])
+
+
+def dihedral_oracle(n: int) -> FiniteGroup:
+    """Dihedral group of order 2n with presentation r^n = s^2 = (rs)^2 = e,
+    by a Python double loop: the builder this library used before its
+    tables were computed as whole arrays."""
+    if n < 1:
+        raise PreconditionError("dihedral parameter must be positive")
+    order = 2 * n
+    mul = np.empty((order, order), dtype=np.int64)
+    for a in range(order):
+        i, p = a % n, a // n
+        for b in range(order):
+            j, q = b % n, b // n
+            # r^i s^p * r^j s^q = r^(i + (-1)^p j) s^(p+q)
+            k = (i + (j if p == 0 else -j)) % n
+            mul[a, b] = k + n * ((p + q) % 2)
+    names = tuple(_dihedral_name(a % n, a >= n, n) for a in range(order))
+    return FiniteGroup(mul, inverses(mul), names, (1, n))
+
+
+def symmetric_oracle(n: int) -> FiniteGroup:
+    """Symmetric group on 0..n-1; composition (s*t)(x) = s(t(x)), by a
+    Python double loop over the lexicographic permutations."""
+    if n < 1 or n > 8:
+        raise PreconditionError("symmetric group builder supports 1 <= n <= 8")
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    order = len(perms)
+    mul = np.empty((order, order), dtype=np.int64)
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms):
+            mul[i, j] = index[tuple(p[q[k]] for k in range(n))]
+    names = tuple("".join(map(str, p)) for p in perms)
+    if n == 1:
+        gens: tuple[int, ...] = (0,)
+    else:
+        transposition = tuple([1, 0] + list(range(2, n)))
+        ncycle = tuple(list(range(1, n)) + [0])
+        gens = (index[transposition], index[ncycle])
+    return FiniteGroup(mul, inverses(mul), names, gens)
+
+
+def semidirect_oracle(base: FiniteGroup, acting: FiniteGroup, action) -> FiniteGroup:
+    """Semidirect product base x| acting, by a Python double loop.
+
+    `action` lists, for each acting element, the image array of an
+    automorphism of `base`; the list must itself be a homomorphism from
+    the acting group into Aut(base).  Both conditions are verified.
+    """
+    action = [np.asarray(a, dtype=np.int64) for a in action]
+    if len(action) != acting.order:
+        raise PreconditionError("need one automorphism per acting element")
+    nb = base.order
+    for a in action:
+        if sorted(a.tolist()) != list(range(nb)):
+            raise PreconditionError("action entry is not a permutation of the base")
+    action = np.array(action)
+    if relation_failure(action, base.mul, np.zeros(acting.order, dtype=np.int64)):
+        raise PreconditionError("action entry is not an automorphism of the base")
+    if not np.array_equal(action[0], np.arange(nb)):
+        raise PreconditionError("acting identity must act trivially")
+    if action_failure(action, acting.mul):
+        raise PreconditionError("action is not a homomorphism from the acting group")
+    total = nb * acting.order
+    mul = np.empty((total, total), dtype=np.int64)
+    for g in range(total):
+        b1, a1 = g % nb, g // nb
+        for h in range(total):
+            b2, a2 = h % nb, h // nb
+            mul[g, h] = base.op(b1, int(action[a1, b2])) + nb * acting.op(a1, a2)
+    names = [f"({base.names[g % nb]},{acting.names[g // nb]})"
+             for g in range(total)]
+    gens = list(base.generating_set()) + [nb * a for a in acting.generating_set()]
+    return FiniteGroup(mul, inverses(mul), tuple(names), tuple(gens))
 
 
 def _extend_by_bfs(G, Gp, gen_idx, gen_img):

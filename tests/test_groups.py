@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewbracoid import cli, groups, maps
+from skewbracoid import cli, groups, maps, serialize
 from skewbracoid.errors import (InternalConsistencyError, PreconditionError,
                                 WorkLimitError)
 
 from conftest import (CATALOGUE, brute_force_subgroups, commutator_oracle,
-                      extension_bfs_subgroups, normal_oracle)
+                      dihedral_oracle, extension_bfs_subgroups, normal_oracle,
+                      semidirect_oracle, symmetric_oracle)
 
 
 def test_cyclic_matches_modular_addition():
@@ -159,6 +160,79 @@ def test_semidirect_rejects_bad_action():
         # x -> 2x has order 4 in Aut(C5), so C2 cannot act through it
         groups.semidirect(groups.cyclic(5), acting,
                           [list(range(5)), [2 * i % 5 for i in range(5)]])
+
+
+def _multiplier_action(nb: int, na: int, m: int) -> list[list[int]]:
+    """C_na acting on C_nb through x -> m^a x."""
+    return [[pow(m, a, nb) * x % nb for x in range(nb)] for a in range(na)]
+
+
+def _assert_same_group(G, H):
+    assert np.array_equal(G.mul, H.mul) and G.mul.dtype == H.mul.dtype
+    assert np.array_equal(G.inv, H.inv)
+    assert G.names == H.names and G.generators == H.generators
+    assert serialize.export_json(G) == serialize.export_json(H)
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_dihedral_matches_loop_oracle(n):
+    _assert_same_group(groups.dihedral(n), dihedral_oracle(n))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_symmetric_matches_loop_oracle(n):
+    _assert_same_group(groups.symmetric(n), symmetric_oracle(n))
+
+
+@pytest.mark.parametrize("block_bytes", [1, 8 * 120 * 5 * 7])
+@pytest.mark.parametrize("n", [4, 5])
+def test_symmetric_blocks_match_loop_oracle(monkeypatch, n, block_bytes):
+    # one row per block, and blocks of 7 rows that do not divide 5! evenly
+    monkeypatch.setattr(groups, "SWEEP_BLOCK_BYTES", block_bytes)
+    _assert_same_group(groups.symmetric(n), symmetric_oracle(n))
+
+
+@pytest.mark.parametrize("nb,na,m", [(5, 2, 4), (7, 3, 2), (4, 2, 3), (61, 10, 3)])
+def test_semidirect_matches_loop_oracle(nb, na, m):
+    base, acting = groups.cyclic(nb), groups.cyclic(na)
+    action = _multiplier_action(nb, na, m)
+    _assert_same_group(groups.semidirect(base, acting, action),
+                       semidirect_oracle(base, acting, action))
+
+
+@pytest.mark.parametrize("build,order", [
+    (lambda cap: groups.symmetric(8, order_cap=cap), 40320),
+    (lambda cap: groups.direct_product(groups.cyclic(200), groups.cyclic(200),
+                                       order_cap=cap), 40000),
+    (lambda cap: groups.dihedral(10**5, order_cap=cap), 2 * 10**5),
+    (lambda cap: groups.cyclic(20_000, order_cap=cap), 20_000),
+    (lambda cap: groups.semidirect(groups.cyclic(200), groups.cyclic(200),
+                                   [list(range(200))] * 200, order_cap=cap), 40000),
+])
+def test_builders_refuse_orders_over_the_cap(build, order):
+    cap = groups.DEFAULT_ORDER_CAP
+    with pytest.raises(PreconditionError, match=f"order {order} exceeds cap {cap}"):
+        build(cap)
+    with pytest.raises(PreconditionError, match=f"order {order} exceeds cap 100"):
+        build(100)
+
+
+def test_build_group_threads_its_cap_into_the_builders(monkeypatch):
+    spec = {"kind": "product", "factors": [{"kind": "cyclic", "n": 200},
+                                           {"kind": "dihedral", "n": 60}]}
+    with pytest.raises(PreconditionError, match="order 24000 exceeds cap 10000"):
+        groups.build_group(spec)
+    caps = []
+    check = groups._check_order
+    monkeypatch.setattr(groups, "_check_order",
+                        lambda order, cap: caps.append(cap) or check(order, cap))
+    spec = {"kind": "product", "factors": [
+        {"kind": "symmetric", "n": 3},
+        {"kind": "semidirect", "base": {"kind": "cyclic", "n": 5},
+         "acting": {"kind": "cyclic", "n": 2}, "action": _multiplier_action(5, 2, 4)}]}
+    assert groups.build_group(spec, order_cap=77).order == 60
+    # five specs checked by build_group, and the five builders they call
+    assert caps == [77] * 10
 
 
 def test_build_group_specs():

@@ -62,6 +62,31 @@ def sweep(bad, axes, *, samples: int = 0, seed: int = 0):
     return None
 
 
+def orbit_roots(perms, count: int, n: int) -> np.ndarray:
+    """Least point of each orbit of 0..n-1 under the group generated by
+    the `count` permutations that `perms(rows)` gives, one to a row, for
+    blocks of row numbers whose int64 arrays take at most SWEEP_BLOCK_BYTES.
+
+    A pass lowers the label of each root lab[x] to the least label of the
+    images of x, then jumps pointers (lab = lab[lab]); labels stay points
+    of their orbit, at most their own.  A pass that changes nothing leaves
+    lab[p(x)] >= lab[x] for all p, x: so lab is constant on the cycles of
+    each p, hence on orbits, where it is the least point.  Inverses among
+    the permutations cut the passes."""
+    step = max(1, SWEEP_BLOCK_BYTES // (8 * n))
+    rows = [np.arange(lo, min(lo + step, count)) for lo in range(0, count, step)]
+    made = [perms(rows[0])] if len(rows) == 1 else None  # one block is kept
+    lab = np.arange(n)
+    while True:
+        new = lab.copy()
+        for P in made or map(perms, rows):
+            np.minimum.at(new, lab, lab[P].min(axis=0))
+        if np.array_equal(new, lab):
+            return lab
+        while not np.array_equal(lab, new):
+            lab, new = new, new[new]
+
+
 def _right_closure(mul: np.ndarray, gens, members=(0,)) -> set[int]:
     """`members` and all that repeated right multiplication by `gens` reaches."""
     members = set(members)
@@ -497,16 +522,17 @@ def _known_subgroup(G: FiniteGroup, members: tuple[int, ...]) -> Subgroup:
     return H
 
 
-def _element_orders(G: FiniteGroup) -> np.ndarray:
-    """Order of every element, by powering all elements at once."""
-    idx = np.arange(G.order)
-    orders = np.zeros(G.order, dtype=np.int64)
+def element_orders(mul: np.ndarray) -> np.ndarray:
+    """Order of every element of the group table `mul`, by powering all
+    elements at once."""
+    idx = np.arange(mul.shape[0])
+    orders = np.zeros(mul.shape[0], dtype=np.int64)
     power, k = idx, 1
     while True:
         orders[(power == 0) & (orders == 0)] = k
         if orders.all():
             return orders
-        power, k = G.mul[power, idx], k + 1
+        power, k = mul[power, idx], k + 1
 
 
 def _prime_of_power(n: int) -> int | None:
@@ -556,15 +582,17 @@ def enumerate_subgroups(G: FiniteGroup, *, work_limit: int = SUBGROUP_WORK_LIMIT
     cached = getattr(G, "_subgroups", None)
     if cached is not None:
         return [_known_subgroup(G, members) for members in cached]
-    work = 0
+    work, found = 0, {}
 
     def count(size: int) -> None:
         nonlocal work
         work += size
         if work > work_limit:
-            raise WorkLimitError("subgroup enumeration work limit exceeded")
+            raise WorkLimitError(
+                f"subgroup enumeration work limit exceeded: work {work} > limit "
+                f"{work_limit}, {len(found)} subgroups found so far")
 
-    orders = _element_orders(G)
+    orders = element_orders(G.mul)
     prime_of = {o: _prime_of_power(o) for o in set(orders.tolist()) if o > 1}
     # a generator z of each zuppo, and a generator of its subgroup <z^p>
     # (any element of <z> of order |z|/p)
@@ -583,7 +611,7 @@ def enumerate_subgroups(G: FiniteGroup, *, work_limit: int = SUBGROUP_WORK_LIMIT
 
     trivial = np.zeros(G.order, dtype=bool)
     trivial[0] = True
-    found = {trivial.tobytes(): trivial}
+    found[trivial.tobytes()] = trivial
     queue = [trivial]
     while queue:
         mask = queue.pop()
@@ -603,44 +631,62 @@ def enumerate_subgroups(G: FiniteGroup, *, work_limit: int = SUBGROUP_WORK_LIMIT
     return subs
 
 
+def _classes(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
+    """For each element the least member of its conjugacy class and the
+    size of the class, computed once per group.  Conjugation is an action,
+    so the classes are the orbits of conjugation by the generators (and
+    their inverses, for fewer passes)."""
+    if getattr(G, "_class_data", None) is None:
+        gens = np.asarray(G.generating_set(), dtype=np.int64)
+        gens = np.concatenate([gens, G.inv[gens]])
+        root = orbit_roots(lambda r: G.mul[G.mul[gens[r]], G.inv[gens[r]][:, None]],
+                           len(gens), G.order)
+        size = np.bincount(root, minlength=G.order)[root]
+        object.__setattr__(G, "_class_data", (root, size))
+    return G._class_data
+
+
 def derived_subgroup(G: FiniteGroup) -> np.ndarray:
     """Ascending member array of [G, G], the normal closure of the
     commutators of G's generators: modulo it the generators commute, so
-    the quotient is abelian.  Normality is tested by conjugating with the
-    generators only, so no order x order table is built."""
+    the quotient is abelian.  It is generated by the conjugacy classes of
+    those commutators."""
     gens = np.asarray(G.generating_set(), dtype=np.int64)
     ginv = G.inv[gens]
-    pending = G.mul[G.mul[gens[:, None], gens[None, :]],
-                    G.mul[ginv[:, None], ginv[None, :]]].ravel()
-    members = np.zeros(1, dtype=np.int64)
-    mask = np.zeros(G.order, dtype=bool)
-    mask[0] = True
-    while True:
-        pending = pending[~mask[pending]]
-        if not pending.size:
-            return members
-        mask = _join(G.mul, members, int(pending[0]))
-        members = np.flatnonzero(mask)
-        pending = np.concatenate(
-            [pending, G.mul[G.mul[gens[:, None], members[None, :]], ginv[:, None]].ravel()])
+    root = _classes(G)[0]
+    hit = np.zeros(G.order, dtype=bool)
+    hit[root[G.mul[G.mul[gens[:, None], gens], G.mul[ginv[:, None], ginv]]]] = True
+    return np.array(sorted(_right_closure(G.mul, np.flatnonzero(hit[root]).tolist())),
+                    dtype=np.int64)
 
 
 def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
+    """H is normal iff it is a union of conjugacy classes, that is iff each
+    element is in H just when the root of its class is."""
     mask = H.member_mask()
-    return sweep(lambda g, h: ~mask[G.mul[G.mul[g, h], G.inv[g]]],
-                 (range(G.order), H.members)) is None
+    return bool((mask == mask[_classes(G)[0]]).all())
 
 
 def center(G: FiniteGroup) -> Subgroup:
-    z = [g for g in range(G.order) if np.array_equal(G.mul[g], G.mul[:, g])]
-    return Subgroup(G, tuple(z))
+    """The union of the conjugacy classes of size 1."""
+    return _known_subgroup(G, tuple(np.flatnonzero(_classes(G)[1] == 1).tolist()))
 
 
 def commutator_condition(G: FiniteGroup, S, H: Subgroup) -> bool:
-    """True iff the commutator [g, s] lies in H for every g in G, s in S."""
-    mask = H.member_mask()
-    return sweep(lambda g, s: ~mask[G.mul[G.mul[g, s], G.mul[G.inv[g], G.inv[s]]]],
-                 (range(G.order), S)) is None
+    """True iff the commutator [g, s] lies in H for every g in G, s in S.
+
+    As g runs over G, g s g^-1 runs over cl(s), so this is cl(s) s^-1 in
+    H, that is cl(s) in Hs: Hs holds all |cl(s)| members of cl(s).  The
+    sets Hs are gathered for blocks of S whose int64 arrays take at most
+    SWEEP_BLOCK_BYTES, so no G x S array is built."""
+    root, size = _classes(G)
+    members, S = np.asarray(H.members), np.asarray(S, dtype=np.int64)
+    step = max(1, SWEEP_BLOCK_BYTES // (8 * len(members)))
+    for lo in range(0, len(S), step):
+        s = S[lo:lo + step]
+        if ((root[G.mul[members[:, None], s]] == root[s]).sum(axis=0) < size[s]).any():
+            return False
+    return True
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,6 +11,14 @@ Two routes are always computed and cross-checked:
   `.` and `o` are built: an opposite operation, x .' y = y . x, is read
   from its original's table with the arguments swapped.
 
+Normality in (G, o) and gamma-stability are tests that H is a union of
+orbits of a partition computed once per psi.  This is exact: each map
+h -> f_g(h) tested is a permutation of G, made of translations in the
+tables of `.` and `o`, so f_g(H) in H iff f_g(H) = H; that holds for
+every g iff H is a union of orbits of the group the f_g generate.  Every
+g is used: reducing to generators needs the brace relation, which the
+definition route exists to cross-check.
+
 A disagreement would contradict the classification theorem and raises
 InternalConsistencyError.
 """
@@ -29,6 +37,8 @@ from .maps import GroupMap
 # brace labels, written (additive, multiplicative)
 SLI_LABELS = ("(o,.)", "(o',.)", "(.,o)", "(.',o)")
 IDEAL_LABELS = ("(.,o)", "(.,o')", "(o',.)")
+# conjugation in o, then the gamma maps of these braces
+FAMILIES = ("o", "(o,.)", "(o',.)", "(.,o)", "(.',o)", "(.,o')")
 
 
 @dataclass(eq=False)
@@ -51,20 +61,30 @@ class IdealVerdict:
 
 
 def _brace_tables(G: FiniteGroup, psi: GroupMap) -> dict:
-    """The tables and inverse arrays of `.` and `o`, by label, and the image
-    array of phi under "phi".  An opposite operation is its table with the
-    arguments swapped, so it is read from these."""
+    """The table of `o` ("circ"), the image array of phi ("phi"), and per
+    entry of FAMILIES the orbit roots of h -> f_g(h), g in G ("roots"),
+    found as one partition of six disjoint copies of G."""
+    dot, inv, n = G.mul, G.inv, G.order
     circ = braces.circle_table(G, psi).op
-    return {".": (G.mul, G.inv), "o": (circ, groups.inverses(circ)),
-            "phi": maps.phi_of(psi).image_of}
+    cinv = groups.inverses(circ)
+    perms = (lambda g: circ[circ[g], cinv[g][:, None]],
+             lambda g: circ[cinv[g][:, None], dot[g]],
+             lambda g: circ[dot[g], cinv[g][:, None]],
+             lambda g: dot[inv[g][:, None], circ[g]],
+             lambda g: dot[circ[g], inv[g][:, None]],
+             lambda g: dot[inv[g][:, None], circ[:, g].T])
+    roots = groups.orbit_roots(
+        lambda g: np.hstack([f(g) + k * n for k, f in enumerate(perms)]), n, 6 * n)
+    return {"circ": circ, "phi": maps.phi_of(psi).image_of,
+            "roots": roots.reshape(6, n) - n * np.arange(6)[:, None]}
 
 
 def classify_subgroup(G: FiniteGroup, psi: GroupMap, H: Subgroup,
                       tables: dict | None = None) -> IdealVerdict:
     """Verdict for a single subgroup, predicate vs definition cross-checked.
 
-    `tables` holds the tables and inverses of `.` and `o`, and phi, made
-    once per psi by `find_strong_left_ideals`."""
+    `tables`, made once per psi by `find_strong_left_ideals`, holds the
+    table of `o`, phi and the orbit roots."""
     if H.parent is not G:
         raise PreconditionError("subgroup does not belong to the given group")
     if not (psi.is_endomorphism() and psi.abelian_image):
@@ -84,23 +104,15 @@ def classify_subgroup(G: FiniteGroup, psi: GroupMap, H: Subgroup,
     # H is a subgroup of (G, .) already, and C2 is its normality there.  An
     # opposite operation has the subgroups and normal subgroups of its
     # original, so only the gamma checks tell the opposites apart.
-    (dot, inv), (circ, cinv) = tables["."], tables["o"]
-
-    def stable(value) -> bool:
-        """value(g, h) lies in H for every g in G and h in H."""
-        return groups.sweep(lambda g, h: ~mask[value(g, h)],
-                            (range(G.order), members)) is None
-
-    sub_o = groups.sweep(lambda a, b: ~mask[circ[a, b]], (members, members)) is None \
-        and groups.sweep(lambda a: ~mask[cinv[a]], (members,)) is None
-    normal_o = stable(lambda g, h: circ[circ[g, h], cinv[g]])
-    direct = {
-        "(o,.)": normal_o and stable(lambda g, h: circ[cinv[g], dot[g, h]]),
-        "(o',.)": normal_o and stable(lambda g, h: circ[dot[g, h], cinv[g]]),
-        "(.,o)": sub_o and C2 and stable(lambda g, h: dot[inv[g], circ[g, h]]),
-        "(.',o)": sub_o and C2 and stable(lambda g, h: dot[circ[g, h], inv[g]]),
-        "(.,o')": sub_o and C2 and stable(lambda g, h: dot[inv[g], circ[h, g]]),
-    }
+    union = dict(zip(FAMILIES, (mask[tables["roots"]] == mask).all(axis=1).tolist()))
+    # a finite subset closed under o is a subgroup of (G, o)
+    circ = tables["circ"]
+    step = max(1, groups.SWEEP_BLOCK_BYTES // (8 * len(members)))
+    sub_o = all(mask[circ[members[i:i + step, None], members]].all()
+                for i in range(0, len(members), step))
+    normal_o = union["o"]
+    direct = {label: (normal_o if label in ("(o,.)", "(o',.)") else sub_o and C2)
+              and union[label] for label in FAMILIES[1:]}
     # an ideal is also normal in (G, M)
     normal_m = {"(.,o)": normal_o, "(.,o')": normal_o, "(o',.)": C2}
     sli_direct = [label for label in SLI_LABELS if direct[label]]
@@ -147,8 +159,7 @@ def named_subgroups(G: FiniteGroup, psi: GroupMap) -> NamedSubgroups:
     if analysis.fix is None:
         raise PreconditionError("named subgroups need an endomorphism")
     phi = maps.phi_of(psi)
-    z = groups.center(G).member_set()
-    hat = tuple(sorted(h for h in range(G.order) if int(phi.image_of[h]) in z))
+    hat = tuple(np.flatnonzero(groups.center(G).member_mask()[phi.image_of]).tolist())
     try:
         h_hat = Subgroup(G, hat)
     except PreconditionError as exc:

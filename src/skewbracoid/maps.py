@@ -144,26 +144,6 @@ def make_map(G: FiniteGroup, Gp: FiniteGroup, images, *,
     return GroupMap(G, Gp, np.asarray(images, dtype=np.int64), provenance=provenance)
 
 
-def _powers(mul: np.ndarray, d: int) -> np.ndarray:
-    """y^d for every element y of the group table `mul`, by squaring."""
-    out = np.zeros(mul.shape[0], dtype=np.int64)
-    base = np.arange(mul.shape[0])
-    while d:
-        if d & 1:
-            out = mul[out, base]
-        base = mul[base, base]
-        d >>= 1
-    return out
-
-
-def _order_of(mul: np.ndarray, x: int) -> int:
-    """Order of x in the group table `mul`."""
-    k, y = 1, x
-    while y != 0:
-        k, y = k + 1, int(mul[y, x])
-    return k
-
-
 def enumerate_abelian_maps(G: FiniteGroup, Gp: FiniteGroup | None = None, *,
                            candidate_cap: int = ABELIAN_MAP_CANDIDATE_CAP) -> list[GroupMap]:
     """All homomorphisms G -> G' with abelian image, in lexicographic order
@@ -189,9 +169,10 @@ def enumerate_abelian_maps(G: FiniteGroup, Gp: FiniteGroup | None = None, *,
         if quotient is None:
             raise InternalConsistencyError("derived subgroup is not normal")
     qgens = [int(coset_of[x]) for x in gens]
-    orders = [_order_of(quotient, x) for x in qgens]
-    killed_by = {d: np.flatnonzero(_powers(Gp.mul, d) == 0) for d in set(orders)}
-    candidates = [killed_by[d] for d in orders]
+    orders = groups.element_orders(quotient)[qgens].tolist()
+    # y^d = e iff the order of y divides d
+    target_orders = groups.element_orders(Gp.mul)
+    candidates = [np.flatnonzero(d % target_orders == 0) for d in orders]
     if math.prod(len(c) for c in candidates) > candidate_cap:
         raise WorkLimitError("abelian map search space exceeds candidate cap")
 

@@ -89,6 +89,7 @@ def parse_group(obj: dict, *, order_cap: int = groups.DEFAULT_ORDER_CAP) -> Fini
     if "kind" in obj:
         return groups.build_group(obj, order_cap=order_cap)
     if "mul" in obj:
+        groups._check_order(len(obj["mul"]), order_cap)
         return groups.from_table(obj["mul"], obj.get("names"), obj.get("generators"))
     raise PreconditionError("not a recognizable group spec")
 

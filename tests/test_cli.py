@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from skewbracoid import cli, corpus, groups
+from skewbracoid import cli, corpus, groups, serialize
 from skewbracoid.errors import InternalConsistencyError
 
 D4 = '{"kind":"dihedral","n":4}'
@@ -171,6 +171,15 @@ def test_max_order_flag(capsys):
     code, _, err = run(capsys, ["group", "build", D4, "--max-order", "4"])
     assert code == 1
     assert "exceeds cap" in json.loads(err)["message"]
+
+
+def test_max_order_applies_to_reimported_exports(capsys):
+    export = serialize.export_json(groups.dihedral(10))
+    code, out, _ = run(capsys, ["group", "build", export])
+    assert code == 0 and json.loads(out)["order"] == 20
+    code, _, err = run(capsys, ["group", "build", export, "--max-order", "4"])
+    assert code == 1
+    assert json.loads(err)["message"] == "requested order 20 exceeds cap 4"
 
 
 def test_seed_is_an_option_of_ybe_build_only(capsys):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -331,8 +332,15 @@ def test_s5_lattice_within_default_work_limit():
 
 
 def test_lattice_work_limit_still_applies():
-    with pytest.raises(WorkLimitError):
-        groups.enumerate_subgroups(groups.symmetric(4), work_limit=100)
+    """The error says how far the enumeration got.  The cyclic subgroups of
+    prime-power order come first, so a small limit stops before the
+    lattice has any subgroup."""
+    for limit, work, found in [(100, 104, 17), (20, 24, 0)]:
+        with pytest.raises(WorkLimitError) as exc:
+            groups.enumerate_subgroups(groups.symmetric(4), work_limit=limit)
+        assert str(exc.value) == (
+            f"subgroup enumeration work limit exceeded: work {work} > limit "
+            f"{limit}, {found} subgroups found so far")
 
 
 def test_lattice_is_computed_once_per_group(monkeypatch):
@@ -391,6 +399,61 @@ def test_center_and_normality():
     assert not groups.is_normal(G, refl)
     S = groups.symmetric(3)
     assert groups.center(S).members == (0,)
+
+
+@pytest.mark.parametrize("name, builder", CATALOGUE + LARGER)
+def test_center_and_classes_match_oracles(name, builder):
+    """The classes against x -> min over g of g x g^-1, and the center
+    against the elements whose row and column of the table agree."""
+    G = builder()
+    idx = np.arange(G.order)
+    roots = G.mul[G.mul[idx[:, None], idx], G.inv[:, None]].min(axis=0)
+    assert np.array_equal(groups._classes(G)[0], roots)
+    assert groups.center(G).members == tuple(
+        g for g in range(G.order) if np.array_equal(G.mul[g], G.mul[:, g]))
+
+
+def orbit_oracle(rows, n):
+    """Least point of each orbit of the permutations `rows`, by search."""
+    roots = list(range(n))
+    for x in range(n):
+        orbit, frontier = {x}, [x]
+        while frontier:
+            frontier = [int(p[y]) for y in frontier for p in rows
+                        if int(p[y]) not in orbit]
+            orbit.update(frontier)
+        roots[x] = min(orbit)
+    return roots
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.lists(
+    st.permutations(range(n)), max_size=4)), st.sampled_from([1, 8 * 12, 2**22]))
+def test_orbit_roots_match_search(rows, block_bytes):
+    """Any permutations, not only sets closed under inverses, made one row
+    per block, a few rows per block, or all at once."""
+    n = len(rows[0]) if rows else 5
+    P = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+    with mock.patch.object(groups, "SWEEP_BLOCK_BYTES", block_bytes):
+        got = groups.orbit_roots(lambda r: P[r], len(rows), n)
+    assert got.tolist() == orbit_oracle(rows, n)
+
+
+def test_class_predicates_stay_small_on_large_groups():
+    G = groups.dihedral(1500)  # its 72 MB table is built outside the trace
+    rotations = groups.Subgroup(G, tuple(range(1500)))
+    reflection = groups.Subgroup(G, (0, 1500))
+    tracemalloc.start()
+    try:
+        commutes = groups.commutator_condition(G, range(G.order), rotations)
+        normal = groups.is_normal(G, rotations)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert commutes and normal
+    assert not groups.commutator_condition(G, range(G.order), reflection)
+    assert not groups.is_normal(G, reflection)
+    assert peak < 32 * 2**20
 
 
 def test_commutator_condition():

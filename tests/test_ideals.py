@@ -1,10 +1,14 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewbracoid import braces, groups, ideals, maps
 from skewbracoid.errors import InternalConsistencyError, PreconditionError
 
-from conftest import CATALOGUE, normal_oracle, sli_oracle
+from conftest import CATALOGUE, normal_oracle, quaternion_group, sli_oracle
 
 
 def d4_setup():
@@ -166,3 +170,83 @@ def test_find_strong_left_ideals_computes_phi_once(monkeypatch):
     H = groups.Subgroup(G, (0, 2))
     ideals.classify_subgroup(G, found[1], H)
     assert calls == [found[1]]
+
+
+def test_classification_sweeps_only_to_check_the_circle_table(monkeypatch):
+    """Every verdict is a mask test against partitions made once per psi,
+    and still goes through the module attributes the benchmark traces."""
+    G = groups.dihedral(8)
+    psi = maps.enumerate_abelian_maps(G)[-1]
+    want = [v.to_jsonable() for v in ideals.find_strong_left_ideals(G, psi)]
+    sweeps, calls = [], []
+    sweep = groups.sweep
+    monkeypatch.setattr(groups, "sweep",
+                        lambda *a, **k: sweeps.append(1) or sweep(*a, **k))
+    braces.circle_table(G, psi)
+    circle_sweeps = len(sweeps)
+    sweeps.clear()
+    for module, name in [(ideals, "classify_subgroup"), (groups, "is_normal"),
+                         (groups, "commutator_condition")]:
+        f = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, f=f, name=name:
+                            calls.append(name) or f(*a))
+    got = [v.to_jsonable() for v in ideals.find_strong_left_ideals(G, psi)]
+    assert got == want and len(sweeps) == circle_sweeps
+    assert sorted(calls) == sorted(["classify_subgroup", "is_normal",
+                                    "commutator_condition"] * 19)
+
+
+RELABELED = {"D4": lambda: groups.dihedral(4), "D6": lambda: groups.dihedral(6),
+             "Q8": quaternion_group, "S3": lambda: groups.symmetric(3),
+             "C2xD4": lambda: groups.direct_product(groups.cyclic(2),
+                                                    groups.dihedral(4))}
+
+
+@functools.cache
+def labelled_verdicts(name):
+    """The group, its center, and per abelian map the verdicts keyed by
+    member tuple, in builder order."""
+    G = RELABELED[name]()
+    verdicts = [(psi, {v.subgroup.members: v for v in
+                       ideals.find_strong_left_ideals(G, psi)})
+                for psi in maps.enumerate_abelian_maps(G)]
+    return G, groups.center(G).members, verdicts
+
+
+def check_relabeling(name, data):
+    """Relabel by a permutation pi fixing 0 and rebuild the group from its
+    table alone; normality, the center and every verdict for every abelian
+    map must map across under pi, though the orbit roots need not."""
+    G, center, verdicts = labelled_verdicts(name)
+    pi = np.array([0] + data.draw(st.permutations(range(1, G.order))))
+    back = np.argsort(pi)
+    relabeled = groups.build_group({"kind": "table",
+                                    "mul": pi[G.mul[back][:, back]].tolist()})
+    assert relabeled.generators is None
+
+    def image(members):
+        return tuple(sorted(pi[list(members)].tolist()))
+
+    assert groups.center(relabeled).members == image(center)
+    for psi, by_members in verdicts:
+        psi_pi = maps.make_map(relabeled, relabeled, pi[psi.image_of[back]].tolist())
+        got = ideals.find_strong_left_ideals(relabeled, psi_pi)
+        assert sorted(v.subgroup.members for v in got) == \
+            sorted(image(m) for m in by_members)
+        for v in got:
+            want = by_members[tuple(sorted(back[list(v.subgroup.members)].tolist()))]
+            assert groups.is_normal(relabeled, v.subgroup) == want.C2
+            assert (v.C1, v.C2, v.strong_left_ideal_of, v.ideal_of) == \
+                (want.C1, want.C2, want.strong_left_ideal_of, want.ideal_of)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from(["D4", "D6", "Q8", "S3"]), st.data())
+def test_verdicts_survive_relabeling(name, data):
+    check_relabeling(name, data)
+
+
+@settings(max_examples=1, deadline=None)  # 960 maps, about 2 s each labelling
+@given(st.data())
+def test_verdicts_survive_relabeling_c2xd4(data):
+    check_relabeling("C2xD4", data)

@@ -75,8 +75,8 @@ def opposite_table(t: OpTable) -> OpTable:
 @dataclass(frozen=True, eq=False)
 class BraceReport:
     holds: bool
-    checked: str  # "exhaustive": the relation is never sampled
     failure: tuple[int, int, int] | None = None
+    checked = "exhaustive"  # the relation is decided on every triple
 
     def to_jsonable(self) -> dict:
         return {"holds": self.holds, "checked": self.checked,
@@ -90,7 +90,7 @@ def verify_brace(additive: OpTable, multiplicative: OpTable) -> BraceReport:
         raise PreconditionError("carrier mismatch between the two tables")
     failure = groups.relation_failure(
         multiplicative.op, additive.op, groups.inverses(additive.op))
-    return BraceReport(failure is None, "exhaustive", failure)
+    return BraceReport(failure is None, failure)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,13 +137,13 @@ def gamma_family(brace: SkewBrace) -> np.ndarray:
     return gamma
 
 
-def brace_block(psi: GroupMap, N: int, *, bound: int = BRACE_BLOCK_BOUND) -> list[OpTable]:
+def brace_block(psi: GroupMap, N: int) -> list[OpTable]:
     """Tables o_0 .. o_N from the iterated maps, o_0 = the original product.
 
     Every ordered pair (o_m, o_n) is verified to satisfy the brace relation.
     """
-    if N < 0 or N > bound:
-        raise PreconditionError(f"block depth must lie in 0..{bound}")
+    if N < 0 or N > BRACE_BLOCK_BOUND:
+        raise PreconditionError(f"block depth must lie in 0..{BRACE_BLOCK_BOUND}")
     G = psi.domain
     tables = []
     for k in range(N + 1):

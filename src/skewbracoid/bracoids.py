@@ -91,8 +91,7 @@ def _require_valid(b: Bracoid) -> Bracoid:
 def bracoid_from_C1(G: FiniteGroup, psi: GroupMap, H: Subgroup,
                     opposite: bool = False) -> Bracoid:
     """(G, ., G/H, o, (+)) with g (+) xH = (gx)H, for H satisfying C1."""
-    phi = maps.phi_of(psi)
-    phiH = sorted(set(int(phi.image_of[h]) for h in H.members))
+    phiH = maps.phi_of(psi).image_of[list(H.members)]
     if not groups.commutator_condition(G, phiH, H):
         raise PreconditionError("C1 fails: [G, phi(H)] is not contained in H")
     circ = braces.circle_table(G, psi)
@@ -135,8 +134,7 @@ def bracoid_from_C2(G: FiniteGroup, psi: GroupMap, H: Subgroup,
     action = cos[circ.op[:, reps]]
     if not np.array_equal(cos[circ.op], action[:, cos]):
         raise InternalConsistencyError("action ill-defined on cosets")
-    phi = maps.phi_of(psi)
-    phiH = sorted(set(int(phi.image_of[h]) for h in H.members))
+    phiH = maps.phi_of(psi).image_of[list(H.members)]
     provenance = {"construction": "from_C2", "subgroup": list(H.members),
                   "opposite": opposite,
                   "C1": groups.commutator_condition(G, phiH, H)}
@@ -177,15 +175,15 @@ def reduce_bracoid(b: Bracoid) -> Bracoid:
     return _require_valid(reduced)
 
 
-def find_contained_brace(b: Bracoid, *,
-                         enum_cap: int = CONTAINED_BRACE_ENUM_CAP) -> Subgroup | None:
+def find_contained_brace(b: Bracoid) -> Subgroup | None:
     """A subgroup of the acting group whose restricted action on the target
     is regular, if one exists.
 
     Only subgroups of order exactly |target| can act regularly, so the
     search is restricted to those.  Candidates recorded by the constructor
-    in provenance are tried first; below the enumeration cap the search
-    then falls back to all subgroups in canonical (order, members) order.
+    in provenance are tried first; up to CONTAINED_BRACE_ENUM_CAP acting
+    elements the search then falls back to all subgroups in canonical
+    (order, members) order.
     """
     m = b.target_order
     Gact = groups.from_table(b.acting.op)
@@ -203,7 +201,7 @@ def find_contained_brace(b: Bracoid, *,
             continue
         if S.order == m and regular(S.members):
             return S
-    if b.acting_order <= enum_cap:
+    if b.acting_order <= CONTAINED_BRACE_ENUM_CAP:
         for S in groups.enumerate_subgroups(Gact):
             if S.order == m and regular(S.members):
                 return S

@@ -1,9 +1,10 @@
 """Command-line interface.
 
 All mathematical output is JSON (canonical by default, indented with
-``--pretty``).  Exit codes: 0 success, 1 precondition or usage errors,
-2 internal-consistency failures (a verified construction contradicting one
-of the classification or construction theorems).
+``--pretty``).  Exit codes: 0 success, 1 precondition errors (a JSON error
+on stderr), 2 usage errors (from argparse) and internal-consistency
+failures (a verified construction contradicting one of the classification
+or construction theorems).
 """
 
 from __future__ import annotations
@@ -171,10 +172,7 @@ def _cmd_ybe_build(args) -> int:
             solutions = {"R": ybe.build_ybe_from_contained_brace(b, K)}
     out = dict(solutions)
     if args.verify:
-        cap = 0 if args.sample else groups.TRIPLE_EXHAUSTIVE_CAP
-        out["reports"] = {key: ybe.verify_ybe(sol, exhaustive_cap=cap,
-                                              seed=args.seed)
-                          for key, sol in solutions.items()}
+        out["reports"] = {key: ybe.verify_ybe(sol) for key, sol in solutions.items()}
     _emit(out, args)
     return 0
 
@@ -272,10 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     y.add_argument("--beta")
     y.add_argument("--subgroup")
     y.add_argument("--verify", action="store_true")
-    y.add_argument("--sample", action="store_true",
-                   help="force sampled verification instead of exhaustive")
-    y.add_argument("--seed", type=int, default=0,
-                   help="seed for the sampled verification of --sample")
     y.set_defaults(func=_cmd_ybe_build)
 
     p = sub.add_parser("corpus", help="built-in end-to-end fixtures")

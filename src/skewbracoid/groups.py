@@ -2,8 +2,8 @@
 
 Every group lives on the index set ``0..order-1`` with the identity fixed at
 index 0.  Multiplication is a dense ``order x order`` table, so every
-relation check is a failure predicate over index arrays, evaluated by the
-one ``sweep`` kernel; generator reductions keep most checks exact.
+relation check is a failure predicate over index arrays, decided exactly by
+the one ``sweep`` kernel.
 
 Element ordering is construction-defined and stable:
 
@@ -26,29 +26,19 @@ from .errors import InternalConsistencyError, PreconditionError, WorkLimitError
 
 DEFAULT_ORDER_CAP = 10_000
 SUBGROUP_WORK_LIMIT = 10**6
-# relations with no generator reduction are sampled above this order
-TRIPLE_EXHAUSTIVE_CAP = 256
-TRIPLE_SAMPLE_COUNT = 10**6
 # 4-16 MiB blocks ran fastest on the order-192 braid sweep (4 MiB: 26 MiB peak)
 SWEEP_BLOCK_BYTES = 4 * 2**20
 
 
-def sweep(bad, axes, *, samples: int = 0, seed: int = 0):
+def sweep(bad, axes):
     """Lexicographically first index tuple at which `bad` holds, or None.
 
     `bad` maps one index array per axis, broadcast against each other, to a
     boolean array of their broadcast shape; `axes` lists each axis's
     ascending index values.  The first axis is walked in blocks whose int64
-    arrays take at most SWEEP_BLOCK_BYTES.  With `samples`, `bad` is
-    instead evaluated on that many tuples drawn with `seed`, in draw order.
+    arrays take at most SWEEP_BLOCK_BYTES.
     """
     axes = [np.asarray(a, dtype=np.int64) for a in axes]
-    if samples:
-        rng = np.random.default_rng(seed)
-        draws = [a[p] for a, p in zip(axes, rng.integers(
-            0, [[len(a)] for a in axes], size=(len(axes), samples)))]
-        hit = sweep(lambda i: bad(*(d[i] for d in draws)), [np.arange(samples)])
-        return None if hit is None else tuple(int(d[hit[0]]) for d in draws)
     step = max(1, SWEEP_BLOCK_BYTES // (8 * max(1, math.prod(map(len, axes[1:])))))
     # the open mesh np.ix_ builds: axis k runs along dimension k
     first, *rest = (a.reshape([-1 if j == k else 1 for j in range(len(axes))])
@@ -219,7 +209,12 @@ class FiniteGroup:
         """g h g^-1 h^-1"""
         return int(self.mul[self.mul[g, h], self.mul[self.inv[g], self.inv[h]]])
 
-    def index_of(self, name: str) -> int:
+    def index_of(self, name) -> int:
+        """The index of the element that `name` names, or `name` if it is an
+        index."""
+        if isinstance(name, (int, np.integer)) and not isinstance(name, bool) \
+                and 0 <= name < self.order:
+            return int(name)
         try:
             return self.names.index(name)
         except ValueError:
@@ -236,9 +231,21 @@ class FiniteGroup:
 # builders
 
 
+def int_array(values, what: str) -> np.ndarray:
+    """`values` as an int64 array; PreconditionError if they are ragged or
+    hold anything but integers (a float such as 0.7 or 1.0, a string)."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:
+        raise PreconditionError(f"{what} is ragged") from None
+    if arr.size and arr.dtype.kind not in "iu":
+        raise PreconditionError(f"{what} has an entry that is not an integer")
+    return arr.astype(np.int64, copy=False)
+
+
 def from_table(mul, names=None, generators=None) -> FiniteGroup:
     """Build a group from an explicit Cayley table, verifying the axioms."""
-    table = np.asarray(mul, dtype=np.int64)
+    table = int_array(mul, "multiplication table")
     verify_group_table(table)
     n = table.shape[0]
     if names is None:
@@ -247,12 +254,13 @@ def from_table(mul, names=None, generators=None) -> FiniteGroup:
         names = tuple(names)
         if len(names) != n:
             raise PreconditionError("names length does not match order")
-    gens = tuple(int(g) for g in generators) if generators is not None else None
-    if gens is not None:
-        if any(g < 0 or g >= n for g in gens):
+    if generators is not None:
+        gens = int_array(generators, "generators")
+        if gens.ndim != 1 or ((gens < 0) | (gens >= n)).any():
             raise PreconditionError("generator index out of range")
-        require_generating(table, gens)
-    return FiniteGroup(table, inverses(table), names, gens)
+        generators = tuple(gens.tolist())
+        require_generating(table, generators)
+    return FiniteGroup(table, inverses(table), names, generators)
 
 
 def _check_order(order: int, order_cap: int) -> None:
@@ -383,13 +391,12 @@ def semidirect(base: FiniteGroup, acting: FiniteGroup, action, *,
     """
     nb = base.order
     _check_order(nb * acting.order, order_cap)
-    action = [np.asarray(a, dtype=np.int64) for a in action]
-    if len(action) != acting.order:
+    action = int_array(action, "action")
+    if action.shape[:1] != (acting.order,):
         raise PreconditionError("need one automorphism per acting element")
-    for a in action:
-        if sorted(a.tolist()) != list(range(nb)):
-            raise PreconditionError("action entry is not a permutation of the base")
-    action = np.array(action)
+    if action.shape != (acting.order, nb) or \
+            not (np.sort(action, axis=1) == np.arange(nb)).all():
+        raise PreconditionError("action entry is not a permutation of the base")
     if relation_failure(action, base.mul, np.zeros(acting.order, dtype=np.int64)):
         raise PreconditionError("action entry is not an automorphism of the base")
     if not np.array_equal(action[0], np.arange(nb)):
@@ -406,20 +413,33 @@ def semidirect(base: FiniteGroup, acting: FiniteGroup, action, *,
     return FiniteGroup(mul, inverses(mul), tuple(names), tuple(gens))
 
 
+def _spec_field(spec, key: str):
+    """spec[key]; PreconditionError unless `spec` holds it (an integer "n")."""
+    if not isinstance(spec, dict) or key not in spec:
+        raise PreconditionError(f"group spec needs {key!r}")
+    if key == "n" and type(spec[key]) is not int:  # not a bool, float or str
+        raise PreconditionError(f"group spec 'n' must be an integer, not {spec[key]!r}")
+    return spec[key]
+
+
 def _spec_order(spec: dict) -> int:
-    kind = spec.get("kind")
+    kind = _spec_field(spec, "kind")
     if kind == "cyclic":
-        return int(spec["n"])
+        return _spec_field(spec, "n")
     if kind == "dihedral":
-        return 2 * int(spec["n"])
+        return 2 * _spec_field(spec, "n")
     if kind == "symmetric":
-        return math.factorial(int(spec["n"]))
+        n = _spec_field(spec, "n")
+        if not 1 <= n <= 8:  # before n! of a large n is computed
+            raise PreconditionError("symmetric group builder supports 1 <= n <= 8")
+        return math.factorial(n)
     if kind == "product":
-        return math.prod(map(_spec_order, spec["factors"]))
+        return math.prod(map(_spec_order, _spec_field(spec, "factors")))
     if kind == "semidirect":
-        return _spec_order(spec["base"]) * _spec_order(spec["acting"])
+        return (_spec_order(_spec_field(spec, "base"))
+                * _spec_order(_spec_field(spec, "acting")))
     if kind == "table":
-        return len(spec["mul"])
+        return len(_spec_field(spec, "mul"))
     raise PreconditionError(f"unknown group spec kind {kind!r}")
 
 
@@ -430,21 +450,20 @@ def build_group(spec: dict, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGrou
     _check_order(_spec_order(spec), order_cap)
     kind = spec["kind"]
     if kind == "cyclic":
-        return cyclic(int(spec["n"]), order_cap=order_cap)
+        return cyclic(spec["n"], order_cap=order_cap)
     if kind == "dihedral":
-        return dihedral(int(spec["n"]), order_cap=order_cap)
+        return dihedral(spec["n"], order_cap=order_cap)
     if kind == "symmetric":
-        return symmetric(int(spec["n"]), order_cap=order_cap)
+        return symmetric(spec["n"], order_cap=order_cap)
     if kind == "product":
         return direct_product(*(build_group(f, order_cap=order_cap)
                                 for f in spec["factors"]), order_cap=order_cap)
     if kind == "semidirect":
         base = build_group(spec["base"], order_cap=order_cap)
         acting = build_group(spec["acting"], order_cap=order_cap)
-        return semidirect(base, acting, spec["action"], order_cap=order_cap)
-    if kind == "table":
-        return from_table(spec["mul"], spec.get("names"), spec.get("generators"))
-    raise PreconditionError(f"unknown group spec kind {kind!r}")
+        return semidirect(base, acting, _spec_field(spec, "action"),
+                          order_cap=order_cap)
+    return from_table(spec["mul"], spec.get("names"), spec.get("generators"))
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +642,8 @@ def enumerate_subgroups(G: FiniteGroup, *, work_limit: int = SUBGROUP_WORK_LIMIT
             if key not in found:
                 found[key] = ext
                 queue.append(ext)
-    subs = [Subgroup(G, tuple(np.flatnonzero(m).tolist())) for m in found.values()]
+    subs = [_known_subgroup(G, tuple(np.flatnonzero(m).tolist()))
+            for m in found.values()]
     subs.sort(key=lambda s: (s.order, s.members))
     # member tuples only: cached Subgroups would refer back to G, and G in
     # a reference cycle outlives its last use until the cycle collector runs

@@ -122,8 +122,7 @@ def _extend_generator_images(mul: np.ndarray, mul_p: np.ndarray,
     return img
 
 
-def make_map(G: FiniteGroup, Gp: FiniteGroup, images, *,
-             provenance: str = "explicit") -> GroupMap:
+def make_map(G: FiniteGroup, Gp: FiniteGroup, images) -> GroupMap:
     """Build a verified GroupMap.
 
     `images` is either a full image array, or a dict from generator (index
@@ -131,17 +130,15 @@ def make_map(G: FiniteGroup, Gp: FiniteGroup, images, *,
     homomorphism defined on all of G.
     """
     if isinstance(images, dict):
-        gen_idx, gen_img = [], []
-        for k, v in images.items():
-            gen_idx.append(G.index_of(k) if isinstance(k, str) else int(k))
-            gen_img.append(Gp.index_of(v) if isinstance(v, str) else int(v))
+        gen_idx = [G.index_of(k) for k in images]
+        gen_img = [Gp.index_of(v) for v in images.values()]
         img = _extend_generator_images(G.mul, Gp.mul, gen_idx, gen_img)
         if img is None:
             raise PreconditionError(
                 "generator images do not extend to a homomorphism "
                 "(or the given elements do not generate the domain)")
-        return GroupMap(G, Gp, img, provenance=provenance)
-    return GroupMap(G, Gp, np.asarray(images, dtype=np.int64), provenance=provenance)
+        return GroupMap(G, Gp, img)
+    return GroupMap(G, Gp, groups.int_array(images, "image array"))
 
 
 def enumerate_abelian_maps(G: FiniteGroup, Gp: FiniteGroup | None = None, *,
@@ -291,12 +288,12 @@ def phi_power(psi: GroupMap, n: int) -> np.ndarray:
     return out
 
 
-def psi_iterate(psi: GroupMap, n: int, *, bound: int = PSI_ITERATE_BOUND) -> GroupMap:
+def psi_iterate(psi: GroupMap, n: int) -> GroupMap:
     """The n-th iterated map: psi_0 trivial, psi_n(g) = psi(g) psi_{n-1}(phi(g))."""
     if not (psi.is_endomorphism() and psi.abelian_image):
         raise PreconditionError("psi_n requires an abelian endomorphism")
-    if n < 0 or n > bound:
-        raise PreconditionError(f"iteration index must lie in 0..{bound}")
+    if n < 0 or n > PSI_ITERATE_BOUND:
+        raise PreconditionError(f"iteration index must lie in 0..{PSI_ITERATE_BOUND}")
     G = psi.domain
     phi = phi_of(psi).image_of
     current = np.zeros(G.order, dtype=np.int64)
@@ -358,12 +355,12 @@ def cyclic_chain_map(maps: list[GroupMap]) -> GroupMap:
     return psi
 
 
-def left_regular_map(A: FiniteGroup, *, cap: int = LEFT_REGULAR_CAP) -> GroupMap:
+def left_regular_map(A: FiniteGroup) -> GroupMap:
     """a |-> left translation by a, as an abelian map A -> Sym(A)."""
     if not A.is_abelian():
         raise PreconditionError("left_regular_map requires an abelian group")
-    if A.order > cap:
-        raise PreconditionError(f"left regular embedding capped at order {cap}")
+    if A.order > LEFT_REGULAR_CAP:
+        raise PreconditionError(f"left regular embedding capped at order {LEFT_REGULAR_CAP}")
     S = groups.symmetric(A.order)
     index = {p: i for i, p in enumerate(groups.symmetric_perms(A.order))}
     img = np.array([index[tuple(int(x) for x in A.mul[a])] for a in range(A.order)],

@@ -88,9 +88,8 @@ def parse_group(obj: dict, *, order_cap: int = groups.DEFAULT_ORDER_CAP) -> Fini
     """Accept either a GroupSpec or a previously exported group."""
     if "kind" in obj:
         return groups.build_group(obj, order_cap=order_cap)
-    if "mul" in obj:
-        groups._check_order(len(obj["mul"]), order_cap)
-        return groups.from_table(obj["mul"], obj.get("names"), obj.get("generators"))
+    if "mul" in obj:  # an export is a table spec
+        return groups.build_group({**obj, "kind": "table"}, order_cap=order_cap)
     raise PreconditionError("not a recognizable group spec")
 
 

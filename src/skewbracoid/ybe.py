@@ -11,8 +11,7 @@ contained-brace recipe (`build_ybe_from_contained_brace`) always gives a
 solution (Martin-Lyons and Truman; the argument is in `_certified`), so a
 valid bracoid whose recipe gives both tables exactly is an exact
 certificate.  A solution without one, or whose certificate fails, has the
-relation swept over all order^3 triples up to a cap, and sampled with a
-fixed seed above it.
+relation swept over all order^3 triples, at every order.
 """
 
 from __future__ import annotations
@@ -72,9 +71,9 @@ class NondegeneracyReport:
 class YbeReport:
     holds: bool
     nondegeneracy: NondegeneracyReport
-    checked: str
     witness: tuple | None = None
     method: str = "sweep"  # "bracoid" or "sweep"; not exported
+    checked = "exhaustive"  # either method decides every triple
 
     def to_jsonable(self) -> dict:
         return {"holds": self.holds, "checked": self.checked,
@@ -82,30 +81,23 @@ class YbeReport:
                 "nondegeneracy": self.nondegeneracy.to_jsonable()}
 
 
-def verify_ybe(s: YbeSolution, *, exhaustive_cap: int = groups.TRIPLE_EXHAUSTIVE_CAP,
-               seed: int = 0) -> YbeReport:
-    """Non-degeneracy and the braid relation.
+def verify_ybe(s: YbeSolution) -> YbeReport:
+    """Non-degeneracy and the braid relation, both exact.
 
     The braid relation is first certified from `s.source`: if it holds a
     valid bracoid and a regular subgroup K whose recipe gives exactly the
     tables of s, the relation holds on every triple, at any order (method
-    "bracoid", checked "exhaustive").  Otherwise it is swept (method
-    "sweep"): over all order^3 triples up to `exhaustive_cap`, and on
-    TRIPLE_SAMPLE_COUNT triples sampled with `seed` above it, reporting the
-    first failing triple.  `exhaustive_cap=0` forces the sampled sweep."""
-    n = s.set_order
+    "bracoid").  Otherwise it is swept over all order^3 triples (method
+    "sweep"), reporting the lexicographically first failing triple."""
     lam, rho = s.lam, s.rho
-    idx = np.arange(n)
-    left_bad = np.flatnonzero((np.sort(lam, axis=1) != idx).any(axis=1))
-    right_bad = np.flatnonzero((np.sort(rho, axis=1) != idx).any(axis=1))
-    witnesses = {}
-    if left_bad.size:
-        witnesses["left_x"] = int(left_bad[0])
-    if right_bad.size:
-        witnesses["right_y"] = int(right_bad[0])
-    nd = NondegeneracyReport(not left_bad.size, not right_bad.size, witnesses)
-    if exhaustive_cap and _certified(s):
-        return YbeReport(True, nd, "exhaustive", None, "bracoid")
+    idx = np.arange(s.set_order)
+    # the rows that are not permutations, under the name of their witness
+    bad_rows = {key: np.flatnonzero((np.sort(t, axis=1) != idx).any(axis=1))
+                for key, t in (("left_x", lam), ("right_y", rho))}
+    nd = NondegeneracyReport(not bad_rows["left_x"].size, not bad_rows["right_y"].size,
+                             {key: int(r[0]) for key, r in bad_rows.items() if r.size})
+    if _certified(s):
+        return YbeReport(True, nd, None, "bracoid")
 
     def bad(x, y, z):
         # left side: R12, R23, R12
@@ -117,11 +109,8 @@ def verify_ybe(s: YbeSolution, *, exhaustive_cap: int = groups.TRIPLE_EXHAUSTIVE
         return ((lam[a1, b2] != ap2) | (rho[b2, a1] != lam[bp2, cp])
                 | (c2 != rho[cp, bp2]))
 
-    sampled = n > exhaustive_cap
-    witness = groups.sweep(bad, (np.arange(n),) * 3, seed=seed,
-                           samples=groups.TRIPLE_SAMPLE_COUNT if sampled else 0)
-    return YbeReport(witness is None, nd, "sampled" if sampled else "exhaustive",
-                     witness)
+    witness = groups.sweep(bad, (idx,) * 3)
+    return YbeReport(witness is None, nd, witness)
 
 
 def _certified(s: YbeSolution) -> bool:

@@ -182,16 +182,52 @@ def test_max_order_applies_to_reimported_exports(capsys):
     assert json.loads(err)["message"] == "requested order 20 exceeds cap 4"
 
 
-def test_seed_is_an_option_of_ybe_build_only(capsys):
+@pytest.mark.parametrize("option", [["--sample"], ["--seed", "5"]])
+def test_ybe_build_has_no_sampling_options(option):
+    """The braid relation is always decided exactly: sampling options are
+    usage errors."""
     with pytest.raises(SystemExit) as exc:
-        cli.main(["group", "build", D4, "--seed", "5"])
+        cli.main(["ybe", "build", D4, PSI, "--construction", "idempotent",
+                  "--verify", *option])
     assert exc.value.code == 2
-    code, out, _ = run(capsys, ["ybe", "build", D4, PSI, "--construction",
-                                "idempotent", "--verify", "--sample",
-                                "--seed", "5"])
-    assert code == 0
-    rep = json.loads(out)["reports"]["R"]
-    assert rep["holds"] is True and rep["checked"] == "sampled"
+
+
+C3_ON_C2 = '{"kind":"semidirect","base":{"kind":"cyclic","n":3},' \
+    '"acting":{"kind":"cyclic","n":2},"action":%s}'
+C2 = '{"kind":"cyclic","n":2}'
+MALFORMED = {
+    "float_cell": ["group", "build", '{"kind":"table","mul":[[0,1],[1,0.7]]}'],
+    "string_cell": ["group", "build", '{"kind":"table","mul":[[0,1],[1,"0"]]}'],
+    "integral_float_cell": ["group", "build",
+                            '{"kind":"table","mul":[[0,1],[1,0.0]]}'],
+    "ragged_mul": ["group", "build", '{"kind":"table","mul":[[0,1],[1]]}'],
+    "float_cell_in_export": ["group", "build", '{"mul":[[0,1],[1,0.5]]}'],
+    "float_generator": ["group", "build",
+                        '{"kind":"table","mul":[[0,1],[1,0]],"generators":[1.5]}'],
+    "float_n": ["group", "build", '{"kind":"cyclic","n":2.5}'],
+    "string_n": ["group", "build", '{"kind":"cyclic","n":"4"}'],
+    "missing_n": ["group", "build", '{"kind":"cyclic"}'],
+    "negative_symmetric_n": ["group", "build", '{"kind":"symmetric","n":-1}'],
+    "large_symmetric_n": ["group", "build", '{"kind":"symmetric","n":2000}'],
+    "missing_n_in_factor": ["group", "build", '{"kind":"product","factors":'
+                            '[{"kind":"dihedral"},{"kind":"cyclic","n":2}]}'],
+    "float_action": ["group", "build", C3_ON_C2 % "[[0,1,2],[0,2,1.0]]"],
+    "ragged_action": ["group", "build", C3_ON_C2 % "[[0,1,2],[0,2]]"],
+    "float_image": ["brace", "build", C2, '{"image_array":[0,0.9]}'],
+    "ragged_image": ["brace", "build", C2, '{"image_array":[0,[1]]}'],
+    "float_generator_image": ["brace", "build", D4, '{"images":{"r":"e","s":4.0}}'],
+    "generator_image_out_of_range": ["brace", "build", D4,
+                                     '{"images":{"r":"e","s":99}}'],
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_specs_are_precondition_errors(capsys, argv):
+    """Malformed input is refused with exit 1 and a JSON error, neither
+    truncated to an integer nor left to raise a traceback."""
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "precondition"
 
 
 def test_version(capsys):

@@ -164,11 +164,17 @@ def test_verify_detects_corrupted_lambda():
     assert braid_oracle(bad) is not None
 
 
-def test_verify_sampled_path():
-    G, psi = d4_setup()
-    sol = ybe.build_ybe_idempotent(G, psi)
-    rep = ybe.verify_ybe(sol, exhaustive_cap=0, seed=7)
-    assert rep.holds and rep.checked == "sampled" and rep.method == "sweep"
+def test_uncertified_solution_is_swept_exhaustively_above_order_256():
+    """An edited order-260 solution has no certificate, so every triple is
+    swept and the witness is the lexicographically first failure."""
+    G = groups.dihedral(130)
+    sol = ybe.build_ybe_idempotent(G, maps.make_map(G, G, {"r": "e", "s": "s"}))
+    lam = np.array(sol.lam)
+    lam[0, 5] = (lam[0, 5] + 1) % 260
+    bad = sol.with_tables(lam=lam)
+    rep = ybe.verify_ybe(bad)
+    assert rep.method == "sweep" and rep.checked == "exhaustive"
+    assert not rep.holds and rep.witness == braid_oracle(bad) == (0, 1, 135)
 
 
 def assert_certified(sol, swept=None):

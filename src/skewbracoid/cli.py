@@ -293,7 +293,3 @@ def main(argv=None) -> int:
         print(json.dumps({"error": "precondition", "message": str(exc)}),
               file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

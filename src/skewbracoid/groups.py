@@ -107,9 +107,9 @@ def verify_group_table(mul: np.ndarray) -> tuple[int, ...]:
     more than log2(order) elements for.  Raises PreconditionError on any
     failure; returns the generating set.
     """
-    n = mul.shape[0]
-    if mul.shape != (n, n):
+    if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
         raise PreconditionError("multiplication table must be square")
+    n = mul.shape[0]
     if mul.min() < 0 or mul.max() >= n:
         raise PreconditionError("multiplication table is not closed")
     idx = np.arange(n)
@@ -250,17 +250,16 @@ def from_table(mul, names=None, generators=None) -> FiniteGroup:
     n = table.shape[0]
     if names is None:
         names = tuple(f"a{i}" for i in range(n))
-    else:
-        names = tuple(names)
-        if len(names) != n:
-            raise PreconditionError("names length does not match order")
+    elif not (isinstance(names, (list, tuple)) and len(names) == n
+              and all(isinstance(x, str) for x in names)):
+        raise PreconditionError("names must be a list of strings, one per element")
     if generators is not None:
         gens = int_array(generators, "generators")
         if gens.ndim != 1 or ((gens < 0) | (gens >= n)).any():
             raise PreconditionError("generator index out of range")
         generators = tuple(gens.tolist())
         require_generating(table, generators)
-    return FiniteGroup(table, inverses(table), names, generators)
+    return FiniteGroup(table, inverses(table), tuple(names), generators)
 
 
 def _check_order(order: int, order_cap: int) -> None:
@@ -419,6 +418,8 @@ def _spec_field(spec, key: str):
         raise PreconditionError(f"group spec needs {key!r}")
     if key == "n" and type(spec[key]) is not int:  # not a bool, float or str
         raise PreconditionError(f"group spec 'n' must be an integer, not {spec[key]!r}")
+    if key in ("factors", "mul") and not isinstance(spec[key], list):
+        raise PreconditionError(f"group spec {key!r} must be a list, not {spec[key]!r}")
     return spec[key]
 
 
@@ -586,14 +587,17 @@ def _join(mul: np.ndarray, members: np.ndarray, x: int) -> np.ndarray:
 def enumerate_subgroups(G: FiniteGroup, *, work_limit: int = SUBGROUP_WORK_LIMIT) -> list[Subgroup]:
     """All subgroups of G, each once, sorted by (order, member tuple).
 
-    Cyclic extension (Neubueser): every subgroup is the join of its cyclic
-    subgroups of prime-power order, the zuppos, because each element is a
-    product of powers of itself of prime-power order.  Adding a subgroup's
-    zuppos in order of increasing size joins each <z>, of order p^k, to a
-    subgroup that already holds z^p.  So extending every subgroup found by
-    every zuppo <z> it lacks whose z^p it holds reaches every subgroup.
+    Cyclic extension (Neubueser) over the zuppos, the cyclic subgroups <z>
+    of prime-power order p^k: a subgroup H found is extended by each zuppo
+    that it lacks and whose z^p it holds.  If z normalizes H, <H, z> = H<z>
+    is the union of the cosets H z^i, i < p.  If G is solvable, no other z
+    is needed: a subgroup V != 1 is solvable, so it has a normal subgroup U
+    of prime index p; for v in V \\ U, the p-part z of v (a power of v)
+    lies outside U, normalizes U, has z^p in U and gives U<z> = V.  So V is
+    reached from U, by induction on |V|.  A perfect subgroup has no such U,
+    so if G is not solvable the other z are joined by `_join`.
 
-    Work counts the members of every closure and join computed; past
+    Work counts the members of every closure and extension computed; past
     `work_limit` WorkLimitError is raised.  The lattice is computed once
     per group; later calls do no work, whatever their `work_limit`, and
     each returns a new list of new Subgroup objects.
@@ -613,9 +617,9 @@ def enumerate_subgroups(G: FiniteGroup, *, work_limit: int = SUBGROUP_WORK_LIMIT
 
     orders = element_orders(G.mul)
     prime_of = {o: _prime_of_power(o) for o in set(orders.tolist()) if o > 1}
-    # a generator z of each zuppo, and a generator of its subgroup <z^p>
-    # (any element of <z> of order |z|/p)
-    zuppos, roots = [], []
+    # a generator z of each zuppo, a generator of its subgroup <z^p> (any
+    # element of <z> of order |z|/p), and z^0, .., z^(p-1)
+    zuppos, roots, steps = [], [], {}
     covered = np.zeros(G.order, dtype=bool)
     for x in range(1, G.order):
         o = int(orders[x])
@@ -626,22 +630,33 @@ def enumerate_subgroups(G: FiniteGroup, *, work_limit: int = SUBGROUP_WORK_LIMIT
         covered[cyc[orders[cyc] == o]] = True
         zuppos.append(x)
         roots.append(cyc[np.argmax(orders[cyc] == o // prime_of[o])])
+        steps[x] = np.fromiter(itertools.accumulate(
+            range(prime_of[o] - 1), lambda w, _: G.mul[w, x], initial=0), dtype=np.int64)
     zuppos, roots = np.array(zuppos, dtype=np.int64), np.array(roots, dtype=np.int64)
+    solvable = len(list(derived_series(G))[-1]) == 1
 
-    trivial = np.zeros(G.order, dtype=bool)
-    trivial[0] = True
+    trivial = np.arange(G.order) == 0
     found[trivial.tobytes()] = trivial
-    queue = [trivial]
+    queue = [(trivial, [])]  # a subgroup, with a set that generates it
     while queue:
-        mask = queue.pop()
+        mask, gens = queue.pop()
         members = np.flatnonzero(mask)
-        for z in zuppos[~mask[zuppos] & mask[roots]].tolist():
-            ext = _join(G.mul, members, z)
+        cand = zuppos[~mask[zuppos] & mask[roots]]
+        # z normalizes H iff it conjugates the <= log2|H| generators of H into H
+        normalizes = mask[G.mul[G.mul[cand[:, None], gens], G.inv[cand][:, None]]].all(axis=1)
+        for z, normal in zip(cand.tolist(), normalizes.tolist()):
+            if normal:
+                ext = np.zeros(G.order, dtype=bool)
+                ext[G.mul[members[:, None], steps[z]]] = True
+            elif solvable:
+                continue
+            else:
+                ext = _join(G.mul, members, z)
             count(int(np.count_nonzero(ext)))
             key = ext.tobytes()
             if key not in found:
                 found[key] = ext
-                queue.append(ext)
+                queue.append((ext, gens + [z]))
     subs = [_known_subgroup(G, tuple(np.flatnonzero(m).tolist()))
             for m in found.values()]
     subs.sort(key=lambda s: (s.order, s.members))
@@ -666,18 +681,34 @@ def _classes(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
     return G._class_data
 
 
+def derived_series(G: FiniteGroup):
+    """Yield the ascending member arrays of G', G'', ..., ending at the first
+    term that is 1 or equals the one before: G is solvable iff the last is 1.
+
+    The derived subgroup of a term K is the closure of the commutators
+    [x, g], x over K and g over a set S that generates K.  That set is
+    normal, as y[x, g]y^-1 = [yx, g][y, g]^-1, and modulo it S is central,
+    so the quotient is abelian.  S is G's generating set for G; the closure
+    takes, in ascending order, each commutator it has not reached yet, and
+    those commutators are S for the next term."""
+    term, gens = np.arange(G.order), list(G.generating_set())
+    while True:
+        hit = np.zeros(G.order, dtype=bool)
+        hit[G.mul[G.mul[term[:, None], gens], G.mul[G.inv[term][:, None], G.inv[gens]]]] = True
+        gens, reached = [], {0}
+        for c in np.flatnonzero(hit).tolist():
+            if c not in reached:
+                gens.append(c)
+                reached = _right_closure(G.mul, gens, reached)
+        last, term = term, np.array(sorted(reached), dtype=np.int64)
+        yield term
+        if len(term) in (1, len(last)):
+            return
+
+
 def derived_subgroup(G: FiniteGroup) -> np.ndarray:
-    """Ascending member array of [G, G], the normal closure of the
-    commutators of G's generators: modulo it the generators commute, so
-    the quotient is abelian.  It is generated by the conjugacy classes of
-    those commutators."""
-    gens = np.asarray(G.generating_set(), dtype=np.int64)
-    ginv = G.inv[gens]
-    root = _classes(G)[0]
-    hit = np.zeros(G.order, dtype=bool)
-    hit[root[G.mul[G.mul[gens[:, None], gens], G.mul[ginv[:, None], ginv]]]] = True
-    return np.array(sorted(_right_closure(G.mul, np.flatnonzero(hit[root]).tolist())),
-                    dtype=np.int64)
+    """Ascending member array of [G, G], the first term of the derived series."""
+    return next(derived_series(G))
 
 
 def is_normal(G: FiniteGroup, H: Subgroup) -> bool:

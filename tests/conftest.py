@@ -208,6 +208,30 @@ def extension_bfs_subgroups(G: groups.FiniteGroup, *,
     return subs
 
 
+def commutator_closure_oracle(G, members):
+    """Closure of every commutator [a, b] with a, b in `members`, by scalar
+    loops: the derived subgroup of the subgroup `members`."""
+    return groups.closure(G, {G.commutator(a, b) for a in members for b in members})
+
+
+def derived_series_oracle(G):
+    """G', G'', ... as member tuples, ending at the first term that is 1 or
+    equals the one before."""
+    series, term = [], tuple(range(G.order))
+    while True:
+        series.append(commutator_closure_oracle(G, term))
+        if len(series[-1]) in (1, len(term)):
+            return series
+        term = series[-1]
+
+
+def c61_c10():
+    """C61 x| C10, the generator of C10 acting on C61 as x -> 3x (3 has
+    order 10 modulo 61)."""
+    action = [[pow(3, k, 61) * i % 61 for i in range(61)] for k in range(10)]
+    return groups.semidirect(groups.cyclic(61), groups.cyclic(10), action)
+
+
 def normal_oracle(mul, inv, members):
     """Scalar loop: g h g^-1 in H for every g and every h in H."""
     mset = set(members)

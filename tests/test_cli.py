@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -209,6 +212,12 @@ MALFORMED = {
     "missing_n": ["group", "build", '{"kind":"cyclic"}'],
     "negative_symmetric_n": ["group", "build", '{"kind":"symmetric","n":-1}'],
     "large_symmetric_n": ["group", "build", '{"kind":"symmetric","n":2000}'],
+    "int_factors": ["group", "build", '{"kind":"product","factors":5}'],
+    "int_names": ["group", "build",
+                  '{"kind":"table","mul":[[0,1],[1,0]],"names":5}'],
+    "int_mul": ["group", "build", '{"kind":"table","mul":5}'],
+    "list_names": ["group", "build",
+                   '{"kind":"table","mul":[[0,1],[1,0]],"names":[[1],[0]]}'],
     "missing_n_in_factor": ["group", "build", '{"kind":"product","factors":'
                             '[{"kind":"dihedral"},{"kind":"cyclic","n":2}]}'],
     "float_action": ["group", "build", C3_ON_C2 % "[[0,1,2],[0,2,1.0]]"],
@@ -235,6 +244,16 @@ def test_version(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     assert "skewbracoid" in capsys.readouterr().out
+
+
+def test_package_runs_as_a_module():
+    """`python -m skewbracoid` runs the CLI without the installed script."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "skewbracoid", "--version"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0 and "skewbracoid" in done.stdout
 
 
 # exit codes and stdout digests recorded by bench/record.py

@@ -12,9 +12,11 @@ from skewbracoid import cli, groups, maps, serialize
 from skewbracoid.errors import (InternalConsistencyError, PreconditionError,
                                 WorkLimitError)
 
-from conftest import (CATALOGUE, brute_force_subgroups, commutator_oracle,
-                      dihedral_oracle, extension_bfs_subgroups, normal_oracle,
-                      semidirect_oracle, symmetric_oracle)
+from conftest import (CATALOGUE, brute_force_subgroups, c61_c10,
+                      commutator_closure_oracle, commutator_oracle,
+                      derived_series_oracle, dihedral_oracle,
+                      extension_bfs_subgroups, normal_oracle, semidirect_oracle,
+                      symmetric_oracle)
 
 
 def test_cyclic_matches_modular_addition():
@@ -308,6 +310,10 @@ def test_subgroup_and_normality_checks_stay_small_on_large_groups():
     assert peak < 32 * 2**20
 
 
+def _c8xs4():
+    return groups.direct_product(groups.cyclic(8), groups.symmetric(4))
+
+
 LARGER = [("C2xD4", lambda: groups.direct_product(groups.cyclic(2), groups.dihedral(4))),
           ("S4", lambda: groups.symmetric(4)),
           ("D4xD4", lambda: groups.direct_product(groups.dihedral(4),
@@ -324,18 +330,78 @@ def test_lattice_matches_extension_oracle(name, builder):
         assert len(got) == 389
 
 
-def test_s5_lattice_within_default_work_limit():
+def _count_joins(monkeypatch):
+    calls = []
+    join = groups._join
+    monkeypatch.setattr(groups, "_join",
+                        lambda *args: calls.append(args) or join(*args))
+    return calls
+
+
+@pytest.mark.parametrize("name, builder", [
+    ("D4xD4", lambda: groups.direct_product(groups.dihedral(4), groups.dihedral(4))),
+    ("C8xS4", _c8xs4)])
+def test_solvable_lattice_never_joins(monkeypatch, name, builder):
+    """In a solvable group every extension is by a normalizing zuppo, a
+    product of cosets."""
+    calls = _count_joins(monkeypatch)
+    subs = groups.enumerate_subgroups(builder())
+    assert not calls
+    assert len(subs) == {"D4xD4": 389, "C8xS4": 246}[name]
+
+
+def test_s5_lattice_within_default_work_limit(monkeypatch):
+    """S5 is not solvable: A5 and S5 are reached only by joins."""
+    calls = _count_joins(monkeypatch)
     subs = groups.enumerate_subgroups(groups.symmetric(5))
+    assert calls
     assert len(subs) == 156
     assert [s.order for s in subs].count(60) == 1  # A5, which is perfect
     assert subs[-1].order == 120
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@settings(max_examples=1, deadline=None)
+@given(data=st.data())
+def test_lattice_survives_relabeling(n, data):
+    """S4 and S5 as table groups without generators, relabeled by a
+    permutation fixing 0, have the image of the original lattice."""
+    G = groups.symmetric(n)
+    pi = np.array([0] + data.draw(st.permutations(range(1, G.order))))
+    back = np.argsort(pi)
+    relabeled = groups.build_group({"kind": "table",
+                                    "mul": pi[G.mul[back][:, back]].tolist()})
+    assert relabeled.generators is None
+    want = sorted((tuple(sorted(pi[list(s.members)].tolist()))
+                   for s in groups.enumerate_subgroups(G)),
+                  key=lambda m: (len(m), m))
+    assert [s.members for s in groups.enumerate_subgroups(relabeled)] == want
+
+
+@pytest.mark.parametrize("n", [12, 30, 50])
+def test_dihedral_lattice_size(n):
+    """D_n of order 2n has tau(n) + sigma(n) subgroups: for each divisor d
+    of n, the rotations of order d and n/d reflection subgroups of order 2d."""
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    subs = groups.enumerate_subgroups(groups.dihedral(n))
+    assert len(subs) == len(divisors) + sum(divisors)
+
+
+def test_c61_c10_lattice_within_default_work_limit():
+    """Order 610, whose lattice took more than the default work limit by
+    joins; the histogram was recorded with the limit raised."""
+    subs = groups.enumerate_subgroups(c61_c10())
+    assert len(subs) == 188
+    orders = [s.order for s in subs]
+    assert {o: orders.count(o) for o in orders} == {
+        1: 1, 2: 61, 5: 61, 10: 61, 61: 1, 122: 1, 305: 1, 610: 1}
 
 
 def test_lattice_work_limit_still_applies():
     """The error says how far the enumeration got.  The cyclic subgroups of
     prime-power order come first, so a small limit stops before the
     lattice has any subgroup."""
-    for limit, work, found in [(100, 104, 17), (20, 24, 0)]:
+    for limit, work, found in [(100, 108, 18), (20, 24, 0)]:
         with pytest.raises(WorkLimitError) as exc:
             groups.enumerate_subgroups(groups.symmetric(4), work_limit=limit)
         assert str(exc.value) == (
@@ -503,18 +569,32 @@ def test_closure_is_always_a_subgroup(n, gens):
     assert all(int(G.mul[a, b]) in mset for a in H.members for b in H.members)
 
 
-def _all_commutators_closure(G):
-    """Closure of every commutator [a, b], by scalar loops."""
-    return groups.closure(G, {G.commutator(a, b) for a in range(G.order)
-                              for b in range(G.order)})
-
-
 @pytest.mark.parametrize("name, builder", CATALOGUE + LARGER + [
-    ("S5", lambda: groups.symmetric(5)),
-    ("C8xS4", lambda: groups.direct_product(groups.cyclic(8), groups.symmetric(4)))])
+    ("S5", lambda: groups.symmetric(5)), ("C8xS4", lambda: _c8xs4()),
+    ("C1", lambda: groups.cyclic(1))])
 def test_derived_subgroup_matches_all_commutators(name, builder):
     G = builder()
-    assert tuple(groups.derived_subgroup(G).tolist()) == _all_commutators_closure(G)
+    assert tuple(groups.derived_subgroup(G).tolist()) == \
+        commutator_closure_oracle(G, range(G.order))
+
+
+SOLVABLE = CATALOGUE + LARGER + [("C8xS4", _c8xs4), ("C61xC10", c61_c10),
+                                 ("C1", lambda: groups.cyclic(1))]
+NOT_SOLVABLE = [("S5", lambda: groups.symmetric(5)),
+                ("C2xS5", lambda: groups.direct_product(groups.cyclic(2),
+                                                        groups.symmetric(5)))]
+
+
+@pytest.mark.parametrize("name, builder", SOLVABLE + NOT_SOLVABLE)
+def test_derived_series_matches_commutator_closures(name, builder):
+    """Each term is the closure of all commutators of the term before; the
+    series ends at 1 exactly for the solvable groups."""
+    G = builder()
+    series = [tuple(t.tolist()) for t in groups.derived_series(G)]
+    assert series == derived_series_oracle(G)
+    assert (len(series[-1]) == 1) == ((name, builder) in SOLVABLE)
+    if name == "S5":
+        assert [len(t) for t in series] == [60, 60]  # A5 is perfect
 
 
 def test_derived_subgroup_stays_small_on_large_groups():

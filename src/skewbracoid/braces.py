@@ -21,28 +21,26 @@ BRACE_BLOCK_BOUND = 8
 
 @dataclass(frozen=True, eq=False)
 class OpTable:
-    """A binary operation on 0..order-1 as a dense table, with a label."""
+    """A group operation on 0..order-1 under a label.  The group was
+    verified where it was made, so every table here is a group table."""
 
-    op: np.ndarray
+    group: FiniteGroup
     label: str
 
-    def __post_init__(self):
-        self.op.setflags(write=False)
+    @property
+    def op(self) -> np.ndarray:
+        return self.group.mul
 
     @property
     def order(self) -> int:
-        return self.op.shape[0]
-
-    def require_group(self) -> "OpTable":
-        groups.verify_group_table(self.op)
-        return self
+        return self.group.order
 
     def __repr__(self):
         return f"OpTable({self.label!r}, order={self.order})"
 
 
 def table_of(G: FiniteGroup, label: str = ".") -> OpTable:
-    return OpTable(G.mul, label)
+    return OpTable(G, label)
 
 
 def circle_table(G: FiniteGroup, psi: GroupMap, label: str = "o") -> OpTable:
@@ -53,9 +51,7 @@ def circle_table(G: FiniteGroup, psi: GroupMap, label: str = "o") -> OpTable:
     im = psi.image_of
     left = G.mul[np.arange(n), im[G.inv]]  # g psi(g^-1)
     circ = G.mul[G.mul[left[:, None], np.arange(n)[None, :]], im[:, None]]
-    out = OpTable(circ, label)
-    out.require_group()
-    return out
+    return OpTable(groups.from_table(circ), label)
 
 
 def circle_inverse(G: FiniteGroup, psi: GroupMap, g: int) -> int:
@@ -69,7 +65,7 @@ def circle_inverse(G: FiniteGroup, psi: GroupMap, g: int) -> int:
 
 
 def opposite_table(t: OpTable) -> OpTable:
-    return OpTable(t.op.T.copy(), t.label + "'")
+    return OpTable(groups.from_table(t.op.T.copy()), t.label + "'")
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,12 +80,11 @@ class BraceReport:
 
 
 def verify_brace(additive: OpTable, multiplicative: OpTable) -> BraceReport:
-    """Check that the additive table is a group and the brace relation holds,
-    exactly."""
+    """Check the brace relation, exactly."""
     if additive.order != multiplicative.order:
         raise PreconditionError("carrier mismatch between the two tables")
     failure = groups.relation_failure(
-        multiplicative.op, additive.op, groups.inverses(additive.op))
+        multiplicative.op, additive.group, additive.group.inv)
     return BraceReport(failure is None, failure)
 
 
@@ -106,8 +101,7 @@ class SkewBrace:
 
 def make_brace(additive: OpTable, multiplicative: OpTable,
                psi: GroupMap | None = None) -> SkewBrace:
-    """Verify both group structures and the brace relation, then bundle them."""
-    multiplicative.require_group()
+    """Verify the brace relation, then bundle the two tables."""
     report = verify_brace(additive, multiplicative)
     if not report.holds:
         raise PreconditionError(
@@ -125,14 +119,14 @@ def braces_from_map(G: FiniteGroup, psi: GroupMap) -> tuple[SkewBrace, SkewBrace
 def gamma_family(brace: SkewBrace) -> np.ndarray:
     """gamma(g)[h] = g^-1 .A (g oM h), verified to be a homomorphism from
     the multiplicative group into automorphisms of the additive group."""
-    A, M = brace.additive.op, brace.multiplicative.op
+    A, M = brace.additive, brace.multiplicative
     # each gamma(g) is an additive endomorphism iff the brace relation
     # holds; it is then bijective, as both tables are groups
-    if not verify_brace(brace.additive, brace.multiplicative).holds:
+    if not verify_brace(A, M).holds:
         raise PreconditionError("gamma(g) is not an additive automorphism")
-    gamma = A[groups.inverses(A)[:, None], M]
+    gamma = A.op[A.group.inv[:, None], M.op]
     # g |-> gamma(g) must be multiplicative
-    if groups.action_failure(gamma, M):
+    if groups.action_failure(gamma, M.group):
         raise PreconditionError("gamma is not a homomorphism")
     return gamma
 
@@ -179,5 +173,5 @@ def quotient_brace(brace: SkewBrace, H) -> SkewBrace:
         if induced is None:
             raise PreconditionError(
                 f"operation {t.label!r} is not well-defined on the cosets of H")
-        quotients.append(OpTable(induced, t.label))
+        quotients.append(OpTable(groups.from_table(induced), t.label))
     return make_brace(quotients[0], quotients[1], brace.psi_provenance)

@@ -71,12 +71,12 @@ def verify_bracoid(b: Bracoid) -> BracoidReport:
     # e acts as the identity and the action respects the acting product
     if not np.array_equal(act[0], np.arange(m)):
         return BracoidReport(False, False, False, (0,))
-    failure = groups.action_failure(act, b.acting.op)
+    failure = groups.action_failure(act, b.acting.group)
     if failure is not None:
         return BracoidReport(False, False, False, failure)
     transitive = len(set(act[:, 0].tolist())) == m
-    T = b.target.op
-    failure = groups.relation_failure(act, T, groups.inverses(T)[act[:, 0]])
+    T = b.target.group
+    failure = groups.relation_failure(act, T, T.inv[act[:, 0]])
     return BracoidReport(True, transitive, failure is None, failure)
 
 
@@ -107,8 +107,7 @@ def bracoid_from_C1(G: FiniteGroup, psi: GroupMap, H: Subgroup,
     if induced is None:
         raise InternalConsistencyError("circle operation ill-defined on cosets")
     label = "o'" if opposite else "o"
-    target = OpTable(induced.T.copy() if opposite else induced, label)
-    target.require_group()
+    target = OpTable(groups.from_table(induced.T.copy() if opposite else induced), label)
     action = cos[G.mul[:, reps]]
     b = Bracoid(braces.table_of(G), target, action,
                 {"construction": "from_C1", "subgroup": list(H.members),
@@ -129,8 +128,7 @@ def bracoid_from_C2(G: FiniteGroup, psi: GroupMap, H: Subgroup,
     if induced is None:
         raise InternalConsistencyError("dot operation ill-defined on cosets")
     label = ".'" if opposite else "."
-    target = OpTable(induced.T.copy() if opposite else induced, label)
-    target.require_group()
+    target = OpTable(groups.from_table(induced.T.copy() if opposite else induced), label)
     action = cos[circ.op[:, reps]]
     if not np.array_equal(cos[circ.op], action[:, cos]):
         raise InternalConsistencyError("action ill-defined on cosets")
@@ -156,20 +154,21 @@ def reduce_bracoid(b: Bracoid) -> Bracoid:
     kernel = tuple(g for g in range(n) if np.array_equal(act[g], identity_row))
     if kernel == (0,):
         return b
-    Gact = groups.from_table(b.acting.op)
+    Gact = b.acting.group
     K = Subgroup(Gact, kernel)
     if not groups.is_normal(Gact, K):
         raise InternalConsistencyError("action kernel is not normal")
     cs = groups.coset_space(Gact, K)
     cos = cs.coset_of
     reps = np.array(cs.representatives, dtype=np.int64)
-    induced = groups.induced_table(b.acting.op, cos, reps)
+    induced = groups.induced_table(Gact.mul, cos, reps)
     if induced is None:
         raise InternalConsistencyError("acting operation ill-defined on kernel cosets")
     # all members of a coset act identically
     if not np.array_equal(act, act[reps[cos]]):
         raise InternalConsistencyError("kernel cosets do not act uniformly")
-    reduced = Bracoid(OpTable(induced, b.acting.label), b.target, act[reps].copy(),
+    acting = OpTable(groups.from_table(induced), b.acting.label)
+    reduced = Bracoid(acting, b.target, act[reps].copy(),
                       {"construction": "reduced", "kernel": list(kernel),
                        "inner": b.provenance})
     return _require_valid(reduced)
@@ -186,7 +185,7 @@ def find_contained_brace(b: Bracoid) -> Subgroup | None:
     (order, members) order.
     """
     m = b.target_order
-    Gact = groups.from_table(b.acting.op)
+    Gact = b.acting.group
 
     def regular(members) -> bool:
         vals = [int(b.action[g, 0]) for g in members]
@@ -223,8 +222,7 @@ def phi_tower_bracoid(G: FiniteGroup, psi: GroupMap, n: int) -> Bracoid:
     for i, mem in enumerate(members):
         pos[mem] = i
     marr = np.array(members, dtype=np.int64)
-    target = OpTable(pos[G.mul[marr[:, None], marr[None, :]]], ".")
-    target.require_group()
+    target = OpTable(groups.from_table(pos[G.mul[marr[:, None], marr[None, :]]]), ".")
     timg = pos[phin]  # x |-> target index of phi^n(x)
     full = timg[G.mul]  # [g, x] -> target index of phi^n(g x)
     action = full[:, np.unique(timg, return_index=True)[1]]

@@ -132,31 +132,35 @@ def verify_group_table(mul: np.ndarray) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def relation_failure(act: np.ndarray, T: np.ndarray, off: np.ndarray) -> tuple | None:
+def relation_failure(act: np.ndarray, group: FiniteGroup, off: np.ndarray) -> tuple | None:
     """First (g, eta, mu) failing  g+(eta mu) = (g+eta) off[g] (g+mu)  for
-    the action `act` on the group table `T`: the brace relation when off is
-    the additive inverse, the bracoid relation when off[g] = (g+e)^-1.  It
+    the action `act` on `group`: the brace relation when off is the
+    additive inverse, the bracoid relation when off[g] = (g+e)^-1.  It
     holds iff each eta -> off[g] (g+eta) is an endomorphism, so mu runs over
-    generators of T to find the first failing g, whose full slice gives the
-    witness."""
+    the group's generating set to find the first failing g, whose full
+    slice gives the witness."""
+    T = group.mul
+
     def bad(g, eta, mu):
         return act[g, T[eta, mu]] != T[T[act[g, eta], off[g]], act[g, mu]]
 
-    g_all, t_all = np.arange(act.shape[0]), np.arange(T.shape[0])
-    hit = sweep(bad, (g_all, t_all, verify_group_table(T)))
+    g_all, t_all = np.arange(act.shape[0]), np.arange(group.order)
+    hit = sweep(bad, (g_all, t_all, group.generating_set()))
     return None if hit is None else sweep(bad, ((hit[0],), t_all, t_all))
 
 
-def action_failure(act: np.ndarray, G: np.ndarray) -> tuple | None:
+def action_failure(act: np.ndarray, group: FiniteGroup) -> tuple | None:
     """First (g, h, eta) failing  (g h)+eta = g+(h+eta)  for the action
-    `act` of the group table `G`.  Checked with h over generators of G
+    `act` of `group`.  Checked with h over the group's generating set
     first; that reduction holds for all g together, not per g, so a
     failure is located by the full sweep."""
+    G = group.mul
+
     def bad(g, h, eta):
         return act[G[g, h], eta] != act[g, act[h, eta]]
 
     g_all, t_all = np.arange(act.shape[0]), np.arange(act.shape[1])
-    if sweep(bad, (g_all, verify_group_table(G), t_all)) is None:
+    if sweep(bad, (g_all, group.generating_set(), t_all)) is None:
         return None
     return sweep(bad, (g_all, g_all, t_all))
 
@@ -196,7 +200,8 @@ class FiniteGroup:
 
     def generating_set(self) -> tuple[int, ...]:
         """`generators`, or for a group built without them the generating
-        set that the group-table check finds, computed once per group."""
+        set that the group-table check finds: kept by `from_table`, and
+        computed once otherwise."""
         if self.generators is not None:
             return self.generators
         cached = getattr(self, "_generating_set", None)
@@ -244,9 +249,10 @@ def int_array(values, what: str) -> np.ndarray:
 
 
 def from_table(mul, names=None, generators=None) -> FiniteGroup:
-    """Build a group from an explicit Cayley table, verifying the axioms."""
+    """Build a group from an explicit Cayley table, verifying the axioms:
+    the one way a table that is not known to be a group becomes one."""
     table = int_array(mul, "multiplication table")
-    verify_group_table(table)
+    found = verify_group_table(table)
     n = table.shape[0]
     if names is None:
         names = tuple(f"a{i}" for i in range(n))
@@ -259,7 +265,9 @@ def from_table(mul, names=None, generators=None) -> FiniteGroup:
             raise PreconditionError("generator index out of range")
         generators = tuple(gens.tolist())
         require_generating(table, generators)
-    return FiniteGroup(table, inverses(table), tuple(names), generators)
+    G = FiniteGroup(table, inverses(table), tuple(names), generators)
+    object.__setattr__(G, "_generating_set", found)
+    return G
 
 
 def _check_order(order: int, order_cap: int) -> None:
@@ -396,11 +404,11 @@ def semidirect(base: FiniteGroup, acting: FiniteGroup, action, *,
     if action.shape != (acting.order, nb) or \
             not (np.sort(action, axis=1) == np.arange(nb)).all():
         raise PreconditionError("action entry is not a permutation of the base")
-    if relation_failure(action, base.mul, np.zeros(acting.order, dtype=np.int64)):
+    if relation_failure(action, base, np.zeros(acting.order, dtype=np.int64)):
         raise PreconditionError("action entry is not an automorphism of the base")
     if not np.array_equal(action[0], np.arange(nb)):
         raise PreconditionError("acting identity must act trivially")
-    if action_failure(action, acting.mul):
+    if action_failure(action, acting):
         raise PreconditionError("action is not a homomorphism from the acting group")
     g = np.arange(nb * acting.order)
     b, a = g % nb, g // nb

@@ -65,8 +65,8 @@ def _brace_tables(G: FiniteGroup, psi: GroupMap) -> dict:
     entry of FAMILIES the orbit roots of h -> f_g(h), g in G ("roots"),
     found as one partition of six disjoint copies of G."""
     dot, inv, n = G.mul, G.inv, G.order
-    circ = braces.circle_table(G, psi).op
-    cinv = groups.inverses(circ)
+    circle = braces.circle_table(G, psi).group
+    circ, cinv = circle.mul, circle.inv
     perms = (lambda g: circ[circ[g], cinv[g][:, None]],
              lambda g: circ[cinv[g][:, None], dot[g]],
              lambda g: circ[dot[g], cinv[g][:, None]],

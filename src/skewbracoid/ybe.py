@@ -136,7 +136,7 @@ def _certified(s: YbeSolution) -> bool:
         if not bracoids.verify_bracoid(b).ok:
             return False
         r = build_ybe_from_contained_brace(b, K)
-    except PreconditionError:  # e.g. a table that is not a group
+    except PreconditionError:  # e.g. K is not a subgroup acting regularly
         return False
     return np.array_equal(r.lam, s.lam) and np.array_equal(r.rho, s.rho)
 
@@ -283,8 +283,8 @@ def build_ybe_from_contained_brace(b: Bracoid, K) -> YbeSolution:
         if ident[t] >= 0:
             raise PreconditionError("K does not act freely on the target")
         ident[t] = k
-    tinv = groups.inverses(T)
-    ginv = groups.inverses(G)
+    tinv = b.target.group.inv
+    ginv = b.acting.group.inv
     e_col = act[:, 0]
     inner = act[np.arange(n)[:, None], e_col[None, :]]      # x + (y + e)
     lam = ident[T[tinv[e_col][:, None], inner]]

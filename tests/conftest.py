@@ -100,11 +100,11 @@ def semidirect_oracle(base: FiniteGroup, acting: FiniteGroup, action) -> FiniteG
         if sorted(a.tolist()) != list(range(nb)):
             raise PreconditionError("action entry is not a permutation of the base")
     action = np.array(action)
-    if relation_failure(action, base.mul, np.zeros(acting.order, dtype=np.int64)):
+    if relation_failure(action, base, np.zeros(acting.order, dtype=np.int64)):
         raise PreconditionError("action entry is not an automorphism of the base")
     if not np.array_equal(action[0], np.arange(nb)):
         raise PreconditionError("acting identity must act trivially")
-    if action_failure(action, acting.mul):
+    if action_failure(action, acting):
         raise PreconditionError("action is not a homomorphism from the acting group")
     total = nb * acting.order
     mul = np.empty((total, total), dtype=np.int64)

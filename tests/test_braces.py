@@ -73,7 +73,7 @@ def test_verify_brace_failure_witness_matches_oracle():
         bad[g, k1], bad[g, k2] = M[g, k2], M[g, k1]
         want = brace_oracle(dot.op, bad)
         assert want is not None and want[0] == g
-        assert braces.verify_brace(dot, braces.OpTable(bad, "x")).failure == want
+        assert groups.relation_failure(bad, G, G.inv) == want
 
 
 def test_make_brace_and_braces_from_map():
@@ -83,8 +83,8 @@ def test_make_brace_and_braces_from_map():
     assert right.additive.label == "o" and right.multiplicative.label == "."
     bad = np.array(G.mul)
     bad[1, 1] = 0  # breaks the Latin property
-    with pytest.raises(PreconditionError):
-        braces.make_brace(braces.OpTable(bad, "."), left.multiplicative)
+    with pytest.raises(PreconditionError):  # so it never becomes a table
+        groups.from_table(bad)
 
 
 def test_gamma_family_values_and_failure():
@@ -95,14 +95,14 @@ def test_gamma_family_values_and_failure():
     for g in range(8):
         for h in range(8):
             assert gamma[g, h] == G.op(G.inverse(g), int(circ[g, h]))
-    # gamma of a non-brace pair must be rejected
-    klein = groups.direct_product(groups.cyclic(2), groups.cyclic(2))
-    mismatch = braces.SkewBrace(braces.table_of(groups.cyclic(4)),
-                                braces.table_of(klein))
+    # gamma of a pair of groups that is not a brace must be rejected: C4,
+    # and C4 with the indices 1 and 2 swapped
+    C4, pi = groups.cyclic(4), np.array([0, 2, 1, 3])
+    pair = braces.SkewBrace(braces.table_of(C4),
+                            braces.table_of(groups.from_table(pi[C4.mul[pi][:, pi]]), "x"))
+    assert not braces.verify_brace(pair.additive, pair.multiplicative).holds
     with pytest.raises(PreconditionError):
-        braces.gamma_family(braces.SkewBrace(
-            braces.table_of(G), braces.OpTable(np.array(G.mul[::-1]), "x")))
-    del mismatch
+        braces.gamma_family(pair)
 
 
 def test_brace_block_depths_and_pairwise_relation():

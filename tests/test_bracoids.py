@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from skewbracoid import braces, bracoids, groups, maps
+from skewbracoid import braces, bracoids, groups, maps, ybe
 from skewbracoid.errors import PreconditionError
 
 from conftest import action_oracle, bracoid_oracle
@@ -126,3 +126,85 @@ def test_tower_action_is_phi_of_product():
     for g in range(8):
         for x in range(8):
             assert b.action[g, pos[int(phin[x])]] == pos[int(phin[G.op(g, x)])]
+
+
+def relabeled(G, seed):
+    """G rebuilt from its table alone, without generators, relabeled by a
+    seeded permutation pi that fixes 0; with pi and its inverse."""
+    pi = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(G.order - 1)])
+    back = np.argsort(pi)
+    R = groups.build_group({"kind": "table", "mul": pi[G.mul[back][:, back]].tolist()})
+    assert R.generators is None
+    return R, pi, back
+
+
+def outcome(build, *args):
+    """The bracoid report and the C1/C2 flag that build(*args) records, or
+    None if the subgroup does not meet the route's condition."""
+    try:
+        b = build(*args)
+    except PreconditionError:
+        return None
+    flags = {k: v for k, v in b.provenance.items() if k in ("C1", "C2")}
+    return bracoids.verify_bracoid(b).to_jsonable(), flags
+
+
+def opposite_verdict(brace):
+    """Whether the opposites of a brace's two tables form a brace."""
+    return braces.verify_brace(braces.opposite_table(brace.additive),
+                               braces.opposite_table(brace.multiplicative)).holds
+
+
+@pytest.mark.parametrize("build, seed", [(lambda: groups.dihedral(4), 4),
+                                         (lambda: groups.symmetric(3), 3)],
+                         ids=["D4", "S3"])
+def test_constructions_survive_relabeling(build, seed):
+    """Abelian maps, braces, C1/C2 bracoids and idempotent YBE solutions map
+    across a relabeling; the relabeled group's kernels run on the generating
+    set that from_table finds, not on declared generators."""
+    G = build()
+    R, pi, back = relabeled(G, seed)
+
+    def carry(table):  # a table on G's elements, moved to R's
+        return pi[table[back][:, back]]
+
+    psis = maps.enumerate_abelian_maps(G)
+    assert sorted(f.image_of.tolist() for f in maps.enumerate_abelian_maps(R)) == \
+        sorted(pi[f.image_of[back]].tolist() for f in psis)
+    subgroups = groups.enumerate_subgroups(G)
+    for psi in psis:
+        psi_r = maps.make_map(R, R, pi[psi.image_of[back]].tolist())
+        # both braces hold in each labelling, with the carried tables
+        for brace, brace_r in zip(braces.braces_from_map(G, psi),
+                                  braces.braces_from_map(R, psi_r)):
+            assert np.array_equal(brace_r.additive.op, carry(brace.additive.op))
+            assert np.array_equal(brace_r.multiplicative.op, carry(brace.multiplicative.op))
+        for H in subgroups:
+            H_r = groups.Subgroup(R, tuple(pi[list(H.members)].tolist()))
+            for route in (bracoids.bracoid_from_C1, bracoids.bracoid_from_C2):
+                assert outcome(route, G, psi, H) == outcome(route, R, psi_r, H_r)
+        if psi.idempotent:
+            sol, sol_r = ybe.build_ybe_idempotent(G, psi), ybe.build_ybe_idempotent(R, psi_r)
+            assert np.array_equal(sol_r.lam, carry(sol.lam))
+            assert np.array_equal(sol_r.rho, carry(sol.rho))
+            rep, rep_r = ybe.verify_ybe(sol), ybe.verify_ybe(sol_r)
+            assert rep_r.method == rep.method == "bracoid" and rep_r.holds
+            nd, nd_r = rep.nondegeneracy, rep_r.nondegeneracy
+            assert (nd_r.left, nd_r.right) == (nd.left, nd.right)
+            assert nd_r.witnesses.keys() == nd.witnesses.keys()
+            for key, row in nd_r.witnesses.items():  # the preimage row is not a permutation
+                table = sol.lam if key == "left_x" else sol.rho
+                assert sorted(table[back[row]].tolist()) != list(range(G.order))
+
+
+def test_opposite_brace_verdicts_survive_relabeling():
+    """On the order-12 dihedral group the opposite pair (.', o') fails for
+    24 of the 40 abelian maps; the verdict of each maps across."""
+    G = groups.dihedral(6)
+    R, pi, back = relabeled(G, 6)
+    verdicts = []
+    for psi in maps.enumerate_abelian_maps(G):
+        psi_r = maps.make_map(R, R, pi[psi.image_of[back]].tolist())
+        verdicts.append(opposite_verdict(braces.braces_from_map(G, psi)[0]))
+        assert opposite_verdict(braces.braces_from_map(R, psi_r)[0]) == verdicts[-1]
+    assert verdicts.count(False) == 24 and len(verdicts) == 40

@@ -190,8 +190,7 @@ def assert_certified(sol, swept=None):
 
 
 def regular_subgroups(b):
-    A = groups.from_table(b.acting.op)
-    return [K for K in groups.enumerate_subgroups(A)
+    return [K for K in groups.enumerate_subgroups(b.acting.group)
             if K.order == b.target_order
             and len(set(b.action[list(K.members), 0].tolist())) == K.order]
 
@@ -271,11 +270,13 @@ def test_certificate_rejects_a_source_with_other_tables():
     assert rep.method == "sweep" and not rep.holds
     assert rep.witness == braid_oracle(bad)
     assert rep.to_jsonable() == ybe.verify_ybe(sol.with_tables(lam=lam)).to_jsonable()
-    # a source whose tables are not group tables is not a certificate
+    # a table that is not a group never becomes a source's acting table,
+    # and a source acting through another group is not a certificate
+    with pytest.raises(PreconditionError):
+        groups.from_table(np.zeros((8, 8), dtype=np.int64))
     b, K = sol.source
-    broken = bracoids.Bracoid(braces.OpTable(np.zeros((8, 8), dtype=np.int64), "."),
-                              b.target, b.action, {})
-    rep = ybe.verify_ybe(ybe.YbeSolution(sol.lam, sol.rho, {}, (broken, K)))
+    other = bracoids.Bracoid(braces.table_of(groups.cyclic(8)), b.target, b.action, {})
+    rep = ybe.verify_ybe(ybe.YbeSolution(sol.lam, sol.rho, {}, (other, K)))
     assert rep.method == "sweep" and rep.holds
 
 
@@ -300,6 +301,44 @@ def test_source_holds_no_reference_cycle():
         assert [r() for r in refs] == [None, None, None]
     finally:
         gc.enable()
+
+
+def spy(monkeypatch, name):
+    """The list that each call of groups.<name> appends one entry to."""
+    calls, real = [], getattr(groups, name)
+    monkeypatch.setattr(groups, name, lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+def test_each_table_is_checked_once_where_it_is_made(monkeypatch):
+    G1, G2 = groups.cyclic(4), groups.symmetric(3)
+    alpha = maps.make_map(G1, G2, {"g": "102"})
+    beta = maps.make_map(G2, G1, {"102": "g^2", "120": "e"})
+    G, psi = d4_setup()
+    idempotent = [f for f in maps.enumerate_abelian_maps(G) if f.idempotent]
+    bs = []
+    for H in groups.enumerate_subgroups(G):
+        for build in (bracoids.bracoid_from_C1, bracoids.bracoid_from_C2):
+            try:
+                bs.append(build(G, psi, H))
+            except PreconditionError:
+                continue
+    checks = spy(monkeypatch, "verify_group_table")
+    # the circle table and the C2 target; the certificate checks none
+    sol = ybe.build_ybe_product(G1, G2, alpha, beta)
+    assert len(checks) == 2
+    assert ybe.verify_ybe(sol).method == "bracoid" and len(checks) == 2
+    # the phi-tower target
+    assert len(idempotent) == 9
+    for f in idempotent:
+        checks.clear()
+        assert ybe.verify_ybe(ybe.build_ybe_idempotent(G, f)).method == "bracoid"
+        assert len(checks) == 1
+    # the regular subgroup is a subgroup of the acting group itself
+    made = spy(monkeypatch, "from_table")
+    found = [(b, K) for b in bs if (K := bracoids.find_contained_brace(b)) is not None]
+    assert not made and len(found) > 1
+    assert all(K.parent is b.acting.group for b, K in found)
 
 
 def test_certificate_at_order_512():

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import groups, maps
 from .errors import InternalConsistencyError, PreconditionError
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup
 from .maps import GroupMap
 
 BRACE_BLOCK_BOUND = 8
@@ -45,8 +45,7 @@ def table_of(G: FiniteGroup, label: str = ".") -> OpTable:
 
 def circle_table(G: FiniteGroup, psi: GroupMap, label: str = "o") -> OpTable:
     """Group table of g o h = g psi(g^-1) h psi(g)."""
-    if not (psi.is_endomorphism() and psi.abelian_image):
-        raise PreconditionError("circle operation requires psi in Ab(G)")
+    maps.require_abelian_endomorphism(psi)
     n = G.order
     im = psi.image_of
     left = G.mul[np.arange(n), im[G.inv]]  # g psi(g^-1)
@@ -159,19 +158,17 @@ def brace_block(psi: GroupMap, N: int) -> list[OpTable]:
 def quotient_brace(brace: SkewBrace, H) -> SkewBrace:
     """Both operations pushed down to the coset space of H.
 
-    H is a member tuple or Subgroup whose underlying set must be an ideal of
-    the brace; ill-definedness of either induced operation is reported as a
-    precondition failure.
+    H is a member tuple or Subgroup that must be a subgroup of the additive
+    group whose cosets both operations are well-defined on (an ideal of the
+    brace); either failure is a precondition failure.
     """
-    members = tuple(H.members) if isinstance(H, Subgroup) else tuple(sorted(set(H)))
-    cosets = groups.left_cosets(brace.additive.op, members)
-    if cosets is None:
-        raise PreconditionError("H does not partition the carrier into cosets")
+    cs = groups.coset_space(brace.additive.group,
+                            groups.as_subgroup(brace.additive.group, H))
     quotients = []
     for t in (brace.additive, brace.multiplicative):
-        induced = groups.induced_table(t.op, *cosets)
-        if induced is None:
+        quotient = cs.quotient(t.op)
+        if quotient is None:
             raise PreconditionError(
                 f"operation {t.label!r} is not well-defined on the cosets of H")
-        quotients.append(OpTable(groups.from_table(induced), t.label))
+        quotients.append(OpTable(quotient, t.label))
     return make_brace(quotients[0], quotients[1], brace.psi_provenance)

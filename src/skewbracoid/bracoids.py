@@ -96,20 +96,12 @@ def bracoid_from_C1(G: FiniteGroup, psi: GroupMap, H: Subgroup,
         raise PreconditionError("C1 fails: [G, phi(H)] is not contained in H")
     circ = braces.circle_table(G, psi)
     cs = groups.coset_space(G, H)
-    cos = cs.coset_of
-    reps = np.array(cs.representatives, dtype=np.int64)
-    members = np.array(H.members, dtype=np.int64)
-    # the o-cosets must coincide with the .-cosets
-    if not np.array_equal(cos[circ.op[:, members]],
-                          np.repeat(cos[:, None], len(members), axis=1)):
-        raise InternalConsistencyError("y o H differs from yH")
-    induced = groups.induced_table(circ.op, cos, reps)
-    if induced is None:
+    # o well-defined on the cosets gives y o H = (y o e)H = yH
+    target = cs.quotient(circ.op.T if opposite else circ.op)
+    if target is None:
         raise InternalConsistencyError("circle operation ill-defined on cosets")
-    label = "o'" if opposite else "o"
-    target = OpTable(groups.from_table(induced.T.copy() if opposite else induced), label)
-    action = cos[G.mul[:, reps]]
-    b = Bracoid(braces.table_of(G), target, action,
+    action = cs.coset_of[G.mul[:, cs.representatives]]
+    b = Bracoid(braces.table_of(G), OpTable(target, "o'" if opposite else "o"), action,
                 {"construction": "from_C1", "subgroup": list(H.members),
                  "opposite": opposite, "C2": groups.is_normal(G, H)})
     return _require_valid(b)
@@ -123,13 +115,10 @@ def bracoid_from_C2(G: FiniteGroup, psi: GroupMap, H: Subgroup,
     circ = braces.circle_table(G, psi)
     cs = groups.coset_space(G, H)
     cos = cs.coset_of
-    reps = np.array(cs.representatives, dtype=np.int64)
-    induced = groups.induced_table(G.mul, cos, reps)
-    if induced is None:
+    target = cs.quotient(G.mul.T if opposite else G.mul)
+    if target is None:
         raise InternalConsistencyError("dot operation ill-defined on cosets")
-    label = ".'" if opposite else "."
-    target = OpTable(groups.from_table(induced.T.copy() if opposite else induced), label)
-    action = cos[circ.op[:, reps]]
+    action = cos[circ.op[:, cs.representatives]]
     if not np.array_equal(cos[circ.op], action[:, cos]):
         raise InternalConsistencyError("action ill-defined on cosets")
     phiH = maps.phi_of(psi).image_of[list(H.members)]
@@ -141,7 +130,7 @@ def bracoid_from_C2(G: FiniteGroup, psi: GroupMap, H: Subgroup,
             if set(H.members) == set(groups.factor_embedding(G, k)):
                 provenance["contained_candidates"] = [
                     groups.factor_embedding(G, 1 - k)]
-    b = Bracoid(circ, target, action, provenance)
+    b = Bracoid(circ, OpTable(target, ".'" if opposite else "."), action, provenance)
     return _require_valid(b)
 
 
@@ -159,15 +148,14 @@ def reduce_bracoid(b: Bracoid) -> Bracoid:
     if not groups.is_normal(Gact, K):
         raise InternalConsistencyError("action kernel is not normal")
     cs = groups.coset_space(Gact, K)
-    cos = cs.coset_of
-    reps = np.array(cs.representatives, dtype=np.int64)
-    induced = groups.induced_table(Gact.mul, cos, reps)
-    if induced is None:
+    quotient = cs.quotient(Gact.mul)
+    if quotient is None:
         raise InternalConsistencyError("acting operation ill-defined on kernel cosets")
+    reps = cs.representatives
     # all members of a coset act identically
-    if not np.array_equal(act, act[reps[cos]]):
+    if not np.array_equal(act, act[reps[cs.coset_of]]):
         raise InternalConsistencyError("kernel cosets do not act uniformly")
-    acting = OpTable(groups.from_table(induced), b.acting.label)
+    acting = OpTable(quotient, b.acting.label)
     reduced = Bracoid(acting, b.target, act[reps].copy(),
                       {"construction": "reduced", "kernel": list(kernel),
                        "inner": b.provenance})

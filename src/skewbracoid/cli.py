@@ -117,19 +117,21 @@ def _cmd_bracoid_build(args) -> int:
     G, psi = _group_and_map(args)
     via = args.via
     if via.startswith("tower:"):
-        try:
-            n = int(via.split(":", 1)[1])
-        except ValueError:
-            raise PreconditionError("tower index must be an integer") from None
+        index = via.split(":", 1)[1]
+        if not (index.isascii() and index.isdigit()):  # int() takes "1_0", " 2"
+            raise PreconditionError(f"tower index {index!r} is not a non-negative integer")
+        n = int(index)
         if args.opposite:
             raise PreconditionError("--opposite does not apply to the tower")
         b = bracoids.phi_tower_bracoid(G, psi, n)
-    else:
+    elif via in ("C1", "C2"):
         if args.subgroup is None:
             raise PreconditionError(f"--via {via} requires --subgroup")
         H = _parse_subgroup(G, args.subgroup)
         build = bracoids.bracoid_from_C1 if via == "C1" else bracoids.bracoid_from_C2
         b = build(G, psi, H, opposite=args.opposite)
+    else:
+        raise PreconditionError(f"unknown --via {via!r}: expected C1, C2 or tower:n")
     if args.reduce:
         b = bracoids.reduce_bracoid(b)
     _emit({"bracoid": b, "report": bracoids.verify_bracoid(b)}, args)

@@ -3,7 +3,9 @@
 Every group lives on the index set ``0..order-1`` with the identity fixed at
 index 0.  Multiplication is a dense ``order x order`` table, so every
 relation check is a failure predicate over index arrays, decided exactly by
-the one ``sweep`` kernel.
+the one ``sweep`` kernel.  Every quotient (bracoid targets, kernel and
+brace quotients, G/[G, G]) is one ``CosetSpace.quotient``: an operation
+pushed down to the left cosets of a subgroup and checked well-defined there.
 
 Element ordering is construction-defined and stable:
 
@@ -541,6 +543,14 @@ def subgroup_generated(G: FiniteGroup, gens) -> Subgroup:
     return Subgroup(G, closure(G, gens))
 
 
+def as_subgroup(G: FiniteGroup, H) -> Subgroup:
+    """H, a Subgroup of G or a collection of element indices, as a checked
+    Subgroup of G."""
+    if isinstance(H, Subgroup) and H.parent is G:
+        return H
+    return Subgroup(G, tuple(H.members if isinstance(H, Subgroup) else H))
+
+
 def _known_subgroup(G: FiniteGroup, members: tuple[int, ...]) -> Subgroup:
     """The Subgroup of `members`, sorted and checked once already, built
     without checking them again."""
@@ -750,44 +760,39 @@ def commutator_condition(G: FiniteGroup, S, H: Subgroup) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class CosetSpace:
+    """Left cosets gH, numbered in index order of their least members."""
+
     parent: FiniteGroup
     subgroup: Subgroup
     coset_of: np.ndarray
-    representatives: tuple[int, ...]
+    representatives: np.ndarray
 
     @property
     def size(self) -> int:
         return len(self.representatives)
 
-
-def left_cosets(mul: np.ndarray, members):
-    """(coset number of every element, minimal representatives) of the left
-    cosets g*members, in index order; None unless they partition the carrier."""
-    members = np.asarray(members, dtype=np.int64)
-    coset_of = np.full(mul.shape[0], -1, dtype=np.int64)
-    reps: list[int] = []
-    for g in range(mul.shape[0]):
-        if coset_of[g] < 0:
-            coset_of[mul[g, members]] = len(reps)
-            reps.append(g)
-    if len(reps) * len(members) != mul.shape[0]:
-        return None
-    coset_of.setflags(write=False)
-    return coset_of, tuple(reps)
-
-
-def induced_table(op: np.ndarray, coset_of: np.ndarray, reps) -> np.ndarray | None:
-    """The table `op` induces on the cosets, or None if it is ill-defined."""
-    reps = np.asarray(reps, dtype=np.int64)
-    induced = coset_of[op[reps[:, None], reps[None, :]]]
-    if not np.array_equal(coset_of[op], induced[coset_of[:, None], coset_of[None, :]]):
-        return None
-    return induced
+    def quotient(self, op: np.ndarray) -> FiniteGroup | None:
+        """The group that the table `op` on the parent's elements induces on
+        the cosets, or None if `op` is not well-defined on them."""
+        cos, reps = self.coset_of, self.representatives
+        induced = cos[op[reps[:, None], reps]]
+        if not np.array_equal(cos[op], induced[cos[:, None], cos]):
+            return None
+        return from_table(induced)
 
 
 def coset_space(G: FiniteGroup, H: Subgroup) -> CosetSpace:
     """Left cosets gH with minimal-index representatives, in index order."""
-    cosets = left_cosets(G.mul, H.members)
-    if cosets is None:
+    members = np.asarray(H.members, dtype=np.int64)
+    coset_of = np.full(G.order, -1, dtype=np.int64)
+    reps = []
+    for g in range(G.order):
+        if coset_of[g] < 0:
+            coset_of[G.mul[g, members]] = len(reps)
+            reps.append(g)
+    if len(reps) * H.order != G.order:
         raise InternalConsistencyError("cosets do not partition the group")
-    return CosetSpace(G, H, *cosets)
+    reps = np.array(reps, dtype=np.int64)
+    coset_of.setflags(write=False)
+    reps.setflags(write=False)
+    return CosetSpace(G, H, coset_of, reps)

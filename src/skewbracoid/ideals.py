@@ -87,8 +87,7 @@ def classify_subgroup(G: FiniteGroup, psi: GroupMap, H: Subgroup,
     table of `o`, phi and the orbit roots."""
     if H.parent is not G:
         raise PreconditionError("subgroup does not belong to the given group")
-    if not (psi.is_endomorphism() and psi.abelian_image):
-        raise PreconditionError("psi must be an abelian endomorphism")
+    maps.require_abelian_endomorphism(psi)
     tables = tables or _brace_tables(G, psi)
     mask, members = H.member_mask(), np.asarray(H.members)
     C1 = groups.commutator_condition(G, tables["phi"][members], H)

@@ -81,6 +81,24 @@ class GroupMap:
                 f"abelian_image={self.abelian_image})")
 
 
+def require_abelian_endomorphism(psi: GroupMap) -> None:
+    """Raise PreconditionError unless psi is an endomorphism with abelian image."""
+    if not (psi.is_endomorphism() and psi.abelian_image):
+        raise PreconditionError("psi must be an abelian endomorphism")
+
+
+def _abelian_map(G: FiniteGroup, Gp: FiniteGroup, img, provenance: str) -> GroupMap:
+    """The GroupMap G -> Gp of `img`, which the theory says is an abelian
+    map; InternalConsistencyError if it is not."""
+    try:
+        f = GroupMap(G, Gp, img, provenance=provenance)
+    except PreconditionError as exc:
+        raise InternalConsistencyError(f"{provenance} map is not a homomorphism") from exc
+    if not f.abelian_image:
+        raise InternalConsistencyError(f"{provenance} map does not have abelian image")
+    return f
+
+
 def trivial_map(G: FiniteGroup, Gp: FiniteGroup | None = None) -> GroupMap:
     Gp = Gp or G
     return GroupMap(G, Gp, np.zeros(G.order, dtype=np.int64), provenance="trivial")
@@ -159,35 +177,29 @@ def enumerate_abelian_maps(G: FiniteGroup, Gp: FiniteGroup | None = None, *,
     groups.require_generating(G.mul, gens)
     derived = groups.derived_subgroup(G)
     if len(derived) == 1:
-        coset_of, quotient = np.arange(G.order), G.mul
+        coset_of, quotient = np.arange(G.order), G
     else:
-        coset_of, reps = groups.left_cosets(G.mul, derived)
-        quotient = groups.induced_table(G.mul, coset_of, reps)
+        cs = groups.coset_space(G, groups.Subgroup(G, derived))
+        coset_of, quotient = cs.coset_of, cs.quotient(G.mul)
         if quotient is None:
             raise InternalConsistencyError("derived subgroup is not normal")
     qgens = [int(coset_of[x]) for x in gens]
-    orders = groups.element_orders(quotient)[qgens].tolist()
+    orders = groups.element_orders(quotient.mul)[qgens].tolist()
     # y^d = e iff the order of y divides d
     target_orders = groups.element_orders(Gp.mul)
     candidates = [np.flatnonzero(d % target_orders == 0) for d in orders]
-    if math.prod(len(c) for c in candidates) > candidate_cap:
-        raise WorkLimitError("abelian map search space exceeds candidate cap")
+    space = math.prod(len(c) for c in candidates)
+    if space > candidate_cap:
+        raise WorkLimitError(f"abelian map search space exceeds candidate cap: "
+                             f"{space} candidate assignments > cap {candidate_cap}")
 
     out = []
     for chosen in _commuting_choices(Gp.mul, candidates,
                                      np.ones(Gp.order, dtype=bool)):
-        img = _extend_generator_images(quotient, Gp.mul, qgens, chosen)
+        img = _extend_generator_images(quotient.mul, Gp.mul, qgens, chosen)
         if img is None:
             continue
-        try:
-            f = GroupMap(G, Gp, img[coset_of], provenance="enumerated")
-        except PreconditionError as exc:
-            raise InternalConsistencyError(
-                "an extension over G/[G, G] is not a homomorphism") from exc
-        if not f.abelian_image:
-            raise InternalConsistencyError(
-                "an extension over G/[G, G] does not have abelian image")
-        out.append(f)
+        out.append(_abelian_map(G, Gp, img[coset_of], "enumerated"))
     return out
 
 
@@ -253,16 +265,12 @@ class PhiMap:
     def __call__(self, g: int) -> int:
         return int(self.image_of[g])
 
-    def image_members(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.image_of.tolist())))
-
     def image_subgroup(self) -> Subgroup:
-        return Subgroup(self.psi.domain, self.image_members())
+        return Subgroup(self.psi.domain, tuple(self.image_of.tolist()))
 
 
 def phi_of(psi: GroupMap) -> PhiMap:
-    if not (psi.is_endomorphism() and psi.abelian_image):
-        raise PreconditionError("phi requires an abelian endomorphism")
+    require_abelian_endomorphism(psi)
     G = psi.domain
     n = G.order
     im = psi.image_of
@@ -280,18 +288,20 @@ def phi_of(psi: GroupMap) -> PhiMap:
 
 
 def phi_power(psi: GroupMap, n: int) -> np.ndarray:
-    """Image array of phi composed with itself n times (n = 0 is identity)."""
-    phi = phi_of(psi).image_of
+    """Image array of phi composed with itself n times (n = 0 is identity),
+    by repeated squaring: about 2 log2(n) compositions."""
+    power = phi_of(psi).image_of  # phi^(2^k) at bit k of n
     out = np.arange(psi.domain.order)
-    for _ in range(n):
-        out = phi[out]
+    while n > 0:
+        if n & 1:
+            out = power[out]
+        power, n = power[power], n >> 1
     return out
 
 
 def psi_iterate(psi: GroupMap, n: int) -> GroupMap:
     """The n-th iterated map: psi_0 trivial, psi_n(g) = psi(g) psi_{n-1}(phi(g))."""
-    if not (psi.is_endomorphism() and psi.abelian_image):
-        raise PreconditionError("psi_n requires an abelian endomorphism")
+    require_abelian_endomorphism(psi)
     if n < 0 or n > PSI_ITERATE_BOUND:
         raise PreconditionError(f"iteration index must lie in 0..{PSI_ITERATE_BOUND}")
     G = psi.domain
@@ -299,34 +309,15 @@ def psi_iterate(psi: GroupMap, n: int) -> GroupMap:
     current = np.zeros(G.order, dtype=np.int64)
     for _ in range(n):
         current = G.mul[psi.image_of, current[phi]]
-    try:
-        out = GroupMap(G, G, current, provenance=f"psi_{n}")
-    except PreconditionError as exc:
-        raise InternalConsistencyError("psi_n is not a homomorphism") from exc
-    if not out.abelian_image:
-        raise InternalConsistencyError("psi_n does not have abelian image")
-    return out
+    return _abelian_map(G, G, current, f"psi_{n}")
 
 
 def product_swap_map(alpha: GroupMap, beta: GroupMap) -> GroupMap:
-    """psi(g1, g2) = (beta(g2), alpha(g1)) on the direct product G1 x G2."""
-    if not (alpha.abelian_image and beta.abelian_image):
-        raise PreconditionError("both inputs must be abelian maps")
-    G1, G2 = alpha.domain, alpha.codomain
-    if beta.domain is not G2 or beta.codomain is not G1:
-        if beta.domain.order != G2.order or beta.codomain.order != G1.order or \
-                not np.array_equal(beta.domain.mul, G2.mul) or \
-                not np.array_equal(beta.codomain.mul, G1.mul):
-            raise PreconditionError("alpha and beta domains/codomains do not pair up")
-    G = groups.direct_product(G1, G2)
-    n1 = G1.order
-    idx = np.arange(G.order)
-    g1, g2 = idx % n1, idx // n1
-    img = beta.image_of[g2] + n1 * alpha.image_of[g1]
-    out = GroupMap(G, G, img, provenance="product_swap")
-    if not out.abelian_image:
-        raise InternalConsistencyError("product-swap map lost the abelian image")
-    return out
+    """psi(g1, g2) = (beta(g2), alpha(g1)) on the direct product G1 x G2:
+    the cyclic chain of alpha and beta."""
+    psi = cyclic_chain_map([alpha, beta])
+    psi.provenance = "product_swap"
+    return psi
 
 
 def cyclic_chain_map(maps: list[GroupMap]) -> GroupMap:
@@ -335,9 +326,7 @@ def cyclic_chain_map(maps: list[GroupMap]) -> GroupMap:
     if n < 2:
         raise PreconditionError("need at least two maps in the chain")
     for i, m in enumerate(maps):
-        nxt = maps[(i + 1) % n]
-        if m.codomain.order != nxt.domain.order or \
-                not np.array_equal(m.codomain.mul, nxt.domain.mul):
+        if not np.array_equal(m.codomain.mul, maps[(i + 1) % n].domain.mul):
             raise PreconditionError("codomain/domain chain does not close cyclically")
         if not m.abelian_image:
             raise PreconditionError("chain entries must be abelian maps")
@@ -349,10 +338,7 @@ def cyclic_chain_map(maps: list[GroupMap]) -> GroupMap:
         # coordinate i goes through alpha_i into slot i + 1
         img += weights[(i + 1) % n] * m.image_of[rem % orders[i]]
         rem //= orders[i]
-    psi = GroupMap(G, G, img, provenance="cyclic_chain")
-    if not psi.abelian_image:
-        raise InternalConsistencyError("cyclic chain map lost the abelian image")
-    return psi
+    return _abelian_map(G, G, img, "cyclic_chain")
 
 
 def left_regular_map(A: FiniteGroup) -> GroupMap:
@@ -365,9 +351,6 @@ def left_regular_map(A: FiniteGroup) -> GroupMap:
     index = {p: i for i, p in enumerate(groups.symmetric_perms(A.order))}
     img = np.array([index[tuple(int(x) for x in A.mul[a])] for a in range(A.order)],
                    dtype=np.int64)
-    out = GroupMap(A, S, img, provenance="left_regular")
     if len(set(img.tolist())) != A.order:
         raise InternalConsistencyError("left regular representation not injective")
-    if not out.abelian_image:
-        raise InternalConsistencyError("left regular image not abelian")
-    return out
+    return _abelian_map(A, S, img, "left_regular")

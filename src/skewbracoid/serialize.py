@@ -43,7 +43,7 @@ def to_jsonable(value):
         return {"members": list(value.members), "order": value.order}
     if isinstance(value, CosetSpace):
         return {"coset_of": value.coset_of.tolist(),
-                "representatives": list(value.representatives)}
+                "representatives": value.representatives.tolist()}
     if isinstance(value, GroupMap):
         return {
             "image_array": value.image_of.tolist(),

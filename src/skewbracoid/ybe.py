@@ -160,8 +160,7 @@ def _contained_source(build) -> tuple | None:
 def build_ybe_idempotent(G: FiniteGroup, psi: GroupMap) -> YbeSolution:
     """R(x,y) = (psi(x) phi(y) psi(x^-1),  psi(x) phi(y)^-1 phi(x^-1)^-1 y)
     for an idempotent abelian endomorphism psi."""
-    if not (psi.is_endomorphism() and psi.abelian_image):
-        raise PreconditionError("psi must be an abelian endomorphism")
+    maps.require_abelian_endomorphism(psi)
     if not psi.idempotent:
         raise PreconditionError("psi must be idempotent")
     n = G.order
@@ -266,19 +265,15 @@ def build_ybe_from_contained_brace(b: Bracoid, K) -> YbeSolution:
 
     where ident sends a target element to the unique k in K with k+e = it.
     """
-    members = tuple(K.members) if isinstance(K, Subgroup) else tuple(sorted(set(K)))
+    K = groups.as_subgroup(b.acting.group, K)
     act = b.action
     G = b.acting.op
     T = b.target.op
     n, m = b.acting_order, b.target_order
-    karr = np.array(members, dtype=np.int64)
-    if 0 not in members or karr.min() < 0 or karr.max() >= n or \
-            not np.isin(G[karr[:, None], karr[None, :]], karr).all():
-        raise PreconditionError("K is not a subgroup of the acting group")
-    if len(members) != m:
+    if K.order != m:
         raise PreconditionError("K cannot act regularly: |K| differs from the target order")
     ident = np.full(m, -1, dtype=np.int64)
-    for k in members:
+    for k in K.members:
         t = int(act[k, 0])
         if ident[t] >= 0:
             raise PreconditionError("K does not act freely on the target")
@@ -291,5 +286,5 @@ def build_ybe_from_contained_brace(b: Bracoid, K) -> YbeSolution:
     r1 = G[ginv[lam], np.arange(n)[:, None]]                # lam^-1 x
     rho_xy = G[r1, np.arange(n)[None, :]]                   # ... y
     return YbeSolution(lam, rho_xy.T.copy(),
-                       {"construction": "contained_brace", "K": list(members),
+                       {"construction": "contained_brace", "K": list(K.members),
                         "inner": b.provenance}, (b, K))

@@ -130,3 +130,12 @@ def test_quotient_brace_rejects_bad_subset():
     brace, _ = braces.braces_from_map(G, psi)
     with pytest.raises(PreconditionError):
         braces.quotient_brace(brace, (0, 1))  # not even a subgroup
+
+
+def test_quotient_brace_rejects_subgroup_where_circle_is_ill_defined():
+    # <r^3> is the centre of D6, so . is well-defined on its cosets; o is not
+    G = groups.dihedral(6)
+    psi = maps.make_map(G, G, {"r": "s", "s": "e"})
+    brace, _ = braces.braces_from_map(G, psi)
+    with pytest.raises(PreconditionError, match="operation 'o' is not well-defined"):
+        braces.quotient_brace(brace, (0, 3))

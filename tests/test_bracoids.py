@@ -58,6 +58,18 @@ def test_opposite_target_still_valid():
     assert bracoid_oracle(b) is None
 
 
+def test_c2_opposite_target_is_the_transposed_target():
+    G = groups.dihedral(6)
+    psi = maps.make_map(G, G, {"r": "s", "s": "e"})
+    centre = groups.Subgroup(G, (0, 3))  # G/Z(G) is D3, not abelian
+    plain = bracoids.bracoid_from_C2(G, psi, centre)
+    opp = bracoids.bracoid_from_C2(G, psi, centre, opposite=True)
+    assert not np.array_equal(plain.target.op, plain.target.op.T)
+    assert opp.target.label == ".'"
+    assert np.array_equal(opp.target.op, plain.target.op.T)
+    assert bracoid_oracle(opp) is None
+
+
 def test_verify_bracoid_detects_corruption():
     G, psi = d4_setup()
     fix = groups.subgroup_generated(G, [G.index_of("rs")])
@@ -84,6 +96,36 @@ def test_reduce_bracoid_faithful_and_idempotent():
     assert kernel == [0]
     again = bracoids.reduce_bracoid(red)
     assert again is red
+
+
+def coset_product_oracle(b):
+    """The acting table of b modulo the elements acting trivially, with the
+    cosets numbered by their least members, from coset products."""
+    n, m = b.acting_order, b.target_order
+    kernel = [k for k in range(n) if list(b.action[k]) == list(range(m))]
+    cosets = []
+    for g in range(n):
+        coset = frozenset(b.acting.group.op(g, k) for k in kernel)
+        if coset not in cosets:
+            cosets.append(coset)
+    reps = [min(c) for c in cosets]
+    return [[next(i for i, c in enumerate(cosets) if b.acting.group.op(x, y) in c)
+             for y in reps] for x in reps]
+
+
+def test_reduce_bracoid_matches_coset_product_oracle():
+    G, psi = d4_setup()
+    reduced = 0
+    for H in groups.enumerate_subgroups(G):
+        for build in (bracoids.bracoid_from_C1, bracoids.bracoid_from_C2):
+            try:
+                b = build(G, psi, H)
+            except PreconditionError:
+                continue
+            red = bracoids.reduce_bracoid(b)
+            assert red.acting.op.tolist() == coset_product_oracle(b)
+            reduced += red is not b
+    assert reduced > 0
 
 
 def test_find_contained_brace_enumerates():

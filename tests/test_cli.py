@@ -227,6 +227,11 @@ MALFORMED = {
     "float_generator_image": ["brace", "build", D4, '{"images":{"r":"e","s":4.0}}'],
     "generator_image_out_of_range": ["brace", "build", D4,
                                      '{"images":{"r":"e","s":99}}'],
+    "unknown_via": ["bracoid", "build", D4, PSI, "--via", "C3",
+                    "--subgroup", "0,2,4,6"],
+    "underscored_tower_index": ["bracoid", "build", D4, PSI, "--via", "tower:1_0"],
+    "spaced_tower_index": ["bracoid", "build", D4, PSI, "--via", "tower: 2"],
+    "negative_tower_index": ["bracoid", "build", D4, PSI, "--via", "tower:-1"],
 }
 
 

@@ -543,6 +543,13 @@ def test_coset_space_partitions():
     # representatives are the minimal member of their coset
     for c, rep in enumerate(cs.representatives):
         assert rep == min(np.flatnonzero(cs.coset_of == c))
+    assert json.loads(serialize.export_json(cs))["representatives"] == [0, 1, 2, 3]
+    # the product is well-defined on the cosets of a normal subgroup only
+    assert cs.quotient(G.mul) is None
+    Z = groups.coset_space(G, groups.center(G))
+    reps = Z.representatives.tolist()
+    assert Z.quotient(G.mul).mul.tolist() == [
+        [Z.coset_of[G.op(x, y)] for y in reps] for x in reps]
 
 
 def test_generating_set_of_a_table_group_is_computed_once(monkeypatch):

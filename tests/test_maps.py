@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewbracoid import groups, maps
+from skewbracoid import corpus, groups, maps
 from skewbracoid.errors import PreconditionError, WorkLimitError
 
 from conftest import CATALOGUE, brute_force_abelian_maps, quaternion_group
@@ -80,7 +80,9 @@ def test_enumerate_abelian_maps_against_naive_search():
 
 def test_enumerate_abelian_maps_work_limit():
     G = groups.symmetric(4)
-    with pytest.raises(WorkLimitError):
+    # two generators, each with the 10 elements of S4 whose square is e
+    with pytest.raises(WorkLimitError,
+                       match="100 candidate assignments > cap 10"):
         maps.enumerate_abelian_maps(G, candidate_cap=10)
 
 
@@ -258,6 +260,34 @@ def test_phi_power_is_composition():
         composed = phi[composed]
 
 
+def phi_powers_oracle(phi):
+    """phi^0, phi^1, ... composed one step at a time, up to the first
+    repeat, and the index at which the sequence starts to cycle."""
+    powers, seen = [], {}
+    power = tuple(range(len(phi)))
+    while power not in seen:
+        seen[power] = len(powers)
+        powers.append(power)
+        power = tuple(int(phi[x]) for x in power)
+    return powers, seen[power]
+
+
+@pytest.mark.parametrize("fixture", ["d4_psi", "d4xd4_tower"])
+def test_phi_power_by_squaring_matches_step_by_step(fixture):
+    fx = corpus.load_fixture(fixture)
+    G = groups.build_group(fx["group"])
+    psi = maps.make_map(G, G, fx["map"]["images"])
+    phi = maps.phi_of(psi).image_of
+    step = np.arange(G.order)
+    for n in range(41):
+        assert np.array_equal(maps.phi_power(psi, n), step)
+        step = phi[step]
+    powers, start = phi_powers_oracle(phi)
+    n = 10**12
+    expected = powers[start + (n - start) % (len(powers) - start)]
+    assert maps.phi_power(psi, n).tolist() == list(expected)
+
+
 def test_product_swap_map_coordinates():
     G1 = groups.cyclic(4)
     G2 = groups.symmetric(3)
@@ -288,8 +318,10 @@ def test_cyclic_chain_map():
     C3 = groups.cyclic(3)
     a = maps.trivial_map(C2, C3)
     b = maps.trivial_map(C3, C2)
-    assert np.array_equal(maps.cyclic_chain_map([a, b]).image_of,
-                          maps.product_swap_map(a, b).image_of)
+    swap = maps.product_swap_map(a, b)
+    assert np.array_equal(maps.cyclic_chain_map([a, b]).image_of, swap.image_of)
+    assert swap.provenance == "product_swap"
+    assert swap.domain.factors == (C2, C3)
 
 
 def test_left_regular_map():

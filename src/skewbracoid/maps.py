@@ -1,10 +1,10 @@
 """Homomorphisms between finite groups, stored element-wise.
 
 The central notion is an *abelian map*: a homomorphism whose image is an
-abelian subgroup of the codomain.  An abelian endomorphism psi induces the
-derived map phi(g) = g * psi(g^-1), the circle operation, and the iterated
-maps psi_n; those live here, the operation tables they induce live in
-`braces`.
+abelian subgroup of the codomain.  They are enumerated in blocks, as rows of
+int64 arrays extended along one spanning tree of G/[G, G].  An abelian
+endomorphism psi induces phi(g) = g psi(g^-1), the circle operation and the
+iterated maps psi_n; the operation tables they induce live in `braces`.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ LEFT_REGULAR_CAP = 6
 class GroupMap:
     """A verified total map between finite groups.
 
-    `image_of[g]` is the codomain index of the image of g.  The map is
-    checked to be a homomorphism at construction, exactly, over a generating
-    set of the domain; `abelian_image`, `idempotent` and `fixed_point_free`
-    are computed flags (the latter two only for endomorphisms, else None).
+    `image_of[g]` indexes the image of g in the codomain, checked to be a
+    homomorphism exactly, over a generating set of the domain (a block at a
+    time for the maps built here); `abelian_image`, `idempotent` and
+    `fixed_point_free` are flags, the last two None unless an endomorphism.
     """
 
     domain: FiniteGroup
@@ -42,29 +42,22 @@ class GroupMap:
     provenance: str = "explicit"
 
     def __post_init__(self):
-        im = np.asarray(self.image_of, dtype=np.int64)
+        im = groups.int_array(self.image_of, "image array")
         if im.shape != (self.domain.order,):
             raise PreconditionError("image array length must equal the domain order")
         if im.min() < 0 or im.max() >= self.codomain.order:
             raise PreconditionError("image index out of codomain range")
-        # f(xa) = f(x) f(a) for every x and every a in {e} and a generating
-        # set is exact: the a for which it holds are closed under products
         gens = np.array((0, *self.domain.generating_set()), dtype=np.int64)
-        lhs = im[self.domain.mul[:, gens]]
-        rhs = self.codomain.mul[im[:, None], im[gens][None, :]]
-        if not np.array_equal(lhs, rhs):
+        if not _homomorphism_rows(im[None], self.domain.mul, gens,
+                                  self.codomain.mul, im[None, gens])[0]:
             raise PreconditionError("map is not a homomorphism")
         im.setflags(write=False)
         self.image_of = im
-        seen = np.zeros(self.codomain.order, dtype=bool)
-        seen[im] = True
-        img = np.flatnonzero(seen)
-        sub = self.codomain.mul[img[:, None], img[None, :]]
-        self.abelian_image = bool(np.array_equal(sub, sub.T))
+        # the image is abelian iff the generator images commute
+        products = self.codomain.mul[im[gens, None], im[gens]]
+        self.abelian_image = bool(np.array_equal(products, products.T))
         if self.is_endomorphism():
-            self.idempotent = bool(np.array_equal(im[im], im))
-            fix = np.flatnonzero(im == np.arange(self.domain.order))
-            self.fixed_point_free = bool(fix.tolist() == [0])
+            (self.idempotent, self.fixed_point_free), = _endomorphism_flags(im[None])
 
     def is_endomorphism(self) -> bool:
         return self.domain is self.codomain or np.array_equal(
@@ -87,18 +80,6 @@ def require_abelian_endomorphism(psi: GroupMap) -> None:
         raise PreconditionError("psi must be an abelian endomorphism")
 
 
-def _abelian_map(G: FiniteGroup, Gp: FiniteGroup, img, provenance: str) -> GroupMap:
-    """The GroupMap G -> Gp of `img`, which the theory says is an abelian
-    map; InternalConsistencyError if it is not."""
-    try:
-        f = GroupMap(G, Gp, img, provenance=provenance)
-    except PreconditionError as exc:
-        raise InternalConsistencyError(f"{provenance} map is not a homomorphism") from exc
-    if not f.abelian_image:
-        raise InternalConsistencyError(f"{provenance} map does not have abelian image")
-    return f
-
-
 def trivial_map(G: FiniteGroup, Gp: FiniteGroup | None = None) -> GroupMap:
     Gp = Gp or G
     return GroupMap(G, Gp, np.zeros(G.order, dtype=np.int64), provenance="trivial")
@@ -108,36 +89,64 @@ def identity_map(G: FiniteGroup) -> GroupMap:
     return GroupMap(G, G, np.arange(G.order, dtype=np.int64), provenance="identity")
 
 
-def _extend_generator_images(mul: np.ndarray, mul_p: np.ndarray,
-                             gen_idx: list[int], gen_img: list[int]):
-    """Propagate generator images over the whole group with table `mul`,
-    multiplying images in the table `mul_p`.
+def _homomorphism_rows(img, mul, gens, mul_p, Y) -> np.ndarray:
+    """Mask of the rows of `img` with img[c gens[j]] = img[c] Y[j] for all c, j.
+    If `gens` generate and img[e] = e, these are exactly the homomorphisms with
+    gens[j] -> Y[j] (c = e): the a with img[ca] = img[c] img[a] are closed under products."""
+    return (img[:, mul[:, gens]] == mul_p[img[:, :, None], Y[:, None, :]]).all(axis=(1, 2))
 
-    Returns the full image array, or None if the assignment is inconsistent
-    (cheap relation pruning; callers still run the full table check).
-    """
-    img = np.full(mul.shape[0], -1, dtype=np.int64)
-    img[0] = 0
-    for t, v in zip(gen_idx, gen_img):
-        if img[t] >= 0 and img[t] != v:
-            return None
-        img[t] = v
-    frontier = [0] + [t for t in gen_idx if t != 0]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for t, v in zip(gen_idx, gen_img):
-                h = int(mul[g, t])
-                w = int(mul_p[img[g], v])
-                if img[h] < 0:
-                    img[h] = w
-                    nxt.append(h)
-                elif img[h] != w:
-                    return None
-        frontier = nxt
-    if (img < 0).any():
-        return None  # generators do not generate G
-    return img
+
+def _endomorphism_flags(img):
+    """(idempotent, fixed_point_free) of each endomorphism row of `img`."""
+    idempotent = (np.take_along_axis(img, img, axis=1) == img).all(axis=1)
+    fixed_point_free = ~(img[:, 1:] == np.arange(1, img.shape[1])).any(axis=1)
+    return zip(idempotent.tolist(), fixed_point_free.tolist())
+
+
+def _abelian_maps(G: FiniteGroup, Gp: FiniteGroup, img, provenance: str) -> list[GroupMap]:
+    """The rows of `img`, abelian maps G -> Gp in theory, checked at once (else
+    InternalConsistencyError) and built unchecked, each on a read-only copy."""
+    gens = np.array((0, *G.generating_set()), dtype=np.int64)
+    y = img[:, gens]
+    if not _homomorphism_rows(img, G.mul, gens, Gp.mul, y).all():
+        raise InternalConsistencyError(f"{provenance} map is not a homomorphism")
+    products = Gp.mul[y[:, :, None], y[:, None, :]]  # abelian iff generator images commute
+    if not np.array_equal(products, products.transpose(0, 2, 1)):
+        raise InternalConsistencyError(f"{provenance} map does not have abelian image")
+    out = []
+    for row in img:
+        f = object.__new__(GroupMap)
+        f.domain, f.codomain, f.image_of, f.abelian_image = G, Gp, row.copy(), True
+        f.idempotent, f.fixed_point_free, f.provenance = None, None, provenance
+        f.image_of.setflags(write=False)
+        out.append(f)
+    if out and out[0].is_endomorphism():
+        for f, flags in zip(out, _endomorphism_flags(img)):
+            f.idempotent, f.fixed_point_free = flags
+    return out
+
+
+def _spanning_tree(mul: np.ndarray, gens: np.ndarray) -> list[tuple]:
+    """The layers from e of a breadth-first tree of right products by `gens`
+    in `mul`: elements c, parents p(c), generator indices j(c); unreached c are left out."""
+    seen, frontier, layers = np.arange(len(mul)) == 0, np.zeros(1, dtype=np.int64), []
+    while frontier.size and gens.size:
+        step = mul[np.ix_(frontier, gens)].ravel()
+        fresh = np.flatnonzero(~seen[step])
+        c, first = np.unique(step[fresh], return_index=True)
+        parent, j = np.divmod(fresh[first], gens.size)
+        layers.append((c, frontier[parent], j))
+        seen[c], frontier = True, c
+    return layers
+
+
+def _extend(layers, mul, gens, mul_p, Y):
+    """Per row of Y, the map with e -> e and c -> img[p(c)] Y[j(c)] down the
+    tree; and the mask of the rows that are homomorphisms."""
+    img = np.zeros((len(Y), len(mul)), dtype=np.int64)
+    for c, parent, j in layers:
+        img[:, c] = mul_p[img[:, parent], Y[:, j]]
+    return img, _homomorphism_rows(img, mul, gens, mul_p, Y)
 
 
 def make_map(G: FiniteGroup, Gp: FiniteGroup, images) -> GroupMap:
@@ -148,15 +157,16 @@ def make_map(G: FiniteGroup, Gp: FiniteGroup, images) -> GroupMap:
     homomorphism defined on all of G.
     """
     if isinstance(images, dict):
-        gen_idx = [G.index_of(k) for k in images]
-        gen_img = [Gp.index_of(v) for v in images.values()]
-        img = _extend_generator_images(G.mul, Gp.mul, gen_idx, gen_img)
-        if img is None:
+        gens = np.array([G.index_of(k) for k in images], dtype=np.int64)
+        Y = np.array([[Gp.index_of(v) for v in images.values()]], dtype=np.int64)
+        layers = _spanning_tree(G.mul, gens)
+        img, ok = _extend(layers, G.mul, gens, Gp.mul, Y)
+        if not ok[0] or 1 + sum(len(c) for c, _, _ in layers) < G.order:
             raise PreconditionError(
                 "generator images do not extend to a homomorphism "
                 "(or the given elements do not generate the domain)")
-        return GroupMap(G, Gp, img)
-    return GroupMap(G, Gp, groups.int_array(images, "image array"))
+        return GroupMap(G, Gp, img[0])
+    return GroupMap(G, Gp, images)
 
 
 def enumerate_abelian_maps(G: FiniteGroup, Gp: FiniteGroup | None = None, *,
@@ -164,13 +174,13 @@ def enumerate_abelian_maps(G: FiniteGroup, Gp: FiniteGroup | None = None, *,
     """All homomorphisms G -> G' with abelian image, in lexicographic order
     of their generator images.
 
-    An abelian map kills [G, G], so it factors through G/[G, G]: generator
-    x can only map to some y with y^d = e, where d is the order of x[G, G],
-    and the generator images commute pairwise.  These candidates are
-    backtracked over in ascending index order, and every full assignment
-    is extended over the quotient table, lifted to G and checked as a
-    GroupMap.  WorkLimitError is raised before the search when the product
-    of the candidate counts exceeds `candidate_cap`.
+    An abelian map kills [G, G], so it factors through Q = G/[G, G]:
+    generator x can only map to some y with y^d = e, where d is the order
+    of x[G, G], and the generator images commute pairwise.  Those choices
+    come in blocks, one to a row; a block is extended along one spanning
+    tree of Q, cut to its homomorphisms by one array comparison, lifted to
+    G and checked there.  WorkLimitError is raised before the search when
+    the product of the candidate counts exceeds `candidate_cap`.
     """
     Gp = Gp or G
     gens = G.generating_set()
@@ -183,7 +193,7 @@ def enumerate_abelian_maps(G: FiniteGroup, Gp: FiniteGroup | None = None, *,
         coset_of, quotient = cs.coset_of, cs.quotient(G.mul)
         if quotient is None:
             raise InternalConsistencyError("derived subgroup is not normal")
-    qgens = [int(coset_of[x]) for x in gens]
+    qgens = coset_of[np.array(gens, dtype=np.int64)]
     orders = groups.element_orders(quotient.mul)[qgens].tolist()
     # y^d = e iff the order of y divides d
     target_orders = groups.element_orders(Gp.mul)
@@ -193,29 +203,35 @@ def enumerate_abelian_maps(G: FiniteGroup, Gp: FiniteGroup | None = None, *,
         raise WorkLimitError(f"abelian map search space exceeds candidate cap: "
                              f"{space} candidate assignments > cap {candidate_cap}")
 
+    layers = _spanning_tree(quotient.mul, qgens)
+    # the two checks each hold two int64 arrays of `width` entries a row
+    width = max(quotient.order * len(qgens), G.order * (1 + len(gens)))
+    step = max(1, groups.SWEEP_BLOCK_BYTES // (16 * width))
     out = []
-    for chosen in _commuting_choices(Gp.mul, candidates,
-                                     np.ones(Gp.order, dtype=bool)):
-        img = _extend_generator_images(quotient.mul, Gp.mul, qgens, chosen)
-        if img is None:
-            continue
-        out.append(_abelian_map(G, Gp, img[coset_of], "enumerated"))
+    for choices in _commuting_blocks(Gp.mul, candidates, np.zeros((1, 0), dtype=np.int64)):
+        for lo in range(0, len(choices), step):
+            img, ok = _extend(layers, quotient.mul, qgens, Gp.mul, choices[lo:lo + step])
+            out += _abelian_maps(G, Gp, img[ok][:, coset_of], "enumerated")
     return out
 
 
-def _commuting_choices(mul: np.ndarray, candidates: list[np.ndarray],
-                       allowed: np.ndarray, chosen: tuple[int, ...] = ()):
-    """Every pairwise commuting choice of one element from each candidate
-    array, extending `chosen`, in lexicographic order; `allowed` marks the
-    elements that commute with all of `chosen`."""
-    if len(chosen) == len(candidates):
+def _commuting_blocks(mul: np.ndarray, candidates: list[np.ndarray], chosen: np.ndarray):
+    """Each row of `chosen` extended by one element of every further candidate
+    array, all commuting pairwise, in lexicographic order, in int64 blocks of at
+    most SWEEP_BLOCK_BYTES; only products with candidates, no whole-group table."""
+    i = chosen.shape[1]
+    if i == len(candidates):
         yield chosen
         return
-    level = candidates[len(chosen)]
-    for y in level[allowed[level]].tolist():
-        yield from _commuting_choices(mul, candidates,
-                                      allowed & (mul[y] == mul[:, y]),
-                                      chosen + (y,))
+    cand = candidates[i]
+    step = max(1, groups.SWEEP_BLOCK_BYTES // (8 * len(cand) * (i + 1)))
+    for lo in range(0, len(chosen), step):
+        block = chosen[lo:lo + step]
+        allowed = np.ones((len(block), len(cand)), dtype=bool)
+        for y in block.T:
+            allowed &= mul[y[:, None], cand] == mul[cand, y[:, None]]
+        rows, new = np.nonzero(allowed)
+        yield from _commuting_blocks(mul, candidates, np.column_stack((block[rows], cand[new])))
 
 
 @dataclass(eq=False)
@@ -309,7 +325,7 @@ def psi_iterate(psi: GroupMap, n: int) -> GroupMap:
     current = np.zeros(G.order, dtype=np.int64)
     for _ in range(n):
         current = G.mul[psi.image_of, current[phi]]
-    return _abelian_map(G, G, current, f"psi_{n}")
+    return _abelian_maps(G, G, current[None], f"psi_{n}")[0]
 
 
 def product_swap_map(alpha: GroupMap, beta: GroupMap) -> GroupMap:
@@ -338,7 +354,7 @@ def cyclic_chain_map(maps: list[GroupMap]) -> GroupMap:
         # coordinate i goes through alpha_i into slot i + 1
         img += weights[(i + 1) % n] * m.image_of[rem % orders[i]]
         rem //= orders[i]
-    return _abelian_map(G, G, img, "cyclic_chain")
+    return _abelian_maps(G, G, img[None], "cyclic_chain")[0]
 
 
 def left_regular_map(A: FiniteGroup) -> GroupMap:
@@ -353,4 +369,4 @@ def left_regular_map(A: FiniteGroup) -> GroupMap:
                    dtype=np.int64)
     if len(set(img.tolist())) != A.order:
         raise InternalConsistencyError("left regular representation not injective")
-    return _abelian_map(A, S, img, "left_regular")
+    return _abelian_maps(A, S, img[None], "left_regular")[0]

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from skewbracoid import corpus, groups, maps
 from skewbracoid.errors import PreconditionError, WorkLimitError
 
-from conftest import CATALOGUE, brute_force_abelian_maps, quaternion_group
+from conftest import CATALOGUE, _extend_by_bfs, brute_force_abelian_maps, quaternion_group
 
 
 def d4_psi():
@@ -30,12 +31,61 @@ def test_make_map_from_generators_matches_explicit_formula():
 def test_make_map_rejects_non_homomorphism():
     G = groups.dihedral(4)
     with pytest.raises(PreconditionError):
-        # s^2 = e but the requested image r has order 4
-        maps.make_map(G, G, {"r": "s", "s": "r"})
-    with pytest.raises(PreconditionError):
         maps.make_map(G, G, [0] * 7)  # wrong length
     with pytest.raises(PreconditionError):
         maps.make_map(G, G, list(range(1, 9)))  # out of range / not a hom
+
+
+EXTEND_MESSAGE = re.escape("generator images do not extend to a homomorphism "
+                           "(or the given elements do not generate the domain)")
+
+
+@pytest.mark.parametrize("images", [
+    {"r": "s", "s": "r"},                 # s has order 2, its image r order 4
+    {"r^2": "e", "s": "e"},               # a homomorphism of <r^2, s>, not of D4
+    {"e": "r", "r": "e", "s": "e"},       # the identity sent to r
+    {"e": "s"}])
+def test_make_map_refusals_keep_their_message(images):
+    G = groups.dihedral(4)
+    assert _extend_by_bfs(G, G, [G.index_of(k) for k in images],
+                          [G.index_of(v) for v in images.values()]) is None
+    with pytest.raises(PreconditionError, match=f"^{EXTEND_MESSAGE}$"):
+        maps.make_map(G, G, images)
+
+
+def fixture_generator_maps():
+    """(G, G', generator images) of every map that a corpus fixture gives
+    by its generator images."""
+    for name in corpus.FIXTURE_NAMES:
+        fx = corpus.load_fixture(name)
+        if "images" in fx.get("map", {}):
+            G = groups.build_group(fx["group"])
+            yield G, G, fx["map"]["images"]
+        if "alpha" in fx:
+            G1, G2 = groups.build_group(fx["g1"]), groups.build_group(fx["g2"])
+            yield G1, G2, fx["alpha"]["images"]
+            yield G2, G1, fx["beta"]["images"]
+
+
+def test_make_map_agrees_with_bfs_on_fixture_maps():
+    found = list(fixture_generator_maps())
+    assert len(found) == 6
+    for G, Gp, images in found:
+        expected = _extend_by_bfs(G, Gp, [G.index_of(k) for k in images],
+                                  [Gp.index_of(v) for v in images.values()])
+        assert maps.make_map(G, Gp, images).image_of.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("order, images", [
+    (4, [0, 1.9, 2, 3]), (4, [0, 1.0, 2, 3]), (2, [False, True]), (4, [0, "1", 2, 3])])
+def test_group_map_refuses_non_integer_images(order, images):
+    C = groups.cyclic(order)
+    # as integers these are the identity map, so only their type is at fault
+    assert maps.GroupMap(C, C, np.asarray(images).astype(np.int64)).idempotent
+    with pytest.raises(PreconditionError, match="image array has an entry that is not an integer"):
+        maps.GroupMap(C, C, images)
+    with pytest.raises(PreconditionError, match="not an integer"):
+        maps.make_map(C, C, images)
 
 
 def test_map_flags():
@@ -153,6 +203,46 @@ def hom_setup(name):
     homs = [G.mul[G.mul[g, idx], G.inv[g]] for g in range(G.order)]
     homs += [f.image_of for f in maps.enumerate_abelian_maps(G)]
     return G, homs
+
+
+def _map_record(f):
+    return (f.image_of.tolist(), f.abelian_image, f.idempotent, f.fixed_point_free,
+            f.provenance, f.domain, f.codomain)
+
+
+C2xD4 = dict(ABMAPS_GROUPS)["C2xD4"]
+BLOCK_CASES = {
+    "C2xD4": lambda: (C2xD4(), None),
+    "D50": lambda: (groups.dihedral(50), None),
+    "S3->C500xS3": lambda: (groups.symmetric(3),
+                            groups.direct_product(groups.cyclic(500), groups.symmetric(3))),
+    "Q8": lambda: (HOM_GROUPS["Q8"](), None)}
+
+
+@pytest.mark.parametrize("block_bytes", [1, 4096])
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_enumeration_does_not_depend_on_block_size(name, block_bytes, monkeypatch):
+    """Blocks of one or a few choices give the maps, their order, flags and
+    provenance of the default block size."""
+    G, Gp = BLOCK_CASES[name]()
+    default = [_map_record(f) for f in maps.enumerate_abelian_maps(G, Gp)]
+    monkeypatch.setattr(groups, "SWEEP_BLOCK_BYTES", block_bytes)
+    small = [_map_record(f) for f in maps.enumerate_abelian_maps(G, Gp)]
+    assert small == default and len(default) > 1
+    if name == "C2xD4":
+        assert small == [_map_record(f) for f in brute_force_abelian_maps(G)]
+
+
+@pytest.mark.parametrize("name", sorted(HOM_GROUPS) + ["C2xD4"])
+def test_enumerated_maps_match_checked_maps_and_own_their_arrays(name):
+    G = C2xD4() if name == "C2xD4" else HOM_GROUPS[name]()
+    found = maps.enumerate_abelian_maps(G)
+    for f, other in zip(found, found[1:] + found[:1]):
+        checked = maps.GroupMap(G, G, f.image_of)
+        assert (f.abelian_image, f.idempotent, f.fixed_point_free) == \
+            (checked.abelian_image, checked.idempotent, checked.fixed_point_free)
+        assert not f.image_of.flags.writeable and f.image_of.base is None
+        assert len(found) == 1 or not np.shares_memory(f.image_of, other.image_of)
 
 
 @settings(max_examples=60, deadline=None)

@@ -240,14 +240,29 @@ class FiniteGroup:
 
 def int_array(values, what: str) -> np.ndarray:
     """`values` as an int64 array; PreconditionError if they are ragged or
-    hold anything but integers (a float such as 0.7 or 1.0, a string)."""
+    hold anything but integers (a float such as 0.7 or 1.0, a string, a
+    boolean)."""
     try:
         arr = np.asarray(values)
     except ValueError:
         raise PreconditionError(f"{what} is ragged") from None
-    if arr.size and arr.dtype.kind not in "iu":
+    if (arr.size and arr.dtype.kind not in "iu") or (
+            isinstance(values, (list, tuple)) and _holds_bool(values, arr)):
         raise PreconditionError(f"{what} has an entry that is not an integer")
     return arr.astype(np.int64, copy=False)
+
+
+def _holds_bool(values, arr: np.ndarray) -> bool:
+    """Whether the nested sequence `values`, read as the integer array `arr`,
+    has a boolean among its cells: NumPy casts True and False mixed with
+    integers to 1 and 0, so only those cells are looked up."""
+    for cell in zip(*(ix.tolist() for ix in np.nonzero(arr <= 1))):
+        v = values
+        for i in cell:
+            v = v[i]
+        if isinstance(v, (bool, np.bool_)):
+            return True
+    return False
 
 
 def from_table(mul, names=None, generators=None) -> FiniteGroup:
@@ -561,16 +576,23 @@ def _known_subgroup(G: FiniteGroup, members: tuple[int, ...]) -> Subgroup:
 
 
 def element_orders(mul: np.ndarray) -> np.ndarray:
-    """Order of every element of the group table `mul`, by powering all
-    elements at once."""
-    idx = np.arange(mul.shape[0])
-    orders = np.zeros(mul.shape[0], dtype=np.int64)
-    power, k = idx, 1
-    while True:
-        orders[(power == 0) & (orders == 0)] = k
-        if orders.all():
-            return orders
-        power, k = mul[power, idx], k + 1
+    """Order of every element of the group table `mul`: the least divisor d
+    of the group's order with g^d = e, each g^d by square-and-multiply."""
+    n = mul.shape[0]
+    orders = np.zeros(n, dtype=np.int64)
+    for d in (d for d in range(1, n + 1) if n % d == 0):
+        todo = np.flatnonzero(orders == 0)
+        if not todo.size:
+            break
+        power, square, k = np.zeros_like(todo), todo, d
+        while k:
+            if k & 1:
+                power = mul[power, square]
+            k >>= 1
+            if k:
+                square = mul[square, square]
+        orders[todo[power == 0]] = d
+    return orders
 
 
 def _prime_of_power(n: int) -> int | None:

@@ -7,20 +7,24 @@ files diff stably; exporting the same value twice is byte-identical.
 from __future__ import annotations
 
 import json
+import re
+import secrets
 
 import numpy as np
 
 from . import groups, maps
 from .bracoids import Bracoid, BracoidReport
 from .braces import BraceReport, OpTable, SkewBrace
-from .errors import PreconditionError
+from .errors import InternalConsistencyError, PreconditionError
 from .groups import CosetSpace, FiniteGroup, Subgroup
 from .ideals import IdealVerdict
 from .maps import GroupMap
 from .ybe import NondegeneracyReport, YbeReport, YbeSolution
 
 
-def to_jsonable(value):
+def _tree(value, table):
+    """`value` as JSON data, with `table` applied to each 2-D integer table
+    (a Cayley table, an operation table, an action, lambda and rho)."""
     if isinstance(value, (bool, int, float, str)) or value is None:
         return value
     if isinstance(value, (np.integer,)):
@@ -28,13 +32,13 @@ def to_jsonable(value):
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, (list, tuple)):
-        return [to_jsonable(v) for v in value]
+        return [_tree(v, table) for v in value]
     if isinstance(value, dict):
-        return {str(k): to_jsonable(v) for k, v in value.items()}
+        return {str(k): _tree(v, table) for k, v in value.items()}
     if isinstance(value, FiniteGroup):
         return {
             "order": value.order,
-            "mul": value.mul.tolist(),
+            "mul": table(value.mul),
             "inv": value.inv.tolist(),
             "names": list(value.names),
             "generators": list(value.generators) if value.generators else None,
@@ -57,27 +61,66 @@ def to_jsonable(value):
         }
     if isinstance(value, OpTable):
         return {"label": value.label, "order": value.order,
-                "table": value.op.tolist()}
+                "table": table(value.op)}
     if isinstance(value, SkewBrace):
-        return {"additive": to_jsonable(value.additive),
-                "multiplicative": to_jsonable(value.multiplicative)}
+        return {"additive": _tree(value.additive, table),
+                "multiplicative": _tree(value.multiplicative, table)}
     if isinstance(value, Bracoid):
-        return {"acting": to_jsonable(value.acting),
-                "target": to_jsonable(value.target),
-                "action": value.action.tolist(),
-                "provenance": to_jsonable(value.provenance)}
+        return {"acting": _tree(value.acting, table),
+                "target": _tree(value.target, table),
+                "action": table(value.action),
+                "provenance": _tree(value.provenance, table)}
     if isinstance(value, YbeSolution):
-        return {"order": value.set_order, "lambda": value.lam.tolist(),
-                "rho": value.rho.tolist(),
-                "provenance": to_jsonable(value.provenance)}
+        return {"order": value.set_order, "lambda": table(value.lam),
+                "rho": table(value.rho),
+                "provenance": _tree(value.provenance, table)}
     if isinstance(value, (BraceReport, BracoidReport, IdealVerdict,
                           YbeReport, NondegeneracyReport)):
         return value.to_jsonable()
     raise PreconditionError(f"cannot serialize value of type {type(value).__name__}")
 
 
+def to_jsonable(value):
+    return _tree(value, np.ndarray.tolist)
+
+
+# Tables stand in the tree as "<token><index>" and their text is spliced in
+# after json.dumps; the token is random, and export_json refuses an export
+# in which a user string matches a placeholder.
+_TOKEN = secrets.token_hex(16)
+_PLACEHOLDER = re.compile(f'"{_TOKEN}(\\d+)"')
+
+
 def export_json(value) -> str:
-    return json.dumps(to_jsonable(value), sort_keys=True, separators=(",", ":"))
+    """Canonical JSON of `value`: the bytes of json.dumps(to_jsonable(value),
+    sort_keys=True, separators=(",", ":")), with each table written from the
+    decimal text of its entries instead of a Python int per cell."""
+    tables = []
+
+    def record(t: np.ndarray):
+        # entries of a table index its rows or columns; any other table (a
+        # negative entry would index `digits` from the end) keeps tolist
+        if (t.ndim == 2 and t.dtype.kind in "iu" and t.size
+                and t.min() >= 0 and t.max() < max(t.shape)):
+            tables.append(t)
+            return f"{_TOKEN}{len(tables) - 1}"
+        return t.tolist()
+
+    text = json.dumps(_tree(value, record), sort_keys=True, separators=(",", ":"))
+    if not tables:
+        return text
+    parts = _PLACEHOLDER.split(text)  # text, index, text, ..., index, text
+    if len(parts) != 2 * len(tables) + 1:
+        raise InternalConsistencyError(
+            f"{len(parts) // 2} table placeholders in the export for {len(tables)} tables")
+    digits = np.array([str(i) for i in range(max(max(t.shape) for t in tables))],
+                      dtype=object)
+
+    def table_text(t: np.ndarray) -> str:
+        return "[[" + "],[".join([",".join(digits[row].tolist()) for row in t]) + "]]"
+
+    parts[1::2] = [table_text(tables[int(i)]) for i in parts[1::2]]
+    return "".join(parts)
 
 
 def export_pretty(value) -> str:

@@ -232,6 +232,19 @@ def c61_c10():
     return groups.semidirect(groups.cyclic(61), groups.cyclic(10), action)
 
 
+def element_orders_oracle(mul):
+    """Order of every element, by powering all elements one step at a time
+    until each reaches e: as many gathers as the group's exponent."""
+    idx = np.arange(mul.shape[0])
+    orders = np.zeros(mul.shape[0], dtype=np.int64)
+    power, k = idx, 1
+    while True:
+        orders[(power == 0) & (orders == 0)] = k
+        if orders.all():
+            return orders
+        power, k = mul[power, idx], k + 1
+
+
 def normal_oracle(mul, inv, members):
     """Scalar loop: g h g^-1 in H for every g and every h in H."""
     mset = set(members)

@@ -203,6 +203,7 @@ MALFORMED = {
     "string_cell": ["group", "build", '{"kind":"table","mul":[[0,1],[1,"0"]]}'],
     "integral_float_cell": ["group", "build",
                             '{"kind":"table","mul":[[0,1],[1,0.0]]}'],
+    "boolean_cell": ["group", "build", '{"kind":"table","mul":[[0,true],[true,0]]}'],
     "ragged_mul": ["group", "build", '{"kind":"table","mul":[[0,1],[1]]}'],
     "float_cell_in_export": ["group", "build", '{"mul":[[0,1],[1,0.5]]}'],
     "float_generator": ["group", "build",
@@ -224,6 +225,7 @@ MALFORMED = {
     "ragged_action": ["group", "build", C3_ON_C2 % "[[0,1,2],[0,2]]"],
     "float_image": ["brace", "build", C2, '{"image_array":[0,0.9]}'],
     "ragged_image": ["brace", "build", C2, '{"image_array":[0,[1]]}'],
+    "boolean_image": ["brace", "build", C2, '{"image_array":[0,true]}'],
     "float_generator_image": ["brace", "build", D4, '{"images":{"r":"e","s":4.0}}'],
     "generator_image_out_of_range": ["brace", "build", D4,
                                      '{"images":{"r":"e","s":99}}'],

@@ -12,7 +12,7 @@ from skewbracoid import cli, groups, maps, serialize
 from skewbracoid.errors import (InternalConsistencyError, PreconditionError,
                                 WorkLimitError)
 
-from conftest import (CATALOGUE, brute_force_subgroups, c61_c10,
+from conftest import (CATALOGUE, brute_force_subgroups, c61_c10, element_orders_oracle,
                       commutator_closure_oracle, commutator_oracle,
                       derived_series_oracle, dihedral_oracle,
                       extension_bfs_subgroups, normal_oracle, semidirect_oracle,
@@ -67,6 +67,23 @@ def test_identity_is_index_zero_everywhere():
         assert np.array_equal(G.mul[:, 0], np.arange(n))
         for g in range(n):
             assert G.op(g, G.inverse(g)) == 0
+
+
+@pytest.mark.parametrize("build, value", [
+    (lambda v: groups.from_table([[0, v], [v, 0]]), True),
+    (lambda v: groups.from_table([[0, 1], [1, 0]], generators=[v, 1]), True),
+    (lambda v: groups.from_table([[0, 1], [1, v]]), False),
+    (lambda v: groups.from_table([[0, v], [v, 0]]), np.True_),
+    (lambda v: serialize.parse_map({"image_array": [0, v]}, groups.cyclic(2)), True),
+    (lambda v: maps.GroupMap(groups.cyclic(4), groups.cyclic(4), [0, v, 2, 3]), True),
+], ids=["cell", "generator", "false_cell", "numpy_bool_cell", "image_array",
+        "group_map"])
+def test_booleans_mixed_with_integers_are_refused(build, value):
+    """NumPy reads True among integers as 1, so these specs would pass as
+    integers; each is refused, and the same spec with 1 or 0 is accepted."""
+    build(int(value))
+    with pytest.raises(PreconditionError, match="not an integer"):
+        build(value)
 
 
 def test_bad_table_rejected():
@@ -602,6 +619,15 @@ def test_derived_series_matches_commutator_closures(name, builder):
     assert (len(series[-1]) == 1) == ((name, builder) in SOLVABLE)
     if name == "S5":
         assert [len(t) for t in series] == [60, 60]  # A5 is perfect
+
+
+@pytest.mark.parametrize("name, builder", CATALOGUE + [
+    ("C1", lambda: groups.cyclic(1)), ("S5", lambda: groups.symmetric(5)),
+    ("C61xC10", c61_c10),
+    ("C500xS3", lambda: groups.direct_product(groups.cyclic(500), groups.symmetric(3)))])
+def test_element_orders_match_powering_oracle(name, builder):
+    G = builder()
+    assert groups.element_orders(G.mul).tolist() == element_orders_oracle(G.mul).tolist()
 
 
 def test_derived_subgroup_stays_small_on_large_groups():

@@ -77,7 +77,8 @@ def test_make_map_agrees_with_bfs_on_fixture_maps():
 
 
 @pytest.mark.parametrize("order, images", [
-    (4, [0, 1.9, 2, 3]), (4, [0, 1.0, 2, 3]), (2, [False, True]), (4, [0, "1", 2, 3])])
+    (4, [0, 1.9, 2, 3]), (4, [0, 1.0, 2, 3]), (2, [False, True]), (4, [0, "1", 2, 3]),
+    (4, [0, True, 2, 3])])
 def test_group_map_refuses_non_integer_images(order, images):
     C = groups.cyclic(order)
     # as integers these are the identity map, so only their type is at fault

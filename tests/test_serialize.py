@@ -1,10 +1,15 @@
 import json
+import secrets
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from skewbracoid import braces, groups, maps, serialize
-from skewbracoid.errors import PreconditionError
+from skewbracoid import braces, bracoids, corpus, groups, ideals, maps, serialize, ybe
+from skewbracoid.errors import InternalConsistencyError, PreconditionError
+
+from conftest import CATALOGUE, quaternion_group
 
 
 def test_trivial_group_export():
@@ -65,3 +70,139 @@ def test_optable_and_reports_serialize():
 def test_unserializable_value_rejected():
     with pytest.raises(PreconditionError):
         serialize.export_json(object())
+
+
+def oracle_json(value) -> str:
+    """The canonical export as one json.dumps of the nested-list tree."""
+    return json.dumps(serialize.to_jsonable(value), sort_keys=True,
+                      separators=(",", ":"))
+
+
+def _d4():
+    G = groups.dihedral(4)
+    return G, maps.make_map(G, G, {"r": "rs", "s": "e"})
+
+
+def _d4_bracoid(build=bracoids.bracoid_from_C2):
+    G, psi = _d4()
+    H = (groups.Subgroup(G, (0, 2, 4, 6)) if build is bracoids.bracoid_from_C2
+         else groups.subgroup_generated(G, [G.index_of("rs")]))
+    return build(G, psi, H)
+
+
+def _d4_verdict():
+    G, psi = _d4()
+    return ideals.classify_subgroup(G, psi, groups.Subgroup(G, (0, 2, 4, 6)))
+
+
+def _c4_s3_product():
+    G1, G2 = groups.cyclic(4), groups.symmetric(3)
+    alpha = maps.make_map(G1, G2, {"g": "102"})
+    beta = maps.make_map(G2, G1, {"102": "g^2", "120": "e"})
+    return ybe.build_ybe_product(G1, G2, alpha, beta)
+
+
+def _ybe_verify_payload():
+    sol = ybe.build_ybe_idempotent(*_d4())
+    return {"R": sol, "reports": {"R": ybe.verify_ybe(sol)}}
+
+
+# one value of every exported type, and each payload dict the CLI emits
+EXPORTED = {
+    "group": lambda: groups.dihedral(4),
+    "trivial_group": lambda: groups.cyclic(1),
+    "table_group_q8": quaternion_group,
+    "subgroup": lambda: groups.Subgroup(groups.dihedral(4), (0, 2, 4, 6)),
+    "coset_space": lambda: groups.coset_space(
+        groups.dihedral(4), groups.Subgroup(groups.dihedral(4), (0, 4))),
+    "group_map": lambda: _d4()[1],
+    "op_table": lambda: braces.circle_table(*_d4()),
+    "skew_brace": lambda: braces.braces_from_map(*_d4())[0],
+    "bracoid_c1": lambda: _d4_bracoid(bracoids.bracoid_from_C1),
+    "bracoid_c2": _d4_bracoid,
+    "ybe_solution": lambda: ybe.build_ybe_idempotent(*_d4()),
+    "ybe_product": _c4_s3_product,
+    "brace_report": lambda: braces.verify_brace(
+        braces.table_of(_d4()[0]), braces.circle_table(*_d4())),
+    "bracoid_report": lambda: bracoids.verify_bracoid(_d4_bracoid()),
+    "ideal_verdict": _d4_verdict,
+    "ybe_report": lambda: ybe.verify_ybe(_c4_s3_product()),
+    "nondegeneracy_report": lambda: ybe.verify_ybe(_c4_s3_product()).nondegeneracy,
+    "abmaps_payload": lambda: {"maps": maps.enumerate_abelian_maps(groups.dihedral(2))},
+    "brace_block_payload": lambda: {"block_depth": 2,
+                                    "tables": braces.brace_block(_d4()[1], 2)},
+    "brace_build_payload": lambda: dict(zip(("dot_circ", "circ_dot"),
+                                            braces.braces_from_map(*_d4()))),
+    "named_payload": lambda: vars(ideals.named_subgroups(*_d4())),
+    "verdicts_payload": lambda: {"verdicts": ideals.find_strong_left_ideals(*_d4())},
+    "bracoid_payload": lambda: {"bracoid": _d4_bracoid(),
+                                "report": bracoids.verify_bracoid(_d4_bracoid())},
+    "tower_payload": lambda: {"bracoid": bracoids.phi_tower_bracoid(*_d4(), 2)},
+    "ybe_verify_payload": _ybe_verify_payload,
+    "corpus_payload": lambda: {"ok": True, "fixtures": [
+        corpus.run_fixture("d4_psi").to_jsonable()]},
+}
+
+
+@pytest.mark.parametrize("name", EXPORTED)
+def test_export_matches_nested_list_oracle(name):
+    value = EXPORTED[name]()
+    assert serialize.export_json(value) == oracle_json(value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_export_matches_oracle_on_relabeled_tables(data):
+    """Catalogue groups and the trivial group, relabeled by a permutation
+    fixing 0 and given arbitrary names, in every table-bearing type."""
+    _, builder = data.draw(st.sampled_from(
+        [("C1", lambda: groups.cyclic(1))] + CATALOGUE))
+    G = builder()
+    pi = np.array([0] + data.draw(st.permutations(range(1, G.order))))
+    back = np.argsort(pi)
+    names = data.draw(st.lists(st.text(), min_size=G.order, max_size=G.order,
+                               unique=True))
+    R = groups.from_table(pi[G.mul[back][:, back]].tolist(), names)
+    trivial = maps.trivial_map(R)
+    for value in (R, braces.table_of(R, data.draw(st.text())),
+                  braces.make_brace(braces.table_of(R), braces.table_of(R)),
+                  ybe.build_ybe_idempotent(R, trivial),
+                  {"group": R, "raw": R.mul, "inv": R.inv, names[0]: [R, trivial]}):
+        assert serialize.export_json(value) == oracle_json(value)
+
+
+def test_strings_in_the_placeholder_shape_are_not_spliced():
+    shaped = [f"{secrets.token_hex(16)}{i}" for i in range(4)]
+    G = groups.from_table(groups.cyclic(4).mul.tolist(), shaped)
+    value = {shaped[0]: G, shaped[1]: [braces.table_of(G), shaped[2]]}
+    assert serialize.export_json(value) == oracle_json(value)
+
+
+def test_a_string_equal_to_a_live_placeholder_is_refused():
+    """A collision with this process's random token is detected, never
+    spliced into the wrong place."""
+    G = groups.from_table([[0]], [f"{serialize._TOKEN}0"])
+    with pytest.raises(InternalConsistencyError):
+        serialize.export_json(G)
+    with pytest.raises(InternalConsistencyError):
+        serialize.export_json({f"{serialize._TOKEN}1": groups.cyclic(2), "x": 0})
+
+
+@pytest.mark.parametrize("lam", [
+    [[0, -1], [1, 0]],        # negative: would index the lookup from the end
+    [[0, 10**12], [1, 0]],    # larger than the table: no lookup that long
+    np.zeros((0, 0), dtype=np.int64),
+    np.zeros((3, 0), dtype=np.int64),
+    [[True, False], [False, True]],
+    [[0.5, 1.0], [1.0, 0.0]],
+    np.array([[0, 1], [1, 0]], dtype=np.uint8),
+], ids=["negative", "huge", "empty", "no_columns", "boolean", "float", "uint8"])
+def test_unusual_tables_keep_the_oracle_bytes(lam):
+    lam = np.asarray(lam)
+    sol = None
+    if lam.shape[0] == lam.shape[1]:
+        sol = ybe.YbeSolution(lam, lam.copy(), {"construction": "test"})
+    b = bracoids.Bracoid(braces.table_of(groups.cyclic(3)),
+                         braces.table_of(groups.cyclic(1)), lam.copy(), {})
+    for value in (sol, b, {"raw": lam}):
+        assert serialize.export_json(value) == oracle_json(value)

@@ -53,16 +53,6 @@ def circle_table(G: FiniteGroup, psi: GroupMap, label: str = "o") -> OpTable:
     return OpTable(groups.from_table(circ), label)
 
 
-def circle_inverse(G: FiniteGroup, psi: GroupMap, g: int) -> int:
-    """Inverse of g under o, via the closed form psi(g) g^-1 psi(g^-1)."""
-    im = psi.image_of
-    gbar = int(G.mul[G.mul[im[g], G.inv[g]], im[G.inv[g]]])
-    if maps.circle_product(G, psi, g, gbar) != 0 or \
-            maps.circle_product(G, psi, gbar, g) != 0:
-        raise InternalConsistencyError("closed-form circle inverse failed")
-    return gbar
-
-
 def opposite_table(t: OpTable) -> OpTable:
     return OpTable(groups.from_table(t.op.T.copy()), t.label + "'")
 

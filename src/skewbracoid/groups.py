@@ -212,10 +212,6 @@ class FiniteGroup:
             object.__setattr__(self, "_generating_set", cached)
         return cached
 
-    def commutator(self, g: int, h: int) -> int:
-        """g h g^-1 h^-1"""
-        return int(self.mul[self.mul[g, h], self.mul[self.inv[g], self.inv[h]]])
-
     def index_of(self, name) -> int:
         """The index of the element that `name` names, or `name` if it is an
         index."""
@@ -394,15 +390,6 @@ def factor_embedding(G: FiniteGroup, k: int) -> list[int]:
         raise PreconditionError("group is not a direct product")
     weight = math.prod(f.order for f in G.factors[:k])
     return [weight * i for i in range(G.factors[k].order)]
-
-
-def project_to_factor(G: FiniteGroup, k: int, idx: int) -> int:
-    """Coordinate of element `idx` in the k-th factor of a direct product."""
-    if G.factors is None:
-        raise PreconditionError("group is not a direct product")
-    if not 0 <= k < len(G.factors):
-        raise PreconditionError("factor index out of range")
-    return idx // math.prod(f.order for f in G.factors[:k]) % G.factors[k].order
 
 
 def semidirect(base: FiniteGroup, acting: FiniteGroup, action, *,
@@ -751,11 +738,17 @@ def derived_subgroup(G: FiniteGroup) -> np.ndarray:
     return next(derived_series(G))
 
 
-def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
+def is_normal(G: FiniteGroup, H, roots=None):
     """H is normal iff it is a union of conjugacy classes, that is iff each
-    element is in H just when the root of its class is."""
-    mask = H.member_mask()
-    return bool((mask == mask[_classes(G)[0]]).all())
+    element is in H just when the root of its class is.  H is a Subgroup, or
+    a (k x n) stack of member masks: a column of k verdicts.  With `roots`,
+    the least point of each orbit of r other partitions (r x n), it is a
+    (k x r) matrix: whether each row is a union of orbits of each."""
+    masks = H.member_mask()[None] if isinstance(H, Subgroup) else H
+    if roots is not None:
+        return (masks[:, roots] == masks[:, None]).all(axis=2)
+    normal = (masks == masks[:, _classes(G)[0]]).all(axis=1)
+    return bool(normal[0]) if isinstance(H, Subgroup) else normal
 
 
 def center(G: FiniteGroup) -> Subgroup:
@@ -763,21 +756,52 @@ def center(G: FiniteGroup) -> Subgroup:
     return _known_subgroup(G, tuple(np.flatnonzero(_classes(G)[1] == 1).tolist()))
 
 
-def commutator_condition(G: FiniteGroup, S, H: Subgroup) -> bool:
+def _commutes(G: FiniteGroup, masks: np.ndarray) -> np.ndarray:
+    """K[r, x]: whether row r of `masks` holds [g, x] for every g.  As g runs
+    over G, g x g^-1 runs over cl(x), so these are the c x^-1, c in cl(x),
+    read from the elements sorted by class root for blocks of x whose
+    gathers take at most SWEEP_BLOCK_BYTES."""
+    root, size = _classes(G)
+    by_class, slot = np.argsort(root, kind="stable"), np.arange(size.max())
+    first = np.searchsorted(root[by_class], root)
+    step = max(1, SWEEP_BLOCK_BYTES // (len(slot) * max(8, len(masks))))
+    blocks = (np.arange(lo, min(lo + step, G.order))[:, None] for lo in range(0, G.order, step))
+    # each cl(x) is repeated to the size of the largest class
+    return np.hstack([masks[:, G.mul[by_class[first[x] + slot % size[x]], G.inv[x]]].all(axis=2)
+                      for x in blocks])
+
+
+def commutator_condition(G: FiniteGroup, S, H, commutes=None):
     """True iff the commutator [g, s] lies in H for every g in G, s in S.
 
-    As g runs over G, g s g^-1 runs over cl(s), so this is cl(s) s^-1 in
-    H, that is cl(s) in Hs: Hs holds all |cl(s)| members of cl(s).  The
-    sets Hs are gathered for blocks of S whose int64 arrays take at most
-    SWEEP_BLOCK_BYTES, so no G x S array is built."""
-    root, size = _classes(G)
-    members, S = np.asarray(H.members), np.asarray(S, dtype=np.int64)
-    step = max(1, SWEEP_BLOCK_BYTES // (8 * len(members)))
-    for lo in range(0, len(S), step):
-        s = S[lo:lo + step]
-        if ((root[G.mul[members[:, None], s]] == root[s]).sum(axis=0) < size[s]).any():
-            return False
-    return True
+    H is a Subgroup and S a collection of elements, or H is a (k x n) stack
+    of member masks and S a (k x m) element array, row r of S against row r
+    of H, which gives a column of k verdicts.  The test reads K of
+    `_commutes` at S; `commutes` is K if the caller holds it."""
+    masks = H.member_mask()[None] if isinstance(H, Subgroup) else H
+    K = _commutes(G, masks) if commutes is None else commutes
+    S = np.asarray(S, dtype=np.int64).reshape(len(masks), -1)
+    ok = np.take_along_axis(K, S, axis=1).all(axis=1)
+    return bool(ok[0]) if isinstance(H, Subgroup) else ok
+
+
+def subgroup_lattice(G: FiniteGroup, members=None) -> dict:
+    """Subgroups of G as rows, from their member tuples `members` in (order,
+    members) order: per order the (k x m) array of those tuples ("stacks"),
+    the member masks ("masks"), `is_normal` ("normal") and K of `_commutes`
+    ("commutes"); by default every subgroup of G, computed once per group."""
+    if members is None:
+        if getattr(G, "_lattice", None) is None:
+            members = getattr(G, "_subgroups", None) or \
+                [s.members for s in enumerate_subgroups(G)]
+            object.__setattr__(G, "_lattice", subgroup_lattice(G, members))
+        return G._lattice
+    stacks = [np.array(list(same)) for _, same in itertools.groupby(members, len)]
+    masks = np.zeros((len(members), G.order), dtype=bool)
+    masks[np.repeat(np.arange(len(members)), list(map(len, members))),
+          np.concatenate(stacks, axis=None)] = True
+    return {"stacks": stacks, "masks": masks, "normal": is_normal(G, masks),
+            "commutes": _commutes(G, masks)}
 
 
 @dataclass(frozen=True, eq=False)

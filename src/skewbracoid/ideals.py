@@ -1,7 +1,7 @@
 """Classification of strong left ideals and ideals of the bi-skew braces
 induced by an abelian map.
 
-Two routes are always computed and cross-checked:
+Two routes are computed, as columns over all subgroups, and cross-checked:
 
 * the predicate route: C1 = "[g, phi(h)] in H for all g, h" and
   C2 = "H normal in (G, .)", mapped to brace labels;
@@ -39,6 +39,10 @@ SLI_LABELS = ("(o,.)", "(o',.)", "(.,o)", "(.',o)")
 IDEAL_LABELS = ("(.,o)", "(.,o')", "(o',.)")
 # conjugation in o, then the gamma maps of these braces
 FAMILIES = ("o", "(o,.)", "(o',.)", "(.,o)", "(.',o)", "(.,o')")
+# the predicate route: the labels per (C1, C2), in the order a verdict lists them
+PREDICATE_LABELS = {(False, False): ((), ()), (True, False): (("(o,.)", "(o',.)"), ()),
+                    (False, True): (("(.',o)", "(.,o)"), ()),
+                    (True, True): (("(o,.)", "(.',o)", "(.,o)", "(o',.)"), IDEAL_LABELS)}
 
 
 @dataclass(eq=False)
@@ -79,55 +83,64 @@ def _brace_tables(G: FiniteGroup, psi: GroupMap) -> dict:
             "roots": roots.reshape(6, n) - n * np.arange(6)[:, None]}
 
 
-def classify_subgroup(G: FiniteGroup, psi: GroupMap, H: Subgroup,
-                      tables: dict | None = None) -> IdealVerdict:
-    """Verdict for a single subgroup, predicate vs definition cross-checked.
-
-    `tables`, made once per psi by `find_strong_left_ideals`, holds the
-    table of `o`, phi and the orbit roots."""
-    if H.parent is not G:
-        raise PreconditionError("subgroup does not belong to the given group")
-    maps.require_abelian_endomorphism(psi)
-    tables = tables or _brace_tables(G, psi)
-    mask, members = H.member_mask(), np.asarray(H.members)
-    C1 = groups.commutator_condition(G, tables["phi"][members], H)
-    C2 = groups.is_normal(G, H)
-
-    sli_pred = []
-    if C1:
-        sli_pred += ["(o,.)", "(o',.)"]
-    if C2:
-        sli_pred += ["(.,o)", "(.',o)"]
-    ideal_pred = list(IDEAL_LABELS) if (C1 and C2) else []
-
+def _columns(G: FiniteGroup, tables: dict, rows: dict, subgroups) -> list[tuple]:
+    """(C1, C2) of each subgroup of `rows` (a `groups.subgroup_lattice`
+    record, whose rows `subgroups` names), once the labels that both routes
+    give agree, each computed as one column over the rows."""
+    M, C2 = rows["masks"], rows["normal"]
+    # [g, phi(h)] in H for every h in H: K is read at e off H
+    C1 = groups.commutator_condition(G, np.where(M, tables["phi"], 0), M,
+                                     rows["commutes"])
     # H is a subgroup of (G, .) already, and C2 is its normality there.  An
     # opposite operation has the subgroups and normal subgroups of its
     # original, so only the gamma checks tell the opposites apart.
-    union = dict(zip(FAMILIES, (mask[tables["roots"]] == mask).all(axis=1).tolist()))
+    normal_o, *gamma = groups.is_normal(G, M, tables["roots"]).T
     # a finite subset closed under o is a subgroup of (G, o)
-    circ = tables["circ"]
-    step = max(1, groups.SWEEP_BLOCK_BYTES // (8 * len(members)))
-    sub_o = all(mask[circ[members[i:i + step, None], members]].all()
-                for i in range(0, len(members), step))
-    normal_o = union["o"]
-    direct = {label: (normal_o if label in ("(o,.)", "(o',.)") else sub_o and C2)
-              and union[label] for label in FAMILIES[1:]}
-    # an ideal is also normal in (G, M)
-    normal_m = {"(.,o)": normal_o, "(.,o')": normal_o, "(o',.)": C2}
-    sli_direct = [label for label in SLI_LABELS if direct[label]]
-    ideal_direct = [label for label in IDEAL_LABELS
-                    if direct[label] and normal_m[label]]
-
-    if sorted(sli_pred) != sorted(sli_direct) or sorted(ideal_pred) != sorted(ideal_direct):
+    sub = _closed(tables["circ"], M, rows["stacks"]) & C2
+    direct = np.array([normal_o, normal_o, sub, sub, sub]) & gamma
+    # SLI_LABELS then IDEAL_LABELS; an ideal is also normal in (G, M)
+    found = np.vstack([direct[:4], direct[[2, 4]] & normal_o, direct[1] & C2])
+    pred = np.array([C1, C1, C2, C2] + [C1 & C2] * 3)
+    if (bad := (found != pred).any(axis=0)).any():
+        i, kinds = int(np.argmax(bad)), ["strong left ideal"] * 4 + ["ideal"] * 3
         raise InternalConsistencyError(
-            "predicate and definition classifications disagree for "
-            f"H={H.members}: predicate slis={sorted(sli_pred)} "
-            f"direct={sorted(sli_direct)}, predicate ideals={sorted(ideal_pred)} "
-            f"direct={sorted(ideal_direct)}")
-    order = {label: i for i, label in enumerate(SLI_LABELS + IDEAL_LABELS)}
-    return IdealVerdict(H, C1, C2,
-                        tuple(sorted(sli_pred, key=order.get)),
-                        tuple(sorted(ideal_pred, key=order.get)))
+            f"predicate and definition classifications disagree for H={subgroups[i].members}: "
+            + ", ".join(f"{kind} of {label}: predicate {p}, direct {d}" for kind, label, p, d
+                        in zip(kinds, SLI_LABELS + IDEAL_LABELS, pred[:, i].tolist(),
+                               found[:, i].tolist()) if p != d))
+    return list(zip(C1.tolist(), C2.tolist()))
+
+
+def _closed(circ: np.ndarray, masks: np.ndarray, stacks) -> np.ndarray:
+    """Whether each row of `masks` is closed under o: per member stack P
+    (k x m), whether each P[r, i] o P[r, j] lies in row r, gathered for blocks
+    of i whose int64 arrays take at most SWEEP_BLOCK_BYTES or the size of P."""
+    closed, lo = [], 0
+    for P in stacks:
+        rows, step = np.arange(lo, lo + len(P))[:, None, None], \
+            max(1, groups.SWEEP_BLOCK_BYTES // (8 * P.size))
+        closed.append(np.logical_and.reduce([
+            masks[rows, circ[P[:, i:i + step, None], P[:, None]]].all(axis=(1, 2))
+            for i in range(0, P.shape[1], step)]))
+        lo += len(P)
+    return np.concatenate(closed)
+
+
+def classify_subgroup(G: FiniteGroup, psi: GroupMap, H: Subgroup,
+                      tables: dict | None = None, row: tuple | None = None) -> IdealVerdict:
+    """Verdict for a single subgroup, predicate vs definition cross-checked.
+
+    `tables`, made once per psi by `find_strong_left_ideals`, holds the
+    table of `o`, phi and the orbit roots; `row` is H's (C1, C2) from the
+    columns it checked over the whole lattice.  Without a row, the same
+    column code runs on the one-row stack [H]."""
+    if H.parent is not G:
+        raise PreconditionError("subgroup does not belong to the given group")
+    maps.require_abelian_endomorphism(psi)
+    if row is None:
+        tables = tables or _brace_tables(G, psi)
+        row, = _columns(G, tables, groups.subgroup_lattice(G, [H.members]), [H])
+    return IdealVerdict(H, *row, *PREDICATE_LABELS[row])
 
 
 @dataclass(eq=False)
@@ -145,9 +158,10 @@ class NamedSubgroups:
         if not H1.member_set() <= self.fix.member_set():
             raise PreconditionError("H1 must be a subgroup of fix psi")
         G = self.group
-        prod = {int(G.mul[k, h]) for k in self.ker.members for h in H1.members}
+        prod = np.zeros(G.order, dtype=bool)
+        prod[G.mul[np.asarray(self.ker.members)[:, None], list(H1.members)]] = True
         try:
-            return Subgroup(G, tuple(sorted(prod)))
+            return Subgroup(G, tuple(np.flatnonzero(prod).tolist()))
         except PreconditionError as exc:
             raise InternalConsistencyError(
                 "ker psi * H1 failed its subgroup check") from exc
@@ -171,5 +185,7 @@ def named_subgroups(G: FiniteGroup, psi: GroupMap) -> NamedSubgroups:
 def find_strong_left_ideals(G: FiniteGroup, psi: GroupMap) -> list[IdealVerdict]:
     """Verdicts for every subgroup of G, in canonical (order, members) order."""
     tables = _brace_tables(G, psi)
-    return [classify_subgroup(G, psi, H, tables)
-            for H in groups.enumerate_subgroups(G)]
+    subgroups = groups.enumerate_subgroups(G)
+    rows = _columns(G, tables, groups.subgroup_lattice(G), subgroups)
+    return [classify_subgroup(G, psi, H, tables, row)
+            for H, row in zip(subgroups, rows)]

@@ -260,13 +260,6 @@ def map_analysis(f: GroupMap) -> MapAnalysis:
     return MapAnalysis(kernel, image, fix, f.idempotent, f.fixed_point_free)
 
 
-def circle_product(G: FiniteGroup, psi: GroupMap, g: int, h: int) -> int:
-    """g o h = g psi(g^-1) h psi(g), evaluated pointwise."""
-    im = psi.image_of
-    m = G.mul
-    return int(m[m[m[g, im[G.inv[g]]], h], im[g]])
-
-
 @dataclass(eq=False)
 class PhiMap:
     """The derived map phi(g) = g psi(g^-1) of an abelian endomorphism.
@@ -280,9 +273,6 @@ class PhiMap:
 
     def __call__(self, g: int) -> int:
         return int(self.image_of[g])
-
-    def image_subgroup(self) -> Subgroup:
-        return Subgroup(self.psi.domain, tuple(self.image_of.tolist()))
 
 
 def phi_of(psi: GroupMap) -> PhiMap:

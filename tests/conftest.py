@@ -208,10 +208,15 @@ def extension_bfs_subgroups(G: groups.FiniteGroup, *,
     return subs
 
 
+def commutator(G: FiniteGroup, g: int, h: int) -> int:
+    """g h g^-1 h^-1"""
+    return int(G.mul[G.mul[g, h], G.mul[G.inv[g], G.inv[h]]])
+
+
 def commutator_closure_oracle(G, members):
     """Closure of every commutator [a, b] with a, b in `members`, by scalar
     loops: the derived subgroup of the subgroup `members`."""
-    return groups.closure(G, {G.commutator(a, b) for a in members for b in members})
+    return groups.closure(G, {commutator(G, a, b) for a in members for b in members})
 
 
 def derived_series_oracle(G):
@@ -245,6 +250,23 @@ def element_orders_oracle(mul):
         power, k = mul[power, idx], k + 1
 
 
+def project_to_factor(G: FiniteGroup, k: int, idx: int) -> int:
+    """Coordinate of element `idx` in the k-th factor of a direct product."""
+    return idx // int(np.prod([f.order for f in G.factors[:k]])) % G.factors[k].order
+
+
+def circle_product(G: FiniteGroup, psi, g: int, h: int) -> int:
+    """g o h = g psi(g^-1) h psi(g), evaluated pointwise."""
+    im, m = psi.image_of, G.mul
+    return int(m[m[m[g, im[G.inv[g]]], h], im[g]])
+
+
+def circle_inverse(G: FiniteGroup, psi, g: int) -> int:
+    """Inverse of g under o, by the closed form psi(g) g^-1 psi(g^-1)."""
+    im = psi.image_of
+    return int(G.mul[G.mul[im[g], G.inv[g]], im[G.inv[g]]])
+
+
 def normal_oracle(mul, inv, members):
     """Scalar loop: g h g^-1 in H for every g and every h in H."""
     mset = set(members)
@@ -255,7 +277,7 @@ def normal_oracle(mul, inv, members):
 def commutator_oracle(G, S, members):
     """Scalar loop: g s g^-1 s^-1 in H for every g in G and s in S."""
     mset = set(members)
-    return all(G.commutator(g, s) in mset for g in range(G.order) for s in S)
+    return all(commutator(G, g, s) in mset for g in range(G.order) for s in S)
 
 
 def sli_oracle(A, M, members):

@@ -4,7 +4,7 @@ import pytest
 from skewbracoid import braces, groups, maps
 from skewbracoid.errors import InternalConsistencyError, PreconditionError
 
-from conftest import brace_oracle
+from conftest import brace_oracle, circle_inverse, circle_product
 
 
 def d4_setup():
@@ -18,7 +18,7 @@ def test_circle_table_matches_pointwise_formula():
     circ = braces.circle_table(G, psi)
     for g in range(8):
         for h in range(8):
-            assert circ.op[g, h] == maps.circle_product(G, psi, g, h)
+            assert circ.op[g, h] == circle_product(G, psi, g, h)
     assert circ.op[G.index_of("r"), G.index_of("s")] == G.index_of("r^3s")
 
 
@@ -26,7 +26,7 @@ def test_circle_inverse_closed_form():
     G, psi = d4_setup()
     circ = braces.circle_table(G, psi)
     for g in range(8):
-        gbar = braces.circle_inverse(G, psi, g)
+        gbar = circle_inverse(G, psi, g)
         assert circ.op[g, gbar] == 0 and circ.op[gbar, g] == 0
 
 

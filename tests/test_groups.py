@@ -8,15 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewbracoid import cli, groups, maps, serialize
+from skewbracoid import cli, groups, ideals, maps, serialize
 from skewbracoid.errors import (InternalConsistencyError, PreconditionError,
                                 WorkLimitError)
 
 from conftest import (CATALOGUE, brute_force_subgroups, c61_c10, element_orders_oracle,
                       commutator_closure_oracle, commutator_oracle,
                       derived_series_oracle, dihedral_oracle,
-                      extension_bfs_subgroups, normal_oracle, semidirect_oracle,
-                      symmetric_oracle)
+                      extension_bfs_subgroups, normal_oracle, project_to_factor,
+                      quaternion_group, semidirect_oracle, symmetric_oracle)
 
 
 def test_cyclic_matches_modular_addition():
@@ -154,8 +154,8 @@ def test_direct_product_coordinates():
     assert G.names[1 + 4 * 1] == "(g,g)"
     assert groups.factor_embedding(G, 0) == [0, 1, 2, 3]
     assert groups.factor_embedding(G, 1) == [0, 4]
-    assert groups.project_to_factor(G, 0, 7) == 3
-    assert groups.project_to_factor(G, 1, 7) == 1
+    assert project_to_factor(G, 0, 7) == 3
+    assert project_to_factor(G, 1, 7) == 1
 
 
 def test_semidirect_gives_dihedral():
@@ -460,6 +460,44 @@ def test_predicates_match_scalar_oracles(n):
             phiH = sorted({int(phi.image_of[h]) for h in H.members})
             assert groups.commutator_condition(G, phiH, H) == \
                 commutator_oracle(G, phiH, H.members)
+
+
+@pytest.mark.parametrize("builder", [lambda: groups.dihedral(6), lambda: groups.symmetric(4),
+                                     quaternion_group, c61_c10])
+def test_lattice_predicates_match_one_row_calls(builder):
+    """A stack of member masks gives one verdict per row: the lattice record
+    (normality and the commutator-containment matrix K, cached once) agrees
+    with the one-row calls, and K read at any element sets agrees with K
+    computed for the stack alone."""
+    G = builder()
+    subs = groups.enumerate_subgroups(G)
+    lattice = groups.subgroup_lattice(G)
+    masks = lattice["masks"]
+    assert lattice is groups.subgroup_lattice(G)
+    assert [tuple(np.flatnonzero(m).tolist()) for m in masks] == [H.members for H in subs]
+    assert lattice["normal"].tolist() == [groups.is_normal(G, H) for H in subs]
+    S = np.where(masks, np.roll(np.arange(G.order), 1), 0)
+    one_row = [groups.commutator_condition(G, S[r], H) for r, H in enumerate(subs)]
+    assert groups.commutator_condition(G, S, masks).tolist() == one_row
+    assert groups.commutator_condition(G, S, masks, lattice["commutes"]).tolist() == one_row
+    if G.order <= 24:
+        assert one_row == [commutator_oracle(G, S[r], H.members) for r, H in enumerate(subs)]
+
+
+def test_lattice_record_built_in_small_blocks_is_unchanged(monkeypatch):
+    """The blocked gathers (K by blocks of elements, closure under o by
+    blocks of members) give the same record and verdicts with tiny blocks."""
+    G = groups.symmetric(4)
+    psis = maps.enumerate_abelian_maps(G)
+    want = groups.subgroup_lattice(G)
+    verdicts = [[v.to_jsonable() for v in ideals.find_strong_left_ideals(G, psi)] for psi in psis]
+    monkeypatch.setattr(groups, "SWEEP_BLOCK_BYTES", 64)
+    G = groups.symmetric(4)
+    got = groups.subgroup_lattice(G)
+    for key in ("masks", "normal", "commutes"):
+        assert np.array_equal(got[key], want[key])
+    assert [[v.to_jsonable() for v in ideals.find_strong_left_ideals(G, psi)]
+            for psi in maps.enumerate_abelian_maps(G)] == verdicts
 
 
 def test_closure_matches_naive_word_enumeration():

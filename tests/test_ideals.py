@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from skewbracoid import braces, groups, ideals, maps
 from skewbracoid.errors import InternalConsistencyError, PreconditionError
+from skewbracoid.ideals import FAMILIES
 
 from conftest import CATALOGUE, normal_oracle, quaternion_group, sli_oracle
 
@@ -173,8 +174,11 @@ def test_find_strong_left_ideals_computes_phi_once(monkeypatch):
 
 
 def test_classification_sweeps_only_to_check_the_circle_table(monkeypatch):
-    """Every verdict is a mask test against partitions made once per psi,
-    and still goes through the module attributes the benchmark traces."""
+    """Every verdict is read from columns over the lattice, made once per
+    psi from partitions and a record made once per group, and still goes
+    through the module attributes the benchmark traces: one
+    classify_subgroup call per subgroup, and the lattice-level normality
+    and commutator tests on every call."""
     G = groups.dihedral(8)
     psi = maps.enumerate_abelian_maps(G)[-1]
     want = [v.to_jsonable() for v in ideals.find_strong_left_ideals(G, psi)]
@@ -190,10 +194,85 @@ def test_classification_sweeps_only_to_check_the_circle_table(monkeypatch):
         f = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, f=f, name=name:
                             calls.append(name) or f(*a))
+    # the lattice record is cached by the call that made `want`
     got = [v.to_jsonable() for v in ideals.find_strong_left_ideals(G, psi)]
     assert got == want and len(sweeps) == circle_sweeps
-    assert sorted(calls) == sorted(["classify_subgroup", "is_normal",
-                                    "commutator_condition"] * 19)
+    assert calls.count("classify_subgroup") == 19
+    assert calls.count("is_normal") >= 1
+    assert calls.count("commutator_condition") >= 1
+
+
+LATTICE_GROUPS = ([(name, builder, 1) for name, builder in CATALOGUE]
+                  + [("C2xD4", lambda: groups.direct_product(groups.cyclic(2),
+                                                             groups.dihedral(4)), 24),
+                     ("S5", lambda: groups.symmetric(5), 1)])
+
+
+@pytest.mark.parametrize("name,builder,step", LATTICE_GROUPS,
+                         ids=[name for name, _, _ in LATTICE_GROUPS])
+def test_lattice_route_matches_one_row_route(name, builder, step):
+    """The columns over the whole lattice and the same column code run on
+    the one-row stack [H] give the same verdicts.  S5 is not solvable, so
+    its lattice is built through joins.  The one-row route builds its own
+    tables, except on S5, where each of its 156 calls per map would
+    rebuild and check an order-120 circle table; C2xD4 takes every 24th
+    of its 960 maps."""
+    G = builder()
+    subgroups = groups.enumerate_subgroups(G)
+    for psi in maps.enumerate_abelian_maps(G)[::step]:
+        tables = ideals._brace_tables(G, psi) if name == "S5" else None
+        want = [ideals.classify_subgroup(G, psi, H, tables).to_jsonable()
+                for H in subgroups]
+        assert [v.to_jsonable() for v in ideals.find_strong_left_ideals(G, psi)] == want
+
+
+def test_disagreement_names_the_first_subgroup(monkeypatch):
+    """With one orbit root moved, the two routes disagree on some
+    subgroups; both routes raise, and the lattice route names the first of
+    them in canonical (order, members) order."""
+    G, psi = d4_setup()
+    brace_tables = ideals._brace_tables
+
+    def moved_root(G, psi):
+        tables = brace_tables(G, psi)
+        roots = tables["roots"].copy()
+        roots[FAMILIES.index("(o,.)"), 4] = 5
+        return {**tables, "roots": roots}
+
+    monkeypatch.setattr(ideals, "_brace_tables", moved_root)
+    subgroups = groups.enumerate_subgroups(G)
+    disagree = []
+    for H in subgroups:
+        try:
+            ideals.classify_subgroup(G, psi, H)
+        except InternalConsistencyError as exc:
+            assert f"H={H.members}:" in str(exc)
+            disagree.append(H.members)
+    assert disagree and disagree[0] != subgroups[0].members
+    with pytest.raises(InternalConsistencyError) as exc:
+        ideals.find_strong_left_ideals(G, psi)
+    assert f"H={disagree[0]}:" in str(exc.value)
+    assert "strong left ideal of (o,.): predicate True, direct False" in str(exc.value)
+
+
+def test_label_order_is_pinned_for_every_c1_c2():
+    """The JSON of a verdict lists its labels in one fixed order for each
+    (C1, C2), on the lattice route and the one-row route alike."""
+    want = {(False, False): ([], []),
+            (True, False): (["(o,.)", "(o',.)"], []),
+            (False, True): (["(.',o)", "(.,o)"], []),
+            (True, True): (["(o,.)", "(.',o)", "(.,o)", "(o',.)"],
+                           ["(.,o)", "(.,o')", "(o',.)"])}
+    seen = set()
+    G = groups.dihedral(6)  # the one catalogue group with all four
+    for psi in maps.enumerate_abelian_maps(G):
+        for v in ideals.find_strong_left_ideals(G, psi):
+            for got in (v.to_jsonable(),
+                        ideals.classify_subgroup(G, psi, v.subgroup).to_jsonable()):
+                key = (got["C1"], got["C2"])
+                assert (got["strong_left_ideal_of"], got["ideal_of"]) == want[key]
+                seen.add(key)
+    assert seen == set(want)
 
 
 RELABELED = {"D4": lambda: groups.dihedral(4), "D6": lambda: groups.dihedral(6),

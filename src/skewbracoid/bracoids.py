@@ -14,11 +14,9 @@ import numpy as np
 
 from . import braces, groups, maps
 from .braces import OpTable
-from .errors import InternalConsistencyError, PreconditionError, WorkLimitError
+from .errors import InternalConsistencyError, PreconditionError
 from .groups import FiniteGroup, Subgroup
 from .maps import GroupMap
-
-CONTAINED_BRACE_ENUM_CAP = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +89,7 @@ def _require_valid(b: Bracoid) -> Bracoid:
 def bracoid_from_C1(G: FiniteGroup, psi: GroupMap, H: Subgroup,
                     opposite: bool = False) -> Bracoid:
     """(G, ., G/H, o, (+)) with g (+) xH = (gx)H, for H satisfying C1."""
-    phiH = maps.phi_of(psi).image_of[list(H.members)]
+    phiH = maps.phi_of(psi)[list(H.members)]
     if not groups.commutator_condition(G, phiH, H):
         raise PreconditionError("C1 fails: [G, phi(H)] is not contained in H")
     circ = braces.circle_table(G, psi)
@@ -121,7 +119,7 @@ def bracoid_from_C2(G: FiniteGroup, psi: GroupMap, H: Subgroup,
     action = cos[circ.op[:, cs.representatives]]
     if not np.array_equal(cos[circ.op], action[:, cos]):
         raise InternalConsistencyError("action ill-defined on cosets")
-    phiH = maps.phi_of(psi).image_of[list(H.members)]
+    phiH = maps.phi_of(psi)[list(H.members)]
     provenance = {"construction": "from_C2", "subgroup": list(H.members),
                   "opposite": opposite,
                   "C1": groups.commutator_condition(G, phiH, H)}
@@ -168,9 +166,8 @@ def find_contained_brace(b: Bracoid) -> Subgroup | None:
 
     Only subgroups of order exactly |target| can act regularly, so the
     search is restricted to those.  Candidates recorded by the constructor
-    in provenance are tried first; up to CONTAINED_BRACE_ENUM_CAP acting
-    elements the search then falls back to all subgroups in canonical
-    (order, members) order.
+    in provenance are tried first; the search then falls back to all
+    subgroups in canonical (order, members) order.
     """
     m = b.target_order
     Gact = b.acting.group
@@ -179,25 +176,17 @@ def find_contained_brace(b: Bracoid) -> Subgroup | None:
         vals = [int(b.action[g, 0]) for g in members]
         return len(set(vals)) == m
 
-    tried = False
     for cand in b.provenance.get("contained_candidates", []):
-        tried = True
         try:
             S = Subgroup(Gact, tuple(cand))
         except PreconditionError:
             continue
         if S.order == m and regular(S.members):
             return S
-    if b.acting_order <= CONTAINED_BRACE_ENUM_CAP:
-        for S in groups.enumerate_subgroups(Gact):
-            if S.order == m and regular(S.members):
-                return S
-        return None
-    if tried:
-        return None
-    raise WorkLimitError(
-        "acting group too large for subgroup enumeration and no candidates "
-        "were recorded in provenance")
+    for S in groups.enumerate_subgroups(Gact):
+        if S.order == m and regular(S.members):
+            return S
+    return None
 
 
 def phi_tower_bracoid(G: FiniteGroup, psi: GroupMap, n: int) -> Bracoid:

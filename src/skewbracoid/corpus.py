@@ -135,7 +135,7 @@ def _run_d4xd4_tower(fx: dict) -> dict:
 
     upto = 0
     for n in range(1, 5):
-        derived = maps.phi_of(maps.psi_iterate(psi, n)).image_of
+        derived = maps.phi_of(maps.psi_iterate(psi, n))
         if not np.array_equal(derived, maps.phi_power(psi, n)):
             break
         upto = n

@@ -38,19 +38,28 @@ def sweep(bad, axes):
     `bad` maps one index array per axis, broadcast against each other, to a
     boolean array of their broadcast shape; `axes` lists each axis's
     ascending index values.  The first axis is walked in blocks whose int64
-    arrays take at most SWEEP_BLOCK_BYTES.
+    arrays start at SWEEP_BLOCK_BYTES / 64 (at least one index) and double
+    up to SWEEP_BLOCK_BYTES, so a failing check costs about the block that
+    holds its witness, and a passing one at most six calls more than with
+    the cap from the start.  The blocks run in ascending order and argmax
+    gives the first hit within one, so the result does not depend on the
+    schedule.
     """
     axes = [np.asarray(a, dtype=np.int64) for a in axes]
-    step = max(1, SWEEP_BLOCK_BYTES // (8 * max(1, math.prod(map(len, axes[1:])))))
+    row = 8 * max(1, math.prod(map(len, axes[1:])))
+    cap = max(1, SWEEP_BLOCK_BYTES // row)
+    step = max(1, SWEEP_BLOCK_BYTES // 64 // row)
     # the open mesh np.ix_ builds: axis k runs along dimension k
     first, *rest = (a.reshape([-1 if j == k else 1 for j in range(len(axes))])
                     for k, a in enumerate(axes))
-    for start in range(0, len(first), step):
+    start = 0
+    while start < len(first):
         block = (first[start:start + step], *rest)
         hit = bad(*block)
         if hit.any():
             pos = np.unravel_index(np.argmax(hit), hit.shape)
             return tuple(int(a.flat[p]) for a, p in zip(block, pos))
+        start, step = start + step, min(2 * step, cap)
     return None
 
 

@@ -79,7 +79,7 @@ def _brace_tables(G: FiniteGroup, psi: GroupMap) -> dict:
              lambda g: dot[inv[g][:, None], circ[:, g].T])
     roots = groups.orbit_roots(
         lambda g: np.hstack([f(g) + k * n for k, f in enumerate(perms)]), n, 6 * n)
-    return {"circ": circ, "phi": maps.phi_of(psi).image_of,
+    return {"circ": circ, "phi": maps.phi_of(psi),
             "roots": roots.reshape(6, n) - n * np.arange(6)[:, None]}
 
 
@@ -172,7 +172,7 @@ def named_subgroups(G: FiniteGroup, psi: GroupMap) -> NamedSubgroups:
     if analysis.fix is None:
         raise PreconditionError("named subgroups need an endomorphism")
     phi = maps.phi_of(psi)
-    hat = tuple(np.flatnonzero(groups.center(G).member_mask()[phi.image_of]).tolist())
+    hat = tuple(np.flatnonzero(groups.center(G).member_mask()[phi]).tolist())
     try:
         h_hat = Subgroup(G, hat)
     except PreconditionError as exc:

@@ -260,22 +260,13 @@ def map_analysis(f: GroupMap) -> MapAnalysis:
     return MapAnalysis(kernel, image, fix, f.idempotent, f.fixed_point_free)
 
 
-@dataclass(eq=False)
-class PhiMap:
-    """The derived map phi(g) = g psi(g^-1) of an abelian endomorphism.
+def phi_of(psi: GroupMap) -> np.ndarray:
+    """Read-only image array of phi(g) = g psi(g^-1), for an abelian
+    endomorphism psi.
 
     phi is a homomorphism from (G, o) to (G, .), with ker phi = fix psi;
-    both facts are verified at construction.
+    both facts are verified here.
     """
-
-    psi: GroupMap
-    image_of: np.ndarray
-
-    def __call__(self, g: int) -> int:
-        return int(self.image_of[g])
-
-
-def phi_of(psi: GroupMap) -> PhiMap:
     require_abelian_endomorphism(psi)
     G = psi.domain
     n = G.order
@@ -290,13 +281,13 @@ def phi_of(psi: GroupMap) -> PhiMap:
     if fix != ker:
         raise InternalConsistencyError("ker phi differs from fix psi")
     phi.setflags(write=False)
-    return PhiMap(psi, phi)
+    return phi
 
 
 def phi_power(psi: GroupMap, n: int) -> np.ndarray:
     """Image array of phi composed with itself n times (n = 0 is identity),
     by repeated squaring: about 2 log2(n) compositions."""
-    power = phi_of(psi).image_of  # phi^(2^k) at bit k of n
+    power = phi_of(psi)  # phi^(2^k) at bit k of n
     out = np.arange(psi.domain.order)
     while n > 0:
         if n & 1:
@@ -311,7 +302,7 @@ def psi_iterate(psi: GroupMap, n: int) -> GroupMap:
     if n < 0 or n > PSI_ITERATE_BOUND:
         raise PreconditionError(f"iteration index must lie in 0..{PSI_ITERATE_BOUND}")
     G = psi.domain
-    phi = phi_of(psi).image_of
+    phi = phi_of(psi)
     current = np.zeros(G.order, dtype=np.int64)
     for _ in range(n):
         current = G.mul[psi.image_of, current[phi]]

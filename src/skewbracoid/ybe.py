@@ -165,7 +165,7 @@ def build_ybe_idempotent(G: FiniteGroup, psi: GroupMap) -> YbeSolution:
         raise PreconditionError("psi must be idempotent")
     n = G.order
     m, inv, im = G.mul, G.inv, psi.image_of
-    phi = maps.phi_of(psi).image_of
+    phi = maps.phi_of(psi)
     idx = np.arange(n)
     X, Y = idx[:, None], idx[None, :]
     lam = m[m[im[:, None], phi[None, :]], im[inv][:, None]]
@@ -239,7 +239,7 @@ def build_ybe_abelian_pair(G: FiniteGroup, psi: GroupMap) -> tuple[YbeSolution, 
     if not (psi.is_endomorphism() and psi.idempotent):
         raise PreconditionError("psi must be an idempotent endomorphism")
     n = G.order
-    phi = maps.phi_of(psi).image_of
+    phi = maps.phi_of(psi)
     im = psi.image_of
     lam_r = np.broadcast_to(phi[None, :], (n, n)).copy()
     rho_r = G.mul[im[:, None], np.arange(n)[None, :]]  # rho[y, x] = psi(y) x

@@ -150,7 +150,7 @@ def test_criterion_04_brace_block_tower():
         phin = set(maps.phi_power(psi, n).tolist())
         ok = ok and len(phin) == 16 and phin == stable
     for n in range(1, 5):
-        derived = maps.phi_of(maps.psi_iterate(psi, n)).image_of
+        derived = maps.phi_of(maps.psi_iterate(psi, n))
         ok = ok and np.array_equal(derived, maps.phi_power(psi, n))
     for n in range(5):
         b = bracoids.phi_tower_bracoid(G, psi, n)  # verified on construction
@@ -193,7 +193,7 @@ def test_criterion_06_ybe_idempotent_dihedral():
     ok = ok and rep.nondegeneracy.right and not rep.nondegeneracy.left
     rs = G.index_of("rs")
     ok = ok and all(sol.lam[x, rs] == 0 for x in range(8))  # y in fix psi
-    phi = maps.phi_of(psi).image_of
+    phi = maps.phi_of(psi)
     ok = ok and all(sol.apply(x, 0) == (0, x) for x in range(8))
     ok = ok and all(sol.apply(0, y) == (int(phi[y]), psi(y)) for y in range(8))
     r, s = G.index_of("r"), G.index_of("s")

@@ -138,6 +138,20 @@ def test_find_contained_brace_enumerates():
     assert len(seen) == b.target_order  # regular restriction
 
 
+def test_find_contained_brace_enumerates_above_order_64():
+    # D40 is no direct product, so its C2 bracoid records no candidates
+    G = groups.dihedral(40)
+    psi = maps.make_map(G, G, {"r": "e", "s": "s"})
+    H = groups.subgroup_generated(G, [G.index_of("r")])
+    b = bracoids.bracoid_from_C2(G, psi, H)
+    assert b.acting_order == 80 and "contained_candidates" not in b.provenance
+    K = bracoids.find_contained_brace(b)
+    regular = [S for S in groups.enumerate_subgroups(b.acting.group)
+               if S.order == b.target_order
+               and len({int(b.action[k, 0]) for k in S.members}) == S.order]
+    assert K is not None and K.members == regular[0].members
+
+
 def test_find_contained_brace_prefers_provenance_candidates():
     G, psi = d4_setup()
     b = bracoids.phi_tower_bracoid(G, psi, 1)

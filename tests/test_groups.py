@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import tracemalloc
 from unittest import mock
 
@@ -132,8 +133,9 @@ def test_large_non_associative_table_rejected(capsys):
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("block_bytes", [1, 8 * 5 * 6 * 2, 2**30])
+@pytest.mark.parametrize("block_bytes", [1, 8 * 5 * 6 * 2, 8 * 5 * 6 * 64, 2**30])
 def test_sweep_returns_first_failure_across_blocks(monkeypatch, block_bytes):
+    # 8 * 5 * 6 * 64 bytes: blocks of 1, 2 and 4 of the 7 leading indices
     monkeypatch.setattr(groups, "SWEEP_BLOCK_BYTES", block_bytes)
     rng = np.random.default_rng(3)
     axes = (np.arange(7), np.array([0, 2, 3, 6, 8]), np.arange(6))
@@ -141,6 +143,37 @@ def test_sweep_returns_first_failure_across_blocks(monkeypatch, block_bytes):
         mask = rng.random((7, 9, 6)) < density
         want = next((t for t in itertools.product(*axes) if mask[t]), None)
         assert groups.sweep(lambda x, y, z: mask[x, y, z], axes) == want
+
+
+@pytest.mark.parametrize("block_bytes,lengths", [
+    (None, (192, 192, 192)),       # the order-192 braid sweep: 1, 2, 4, 8, then 14
+    (None, (1000, 1000, 3)),
+    (None, (5000, 1)),
+    (1, (9, 4)),
+    (8 * 7 * 127, (700, 7)),       # a cap of 127 rows, not a power of two
+    (8 * 7 * 64 * 3, (1000, 7)),   # a first block of 3 rows
+    (2**30, (50, 6, 6)),
+])
+def test_sweep_blocks_grow_from_a_64th_of_the_cap(monkeypatch, block_bytes, lengths):
+    if block_bytes is not None:
+        monkeypatch.setattr(groups, "SWEEP_BLOCK_BYTES", block_bytes)
+    total = groups.SWEEP_BLOCK_BYTES
+    axes = [np.arange(k) for k in lengths]
+    row_bytes = 8 * math.prod(lengths[1:])
+    cap = max(1, total // row_bytes)
+    seen = []
+
+    def bad(first, *rest):
+        seen.append(first.ravel().copy())
+        return np.zeros(np.broadcast_shapes(first.shape, *(r.shape for r in rest)), bool)
+
+    assert groups.sweep(bad, axes) is None
+    sizes = [len(s) for s in seen]
+    assert sizes[0] <= max(1, (total // 64) // row_bytes)
+    assert all(b <= min(2 * a, cap) for a, b in zip(sizes, sizes[1:]))
+    assert np.array_equal(np.concatenate(seen), axes[0])
+    # growth adds at most six calls to those of blocks of the cap alone
+    assert len(sizes) <= -(-lengths[0] // cap) + 6
 
 
 def test_direct_product_coordinates():
@@ -457,7 +490,7 @@ def test_predicates_match_scalar_oracles(n):
     for psi in maps.enumerate_abelian_maps(G):
         phi = maps.phi_of(psi)
         for H in subs:
-            phiH = sorted({int(phi.image_of[h]) for h in H.members})
+            phiH = sorted({int(phi[h]) for h in H.members})
             assert groups.commutator_condition(G, phiH, H) == \
                 commutator_oracle(G, phiH, H.members)
 

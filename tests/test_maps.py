@@ -323,16 +323,16 @@ def test_phi_values_and_kernel():
     G, psi = d4_psi()
     phi = maps.phi_of(psi)
     for g in range(8):
-        assert phi(g) == G.op(g, psi(G.inverse(g)))
-    assert set(np.flatnonzero(phi.image_of == 0).tolist()) == {0, G.index_of("rs")}
-    assert groups.Subgroup(G, phi.image_of).members == (0, 2, 4, 6)  # = ker psi here
+        assert phi[g] == G.op(g, psi(G.inverse(g)))
+    assert set(np.flatnonzero(phi == 0).tolist()) == {0, G.index_of("rs")}
+    assert groups.Subgroup(G, phi).members == (0, 2, 4, 6)  # = ker psi here
 
 
 def test_psi_iterate_recursion():
     G, psi = d4_psi()
     assert np.array_equal(maps.psi_iterate(psi, 0).image_of, np.zeros(8, dtype=np.int64))
     assert np.array_equal(maps.psi_iterate(psi, 1).image_of, psi.image_of)
-    phi = maps.phi_of(psi).image_of
+    phi = maps.phi_of(psi)
     prev = maps.psi_iterate(psi, 1).image_of
     for n in (2, 3, 4):
         cur = maps.psi_iterate(psi, n).image_of
@@ -345,7 +345,7 @@ def test_psi_iterate_recursion():
 
 def test_phi_power_is_composition():
     G, psi = d4_psi()
-    phi = maps.phi_of(psi).image_of
+    phi = maps.phi_of(psi)
     composed = np.arange(8)
     for n in range(5):
         assert np.array_equal(maps.phi_power(psi, n), composed)
@@ -369,7 +369,7 @@ def test_phi_power_by_squaring_matches_step_by_step(fixture):
     fx = corpus.load_fixture(fixture)
     G = groups.build_group(fx["group"])
     psi = maps.make_map(G, G, fx["map"]["images"])
-    phi = maps.phi_of(psi).image_of
+    phi = maps.phi_of(psi)
     step = np.arange(G.order)
     for n in range(41):
         assert np.array_equal(maps.phi_power(psi, n), step)

@@ -30,7 +30,7 @@ def test_idempotent_solution_braid_oracle():
 def test_idempotent_spot_values():
     G, psi = d4_setup()
     sol = ybe.build_ybe_idempotent(G, psi)
-    phi = maps.phi_of(psi).image_of
+    phi = maps.phi_of(psi)
     for x in range(8):
         assert sol.apply(x, 0) == (0, x)
     for y in range(8):
@@ -63,7 +63,7 @@ def test_abelian_pair_formulas_and_oracle():
     proj = maps.make_map(G, G, [4 * (i // 4) for i in range(8)])
     assert proj.idempotent
     R, Rp = ybe.build_ybe_abelian_pair(G, proj)
-    phi = maps.phi_of(proj).image_of
+    phi = maps.phi_of(proj)
     for x in range(8):
         for y in range(8):
             assert R.apply(x, y) == (int(phi[y]), G.op(proj(y), x))
@@ -175,6 +175,33 @@ def test_uncertified_solution_is_swept_exhaustively_above_order_256():
     rep = ybe.verify_ybe(bad)
     assert rep.method == "sweep" and rep.checked == "exhaustive"
     assert not rep.holds and rep.witness == braid_oracle(bad) == (0, 1, 135)
+
+
+def test_failing_sweep_stops_in_the_block_of_its_witness(monkeypatch):
+    """A corrupted C8 x S4 cell fails at x = 0, so the braid predicate sees
+    the first 192^2 triples and no more."""
+    G1, G2 = groups.cyclic(8), groups.symmetric(4)
+    alpha = maps.make_map(G1, G2, {"g": "1230"})
+    beta = maps.make_map(G2, G1, {"1023": "g^4", "1230": "g^4"})
+    sol = ybe.build_ybe_product(G1, G2, alpha, beta)
+    lam = sol.lam.copy()
+    lam[100, 50] = (lam[100, 50] + 7) % 192
+    bad = sol.with_tables(lam=lam)
+    seen = []
+    sweep = groups.sweep
+
+    def counted(pred, axes):
+        def wrapped(*block):
+            hit = pred(*block)
+            seen.append(hit.size)
+            return hit
+        return sweep(wrapped, axes)
+
+    monkeypatch.setattr(groups, "sweep", counted)
+    rep = ybe.verify_ybe(bad)
+    assert rep.method == "sweep"
+    assert not rep.holds and rep.witness == braid_oracle(bad) == (0, 100, 50)
+    assert 0 < sum(seen) <= 192**2
 
 
 def assert_certified(sol, swept=None):

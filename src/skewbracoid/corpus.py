@@ -189,13 +189,9 @@ def _run_c8_s4(fx: dict) -> dict:
     }
 
     # the product builder records the C2 bracoid on the G1 factor and its K
-    if sol.source is None:
-        out["matches_contained_brace_recipe"] = False
-    else:
-        sol2 = ybe.build_ybe_from_contained_brace(*sol.source)
-        out["matches_contained_brace_recipe"] = bool(
-            np.array_equal(sol.lam, sol2.lam)
-            and np.array_equal(sol.rho, sol2.rho))
+    sol2 = ybe.build_ybe_from_contained_brace(*sol.source)
+    out["matches_contained_brace_recipe"] = bool(
+        np.array_equal(sol.lam, sol2.lam) and np.array_equal(sol.rho, sol2.rho))
 
     # first-coordinate offsets of rho against x1 + y1, split by the parity
     # of the S4 part of y
@@ -284,14 +280,11 @@ def _run_gencase_generic(fx: dict) -> dict:
     out["fix_in_circle_center"] = all(
         np.array_equal(circ.op[g], circ.op[:, g]) for g in fix.members)
 
-    # sol.source, when set, is the C2 bracoid on G1 and the K found in it
+    # sol.source is the C2 bracoid on G1 and the K found in it
     sol = ybe.build_ybe_product(G1, G2, alpha, beta)
-    if sol.source is not None:
-        b, found = sol.source
-    else:
-        b = bracoids.bracoid_from_C2(G, psi, H)
-        found = bracoids.find_contained_brace(b)
-    out["contained_K_regular"] = found is not None
+    b, found = sol.source
+    out["contained_K_regular"] = (sorted(b.action[list(found.members), 0].tolist())
+                                  == list(range(b.target_order)))
 
     K = Subgroup(G, tuple(groups.factor_embedding(G, 1)))
     sol2 = ybe.build_ybe_from_contained_brace(b, K)

@@ -153,19 +153,6 @@ class NamedSubgroups:
     fix: Subgroup
     h_hat: Subgroup
 
-    def ker_times(self, H1: Subgroup) -> Subgroup:
-        """The set product (ker psi) * H1, for H1 <= fix psi."""
-        if not H1.member_set() <= self.fix.member_set():
-            raise PreconditionError("H1 must be a subgroup of fix psi")
-        G = self.group
-        prod = np.zeros(G.order, dtype=bool)
-        prod[G.mul[np.asarray(self.ker.members)[:, None], list(H1.members)]] = True
-        try:
-            return Subgroup(G, tuple(np.flatnonzero(prod).tolist()))
-        except PreconditionError as exc:
-            raise InternalConsistencyError(
-                "ker psi * H1 failed its subgroup check") from exc
-
 
 def named_subgroups(G: FiniteGroup, psi: GroupMap) -> NamedSubgroups:
     analysis = maps.map_analysis(psi)

@@ -5,24 +5,27 @@ coordinate of R(x, y) and ``rho[y][x]`` the second.  The braid relation
 
     (R x id)(id x R)(R x id) = (id x R)(R x id)(id x R)
 
-is proved, at any order, from the skew bracoid (G, N, (+)) and the subgroup
-K of G acting regularly on N that every builder here records: their
-contained-brace recipe (`build_ybe_from_contained_brace`) always gives a
-solution (Martin-Lyons and Truman; the argument is in `_certified`), so a
-valid bracoid whose recipe gives both tables exactly is an exact
-certificate.  A solution without one, or whose certificate fails, has the
-relation swept over all order^3 triples, at every order.
+is proved, at any order, from a skew bracoid (G, N, (+)) and a subgroup K
+of G acting regularly on N.  Every builder here builds such a bracoid,
+finds K in it, and returns the tables of their contained-brace recipe
+(`build_ybe_from_contained_brace`) with (bracoid, K) as the source; a
+bracoid without a regular K is an internal inconsistency.  The recipe
+always gives a solution (Martin-Lyons and Truman; the argument is in
+`_certified`), so a valid bracoid whose recipe gives both tables exactly
+is an exact certificate.  A solution without a source (`with_tables`
+drops it), or whose certificate fails, has the relation swept over all
+order^3 triples, at every order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import bracoids, groups, maps
 from .bracoids import Bracoid
-from .errors import InternalConsistencyError, PreconditionError, SkewBracoidError
+from .errors import InternalConsistencyError, PreconditionError
 from .groups import FiniteGroup, Subgroup
 from .maps import GroupMap
 
@@ -32,8 +35,8 @@ class YbeSolution:
     lam: np.ndarray  # lam[x, y]  = first coordinate of R(x, y)
     rho: np.ndarray  # rho[y, x]  = second coordinate of R(x, y)
     provenance: dict
-    # (bracoid, K) whose contained-brace recipe gives these tables, if known;
-    # not exported, and dropped by with_tables
+    # (bracoid, K) whose contained-brace recipe gives these tables: set by
+    # every builder, dropped by with_tables, and not exported
     source: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -141,43 +144,29 @@ def _certified(s: YbeSolution) -> bool:
     return np.array_equal(r.lam, s.lam) and np.array_equal(r.rho, s.rho)
 
 
-def _contained_source(build) -> tuple | None:
-    """(b, K) for the bracoid b = build() and a subgroup K of its acting
-    group acting regularly on its target; None if a step raises or there
-    is no such K."""
-    try:
-        b = build()
-        K = bracoids.find_contained_brace(b)
-    except SkewBracoidError:
-        return None
-    return None if K is None else (b, K)
-
-
 # ---------------------------------------------------------------------------
-# constructors
+# constructors: each builds a bracoid and runs the contained-brace recipe on it
+
+
+def _from_bracoid(b: Bracoid, provenance: dict) -> YbeSolution:
+    """The recipe's solution on b and the K that `find_contained_brace`
+    finds in it, under the builder's own provenance."""
+    K = bracoids.find_contained_brace(b)
+    if K is None:
+        raise InternalConsistencyError(
+            f"no subgroup of the acting group acts regularly on the target of {b!r}")
+    return replace(build_ybe_from_contained_brace(b, K), provenance=provenance)
 
 
 def build_ybe_idempotent(G: FiniteGroup, psi: GroupMap) -> YbeSolution:
     """R(x,y) = (psi(x) phi(y) psi(x^-1),  psi(x) phi(y)^-1 phi(x^-1)^-1 y)
-    for an idempotent abelian endomorphism psi."""
+    for an idempotent abelian endomorphism psi: the recipe on the depth-1
+    phi-tower (G, ., phi(G), ., (+)_1)."""
     maps.require_abelian_endomorphism(psi)
     if not psi.idempotent:
         raise PreconditionError("psi must be idempotent")
-    n = G.order
-    m, inv, im = G.mul, G.inv, psi.image_of
-    phi = maps.phi_of(psi)
-    idx = np.arange(n)
-    X, Y = idx[:, None], idx[None, :]
-    lam = m[m[im[:, None], phi[None, :]], im[inv][:, None]]
-    rho_xy = m[m[m[im[:, None], inv[phi][None, :]], inv[phi[inv]][:, None]], Y]
-    # the alternative published form psi(x) phi(y)^-1 psi(x^-1) x y must agree
-    alt = m[m[m[m[im[:, None], inv[phi][None, :]], im[inv][:, None]], X], Y]
-    if not np.array_equal(rho_xy, alt):
-        raise InternalConsistencyError(
-            "the two closed forms of the second coordinate disagree")
-    return YbeSolution(lam, rho_xy.T.copy(),
-                       {"construction": "idempotent", "order": n},
-                       _contained_source(lambda: bracoids.phi_tower_bracoid(G, psi, 1)))
+    return _from_bracoid(bracoids.phi_tower_bracoid(G, psi, 1),
+                         {"construction": "idempotent", "order": G.order})
 
 
 def build_ybe_product(G1: FiniteGroup, G2: FiniteGroup,
@@ -187,74 +176,34 @@ def build_ybe_product(G1: FiniteGroup, G2: FiniteGroup,
     lambda_x(y) = (e, alpha(x1^-1) y2 alpha(x1))
     rho_y(x)    = (beta(y2) x1 beta(x2^-1) y1 beta(x2 y2^-1),
                    alpha(x1)^-1 y2^-1 alpha(x1) x2 alpha(x1)^-1 y2 alpha(x1))
+
+    It is the recipe on the C2 bracoid of the product-swap map on the G1
+    factor, with the G2 factor acting regularly on G/G1.
     """
     if not (alpha.abelian_image and beta.abelian_image):
         raise PreconditionError("alpha and beta must be abelian maps")
     if alpha.domain.order != G1.order or alpha.codomain.order != G2.order or \
             beta.domain.order != G2.order or beta.codomain.order != G1.order:
         raise PreconditionError("alpha/beta do not map between G1 and G2 as required")
-    n1, n2 = G1.order, G2.order
-    n = n1 * n2
-    idx = np.arange(n)
-    x1, x2 = idx % n1, idx // n1
-    m1, m2 = G1.mul, G2.mul
-    i1, i2 = G1.inv, G2.inv
-    a, b = alpha.image_of, beta.image_of
-
-    ax = a[x1]          # alpha(x1)
-    axinv = i2[ax]      # alpha(x1)^-1 = alpha(x1^-1)
-    lam2 = m2[m2[axinv[:, None], x2[None, :]], ax[:, None]]
-    lam = n1 * lam2
-
-    x2y2inv = m2[x2[:, None], i2[x2][None, :]]  # [x, y] -> x2 y2^-1
-    r1 = m1[m1[m1[m1[b[x2][None, :], x1[:, None]],
-                b[i2[x2]][:, None]], x1[None, :]], b[x2y2inv]]
-
-    u = m2[axinv[:, None], i2[x2][None, :]]
-    u = m2[u, ax[:, None]]
-    u = m2[u, x2[:, None]]
-    u = m2[u, axinv[:, None]]
-    u = m2[u, x2[None, :]]
-    u = m2[u, ax[:, None]]
-
-    rho_xy = r1 + n1 * u
-
-    def bracoid():
-        # the C2 bracoid on the G1 factor, which records G2 as its candidate K
-        psi = maps.product_swap_map(alpha, beta)
-        G = psi.domain
-        H = Subgroup(G, tuple(groups.factor_embedding(G, 0)))
-        return bracoids.bracoid_from_C2(G, psi, H)
-
-    return YbeSolution(lam, rho_xy.T.copy(),
-                       {"construction": "product", "n1": n1, "n2": n2},
-                       _contained_source(bracoid))
+    psi = maps.product_swap_map(alpha, beta)
+    G = psi.domain
+    H = Subgroup(G, tuple(groups.factor_embedding(G, 0)))
+    return _from_bracoid(bracoids.bracoid_from_C2(G, psi, H),
+                         {"construction": "product", "n1": G1.order, "n2": G2.order})
 
 
 def build_ybe_abelian_pair(G: FiniteGroup, psi: GroupMap) -> tuple[YbeSolution, YbeSolution]:
     """For abelian G and idempotent psi:
-    R(x,y) = (phi(y), psi(y) x)  and  R'(x,y) = (psi(y), phi(y) x)."""
+    R(x,y) = (phi(y), psi(y) x)  and  R'(x,y) = (psi(y), phi(y) x),
+    the idempotent solutions of psi and of phi (itself idempotent here)."""
     if not G.is_abelian():
         raise PreconditionError("the abelian pair requires an abelian group")
     if not (psi.is_endomorphism() and psi.idempotent):
         raise PreconditionError("psi must be an idempotent endomorphism")
-    n = G.order
-    phi = maps.phi_of(psi)
-    im = psi.image_of
-    lam_r = np.broadcast_to(phi[None, :], (n, n)).copy()
-    rho_r = G.mul[im[:, None], np.arange(n)[None, :]]  # rho[y, x] = psi(y) x
-    general = build_ybe_idempotent(G, psi)
-    R = YbeSolution(lam_r, rho_r, {"construction": "abelian_pair_R"}, general.source)
-    if not (np.array_equal(R.lam, general.lam) and np.array_equal(R.rho, general.rho)):
-        raise InternalConsistencyError(
-            "abelian specialization disagrees with the idempotent constructor")
-    lam_rp = np.broadcast_to(im[None, :], (n, n)).copy()
-    rho_rp = G.mul[phi[:, None], np.arange(n)[None, :]]
-    # R' is the idempotent solution of phi, itself idempotent on abelian G
-    Rp = YbeSolution(lam_rp, rho_rp, {"construction": "abelian_pair_Rprime"},
-                     _contained_source(lambda: bracoids.phi_tower_bracoid(
-                         G, GroupMap(G, G, phi), 1)))
-    return R, Rp
+    R = build_ybe_idempotent(G, psi)
+    Rp = build_ybe_idempotent(G, GroupMap(G, G, maps.phi_of(psi)))
+    return (replace(R, provenance={"construction": "abelian_pair_R"}),
+            replace(Rp, provenance={"construction": "abelian_pair_Rprime"}))
 
 
 def build_ybe_from_contained_brace(b: Bracoid, K) -> YbeSolution:

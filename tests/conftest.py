@@ -351,3 +351,71 @@ def action_oracle(b):
                 if act[G[g, h], eta] != act[g, act[h, eta]]:
                     return (g, h, eta)
     return None
+
+
+def ker_times(named, H1):
+    """The set product (ker psi) * H1 as a subgroup, for H1 <= fix psi."""
+    if not H1.member_set() <= named.fix.member_set():
+        raise PreconditionError("H1 must be a subgroup of fix psi")
+    G = named.group
+    prod = np.zeros(G.order, dtype=bool)
+    prod[G.mul[np.asarray(named.ker.members)[:, None], list(H1.members)]] = True
+    return groups.Subgroup(G, tuple(np.flatnonzero(prod).tolist()))
+
+
+# The paper's closed forms of the three YBE builders.  Each returns the
+# tables (lam, rho) with lam[x, y] the first and rho[y, x] the second
+# coordinate of R(x, y); the builders compute them by the contained-brace
+# recipe instead.
+
+def idempotent_oracle(G, psi):
+    """R(x,y) = (psi(x) phi(y) psi(x^-1),  psi(x) phi(y)^-1 phi(x^-1)^-1 y),
+    checked against the alternative published second coordinate
+    psi(x) phi(y)^-1 psi(x^-1) x y."""
+    m, inv, im = G.mul, G.inv, psi.image_of
+    phi = maps.phi_of(psi)
+    idx = np.arange(G.order)
+    X, Y = idx[:, None], idx[None, :]
+    lam = m[m[im[:, None], phi[None, :]], im[inv][:, None]]
+    rho_xy = m[m[m[im[:, None], inv[phi][None, :]], inv[phi[inv]][:, None]], Y]
+    alt = m[m[m[m[im[:, None], inv[phi][None, :]], im[inv][:, None]], X], Y]
+    assert np.array_equal(rho_xy, alt), "the two forms of the second coordinate disagree"
+    return lam, rho_xy.T
+
+
+def abelian_pair_oracle(G, psi):
+    """For abelian G and idempotent psi, the tables of
+    R(x,y) = (phi(y), psi(y) x)  and  R'(x,y) = (psi(y), phi(y) x);
+    R is checked against the idempotent closed form of psi."""
+    n = G.order
+    phi, im = maps.phi_of(psi), psi.image_of
+    R = (np.broadcast_to(phi[None, :], (n, n)), G.mul[im[:, None], np.arange(n)[None, :]])
+    Rp = (np.broadcast_to(im[None, :], (n, n)), G.mul[phi[:, None], np.arange(n)[None, :]])
+    general = idempotent_oracle(G, psi)
+    assert all(np.array_equal(a, b) for a, b in zip(R, general)), \
+        "the abelian specialization disagrees with the idempotent closed form"
+    return R, Rp
+
+
+def product_oracle(G1, G2, alpha, beta):
+    """The product solution on G1 x G2, x = x1 + |G1| x2:
+
+    lambda_x(y) = (e, alpha(x1^-1) y2 alpha(x1))
+    rho_y(x)    = (beta(y2) x1 beta(x2^-1) y1 beta(x2 y2^-1),
+                   alpha(x1)^-1 y2^-1 alpha(x1) x2 alpha(x1)^-1 y2 alpha(x1))
+    """
+    n1 = G1.order
+    idx = np.arange(n1 * G2.order)
+    x1, x2 = idx % n1, idx // n1
+    m1, m2, i2 = G1.mul, G2.mul, G2.inv
+    a, b = alpha.image_of, beta.image_of
+    ax = a[x1]
+    axinv = i2[ax]
+    lam = n1 * m2[m2[axinv[:, None], x2[None, :]], ax[:, None]]
+    x2y2inv = m2[x2[:, None], i2[x2][None, :]]  # [x, y] -> x2 y2^-1
+    r1 = m1[m1[m1[m1[b[x2][None, :], x1[:, None]],
+                b[i2[x2]][:, None]], x1[None, :]], b[x2y2inv]]
+    u = m2[axinv[:, None], i2[x2][None, :]]
+    for step in (ax[:, None], x2[:, None], axinv[:, None], x2[None, :], ax[:, None]):
+        u = m2[u, step]
+    return lam, (r1 + n1 * u).T

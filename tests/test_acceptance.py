@@ -15,7 +15,8 @@ import pytest
 
 from skewbracoid import braces, bracoids, groups, ideals, maps, ybe
 
-from conftest import brace_oracle, braid_oracle, quaternion_group
+from conftest import (brace_oracle, braid_oracle, idempotent_oracle, ker_times,
+                      product_oracle, quaternion_group)
 
 
 def _verdict(num: int, label: str, ok: bool, elapsed: float) -> bool:
@@ -176,7 +177,7 @@ def test_criterion_05_cpq_strong_left_ideals():
     ok = named.ker.members == tuple(range(15))
     ok = ok and named.fix.members == (0, 15, 30, 45)
     for second in (15, 30, 45):
-        H = named.ker_times(groups.Subgroup(G, (0, second)))
+        H = ker_times(named, groups.Subgroup(G, (0, second)))
         verdict = ideals.classify_subgroup(G, psi, H)
         ok = ok and H.order == 30 and "(o,.)" in verdict.strong_left_ideal_of
     elapsed = time.monotonic() - start
@@ -246,14 +247,15 @@ def test_criterion_07_published_piecewise_form():
     # Quoted: the verified solution matches a published piecewise closed
     # form, which adds g^4 to the C8 coordinate of rho when the S4 part y2
     # of y is odd.  That is an erratum.  beta is the sign map into <g^4>, so
-    # the extra factor is beta(y2).  The general formula (the docstring of
-    # build_ybe_product) carries beta(y2) beta(x2^-1) beta(x2 y2^-1), which
-    # multiply to e because C8 is abelian, leaving x1 y1: the display keeps
-    # beta(y2) and drops the two factors that cancel it.  The published form
-    # is pinned here as a non-solution; the form without the parity term is
-    # rebuilt pair by pair from the general formula and pinned equal to the
-    # constructed solution (which criterion 07 checks on all 192^3 triples)
-    # and to the contained-brace construction (criterion 09).
+    # the extra factor is beta(y2).  The general formula (the paper's closed
+    # form, `product_oracle` in conftest) carries beta(y2) beta(x2^-1)
+    # beta(x2 y2^-1), which multiply to e because C8 is abelian, leaving
+    # x1 y1: the display keeps beta(y2) and drops the two factors that cancel
+    # it.  The published form is pinned here as a non-solution; the form
+    # without the parity term is rebuilt pair by pair from the general
+    # formula and pinned equal to the constructed solution (which criterion
+    # 07 checks on all 192^3 triples) and to the contained-brace
+    # construction (criterion 09).
     start = time.monotonic()
     G1, G2, alpha, beta, sol = c8_s4_solution()
     perms = groups.symmetric_perms(4)
@@ -338,21 +340,19 @@ def test_criterion_08_abelian_idempotent_pairs():
 
 def test_criterion_09_cross_constructor_equality():
     start = time.monotonic()
-    # idempotent constructor vs the contained brace of the depth-1 tower
+    # the idempotent closed form vs the contained brace of the depth-1 tower
     G, psi = d4_fixture()
     b = bracoids.phi_tower_bracoid(G, psi, 1)
-    K = bracoids.find_contained_brace(b)
-    direct = ybe.build_ybe_idempotent(G, psi)
-    extracted = ybe.build_ybe_from_contained_brace(b, K)
-    ok = (np.array_equal(direct.lam, extracted.lam)
-          and np.array_equal(direct.rho, extracted.rho))
-    # product constructor vs the contained brace of the quotient bracoid
-    G1, G2, alpha, beta, sol = c8_s4_solution()
+    extracted = ybe.build_ybe_from_contained_brace(b, bracoids.find_contained_brace(b))
+    lam, rho = idempotent_oracle(G, psi)
+    ok = np.array_equal(lam, extracted.lam) and np.array_equal(rho, extracted.rho)
+    # the product closed form vs the contained brace of the quotient bracoid
+    G1, G2, alpha, beta, _ = c8_s4_solution()
     extracted2 = c8_s4_contained_brace_solution(alpha, beta)
-    ok = ok and (np.array_equal(sol.lam, extracted2.lam)
-                 and np.array_equal(sol.rho, extracted2.rho))
+    lam, rho = product_oracle(G1, G2, alpha, beta)
+    ok = ok and np.array_equal(lam, extracted2.lam) and np.array_equal(rho, extracted2.rho)
     elapsed = time.monotonic() - start
-    assert _verdict(9, "contained-brace recipe reproduces both constructors",
+    assert _verdict(9, "contained-brace recipe reproduces both closed forms",
                     ok and elapsed < 10, elapsed)
 
 

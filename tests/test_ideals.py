@@ -9,7 +9,8 @@ from skewbracoid import braces, groups, ideals, maps
 from skewbracoid.errors import InternalConsistencyError, PreconditionError
 from skewbracoid.ideals import FAMILIES
 
-from conftest import CATALOGUE, normal_oracle, quaternion_group, sli_oracle
+from conftest import (CATALOGUE, ker_times, normal_oracle, quaternion_group,
+                      sli_oracle)
 
 
 def d4_setup():
@@ -48,11 +49,11 @@ def test_ker_times_products():
     y = groups.Subgroup(G, (0, 15))
     z = groups.Subgroup(G, (0, 30))
     yz = groups.Subgroup(G, (0, 45))
-    assert ideals.named_subgroups(G, psi).ker_times(y).members == tuple(range(30))
-    assert named.ker_times(z).members == tuple(range(15)) + tuple(range(30, 45))
-    assert named.ker_times(yz).members == tuple(range(15)) + tuple(range(45, 60))
+    assert ker_times(ideals.named_subgroups(G, psi), y).members == tuple(range(30))
+    assert ker_times(named, z).members == tuple(range(15)) + tuple(range(30, 45))
+    assert ker_times(named, yz).members == tuple(range(15)) + tuple(range(45, 60))
     with pytest.raises(PreconditionError):
-        named.ker_times(groups.Subgroup(G, (0, 1, 2, 3, 4)))  # not inside fix
+        ker_times(named, groups.Subgroup(G, (0, 1, 2, 3, 4)))  # not inside fix
 
 
 def test_fix_verdict_matches_published_example():

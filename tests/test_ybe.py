@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from skewbracoid import braces, bracoids, groups, maps, ybe
-from skewbracoid.errors import PreconditionError
+from skewbracoid.errors import InternalConsistencyError, PreconditionError
 
-from conftest import braid_oracle
+from conftest import (CATALOGUE, abelian_pair_oracle, braid_oracle,
+                      idempotent_oracle, product_oracle, quaternion_group)
 
 
 def d4_setup():
@@ -140,6 +141,61 @@ def test_contained_brace_recipe_matches_product():
     sol2 = ybe.build_ybe_from_contained_brace(b, K)
     assert np.array_equal(sol.lam, sol2.lam)
     assert np.array_equal(sol.rho, sol2.rho)
+
+
+def assert_tables(sol, tables):
+    lam, rho = tables
+    assert np.array_equal(sol.lam, lam) and np.array_equal(sol.rho, rho)
+
+
+def test_builders_match_closed_form_oracles():
+    """Each builder's recipe tables equal the paper's closed form, cell by
+    cell: every idempotent abelian map of the catalogue, the abelian pairs
+    of its abelian groups, every (alpha, beta) over a few small groups and
+    the C8 x S4 fixture."""
+    counts = {"idempotent": 0, "pair": 0, "product": 0}
+    for _, make in CATALOGUE:
+        G = make()
+        for f in maps.enumerate_abelian_maps(G):
+            if not f.idempotent:
+                continue
+            assert_tables(ybe.build_ybe_idempotent(G, f), idempotent_oracle(G, f))
+            counts["idempotent"] += 1
+            if G.is_abelian():
+                for sol, tables in zip(ybe.build_ybe_abelian_pair(G, f),
+                                       abelian_pair_oracle(G, f)):
+                    assert_tables(sol, tables)
+                counts["pair"] += 1
+    small = [groups.cyclic(2), groups.cyclic(3), groups.cyclic(4), groups.cyclic(6),
+             groups.direct_product(groups.cyclic(2), groups.cyclic(2)),
+             groups.symmetric(3), quaternion_group()]
+    for G1 in small:
+        for G2 in small:
+            for alpha in maps.enumerate_abelian_maps(G1, G2):
+                for beta in maps.enumerate_abelian_maps(G2, G1):
+                    assert_tables(ybe.build_ybe_product(G1, G2, alpha, beta),
+                                  product_oracle(G1, G2, alpha, beta))
+                    counts["product"] += 1
+    G1, G2 = groups.cyclic(8), groups.symmetric(4)
+    alpha = maps.make_map(G1, G2, {"g": "1230"})
+    beta = maps.make_map(G2, G1, {"1023": "g^4", "1230": "g^4"})
+    assert_tables(ybe.build_ybe_product(G1, G2, alpha, beta),
+                  product_oracle(G1, G2, alpha, beta))
+    assert counts == {"idempotent": 107, "pair": 40, "product": 905}
+
+
+def test_builders_raise_without_a_regular_subgroup(monkeypatch):
+    monkeypatch.setattr(bracoids, "find_contained_brace", lambda b: None)
+    G, psi = d4_setup()
+    A = groups.cyclic(6)
+    G1, G2 = groups.cyclic(4), groups.symmetric(3)
+    alpha = maps.make_map(G1, G2, {"g": "102"})
+    beta = maps.make_map(G2, G1, {"102": "g^2", "120": "e"})
+    for build in (lambda: ybe.build_ybe_idempotent(G, psi),
+                  lambda: ybe.build_ybe_product(G1, G2, alpha, beta),
+                  lambda: ybe.build_ybe_abelian_pair(A, maps.trivial_map(A))):
+        with pytest.raises(InternalConsistencyError, match="acts regularly"):
+            build()
 
 
 def test_contained_brace_rejects_irregular_subgroup():

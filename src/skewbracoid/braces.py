@@ -39,8 +39,8 @@ class OpTable:
         return f"OpTable({self.label!r}, order={self.order})"
 
 
-def table_of(G: FiniteGroup, label: str = ".") -> OpTable:
-    return OpTable(G, label)
+def table_of(G: FiniteGroup) -> OpTable:
+    return OpTable(G, ".")
 
 
 def circle_table(G: FiniteGroup, psi: GroupMap, label: str = "o") -> OpTable:
@@ -81,28 +81,26 @@ def verify_brace(additive: OpTable, multiplicative: OpTable) -> BraceReport:
 class SkewBrace:
     additive: OpTable
     multiplicative: OpTable
-    psi_provenance: GroupMap | None = None
 
     @property
     def order(self) -> int:
         return self.additive.order
 
 
-def make_brace(additive: OpTable, multiplicative: OpTable,
-               psi: GroupMap | None = None) -> SkewBrace:
+def make_brace(additive: OpTable, multiplicative: OpTable) -> SkewBrace:
     """Verify the brace relation, then bundle the two tables."""
     report = verify_brace(additive, multiplicative)
     if not report.holds:
         raise PreconditionError(
             f"brace relation fails at triple {report.failure}")
-    return SkewBrace(additive, multiplicative, psi)
+    return SkewBrace(additive, multiplicative)
 
 
 def braces_from_map(G: FiniteGroup, psi: GroupMap) -> tuple[SkewBrace, SkewBrace]:
     """The bi-skew pair ((G,.,o), (G,o,.)) induced by psi in Ab(G)."""
     dot = table_of(G)
     circ = circle_table(G, psi)
-    return make_brace(dot, circ, psi), make_brace(circ, dot, psi)
+    return make_brace(dot, circ), make_brace(circ, dot)
 
 
 def gamma_family(brace: SkewBrace) -> np.ndarray:
@@ -161,4 +159,4 @@ def quotient_brace(brace: SkewBrace, H) -> SkewBrace:
             raise PreconditionError(
                 f"operation {t.label!r} is not well-defined on the cosets of H")
         quotients.append(OpTable(quotient, t.label))
-    return make_brace(quotients[0], quotients[1], brace.psi_provenance)
+    return make_brace(*quotients)

@@ -13,21 +13,13 @@ import argparse
 import functools
 import json
 import sys
-from importlib import metadata
 
-from . import braces, bracoids, corpus, groups, ideals, maps, serialize, ybe
+from . import (__version__, braces, bracoids, corpus, groups, ideals, maps,
+               serialize, ybe)
 from .errors import InternalConsistencyError, PreconditionError
 from .groups import Subgroup
 
 INTERFACE_VERSION = "1.0"
-
-
-def _version_string() -> str:
-    try:
-        pkg_version = metadata.version("skewbracoid")
-    except metadata.PackageNotFoundError:
-        pkg_version = "unknown"
-    return f"skewbracoid {pkg_version} (interface {INTERFACE_VERSION})"
 
 
 def _load_json_arg(arg: str) -> dict:
@@ -64,11 +56,13 @@ def _group_and_map(args):
 
 
 def _parse_subgroup(G, text: str) -> Subgroup:
+    """Comma-separated members: an element name means that element (S_n
+    names are digits), and any other decimal token is an index."""
     members = []
     for part in text.split(","):
         part = part.strip()
-        members.append(G.index_of(part) if not part.lstrip("-").isdigit()
-                       else int(part))
+        members.append(int(part) if part not in G.names and part.lstrip("-").isdigit()
+                       else G.index_of(part))
     return Subgroup(G, tuple(members))
 
 
@@ -203,36 +197,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="Skew braces, skew bracoids, and Yang-Baxter solutions "
                     "from abelian maps.")
     parser.add_argument("--version", action="version",
-                        version=_version_string())
+                        version=f"skewbracoid {__version__} (interface {INTERFACE_VERSION})")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("group", help="group construction")
-    gsub = p.add_subparsers(dest="subcommand", required=True)
-    g = gsub.add_parser("build", parents=[common],
-                        help="build and verify a group from a spec")
+    def command(noun: str, noun_help: str, verb: str, func, **kwargs):
+        """The parser of `<noun> <verb>`, which runs `func`."""
+        verbs = sub.add_parser(noun, help=noun_help).add_subparsers(
+            dest="subcommand", required=True)
+        p = verbs.add_parser(verb, parents=[common], **kwargs)
+        p.set_defaults(func=func)
+        return p
+
+    g = command("group", "group construction", "build", _cmd_group_build,
+                help="build and verify a group from a spec")
     g.add_argument("spec", help="group spec (JSON file or inline JSON)")
-    g.set_defaults(func=_cmd_group_build)
 
-    p = sub.add_parser("abmaps", help="abelian map enumeration")
-    asub = p.add_subparsers(dest="subcommand", required=True)
-    a = asub.add_parser("enumerate", parents=[common],
-                        help="list every abelian endomorphism of a group")
+    a = command("abmaps", "abelian map enumeration", "enumerate", _cmd_abmaps_enumerate,
+                help="list every abelian endomorphism of a group")
     a.add_argument("group")
-    a.set_defaults(func=_cmd_abmaps_enumerate)
 
-    p = sub.add_parser("brace", help="skew brace construction")
-    bsub = p.add_subparsers(dest="subcommand", required=True)
-    b = bsub.add_parser("build", parents=[common],
-                        help="build the bi-skew pair (or a block) from a map")
+    b = command("brace", "skew brace construction", "build", _cmd_brace_build,
+                help="build the bi-skew pair (or a block) from a map")
     b.add_argument("group")
     b.add_argument("map")
     b.add_argument("--block", type=int, default=None,
                    help="build the iterated-operation block to this depth")
-    b.set_defaults(func=_cmd_brace_build)
 
-    p = sub.add_parser("ideals", help="strong left ideal classification")
-    isub = p.add_subparsers(dest="subcommand", required=True)
-    i = isub.add_parser("classify", parents=[common])
+    i = command("ideals", "strong left ideal classification", "classify",
+                _cmd_ideals_classify)
     i.add_argument("group")
     i.add_argument("map")
     mode = i.add_mutually_exclusive_group()
@@ -242,11 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="report ker, fix, and the phi-preimage of the center")
     mode.add_argument("--subgroup",
                       help="comma-separated members (indices or names)")
-    i.set_defaults(func=_cmd_ideals_classify)
 
-    p = sub.add_parser("bracoid", help="skew bracoid construction")
-    osub = p.add_subparsers(dest="subcommand", required=True)
-    o = osub.add_parser("build", parents=[common])
+    o = command("bracoid", "skew bracoid construction", "build", _cmd_bracoid_build)
     o.add_argument("group")
     o.add_argument("map")
     o.add_argument("--via", required=True,
@@ -257,11 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the opposite operation on the target")
     o.add_argument("--reduce", action="store_true",
                    help="quotient the acting group by the action kernel")
-    o.set_defaults(func=_cmd_bracoid_build)
 
-    p = sub.add_parser("ybe", help="Yang-Baxter solution construction")
-    ysub = p.add_subparsers(dest="subcommand", required=True)
-    y = ysub.add_parser("build", parents=[common])
+    y = command("ybe", "Yang-Baxter solution construction", "build", _cmd_ybe_build)
     y.add_argument("group", nargs="?")
     y.add_argument("map", nargs="?")
     y.add_argument("--construction", required=True,
@@ -272,13 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     y.add_argument("--beta")
     y.add_argument("--subgroup")
     y.add_argument("--verify", action="store_true")
-    y.set_defaults(func=_cmd_ybe_build)
 
-    p = sub.add_parser("corpus", help="built-in end-to-end fixtures")
-    csub = p.add_subparsers(dest="subcommand", required=True)
-    c = csub.add_parser("run", parents=[common])
+    c = command("corpus", "built-in end-to-end fixtures", "run", _cmd_corpus_run)
     c.add_argument("name", nargs="?", choices=list(corpus.FIXTURE_NAMES))
-    c.set_defaults(func=_cmd_corpus_run)
     return parser
 
 

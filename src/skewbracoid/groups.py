@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -183,19 +183,24 @@ def inverses(mul: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    """An immutable finite group: Cayley table, inverses, display names."""
+    """An immutable finite group: Cayley table, display names, inverses."""
 
     mul: np.ndarray
-    inv: np.ndarray
+    inv: np.ndarray = field(init=False)
     names: tuple[str, ...]
     generators: tuple[int, ...] | None = None
     factors: tuple["FiniteGroup", ...] | None = None  # direct-product metadata
 
     def __post_init__(self):
-        self.mul.setflags(write=False)
-        self.inv.setflags(write=False)
+        if not (isinstance(self.names, (list, tuple)) and len(self.names) == len(self.mul)
+                and all(isinstance(x, str) for x in self.names)):
+            raise PreconditionError("names must be a list of strings, one per element")
         if len(set(self.names)) != len(self.names):
             raise PreconditionError("element names must be pairwise distinct")
+        object.__setattr__(self, "names", tuple(self.names))
+        object.__setattr__(self, "inv", inverses(self.mul))
+        self.mul.setflags(write=False)
+        self.inv.setflags(write=False)
 
     @property
     def order(self) -> int:
@@ -276,18 +281,14 @@ def from_table(mul, names=None, generators=None) -> FiniteGroup:
     table = int_array(mul, "multiplication table")
     found = verify_group_table(table)
     n = table.shape[0]
-    if names is None:
-        names = tuple(f"a{i}" for i in range(n))
-    elif not (isinstance(names, (list, tuple)) and len(names) == n
-              and all(isinstance(x, str) for x in names)):
-        raise PreconditionError("names must be a list of strings, one per element")
+    names = tuple(f"a{i}" for i in range(n)) if names is None else names
     if generators is not None:
         gens = int_array(generators, "generators")
         if gens.ndim != 1 or ((gens < 0) | (gens >= n)).any():
             raise PreconditionError("generator index out of range")
         generators = tuple(gens.tolist())
         require_generating(table, generators)
-    G = FiniteGroup(table, inverses(table), tuple(names), generators)
+    G = FiniteGroup(table, names, generators)
     object.__setattr__(G, "_generating_set", found)
     return G
 
@@ -306,8 +307,7 @@ def cyclic(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     idx = np.arange(n)
     mul = (idx[:, None] + idx[None, :]) % n
     names = ["e"] + [f"g^{i}" if i > 1 else "g" for i in range(1, n)]
-    return FiniteGroup(mul, inverses(mul), tuple(names),
-                       (1,) if n > 1 else (0,))
+    return FiniteGroup(mul, names, (1,) if n > 1 else (0,))
 
 
 def _dihedral_name(i: int, refl: bool, n: int) -> str:
@@ -330,7 +330,7 @@ def dihedral(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     mul[:n, n:] += n
     mul[n:, :n] += n
     names = tuple(_dihedral_name(x % n, x >= n, n) for x in range(2 * n))
-    return FiniteGroup(mul, inverses(mul), names, (1, n))
+    return FiniteGroup(mul, names, (1, n))
 
 
 def symmetric(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -361,7 +361,7 @@ def symmetric(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         ncycle = list(range(1, n)) + [0]
         gens = tuple(np.searchsorted(keys, np.array([transposition, ncycle])
                                      @ weights).tolist())
-    return FiniteGroup(mul, inverses(mul), names, gens)
+    return FiniteGroup(mul, names, gens)
 
 
 def symmetric_perms(n: int) -> list[tuple[int, ...]]:
@@ -390,7 +390,7 @@ def direct_product(*groups: FiniteGroup,
     for k, g in enumerate(groups):
         for gen in g.generating_set():
             gens.append(int(weights[k] * gen))
-    return FiniteGroup(mul, inverses(mul), names, tuple(gens), tuple(groups))
+    return FiniteGroup(mul, names, tuple(gens), tuple(groups))
 
 
 def factor_embedding(G: FiniteGroup, k: int) -> list[int]:
@@ -430,7 +430,7 @@ def semidirect(base: FiniteGroup, acting: FiniteGroup, action, *,
     mul += (nb * acting.mul)[a[:, None], a]
     names = [f"({base.names[x % nb]},{acting.names[x // nb]})" for x in g.tolist()]
     gens = list(base.generating_set()) + [nb * a for a in acting.generating_set()]
-    return FiniteGroup(mul, inverses(mul), tuple(names), tuple(gens))
+    return FiniteGroup(mul, names, tuple(gens))
 
 
 def _spec_field(spec, key: str):
@@ -620,7 +620,7 @@ def _join(mul: np.ndarray, members: np.ndarray, x: int) -> np.ndarray:
         frontier = np.flatnonzero(fresh)
 
 
-def enumerate_subgroups(G: FiniteGroup, *, work_limit: int = SUBGROUP_WORK_LIMIT) -> list[Subgroup]:
+def enumerate_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """All subgroups of G, each once, sorted by (order, member tuple).
 
     Cyclic extension (Neubueser) over the zuppos, the cyclic subgroups <z>
@@ -634,9 +634,9 @@ def enumerate_subgroups(G: FiniteGroup, *, work_limit: int = SUBGROUP_WORK_LIMIT
     so if G is not solvable the other z are joined by `_join`.
 
     Work counts the members of every closure and extension computed; past
-    `work_limit` WorkLimitError is raised.  The lattice is computed once
-    per group; later calls do no work, whatever their `work_limit`, and
-    each returns a new list of new Subgroup objects.
+    SUBGROUP_WORK_LIMIT WorkLimitError is raised.  The lattice is computed
+    once per group; later calls do no work, whatever the limit, and each
+    returns a new list of new Subgroup objects.
     """
     cached = getattr(G, "_subgroups", None)
     if cached is not None:
@@ -646,10 +646,10 @@ def enumerate_subgroups(G: FiniteGroup, *, work_limit: int = SUBGROUP_WORK_LIMIT
     def count(size: int) -> None:
         nonlocal work
         work += size
-        if work > work_limit:
+        if work > SUBGROUP_WORK_LIMIT:
             raise WorkLimitError(
                 f"subgroup enumeration work limit exceeded: work {work} > limit "
-                f"{work_limit}, {len(found)} subgroups found so far")
+                f"{SUBGROUP_WORK_LIMIT}, {len(found)} subgroups found so far")
 
     orders = element_orders(G.mul)
     prime_of = {o: _prime_of_power(o) for o in set(orders.tolist()) if o > 1}

@@ -10,7 +10,7 @@ iterated maps psi_n; the operation tables they induce live in `braces`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,17 +29,17 @@ class GroupMap:
 
     `image_of[g]` indexes the image of g in the codomain, checked to be a
     homomorphism exactly, over a generating set of the domain (a block at a
-    time for the maps built here); `abelian_image`, `idempotent` and
-    `fixed_point_free` are flags, the last two None unless an endomorphism.
+    time for the maps built here); from it come the flags `abelian_image`,
+    `idempotent` and `fixed_point_free`, the last two None unless an endomorphism.
     """
 
     domain: FiniteGroup
     codomain: FiniteGroup
     image_of: np.ndarray
-    abelian_image: bool = False
-    idempotent: bool | None = None
-    fixed_point_free: bool | None = None
     provenance: str = "explicit"
+    abelian_image: bool = field(init=False)
+    idempotent: bool | None = field(init=False, default=None)
+    fixed_point_free: bool | None = field(init=False, default=None)
 
     def __post_init__(self):
         im = groups.int_array(self.image_of, "image array")
@@ -169,8 +169,7 @@ def make_map(G: FiniteGroup, Gp: FiniteGroup, images) -> GroupMap:
     return GroupMap(G, Gp, images)
 
 
-def enumerate_abelian_maps(G: FiniteGroup, Gp: FiniteGroup | None = None, *,
-                           candidate_cap: int = ABELIAN_MAP_CANDIDATE_CAP) -> list[GroupMap]:
+def enumerate_abelian_maps(G: FiniteGroup, Gp: FiniteGroup | None = None) -> list[GroupMap]:
     """All homomorphisms G -> G' with abelian image, in lexicographic order
     of their generator images.
 
@@ -180,7 +179,7 @@ def enumerate_abelian_maps(G: FiniteGroup, Gp: FiniteGroup | None = None, *,
     come in blocks, one to a row; a block is extended along one spanning
     tree of Q, cut to its homomorphisms by one array comparison, lifted to
     G and checked there.  WorkLimitError is raised before the search when
-    the product of the candidate counts exceeds `candidate_cap`.
+    the product of the candidate counts exceeds ABELIAN_MAP_CANDIDATE_CAP.
     """
     Gp = Gp or G
     gens = G.generating_set()
@@ -199,9 +198,9 @@ def enumerate_abelian_maps(G: FiniteGroup, Gp: FiniteGroup | None = None, *,
     target_orders = groups.element_orders(Gp.mul)
     candidates = [np.flatnonzero(d % target_orders == 0) for d in orders]
     space = math.prod(len(c) for c in candidates)
-    if space > candidate_cap:
-        raise WorkLimitError(f"abelian map search space exceeds candidate cap: "
-                             f"{space} candidate assignments > cap {candidate_cap}")
+    if space > ABELIAN_MAP_CANDIDATE_CAP:
+        raise WorkLimitError(f"abelian map search space exceeds candidate cap: {space} "
+                             f"candidate assignments > cap {ABELIAN_MAP_CANDIDATE_CAP}")
 
     layers = _spanning_tree(quotient.mul, qgens)
     # the two checks each hold two int64 arrays of `width` entries a row
@@ -239,8 +238,6 @@ class MapAnalysis:
     kernel: Subgroup
     image: Subgroup
     fix: Subgroup | None
-    idempotent: bool | None
-    fixed_point_free: bool | None
 
 
 def map_analysis(f: GroupMap) -> MapAnalysis:
@@ -257,7 +254,7 @@ def map_analysis(f: GroupMap) -> MapAnalysis:
         except PreconditionError as exc:
             raise InternalConsistencyError(
                 "fix psi failed its subgroup closure check") from exc
-    return MapAnalysis(kernel, image, fix, f.idempotent, f.fixed_point_free)
+    return MapAnalysis(kernel, image, fix)
 
 
 def phi_of(psi: GroupMap) -> np.ndarray:

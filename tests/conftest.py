@@ -6,7 +6,7 @@ import pytest
 from skewbracoid import groups, maps
 from skewbracoid.errors import PreconditionError, WorkLimitError
 from skewbracoid.groups import (FiniteGroup, _dihedral_name, action_failure,
-                                inverses, relation_failure)
+                                relation_failure)
 
 _Q8_NAMES = ("e", "-e", "i", "-i", "j", "-j", "k", "-k")
 _Q8_AXIS = {("e", "e"): ("+", "e"), ("e", "i"): ("+", "i"),
@@ -60,7 +60,7 @@ def dihedral_oracle(n: int) -> FiniteGroup:
             k = (i + (j if p == 0 else -j)) % n
             mul[a, b] = k + n * ((p + q) % 2)
     names = tuple(_dihedral_name(a % n, a >= n, n) for a in range(order))
-    return FiniteGroup(mul, inverses(mul), names, (1, n))
+    return FiniteGroup(mul, names, (1, n))
 
 
 def symmetric_oracle(n: int) -> FiniteGroup:
@@ -82,7 +82,7 @@ def symmetric_oracle(n: int) -> FiniteGroup:
         transposition = tuple([1, 0] + list(range(2, n)))
         ncycle = tuple(list(range(1, n)) + [0])
         gens = (index[transposition], index[ncycle])
-    return FiniteGroup(mul, inverses(mul), names, gens)
+    return FiniteGroup(mul, names, gens)
 
 
 def semidirect_oracle(base: FiniteGroup, acting: FiniteGroup, action) -> FiniteGroup:
@@ -116,7 +116,7 @@ def semidirect_oracle(base: FiniteGroup, acting: FiniteGroup, action) -> FiniteG
     names = [f"({base.names[g % nb]},{acting.names[g // nb]})"
              for g in range(total)]
     gens = list(base.generating_set()) + [nb * a for a in acting.generating_set()]
-    return FiniteGroup(mul, inverses(mul), tuple(names), tuple(gens))
+    return FiniteGroup(mul, tuple(names), tuple(gens))
 
 
 def _extend_by_bfs(G, Gp, gen_idx, gen_img):

@@ -99,7 +99,7 @@ def test_gamma_family_values_and_failure():
     # and C4 with the indices 1 and 2 swapped
     C4, pi = groups.cyclic(4), np.array([0, 2, 1, 3])
     pair = braces.SkewBrace(braces.table_of(C4),
-                            braces.table_of(groups.from_table(pi[C4.mul[pi][:, pi]]), "x"))
+                            braces.OpTable(groups.from_table(pi[C4.mul[pi][:, pi]]), "x"))
     assert not braces.verify_brace(pair.additive, pair.multiplicative).holds
     with pytest.raises(PreconditionError):
         braces.gamma_family(pair)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import skewbracoid
 from skewbracoid import cli, corpus, groups, serialize
 from skewbracoid.errors import InternalConsistencyError
 
@@ -83,6 +84,28 @@ def test_ideals_classify_all_and_single(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["C1"] is True and obj["C2"] is False
+
+
+S3 = '{"kind":"symmetric","n":3}'
+S4 = '{"kind":"symmetric","n":4}'
+
+
+@pytest.mark.parametrize("group, order, by_name, by_index, members", [
+    (S3, 6, "012,102", "0,2", [0, 2]), (S3, 6, "012,120,201", "0,3,4", [0, 3, 4]),
+    (S4, 24, "0123,1023", "0,6", [0, 6]), (S4, 24, "0123,1023", "0123,6", [0, 6])])
+def test_subgroup_members_by_name_or_index(capsys, group, order, by_name, by_index,
+                                           members):
+    """S_n element names are digits: a token that names an element means
+    that element, and any other decimal token is an index."""
+    trivial = json.dumps({"image_array": [0] * order})
+    outs = []
+    for text in (by_name, by_index):
+        code, out, err = run(capsys, ["ideals", "classify", group, trivial,
+                                      "--subgroup", text])
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["subgroup"] == members
 
 
 def test_brace_build_and_block(capsys):
@@ -246,11 +269,14 @@ def test_malformed_specs_are_precondition_errors(capsys, argv):
     assert json.loads(err)["error"] == "precondition"
 
 
+VERSION_LINE = f"skewbracoid {skewbracoid.__version__} (interface {cli.INTERFACE_VERSION})\n"
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
     assert exc.value.code == 0
-    assert "skewbracoid" in capsys.readouterr().out
+    assert capsys.readouterr().out == VERSION_LINE
 
 
 def test_package_runs_as_a_module():
@@ -260,7 +286,7 @@ def test_package_runs_as_a_module():
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-m", "skewbracoid", "--version"],
                           capture_output=True, text=True, env=env, timeout=60)
-    assert done.returncode == 0 and "skewbracoid" in done.stdout
+    assert done.returncode == 0 and done.stdout == VERSION_LINE
 
 
 # exit codes and stdout digests recorded by bench/record.py

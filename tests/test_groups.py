@@ -201,6 +201,35 @@ def test_semidirect_gives_dihedral():
     assert np.array_equal(G.mul, D.mul)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: groups.cyclic(6), lambda: groups.dihedral(5), lambda: groups.symmetric(4),
+    lambda: groups.direct_product(groups.cyclic(2), groups.symmetric(3)),
+    lambda: groups.semidirect(groups.cyclic(7), groups.cyclic(3), _multiplier_action(7, 3, 2)),
+    lambda: groups.from_table(quaternion_group().mul.tolist()),
+    quaternion_group])
+def test_every_builder_computes_the_brute_force_inverses(build):
+    G = build()
+    brute = [next(b for b in range(G.order) if G.mul[a, b] == 0 and G.mul[b, a] == 0)
+             for a in range(G.order)]
+    assert G.inv.tolist() == brute and not G.inv.flags.writeable
+
+
+def test_finite_group_takes_no_inverses():
+    """`inv` is computed from the table.  A call that still passes it binds
+    the inverses to `names` and is refused, instead of running with names
+    or inverses that do not match the table."""
+    C4 = groups.cyclic(4)
+    with pytest.raises(PreconditionError, match="names must be a list of strings"):
+        groups.FiniteGroup(C4.mul, np.arange(4), C4.names, (1,))
+    with pytest.raises(TypeError):
+        groups.FiniteGroup(C4.mul, C4.names, (1,), inv=np.arange(4))
+    for names in (("e", "g"), ("e", "g", "g^2", 3), "eabc"):
+        with pytest.raises(PreconditionError, match="names must be a list of strings"):
+            groups.FiniteGroup(C4.mul, names)
+    G = groups.FiniteGroup(C4.mul, list(C4.names), (1,))
+    assert G.names == C4.names and G.inv.tolist() == [0, 3, 2, 1]
+
+
 def test_semidirect_rejects_bad_action():
     base = groups.cyclic(4)
     acting = groups.cyclic(2)
@@ -447,13 +476,14 @@ def test_c61_c10_lattice_within_default_work_limit():
         1: 1, 2: 61, 5: 61, 10: 61, 61: 1, 122: 1, 305: 1, 610: 1}
 
 
-def test_lattice_work_limit_still_applies():
+def test_lattice_work_limit_still_applies(monkeypatch):
     """The error says how far the enumeration got.  The cyclic subgroups of
     prime-power order come first, so a small limit stops before the
     lattice has any subgroup."""
     for limit, work, found in [(100, 108, 18), (20, 24, 0)]:
+        monkeypatch.setattr(groups, "SUBGROUP_WORK_LIMIT", limit)
         with pytest.raises(WorkLimitError) as exc:
-            groups.enumerate_subgroups(groups.symmetric(4), work_limit=limit)
+            groups.enumerate_subgroups(groups.symmetric(4))
         assert str(exc.value) == (
             f"subgroup enumeration work limit exceeded: work {work} > limit "
             f"{limit}, {found} subgroups found so far")

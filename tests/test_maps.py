@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import re
 import tracemalloc
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewbracoid import corpus, groups, maps
+from skewbracoid import corpus, groups, maps, serialize
 from skewbracoid.errors import PreconditionError, WorkLimitError
 
 from conftest import (CATALOGUE, _extend_by_bfs, brute_force_abelian_maps, circle_product,
@@ -90,6 +91,21 @@ def test_group_map_refuses_non_integer_images(order, images):
         maps.make_map(C, C, images)
 
 
+@pytest.mark.parametrize("flag", ["abelian_image", "idempotent", "fixed_point_free"])
+def test_group_map_takes_no_flags(flag):
+    C4 = groups.cyclic(4)
+    with pytest.raises(TypeError):
+        maps.GroupMap(C4, C4, [0, 1, 2, 3], **{flag: False})
+
+
+def test_map_between_different_groups_has_no_endomorphism_flags():
+    f = maps.GroupMap(groups.cyclic(4), groups.cyclic(2), [0, 1, 0, 1])
+    assert (f.abelian_image, f.idempotent, f.fixed_point_free) == (True, None, None)
+    assert json.loads(serialize.export_json(f))["flags"] == {
+        "is_hom": True, "abelian_image": True, "idempotent": None,
+        "fixed_point_free": None}
+
+
 def test_map_flags():
     G, psi = d4_psi()
     assert psi.abelian_image
@@ -130,12 +146,13 @@ def test_enumerate_abelian_maps_against_naive_search():
     assert len(found) == count == 28
 
 
-def test_enumerate_abelian_maps_work_limit():
+def test_enumerate_abelian_maps_work_limit(monkeypatch):
     G = groups.symmetric(4)
+    monkeypatch.setattr(maps, "ABELIAN_MAP_CANDIDATE_CAP", 10)
     # two generators, each with the 10 elements of S4 whose square is e
     with pytest.raises(WorkLimitError,
                        match="100 candidate assignments > cap 10"):
-        maps.enumerate_abelian_maps(G, candidate_cap=10)
+        maps.enumerate_abelian_maps(G)
 
 
 # the groups of the benchmark's abmaps workload

@@ -164,7 +164,7 @@ def test_export_matches_oracle_on_relabeled_tables(data):
                                unique=True))
     R = groups.from_table(pi[G.mul[back][:, back]].tolist(), names)
     trivial = maps.trivial_map(R)
-    for value in (R, braces.table_of(R, data.draw(st.text())),
+    for value in (R, braces.OpTable(R, data.draw(st.text())),
                   braces.make_brace(braces.table_of(R), braces.table_of(R)),
                   ybe.build_ybe_idempotent(R, trivial),
                   {"group": R, "raw": R.mul, "inv": R.inv, names[0]: [R, trivial]}):

@@ -44,13 +44,15 @@ def table_of(G: FiniteGroup) -> OpTable:
 
 
 def circle_table(G: FiniteGroup, psi: GroupMap, label: str = "o") -> OpTable:
-    """Group table of g o h = g psi(g^-1) h psi(g)."""
+    """Group table of g o h = g psi(g^-1) h psi(g), on which phi(g) =
+    g psi(g^-1) is verified to be a homomorphism from (G, o) to (G, .)."""
     maps.require_abelian_endomorphism(psi)
-    n = G.order
     im = psi.image_of
-    left = G.mul[np.arange(n), im[G.inv]]  # g psi(g^-1)
-    circ = G.mul[G.mul[left[:, None], np.arange(n)[None, :]], im[:, None]]
-    return OpTable(groups.from_table(circ), label)
+    phi = G.mul[np.arange(G.order), im[G.inv]]
+    circ = groups.from_table(G.mul[G.mul[phi], im[:, None]])
+    if not np.array_equal(phi[circ.mul], G.mul[phi[:, None], phi]):
+        raise InternalConsistencyError("phi is not multiplicative on (G, o)")
+    return OpTable(circ, label)
 
 
 def opposite_table(t: OpTable) -> OpTable:

@@ -96,9 +96,9 @@ def bracoid_from_C1(G: FiniteGroup, psi: GroupMap, H: Subgroup,
     cs = groups.coset_space(G, H)
     # o well-defined on the cosets gives y o H = (y o e)H = yH
     target = cs.quotient(circ.op.T if opposite else circ.op)
-    if target is None:
-        raise InternalConsistencyError("circle operation ill-defined on cosets")
-    action = cs.coset_of[G.mul[:, cs.representatives]]
+    action = cs.action(G.mul)
+    if target is None or action is None:
+        raise InternalConsistencyError("circle operation or action ill-defined on cosets")
     b = Bracoid(braces.table_of(G), OpTable(target, "o'" if opposite else "o"), action,
                 {"construction": "from_C1", "subgroup": list(H.members),
                  "opposite": opposite, "C2": groups.is_normal(G, H)})
@@ -112,13 +112,10 @@ def bracoid_from_C2(G: FiniteGroup, psi: GroupMap, H: Subgroup,
         raise PreconditionError("C2 fails: H is not normal in (G, .)")
     circ = braces.circle_table(G, psi)
     cs = groups.coset_space(G, H)
-    cos = cs.coset_of
     target = cs.quotient(G.mul.T if opposite else G.mul)
-    if target is None:
-        raise InternalConsistencyError("dot operation ill-defined on cosets")
-    action = cos[circ.op[:, cs.representatives]]
-    if not np.array_equal(cos[circ.op], action[:, cos]):
-        raise InternalConsistencyError("action ill-defined on cosets")
+    action = cs.action(circ.op)
+    if target is None or action is None:
+        raise InternalConsistencyError("dot operation or action ill-defined on cosets")
     phiH = maps.phi_of(psi)[list(H.members)]
     provenance = {"construction": "from_C2", "subgroup": list(H.members),
                   "opposite": opposite,
@@ -135,27 +132,16 @@ def bracoid_from_C2(G: FiniteGroup, psi: GroupMap, H: Subgroup,
 def reduce_bracoid(b: Bracoid) -> Bracoid:
     """Quotient the acting group by the kernel of the action (the elements
     acting as the identity), yielding a faithful bracoid.  Idempotent."""
-    act = b.action
-    n, m = b.acting_order, b.target_order
-    identity_row = np.arange(m)
-    kernel = tuple(g for g in range(n) if np.array_equal(act[g], identity_row))
-    if kernel == (0,):
+    kernel = np.flatnonzero((b.action == np.arange(b.target_order)).all(axis=1))
+    if len(kernel) == 1:
         return b
     Gact = b.acting.group
-    K = Subgroup(Gact, kernel)
-    if not groups.is_normal(Gact, K):
-        raise InternalConsistencyError("action kernel is not normal")
-    cs = groups.coset_space(Gact, K)
-    quotient = cs.quotient(Gact.mul)
-    if quotient is None:
-        raise InternalConsistencyError("acting operation ill-defined on kernel cosets")
-    reps = cs.representatives
-    # all members of a coset act identically
-    if not np.array_equal(act, act[reps[cs.coset_of]]):
-        raise InternalConsistencyError("kernel cosets do not act uniformly")
-    acting = OpTable(quotient, b.acting.label)
-    reduced = Bracoid(acting, b.target, act[reps].copy(),
-                      {"construction": "reduced", "kernel": list(kernel),
+    cs = groups.coset_space(Gact, Subgroup(Gact, kernel))
+    quotient, action = cs.quotient(Gact.mul), cs.rows(b.action)
+    if quotient is None or action is None:
+        raise InternalConsistencyError("action kernel not normal or its cosets act differently")
+    reduced = Bracoid(OpTable(quotient, b.acting.label), b.target, action,
+                      {"construction": "reduced", "kernel": kernel.tolist(),
                        "inner": b.provenance})
     return _require_valid(reduced)
 
@@ -194,20 +180,16 @@ def phi_tower_bracoid(G: FiniteGroup, psi: GroupMap, n: int) -> Bracoid:
     if n < 0:
         raise PreconditionError("tower index must be non-negative")
     phin = maps.phi_power(psi, n)
-    members = sorted(set(phin.tolist()))
-    pos = np.full(G.order, -1, dtype=np.int64)
-    for i, mem in enumerate(members):
-        pos[mem] = i
-    marr = np.array(members, dtype=np.int64)
-    target = OpTable(groups.from_table(pos[G.mul[marr[:, None], marr[None, :]]]), ".")
-    timg = pos[phin]  # x |-> target index of phi^n(x)
-    full = timg[G.mul]  # [g, x] -> target index of phi^n(g x)
-    action = full[:, np.unique(timg, return_index=True)[1]]
-    # well-definedness: phi^n(gx) must depend on x only through phi^n(x)
-    if not np.array_equal(full, action[:, timg]):
+    fs = groups.fibres(phin)
+    members = phin[fs.representatives]  # target element i: the image of fibre i
+    pos = np.full(G.order, -1, dtype=np.int64)  # -1 off the image: from_table refuses
+    pos[members] = np.arange(len(members))
+    target = OpTable(groups.from_table(pos[G.mul[members[:, None], members]]), ".")
+    action = fs.action(G.mul)  # None unless phi^n(gx) depends on x only via phi^n(x)
+    if action is None:
         raise InternalConsistencyError("phi-tower action ill-defined")
     b = Bracoid(braces.table_of(G), target, action,
                 {"construction": "phi_tower", "n": n,
-                 "contained_candidates": [members] if psi.idempotent else [],
-                 "target_members": members})
+                 "contained_candidates": [members.tolist()] if psi.idempotent else [],
+                 "target_members": members.tolist()})
     return _require_valid(b)

@@ -3,9 +3,10 @@
 Every group lives on the index set ``0..order-1`` with the identity fixed at
 index 0.  Multiplication is a dense ``order x order`` table, so every
 relation check is a failure predicate over index arrays, decided exactly by
-the one ``sweep`` kernel.  Every quotient (bracoid targets, kernel and
-brace quotients, G/[G, G]) is one ``CosetSpace.quotient``: an operation
-pushed down to the left cosets of a subgroup and checked well-defined there.
+the one ``sweep`` kernel.  A ``CosetSpace`` holds the classes of a labelling
+(the left cosets gH, the fibres of a map); every push-down to them is one of
+its methods, checked well-defined there: ``quotient`` of an operation,
+``action`` of the elements on the classes, or ``rows`` of a table.
 
 Element ordering is construction-defined and stable:
 
@@ -207,12 +208,6 @@ class FiniteGroup:
         return self.mul.shape[0]
 
     identity = 0
-
-    def op(self, a: int, b: int) -> int:
-        return int(self.mul[a, b])
-
-    def inverse(self, a: int) -> int:
-        return int(self.inv[a])
 
     def generating_set(self) -> tuple[int, ...]:
         """`generators`, or for a group built without them the generating
@@ -530,9 +525,6 @@ class Subgroup:
         mask[list(self.members)] = True
         return mask
 
-    def __contains__(self, g: int) -> bool:
-        return int(g) in self.member_set()
-
     def __repr__(self):
         names = ",".join(self.parent.names[m] for m in self.members[:6])
         more = ",..." if self.order > 6 else ""
@@ -815,39 +807,45 @@ def subgroup_lattice(G: FiniteGroup, members=None) -> dict:
 
 @dataclass(frozen=True, eq=False)
 class CosetSpace:
-    """Left cosets gH, numbered in index order of their least members."""
+    """The classes of a labelling of a group's elements: each element's class
+    number (`coset_of`) and the least member of each class (`representatives`)."""
 
-    parent: FiniteGroup
-    subgroup: Subgroup
     coset_of: np.ndarray
     representatives: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return len(self.representatives)
+    def rows(self, table: np.ndarray) -> np.ndarray | None:
+        """The representatives' rows of `table`, or None unless every
+        element's row equals its representative's."""
+        rows = table[self.representatives]
+        return rows if np.array_equal(table, rows[self.coset_of]) else None
+
+    def action(self, op: np.ndarray) -> np.ndarray | None:
+        """[g, class of x] -> class of op(g, x), or None unless the class of
+        op(g, x) depends on x only through its class."""
+        cos = self.coset_of
+        act = cos[op[:, self.representatives]]
+        return act if np.array_equal(cos[op], act[:, cos]) else None
 
     def quotient(self, op: np.ndarray) -> FiniteGroup | None:
-        """The group that the table `op` on the parent's elements induces on
-        the cosets, or None if `op` is not well-defined on them."""
-        cos, reps = self.coset_of, self.representatives
-        induced = cos[op[reps[:, None], reps]]
-        if not np.array_equal(cos[op], induced[cos[:, None], cos]):
-            return None
-        return from_table(induced)
+        """The group that the table `op` on the elements induces on the
+        classes, or None if `op` is not well-defined on them."""
+        act = self.action(op)
+        induced = None if act is None else self.rows(act)
+        return None if induced is None else from_table(induced)
+
+
+def fibres(labels) -> CosetSpace:
+    """The classes of elements with equal `labels`, numbered in label order."""
+    _, reps, coset_of = np.unique(labels, return_index=True, return_inverse=True)
+    coset_of.setflags(write=False)
+    reps.setflags(write=False)
+    return CosetSpace(coset_of, reps)
 
 
 def coset_space(G: FiniteGroup, H: Subgroup) -> CosetSpace:
-    """Left cosets gH with minimal-index representatives, in index order."""
-    members = np.asarray(H.members, dtype=np.int64)
-    coset_of = np.full(G.order, -1, dtype=np.int64)
-    reps = []
-    for g in range(G.order):
-        if coset_of[g] < 0:
-            coset_of[G.mul[g, members]] = len(reps)
-            reps.append(g)
-    if len(reps) * H.order != G.order:
+    """Left cosets gH, each labelled by its least member, so numbered in
+    index order of their least members, which represent them."""
+    cs = fibres(G.mul[:, H.members].min(axis=1))
+    if len(cs.representatives) * H.order != G.order:
         raise InternalConsistencyError("cosets do not partition the group")
-    reps = np.array(reps, dtype=np.int64)
-    coset_of.setflags(write=False)
-    reps.setflags(write=False)
-    return CosetSpace(G, H, coset_of, reps)
+    return cs

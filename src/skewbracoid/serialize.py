@@ -136,19 +136,27 @@ def parse_group(obj: dict, *, order_cap: int = groups.DEFAULT_ORDER_CAP) -> Fini
     raise PreconditionError("not a recognizable group spec")
 
 
+def _spec_or_given(obj: dict, key: str, given, order_cap: int) -> FiniteGroup | None:
+    """The group `given` by the caller, else the one that obj[key] specifies;
+    PreconditionError if both name a group and their tables differ."""
+    if key not in obj:
+        return given
+    named = parse_group(obj[key], order_cap=order_cap)
+    if given is not None and not np.array_equal(named.mul, given.mul):
+        raise PreconditionError(f"the map spec's {key!r} is not the group it is given with")
+    return named if given is None else given
+
+
 def parse_map(obj: dict, group: FiniteGroup | None = None,
               codomain: FiniteGroup | None = None,
               *, order_cap: int = groups.DEFAULT_ORDER_CAP) -> GroupMap:
     """Map spec: {"group": spec?, "codomain": spec?, "images": {...}} or
-    {"image_array": [...]}; domain and codomain may also be supplied by the
-    caller (the codomain defaults to the domain)."""
-    G = parse_group(obj["group"], order_cap=order_cap) if "group" in obj else group
+    {"image_array": [...]}; the caller may supply the domain and codomain, and
+    a spec's own must then have the same table (the codomain defaults to the domain)."""
+    G = _spec_or_given(obj, "group", group, order_cap)
     if G is None:
         raise PreconditionError("map spec needs a domain group")
-    if "codomain" in obj:
-        Gp = parse_group(obj["codomain"], order_cap=order_cap)
-    else:
-        Gp = codomain if codomain is not None else G
+    Gp = _spec_or_given(obj, "codomain", codomain, order_cap) or G
     if "image_array" in obj:
         return maps.make_map(G, Gp, obj["image_array"])
     if "images" in obj:

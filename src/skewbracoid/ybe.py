@@ -222,11 +222,9 @@ def build_ybe_from_contained_brace(b: Bracoid, K) -> YbeSolution:
     if K.order != m:
         raise PreconditionError("K cannot act regularly: |K| differs from the target order")
     ident = np.full(m, -1, dtype=np.int64)
-    for k in K.members:
-        t = int(act[k, 0])
-        if ident[t] >= 0:
-            raise PreconditionError("K does not act freely on the target")
-        ident[t] = k
+    ident[act[list(K.members), 0]] = K.members
+    if (ident < 0).any():  # |K| = m: K acts freely iff each target element is a k+e
+        raise PreconditionError("K does not act freely on the target")
     tinv = b.target.group.inv
     ginv = b.acting.group.inv
     e_col = act[:, 0]

@@ -112,7 +112,7 @@ def semidirect_oracle(base: FiniteGroup, acting: FiniteGroup, action) -> FiniteG
         b1, a1 = g % nb, g // nb
         for h in range(total):
             b2, a2 = h % nb, h // nb
-            mul[g, h] = base.op(b1, int(action[a1, b2])) + nb * acting.op(a1, a2)
+            mul[g, h] = base.mul[b1, int(action[a1, b2])] + nb * acting.mul[a1, a2]
     names = [f"({base.names[g % nb]},{acting.names[g // nb]})"
              for g in range(total)]
     gens = list(base.generating_set()) + [nb * a for a in acting.generating_set()]
@@ -351,6 +351,54 @@ def action_oracle(b):
                 if act[G[g, h], eta] != act[g, act[h, eta]]:
                     return (g, h, eta)
     return None
+
+
+def coset_space_oracle(G, members):
+    """(coset_of, representatives) of the left cosets gH as lists, numbered
+    in index order of their least members, by a loop over G."""
+    coset_of, reps = [-1] * G.order, []
+    for g in range(G.order):
+        if coset_of[g] < 0:
+            for h in members:
+                coset_of[int(G.mul[g, h])] = len(reps)
+            reps.append(g)
+    return coset_of, reps
+
+
+def push_down_oracles(coset_of, reps, op):
+    """The push-downs of the table `op` to the classes `coset_of` with
+    representatives `reps`, by scalar loops: the action [g, c] -> class of
+    op(g, reps[c]), the representatives' rows, and the induced table
+    [c, d] -> class of op(reps[c], reps[d]); each None unless it is
+    well-defined (the class of op(g, x) depends on x only through its
+    class; every row equals its representative's row; the class of op(x, y)
+    depends on x and y only through their classes)."""
+    n, k = len(coset_of), len(reps)
+    action = [[coset_of[op[g][reps[c]]] for c in range(k)] for g in range(n)]
+    if any(coset_of[op[g][x]] != action[g][coset_of[x]] for g in range(n) for x in range(n)):
+        action = None
+    rows = [list(op[r]) for r in reps]
+    if any(list(op[g]) != rows[coset_of[g]] for g in range(n)):
+        rows = None
+    induced = [[coset_of[op[x][y]] for y in reps] for x in reps]
+    if any(coset_of[op[x][y]] != induced[coset_of[x]][coset_of[y]]
+           for x in range(n) for y in range(n)):
+        induced = None
+    return action, rows, induced
+
+
+def phi_tower_oracle(G, phin):
+    """The phi-tower's target table and action on phi^n(G), given the image
+    array `phin` of phi^n, by scalar loops: the target elements are the
+    image members in index order, g (+) phi^n(x) = phi^n(gx) with x the
+    least element of its fibre, and a product of image members outside the
+    image is -1."""
+    members = sorted(set(phin.tolist()))
+    pos = {m: i for i, m in enumerate(members)}
+    target = [[pos.get(int(G.mul[a, b]), -1) for b in members] for a in members]
+    least = [min(x for x in range(G.order) if phin[x] == m) for m in members]
+    action = [[pos[int(phin[G.mul[g, x]])] for x in least] for g in range(G.order)]
+    return target, action
 
 
 def ker_times(named, H1):

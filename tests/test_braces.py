@@ -94,7 +94,7 @@ def test_gamma_family_values_and_failure():
     circ = brace.multiplicative.op
     for g in range(8):
         for h in range(8):
-            assert gamma[g, h] == G.op(G.inverse(g), int(circ[g, h]))
+            assert gamma[g, h] == G.mul[G.inv[g], int(circ[g, h])]
     # gamma of a pair of groups that is not a brace must be rejected: C4,
     # and C4 with the indices 1 and 2 swapped
     C4, pi = groups.cyclic(4), np.array([0, 2, 1, 3])

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from skewbracoid import braces, bracoids, groups, maps, ybe
-from skewbracoid.errors import PreconditionError
+from skewbracoid import braces, bracoids, corpus, groups, maps, ybe
+from skewbracoid.errors import InternalConsistencyError, PreconditionError
 
-from conftest import action_oracle, bracoid_oracle
+from conftest import CATALOGUE, action_oracle, bracoid_oracle, phi_tower_oracle
 
 
 def d4_setup():
@@ -24,7 +24,7 @@ def test_c1_bracoid_valid_and_matches_oracle():
     cs = groups.coset_space(G, fix)
     for g in range(8):
         for c, x in enumerate(cs.representatives):
-            assert b.action[g, c] == cs.coset_of[G.op(g, x)]
+            assert b.action[g, c] == cs.coset_of[G.mul[g, x]]
 
 
 def test_c1_requires_commutator_condition():
@@ -105,11 +105,11 @@ def coset_product_oracle(b):
     kernel = [k for k in range(n) if list(b.action[k]) == list(range(m))]
     cosets = []
     for g in range(n):
-        coset = frozenset(b.acting.group.op(g, k) for k in kernel)
+        coset = frozenset(b.acting.group.mul[g, k] for k in kernel)
         if coset not in cosets:
             cosets.append(coset)
     reps = [min(c) for c in cosets]
-    return [[next(i for i, c in enumerate(cosets) if b.acting.group.op(x, y) in c)
+    return [[next(i for i, c in enumerate(cosets) if b.acting.group.mul[x, y] in c)
              for y in reps] for x in reps]
 
 
@@ -181,7 +181,44 @@ def test_tower_action_is_phi_of_product():
     pos = {m: i for i, m in enumerate(members)}
     for g in range(8):
         for x in range(8):
-            assert b.action[g, pos[int(phin[x])]] == pos[int(phin[G.op(g, x)])]
+            assert b.action[g, pos[int(phin[x])]] == pos[int(phin[G.mul[g, x]])]
+
+
+def _tower_cases():
+    fx = corpus.load_fixture("d4xd4_tower")
+    G = groups.build_group(fx["group"])
+    yield "d4xd4_tower", G, maps.make_map(G, G, fx["map"]["images"])
+    for name, build in CATALOGUE:
+        G = build()
+        for i, psi in enumerate(maps.enumerate_abelian_maps(G)):
+            if psi.idempotent:
+                yield f"{name}#{i}", G, psi
+
+
+def test_tower_matches_formula_oracle():
+    """Target table and action of the tower for n = 0..4 on the D4xD4
+    fixture map and every idempotent catalogue map."""
+    count = 0
+    for _, G, psi in _tower_cases():
+        for n in range(5):
+            b = bracoids.phi_tower_bracoid(G, psi, n)
+            target, action = phi_tower_oracle(G, maps.phi_power(psi, n))
+            assert b.target.op.tolist() == target
+            assert b.action.tolist() == action
+            count += 1
+    assert count > 5 * 100
+
+
+@pytest.mark.parametrize("phin, error, message", [
+    ([0, 1, 0, 1], PreconditionError, "not closed"),  # 1 + 1 leaves {0, 1}
+    ([0, 2, 2, 0], InternalConsistencyError, "action ill-defined")])
+def test_tower_refuses_an_image_that_is_no_tower(monkeypatch, phin, error, message):
+    """A labelling of C4 whose image is not closed under products gives no
+    target group; one whose fibres are not cosets gives no action."""
+    G = groups.cyclic(4)
+    monkeypatch.setattr(maps, "phi_power", lambda psi, n: np.array(phin))
+    with pytest.raises(error, match=message):
+        bracoids.phi_tower_bracoid(G, maps.identity_map(G), 1)
 
 
 def relabeled(G, seed):

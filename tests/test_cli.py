@@ -269,6 +269,57 @@ def test_malformed_specs_are_precondition_errors(capsys, argv):
     assert json.loads(err)["error"] == "precondition"
 
 
+C4 = '{"kind":"cyclic","n":4}'
+V4 = '{"kind":"product","factors":[{"kind":"cyclic","n":2},{"kind":"cyclic","n":2}]}'
+V4_PROJECTION = '{"group":%s,"image_array":[0,1,0,1]}' % V4
+OTHER_GROUP = {
+    "larger_group": ["ideals", "classify", '{"kind":"cyclic","n":6}',
+                     '{"group":%s,"image_array":[0,1,2,3]}' % C4],
+    "same_order_tower": ["bracoid", "build", C4, V4_PROJECTION, "--via", "tower:1"],
+    "same_order_ybe": ["ybe", "build", C4, V4_PROJECTION, "--construction", "idempotent"],
+    "same_order_identity": ["ideals", "classify", C4,
+                            '{"group":%s,"image_array":[0,1,2,3]}' % V4],
+    "same_order_codomain": ["ybe", "build", "--construction", "product", "--g1", C4,
+                            "--g2", S3, "--beta", '{"image_array":[0,0,0,0,0,0]}',
+                            "--alpha", '{"codomain":{"kind":"cyclic","n":6},'
+                            '"image_array":[0,0,0,0]}'],
+}
+
+
+@pytest.mark.parametrize("argv", OTHER_GROUP.values(), ids=OTHER_GROUP.keys())
+def test_map_spec_naming_another_group_is_refused(capsys, argv):
+    """A map spec's own "group" or "codomain" must be the group the command
+    was given: a different one is refused, not used in its place."""
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "precondition"
+    assert "is not the group it is given with" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("group", [D4, serialize.export_json(groups.dihedral(4))],
+                         ids=["spec", "export"])
+@pytest.mark.parametrize("command", [
+    ["ideals", "classify"], ["brace", "build"], ["bracoid", "build", "--via", "tower:1"],
+    ["ybe", "build", "--construction", "idempotent", "--verify"]], ids=lambda c: c[0])
+def test_map_spec_naming_the_same_group(capsys, group, command):
+    """A map spec whose "group" has the given group's table gives the same
+    output as the spec without it."""
+    with_group = json.dumps({"group": json.loads(group), **json.loads(PSI)})
+    outs = [run(capsys, command[:2] + [D4, spec] + command[2:]) for spec in (PSI, with_group)]
+    assert outs[0][0] == 0 and outs[0] == outs[1]
+
+
+def test_map_spec_naming_the_same_codomain(capsys):
+    """alpha's own "codomain", with the table of --g2, is --g2 itself: the
+    product of the two maps is built as without it."""
+    argv = ["ybe", "build", "--construction", "product", "--g1", C4, "--g2", S3,
+            "--beta", '{"images":{"102":"g^2","120":"e"}}', "--alpha"]
+    alpha = {"images": {"g": "102"}}
+    outs = [run(capsys, argv + [json.dumps(spec)])
+            for spec in (alpha, {"codomain": json.loads(S3), **alpha})]
+    assert outs[0][0] == 0 and outs[0] == outs[1]
+
+
 VERSION_LINE = f"skewbracoid {skewbracoid.__version__} (interface {cli.INTERFACE_VERSION})\n"
 
 

@@ -9,23 +9,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewbracoid import cli, groups, ideals, maps, serialize
+from skewbracoid import braces, cli, groups, ideals, maps, serialize
 from skewbracoid.errors import (InternalConsistencyError, PreconditionError,
                                 WorkLimitError)
 
 from conftest import (CATALOGUE, brute_force_subgroups, c61_c10, element_orders_oracle,
-                      commutator_closure_oracle, commutator_oracle,
+                      commutator_closure_oracle, commutator_oracle, coset_space_oracle,
                       derived_series_oracle, dihedral_oracle,
                       extension_bfs_subgroups, normal_oracle, project_to_factor,
-                      quaternion_group, semidirect_oracle, symmetric_oracle)
+                      push_down_oracles, quaternion_group, semidirect_oracle,
+                      symmetric_oracle)
 
 
 def test_cyclic_matches_modular_addition():
     G = groups.cyclic(6)
     for a in range(6):
         for b in range(6):
-            assert G.op(a, b) == (a + b) % 6
-    assert G.inverse(2) == 4
+            assert G.mul[a, b] == (a + b) % 6
+    assert G.inv[2] == 4
     assert G.names[0] == "e" and G.names[1] == "g" and G.names[5] == "g^5"
 
 
@@ -36,14 +37,14 @@ def test_dihedral_relations():
     # r^n = s^2 = (rs)^2 = e
     x = 0
     for _ in range(n):
-        x = G.op(x, r)
+        x = G.mul[x, r]
     assert x == 0
-    assert G.op(s, s) == 0
-    rs = G.op(r, s)
-    assert G.op(rs, rs) == 0
+    assert G.mul[s, s] == 0
+    rs = G.mul[r, s]
+    assert G.mul[rs, rs] == 0
     # s r = r^-1 s
-    assert G.op(s, r) == G.op(G.inverse(r), s)
-    assert G.names[G.op(r, s)] == "rs"
+    assert G.mul[s, r] == G.mul[G.inv[r], s]
+    assert G.names[G.mul[r, s]] == "rs"
 
 
 def test_symmetric_composition_convention():
@@ -52,7 +53,7 @@ def test_symmetric_composition_convention():
     for i, p in enumerate(perms):
         for j, q in enumerate(perms):
             composed = tuple(p[q[x]] for x in range(3))  # (p*q)(x) = p(q(x))
-            assert perms[G.op(i, j)] == composed
+            assert perms[G.mul[i, j]] == composed
     assert perms[0] == (0, 1, 2)  # identity at index 0
 
 
@@ -67,7 +68,7 @@ def test_identity_is_index_zero_everywhere():
         assert np.array_equal(G.mul[0], np.arange(n))
         assert np.array_equal(G.mul[:, 0], np.arange(n))
         for g in range(n):
-            assert G.op(g, G.inverse(g)) == 0
+            assert G.mul[g, G.inv[g]] == 0
 
 
 @pytest.mark.parametrize("build, value", [
@@ -183,7 +184,7 @@ def test_direct_product_coordinates():
     for i1, j1, i2, j2 in itertools.product(range(4), range(2), range(4), range(2)):
         x = i1 + 4 * j1
         y = i2 + 4 * j2
-        assert G.op(x, y) == (i1 + i2) % 4 + 4 * ((j1 + j2) % 2)
+        assert G.mul[x, y] == (i1 + i2) % 4 + 4 * ((j1 + j2) % 2)
     assert G.names[1 + 4 * 1] == "(g,g)"
     assert groups.factor_embedding(G, 0) == [0, 1, 2, 3]
     assert groups.factor_embedding(G, 1) == [0, 4]
@@ -350,7 +351,7 @@ def test_subgroup_validation():
     with pytest.raises(PreconditionError):
         groups.Subgroup(G, (1, 2))  # missing the identity
     H = groups.Subgroup(G, (0, 4))
-    assert H.order == 2 and 4 in H and 1 not in H
+    assert H.order == 2 and 4 in H.members and 1 not in H.members
 
 
 @pytest.mark.parametrize("builder, members, message", [
@@ -653,11 +654,11 @@ def test_coset_space_partitions():
     G = groups.dihedral(4)
     H = groups.subgroup_generated(G, [5])  # <rs>
     cs = groups.coset_space(G, H)
-    assert cs.size == 4
+    assert len(cs.representatives) == 4
     assert sorted(cs.coset_of.tolist()).count(0) == H.order
     for g in range(G.order):
         for h in H.members:
-            assert cs.coset_of[G.op(g, h)] == cs.coset_of[g]
+            assert cs.coset_of[G.mul[g, h]] == cs.coset_of[g]
     # representatives are the minimal member of their coset
     for c, rep in enumerate(cs.representatives):
         assert rep == min(np.flatnonzero(cs.coset_of == c))
@@ -667,7 +668,41 @@ def test_coset_space_partitions():
     Z = groups.coset_space(G, groups.center(G))
     reps = Z.representatives.tolist()
     assert Z.quotient(G.mul).mul.tolist() == [
-        [Z.coset_of[G.op(x, y)] for y in reps] for x in reps]
+        [Z.coset_of[G.mul[x, y]] for y in reps] for x in reps]
+
+
+@pytest.mark.parametrize("name, builder", CATALOGUE + LARGER[:1])
+def test_coset_space_matches_loop_oracle(name, builder):
+    """Every subgroup's cosets, numbered and represented as the loop over G
+    numbers and represents them."""
+    G = builder()
+    for H in groups.enumerate_subgroups(G):
+        cs = groups.coset_space(G, H)
+        assert (cs.coset_of.tolist(), cs.representatives.tolist()) == \
+            coset_space_oracle(G, H.members)
+
+
+@pytest.mark.parametrize("name, builder", [
+    ("D4", lambda: groups.dihedral(4)), ("S3", lambda: groups.symmetric(3)), LARGER[0]])
+def test_push_downs_match_oracles(name, builder):
+    """action, rows and quotient on the cosets of every subgroup, for the
+    group's table, its transpose and the circle tables of its abelian maps,
+    equal the scalar oracles, None included: a non-normal H leaves the
+    product ill-defined, right multiplication is no action on left cosets,
+    and the rows of a table need not be uniform on cosets."""
+    G = builder()
+    ops = [G.mul, G.mul.T] + [braces.circle_table(G, psi).op
+                              for psi in maps.enumerate_abelian_maps(G)[:6]]
+    seen = set()
+    for H in groups.enumerate_subgroups(G):
+        cs = groups.coset_space(G, H)
+        for op in ops:
+            action, rows, induced = push_down_oracles(cs.coset_of, cs.representatives, op)
+            got = cs.action(op), cs.rows(op), cs.quotient(op)
+            assert [None if g is None else g.tolist() for g in got[:2]] == [action, rows]
+            assert (None if got[2] is None else got[2].mul.tolist()) == induced
+            seen.update((i, v is None) for i, v in enumerate((action, rows, induced)))
+    assert seen == {(i, none) for i in range(3) for none in (True, False)}
 
 
 def test_generating_set_of_a_table_group_is_computed_once(monkeypatch):

@@ -132,16 +132,16 @@ def test_enumerate_abelian_maps_against_naive_search():
                 i, j = g % 4, g // 4
                 v = 0
                 for _ in range(i):
-                    v = G.op(v, a)
+                    v = G.mul[v, a]
                 for _ in range(j):
-                    v = G.op(v, b)
+                    v = G.mul[v, b]
                 img[g] = v
-            is_hom = all(img[G.op(x, y)] == G.op(img[x], img[y])
+            is_hom = all(img[G.mul[x, y]] == G.mul[img[x], img[y]]
                          for x in range(8) for y in range(8))
             if not is_hom:
                 continue
             image = set(img.tolist())
-            if all(G.op(u, v) == G.op(v, u) for u in image for v in image):
+            if all(G.mul[u, v] == G.mul[v, u] for u in image for v in image):
                 count += 1
     assert len(found) == count == 28
 
@@ -309,7 +309,7 @@ def test_abelian_image_flag_matches_pairwise_check():
                 continue
             img = f.image_members()
             flags.append(f.abelian_image)
-            assert f.abelian_image == all(G.op(x, y) == G.op(y, x)
+            assert f.abelian_image == all(G.mul[x, y] == G.mul[y, x]
                                           for x in img for y in img)
         assert True in flags and False in flags
 
@@ -333,14 +333,14 @@ def test_circle_product_hand_values():
     # for g in ker psi the circle product degenerates to the group product
     for g in (0, 2, 4, 6):
         for h in range(8):
-            assert circle_product(G, psi, g, h) == G.op(g, h)
+            assert circle_product(G, psi, g, h) == G.mul[g, h]
 
 
 def test_phi_values_and_kernel():
     G, psi = d4_psi()
     phi = maps.phi_of(psi)
     for g in range(8):
-        assert phi[g] == G.op(g, psi(G.inverse(g)))
+        assert phi[g] == G.mul[g, psi(G.inv[g])]
     assert set(np.flatnonzero(phi == 0).tolist()) == {0, G.index_of("rs")}
     assert groups.Subgroup(G, phi).members == (0, 2, 4, 6)  # = ker psi here
 
@@ -354,7 +354,7 @@ def test_psi_iterate_recursion():
     for n in (2, 3, 4):
         cur = maps.psi_iterate(psi, n).image_of
         for g in range(8):
-            assert cur[g] == G.op(psi(g), int(prev[phi[g]]))
+            assert cur[g] == G.mul[psi(g), int(prev[phi[g]])]
         prev = cur
     with pytest.raises(PreconditionError):
         maps.psi_iterate(psi, -1)

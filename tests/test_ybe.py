@@ -67,8 +67,8 @@ def test_abelian_pair_formulas_and_oracle():
     phi = maps.phi_of(proj)
     for x in range(8):
         for y in range(8):
-            assert R.apply(x, y) == (int(phi[y]), G.op(proj(y), x))
-            assert Rp.apply(x, y) == (proj(y), G.op(int(phi[y]), x))
+            assert R.apply(x, y) == (int(phi[y]), G.mul[proj(y), x])
+            assert Rp.apply(x, y) == (proj(y), G.mul[int(phi[y]), x])
     assert braid_oracle(R) is None
     assert braid_oracle(Rp) is None
 

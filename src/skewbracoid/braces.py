@@ -21,8 +21,9 @@ BRACE_BLOCK_BOUND = 8
 
 @dataclass(frozen=True, eq=False)
 class OpTable:
-    """A group operation on 0..order-1 under a label.  The group was
-    verified where it was made, so every table here is a group table."""
+    """A group operation on 0..order-1 under a label.  Every table here is
+    a group table: built as one, certified as one by `circle_table`, or
+    checked by `groups.from_table` where it was made."""
 
     group: FiniteGroup
     label: str
@@ -44,19 +45,33 @@ def table_of(G: FiniteGroup) -> OpTable:
 
 
 def circle_table(G: FiniteGroup, psi: GroupMap, label: str = "o") -> OpTable:
-    """Group table of g o h = g psi(g^-1) h psi(g), on which phi(g) =
-    g psi(g^-1) is verified to be a homomorphism from (G, o) to (G, .)."""
+    """Group table of g o h = phi(g) h psi(g), phi(g) = g psi(g^-1), for an
+    abelian endomorphism psi of G, certified a group by `_certified`."""
     maps.require_abelian_endomorphism(psi)
     im = psi.image_of
     phi = G.mul[np.arange(G.order), im[G.inv]]
-    circ = groups.from_table(G.mul[G.mul[phi], im[:, None]])
-    if not np.array_equal(phi[circ.mul], G.mul[phi[:, None], phi]):
-        raise InternalConsistencyError("phi is not multiplicative on (G, o)")
-    return OpTable(circ, label)
+    return OpTable(_certified(G.mul[G.mul[phi], im[:, None]], G, phi, im), label)
+
+
+def _certified(table: np.ndarray, G: FiniteGroup, phi: np.ndarray,
+               psi: np.ndarray) -> FiniteGroup:
+    """The group with product `table` once phi and psi (image arrays on G)
+    are checked multiplicative from it to (G, .), cell by cell, in place of
+    the group-table check; else InternalConsistencyError.  Proof: then
+    iota(g) = (phi(g), psi(g)^-1) preserves products into G x G (psi has
+    abelian image) and is injective (g = phi(g) psi(g)), so it maps
+    `table` onto a finite subset of G x G closed under products, a
+    subgroup, and `table` is a group with identity iota^-1(e, e) = 0.  As
+    iota(g o h) = iota(g) iota(h), a cell other than g o h fails."""
+    for name, f in (("phi", phi), ("psi", psi)):
+        if not np.array_equal(f[table], G.mul[f[:, None], f]):
+            raise InternalConsistencyError(f"{name} is not multiplicative on (G, o)")
+    return FiniteGroup(table)
 
 
 def opposite_table(t: OpTable) -> OpTable:
-    return OpTable(groups.from_table(t.op.T.copy()), t.label + "'")
+    """The opposite group's table, the transpose: a group table as t's is."""
+    return OpTable(FiniteGroup(t.op.T.copy()), t.label + "'")
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,11 +4,13 @@ Each fixture is a JSON file under ``corpus/`` naming a scenario, its input
 data, and the expected outputs.  Expected values are tagged with a
 provenance of ``published`` (quoted from the worked examples the fixtures
 reproduce) or ``derived`` (computed independently).  ``run_fixture`` replays
-the scenario and compares every expectation.
+the scenario and compares every expectation.  A product fixture's
+``product_oracle_sha256`` is `tables_sha256` of the paper's general formula.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -72,6 +74,14 @@ class FixtureResult:
     def to_jsonable(self) -> dict:
         return {"name": self.name, "ok": self.ok,
                 "checks": [c.to_jsonable() for c in self.checks]}
+
+
+def tables_sha256(sol: ybe.YbeSolution) -> str:
+    """SHA-256 of lam then rho, as little-endian int64 in row order."""
+    digest = hashlib.sha256()
+    for table in (sol.lam, sol.rho):
+        digest.update(np.ascontiguousarray(table, "<i8"))
+    return digest.hexdigest()
 
 
 def _names(G, members) -> list[str]:
@@ -188,10 +198,8 @@ def _run_c8_s4(fx: dict) -> dict:
         "right_nondegenerate": rep.nondegeneracy.right,
     }
 
-    # the product builder records the C2 bracoid on the G1 factor and its K
-    sol2 = ybe.build_ybe_from_contained_brace(*sol.source)
-    out["matches_contained_brace_recipe"] = bool(
-        np.array_equal(sol.lam, sol2.lam) and np.array_equal(sol.rho, sol2.rho))
+    # the builder's recipe tables against the paper's general formula
+    out["matches_contained_brace_recipe"] = tables_sha256(sol) == fx["product_oracle_sha256"]
 
     # first-coordinate offsets of rho against x1 + y1, split by the parity
     # of the S4 part of y
@@ -288,8 +296,8 @@ def _run_gencase_generic(fx: dict) -> dict:
 
     K = Subgroup(G, tuple(groups.factor_embedding(G, 1)))
     sol2 = ybe.build_ybe_from_contained_brace(b, K)
-    out["product_equals_recipe"] = bool(
-        np.array_equal(sol.lam, sol2.lam) and np.array_equal(sol.rho, sol2.rho))
+    out["product_equals_recipe"] = (tables_sha256(sol) == tables_sha256(sol2)
+                                    == fx["product_oracle_sha256"])
 
     psi0 = maps.product_swap_map(alpha, maps.trivial_map(G2, G1))
     out["beta_trivial_fix_trivial"] = psi0.fixed_point_free

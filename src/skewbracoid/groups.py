@@ -130,18 +130,24 @@ def verify_group_table(mul: np.ndarray) -> tuple[int, ...]:
     # every row must contain the identity somewhere (existence of inverses)
     if not np.all((mul == 0).any(axis=1)):
         raise PreconditionError("some element has no right inverse")
-    gens: list[int] = []
-    reached = {0}
-    for g in range(n):
-        if g not in reached:
-            if len(gens) == n.bit_length() - 1:
-                raise PreconditionError("associativity fails")
-            gens.append(g)
-            reached = _right_closure(mul, gens, reached)
+    gens = tuple(itertools.islice(_greedy_generators(mul), n.bit_length()))
+    if len(gens) == n.bit_length():
+        raise PreconditionError("associativity fails")
     if sweep(lambda x, a, y: mul[mul[x, a], y] != mul[x, mul[a, y]],
              (idx, gens, idx)) is not None:
         raise PreconditionError("associativity fails")
-    return tuple(gens)
+    return gens
+
+
+def _greedy_generators(mul: np.ndarray):
+    """Yield each element that the right closure of those before it misses:
+    at most log2(order) of them in a group, as each doubles what is reached."""
+    gens, reached = [], {0}
+    for g in range(mul.shape[0]):
+        if g not in reached:
+            gens.append(g)
+            yield g
+            reached = _right_closure(mul, gens, reached)
 
 
 def relation_failure(act: np.ndarray, group: FiniteGroup, off: np.ndarray) -> tuple | None:
@@ -184,19 +190,22 @@ def inverses(mul: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    """An immutable finite group: Cayley table, display names, inverses."""
+    """An immutable finite group: Cayley table, display names (a0, a1, ...
+    by default), inverses.  A table not known to be a group needs `from_table`."""
 
     mul: np.ndarray
     inv: np.ndarray = field(init=False)
-    names: tuple[str, ...]
+    names: tuple[str, ...] | None = None
     generators: tuple[int, ...] | None = None
     factors: tuple["FiniteGroup", ...] | None = None  # direct-product metadata
 
     def __post_init__(self):
-        if not (isinstance(self.names, (list, tuple)) and len(self.names) == len(self.mul)
-                and all(isinstance(x, str) for x in self.names)):
+        if self.names is None:
+            object.__setattr__(self, "names", tuple(f"a{i}" for i in range(len(self.mul))))
+        elif not (isinstance(self.names, (list, tuple)) and len(self.names) == len(self.mul)
+                  and all(isinstance(x, str) for x in self.names)):
             raise PreconditionError("names must be a list of strings, one per element")
-        if len(set(self.names)) != len(self.names):
+        elif len(set(self.names)) != len(self.names):
             raise PreconditionError("element names must be pairwise distinct")
         object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "inv", inverses(self.mul))
@@ -210,14 +219,14 @@ class FiniteGroup:
     identity = 0
 
     def generating_set(self) -> tuple[int, ...]:
-        """`generators`, or for a group built without them the generating
-        set that the group-table check finds: kept by `from_table`, and
-        computed once otherwise."""
+        """`generators`, or else the greedy generating set: the one that
+        `from_table`'s check found, or computed once with no check for a
+        table known to be a group (a circle or opposite table)."""
         if self.generators is not None:
             return self.generators
         cached = getattr(self, "_generating_set", None)
         if cached is None:
-            cached = verify_group_table(self.mul)
+            cached = tuple(_greedy_generators(self.mul))
             object.__setattr__(self, "_generating_set", cached)
         return cached
 
@@ -275,11 +284,9 @@ def from_table(mul, names=None, generators=None) -> FiniteGroup:
     the one way a table that is not known to be a group becomes one."""
     table = int_array(mul, "multiplication table")
     found = verify_group_table(table)
-    n = table.shape[0]
-    names = tuple(f"a{i}" for i in range(n)) if names is None else names
     if generators is not None:
         gens = int_array(generators, "generators")
-        if gens.ndim != 1 or ((gens < 0) | (gens >= n)).any():
+        if gens.ndim != 1 or ((gens < 0) | (gens >= len(table))).any():
             raise PreconditionError("generator index out of range")
         generators = tuple(gens.tolist())
         require_generating(table, generators)
@@ -569,7 +576,7 @@ def element_orders(mul: np.ndarray) -> np.ndarray:
     n = mul.shape[0]
     orders = np.zeros(n, dtype=np.int64)
     for d in (d for d in range(1, n + 1) if n % d == 0):
-        todo = np.flatnonzero(orders == 0)
+        todo = (orders == 0).nonzero()[0]
         if not todo.size:
             break
         power, square, k = np.zeros_like(todo), todo, d
@@ -591,25 +598,25 @@ def _prime_of_power(n: int) -> int | None:
     return p if n == 1 else None
 
 
-def _join(mul: np.ndarray, members: np.ndarray, x: int) -> np.ndarray:
-    """Mask of <H, x> for the subgroup H with member array `members`.
+def _join(mul: np.ndarray, members: np.ndarray, x: int, mask: np.ndarray) -> None:
+    """Set the all-False `mask` to the mask of <H, x>, for the subgroup H
+    with member array `members`.
 
     Grown from H as a union of left cosets of H: each new element w adds
     its coset wH, until right multiplication by x reaches nothing new.
     """
-    mask = np.zeros(mul.shape[0], dtype=bool)
     mask[members] = True
     frontier = members
     while True:
         step = mul[frontier, x]
         step = step[~mask[step]]
         if not step.size:
-            return mask
+            return
         fresh = np.zeros_like(mask)
         fresh[mul[step[:, None], members[None, :]]] = True
         fresh &= ~mask
         mask |= fresh
-        frontier = np.flatnonzero(fresh)
+        frontier = fresh.nonzero()[0]
 
 
 def enumerate_subgroups(G: FiniteGroup) -> list[Subgroup]:
@@ -625,15 +632,20 @@ def enumerate_subgroups(G: FiniteGroup) -> list[Subgroup]:
     reached from U, by induction on |V|.  A perfect subgroup has no such U,
     so if G is not solvable the other z are joined by `_join`.
 
+    H is extended by all its zuppos at once, in blocks of at most
+    SWEEP_BLOCK_BYTES, one gather per prime p among them; extensions new by
+    their `np.packbits` keys go onto a depth-first stack in zuppo order.
+
     Work counts the members of every closure and extension computed; past
-    SUBGROUP_WORK_LIMIT WorkLimitError is raised.  The lattice is computed
-    once per group; later calls do no work, whatever the limit, and each
-    returns a new list of new Subgroup objects.
+    SUBGROUP_WORK_LIMIT WorkLimitError is raised, as one zuppo at a time
+    would raise it.  The lattice is computed once per group; later calls do
+    no work, whatever the limit, and each returns a new list of new
+    Subgroup objects.
     """
     cached = getattr(G, "_subgroups", None)
     if cached is not None:
         return [_known_subgroup(G, members) for members in cached]
-    work, found = 0, {}
+    n, work, found = G.order, 0, {}
 
     def count(size: int) -> None:
         nonlocal work
@@ -646,10 +658,10 @@ def enumerate_subgroups(G: FiniteGroup) -> list[Subgroup]:
     orders = element_orders(G.mul)
     prime_of = {o: _prime_of_power(o) for o in set(orders.tolist()) if o > 1}
     # a generator z of each zuppo, a generator of its subgroup <z^p> (any
-    # element of <z> of order |z|/p), and z^0, .., z^(p-1)
-    zuppos, roots, steps = [], [], {}
-    covered = np.zeros(G.order, dtype=bool)
-    for x in range(1, G.order):
+    # element of <z> of order |z|/p), and p
+    zuppos, roots, primes = [], [], []
+    covered = np.zeros(n, dtype=bool)
+    for x in range(1, n):
         o = int(orders[x])
         if covered[x] or prime_of[o] is None:
             continue
@@ -657,41 +669,65 @@ def enumerate_subgroups(G: FiniteGroup) -> list[Subgroup]:
         count(len(cyc))
         covered[cyc[orders[cyc] == o]] = True
         zuppos.append(x)
-        roots.append(cyc[np.argmax(orders[cyc] == o // prime_of[o])])
-        steps[x] = np.fromiter(itertools.accumulate(
-            range(prime_of[o] - 1), lambda w, _: G.mul[w, x], initial=0), dtype=np.int64)
-    zuppos, roots = np.array(zuppos, dtype=np.int64), np.array(roots, dtype=np.int64)
+        roots.append(cyc[(orders[cyc] == o // prime_of[o]).argmax()])
+        primes.append(prime_of[o])
+    zuppos, roots, primes = (np.array(a, dtype=np.int64) for a in (zuppos, roots, primes))
+    # z^0, .., z^(p-1) for the zuppos of each prime p, as rows rank[z] of powers[p]
+    powers, rank = {}, np.zeros(len(zuppos), dtype=np.int64)
+    for p in set(primes.tolist()):
+        of_p = (primes == p).nonzero()[0]
+        rank[of_p] = np.arange(len(of_p))
+        powers[p] = np.stack(list(itertools.accumulate(
+            range(p - 1), lambda w, _: G.mul[w, zuppos[of_p]], initial=0 * of_p)), axis=1)
     solvable = len(list(derived_series(G))[-1]) == 1
 
-    trivial = np.arange(G.order) == 0
-    found[trivial.tobytes()] = trivial
-    queue = [(trivial, [])]  # a subgroup, with a set that generates it
+    width, widest = (n + 7) // 8, 8 * max(powers, default=1)  # bytes in a key, per member
+    queue = [(np.arange(n) == 0, [])]  # a subgroup's mask, with a set that generates it
+    found[np.packbits(queue[0][0]).tobytes()] = queue[0][0]
     while queue:
         mask, gens = queue.pop()
-        members = np.flatnonzero(mask)
-        cand = zuppos[~mask[zuppos] & mask[roots]]
+        members = mask.nonzero()[0]
+        cand = (mask[roots] > mask[zuppos]).nonzero()[0]
+        z = zuppos[cand]
         # z normalizes H iff it conjugates the <= log2|H| generators of H into H
-        normalizes = mask[G.mul[G.mul[cand[:, None], gens], G.inv[cand][:, None]]].all(axis=1)
-        for z, normal in zip(cand.tolist(), normalizes.tolist()):
-            if normal:
-                ext = np.zeros(G.order, dtype=bool)
-                ext[G.mul[members[:, None], steps[z]]] = True
-            elif solvable:
-                continue
-            else:
-                ext = _join(G.mul, members, z)
-            count(int(np.count_nonzero(ext)))
-            key = ext.tobytes()
-            if key not in found:
-                found[key] = ext
-                queue.append((ext, gens + [z]))
-    subs = [_known_subgroup(G, tuple(np.flatnonzero(m).tolist()))
-            for m in found.values()]
-    subs.sort(key=lambda s: (s.order, s.members))
+        normal = mask[G.mul[G.mul[z[:, None], gens], G.inv[z][:, None]]].all(axis=1)
+        if solvable:
+            cand, z, normal = cand[normal], z[normal], normal[normal]
+        if not cand.size:
+            continue
+        # |H<z>| = p|H| (H and <z> meet in <z^p>), all of <H, z> if z normalizes
+        # H: no z past the first that must exceed the limit is made
+        size = len(members) * primes[cand]
+        total = work + size.cumsum()
+        end = min(len(cand), 1 + int(total.searchsorted(SUBGROUP_WORK_LIMIT, "right")))
+        step = max(1, SWEEP_BLOCK_BYTES // (n + widest * len(members)))
+        for lo in range(0, end, step):
+            hi = min(lo + step, end)
+            c, zs, nz, pc = cand[lo:hi], z[lo:hi], normal[lo:hi], primes[cand[lo:hi]]
+            ext = np.zeros((len(c), n), dtype=bool)
+            for p in set(pc.tolist()):
+                rows = (nz & (pc == p)).nonzero()[0]
+                steps = powers[p][rank[c[rows]]]
+                ext[rows[:, None, None], G.mul[members[:, None], steps[:, None]]] = True
+            if not solvable:
+                for r in (~nz).nonzero()[0]:
+                    _join(G.mul, members, zs[r], ext[r])
+                size[lo:hi] = np.count_nonzero(ext, axis=1)
+                total[lo:] = work + size[lo:].cumsum()
+            stop = int(total[lo:hi].searchsorted(SUBGROUP_WORK_LIMIT, "right"))
+            keys = np.packbits(ext[:stop], axis=1).tobytes()
+            for i, zi in enumerate(zs[:stop].tolist()):
+                key = keys[i * width:(i + 1) * width]
+                if key not in found:
+                    found[key] = ext[i].copy()
+                    queue.append((found[key], gens + [zi]))
+            count(int(total[lo + min(stop, len(c) - 1)]) - work)
+    subs = sorted((tuple(m.nonzero()[0].tolist()) for m in found.values()),
+                  key=lambda m: (len(m), m))
     # member tuples only: cached Subgroups would refer back to G, and G in
     # a reference cycle outlives its last use until the cycle collector runs
-    object.__setattr__(G, "_subgroups", tuple(s.members for s in subs))
-    return subs
+    object.__setattr__(G, "_subgroups", tuple(subs))
+    return [_known_subgroup(G, members) for members in subs]
 
 
 def _classes(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from skewbracoid import braces, groups, maps
+from skewbracoid import braces, corpus, groups, maps
 from skewbracoid.errors import InternalConsistencyError, PreconditionError
 
-from conftest import brace_oracle, circle_inverse, circle_product
+from conftest import CATALOGUE, brace_oracle, circle_inverse, circle_product
 
 
 def d4_setup():
@@ -37,6 +39,49 @@ def test_opposite_table_is_involution():
     assert opp.label == ".'"
     assert np.array_equal(braces.opposite_table(opp).op, t.op)
     assert opp.op[1, 4] == t.op[4, 1]
+
+
+def test_certified_tables_pass_lights_test(monkeypatch):
+    """Light's test is the oracle for the certificate: the circle table of
+    every abelian map of the catalogue groups, its opposite, and every
+    circle and opposite table that the corpus builds pass the group-table
+    check, which finds the generating set that the certified group finds
+    without it."""
+    tables = []
+    for name in ("circle_table", "opposite_table"):
+        real = getattr(braces, name)
+        monkeypatch.setattr(braces, name, lambda *a, real=real, **k: tables.append(real(*a, **k))
+                            or tables[-1])
+    assert corpus.run_all() and tables
+    made_by_corpus = len(tables)
+    psis = [psi for _, build in CATALOGUE for psi in maps.enumerate_abelian_maps(build())]
+    assert len(psis) == 281
+    for psi in psis:
+        braces.opposite_table(braces.circle_table(psi.domain, psi))
+    assert len(tables) == made_by_corpus + 2 * 281
+    for t in tables:
+        assert t.group.generators is None
+        assert groups.verify_group_table(t.op) == t.group.generating_set()
+
+
+def test_certificate_refuses_a_changed_cell():
+    """A circle table with any one cell changed to any other element fails
+    the phi or psi comparison, and so does the transpose of a nonabelian
+    one, a group table that is not the table of o.  Some changes keep phi
+    of the cell (ker phi is not trivial here) and some keep psi of it, so
+    each comparison is needed."""
+    G = groups.dihedral(6)
+    psi = maps.make_map(G, G, {"r": "r^3", "s": "e"})
+    im, phi = psi.image_of, maps.phi_of(psi)
+    table = braces.circle_table(G, psi).op
+    assert not np.array_equal(table, table.T) and (phi == 0).sum() > 1
+    bad = [table.T.copy()]
+    for g, h, shift in itertools.product(range(G.order), range(G.order), range(1, G.order)):
+        bad.append(table.copy())
+        bad[-1][g, h] = (table[g, h] + shift) % G.order
+    for t in bad:
+        with pytest.raises(InternalConsistencyError, match="is not multiplicative on"):
+            braces._certified(t, G, phi, im)
 
 
 def test_verify_brace_agrees_with_oracle():

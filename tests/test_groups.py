@@ -490,6 +490,39 @@ def test_lattice_work_limit_still_applies(monkeypatch):
             f"{limit}, {found} subgroups found so far")
 
 
+@pytest.mark.parametrize("block_bytes", [None, 64])
+@pytest.mark.parametrize("name, limit, work, found", [
+    ("S5", 1000, 1004, 55), ("S5", 3000, 3024, 60),
+    ("C2^6", groups.SUBGROUP_WORK_LIMIT, 1000004, 917)])
+def test_lattice_work_limit_messages_are_those_of_one_zuppo_at_a_time(
+        monkeypatch, block_bytes, name, limit, work, found):
+    """The messages that extending by one zuppo at a time gave, recorded
+    before the extensions were built in blocks: S5 is not solvable, so its
+    traversal joins, and C2^6 stops at the default limit.  64-byte blocks
+    hold one zuppo each."""
+    G = groups.symmetric(5) if name == "S5" else groups.direct_product(*[groups.cyclic(2)] * 6)
+    monkeypatch.setattr(groups, "SUBGROUP_WORK_LIMIT", limit)
+    if block_bytes:
+        monkeypatch.setattr(groups, "SWEEP_BLOCK_BYTES", block_bytes)
+    with pytest.raises(WorkLimitError) as exc:
+        groups.enumerate_subgroups(G)
+    assert str(exc.value) == (
+        f"subgroup enumeration work limit exceeded: work {work} > limit "
+        f"{limit}, {found} subgroups found so far")
+
+
+@pytest.mark.parametrize("block_bytes", [64, 4096])
+@pytest.mark.parametrize("builder", [
+    lambda: groups.direct_product(groups.dihedral(4), groups.dihedral(4)),
+    lambda: groups.symmetric(5), c61_c10], ids=["D4xD4", "S5", "C61xC10"])
+def test_lattice_in_split_candidate_blocks_is_unchanged(monkeypatch, block_bytes, builder):
+    """Blocks of one zuppo (64 bytes), or of a few (4 KiB), give the same
+    lattice as the default blocks, which hold every zuppo of a subgroup."""
+    want = [H.members for H in groups.enumerate_subgroups(builder())]
+    monkeypatch.setattr(groups, "SWEEP_BLOCK_BYTES", block_bytes)
+    assert [H.members for H in groups.enumerate_subgroups(builder())] == want
+
+
 def test_lattice_is_computed_once_per_group(monkeypatch):
     calls = []
     closure = groups.closure

@@ -22,8 +22,8 @@ BRACE_BLOCK_BOUND = 8
 @dataclass(frozen=True, eq=False)
 class OpTable:
     """A group operation on 0..order-1 under a label.  Every table here is
-    a group table: built as one, certified as one by `circle_table`, or
-    checked by `groups.from_table` where it was made."""
+    a group table: built as one, proved one where it was made (`circle_table`,
+    `CosetSpace.quotient`), or checked by `groups.from_table`."""
 
     group: FiniteGroup
     label: str
@@ -165,7 +165,8 @@ def quotient_brace(brace: SkewBrace, H) -> SkewBrace:
 
     H is a member tuple or Subgroup that must be a subgroup of the additive
     group whose cosets both operations are well-defined on (an ideal of the
-    brace); either failure is a precondition failure.
+    brace), which makes both quotient groups; either failure is a
+    precondition failure.
     """
     cs = groups.coset_space(brace.additive.group,
                             groups.as_subgroup(brace.additive.group, H))

@@ -3,7 +3,8 @@
     g (+) (eta * mu) = (g (+) eta) * (g (+) e_N)^-1 * (g (+) mu).
 
 Constructors take classified subgroups (the C1 / C2 routes), the phi-tower,
-or quotient data; every constructed bracoid is verified exhaustively.
+or quotient data; every constructed bracoid is verified exhaustively.  A coset
+target or reduced acting group is a group as a quotient, with no table check.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Built-in end-to-end fixtures.
 
-Each fixture is a JSON file under ``corpus/`` naming a scenario, its input
+Each fixture is a JSON file under ``corpus/`` holding its name, its input
 data, and the expected outputs.  Expected values are tagged with a
 provenance of ``published`` (quoted from the worked examples the fixtures
-reproduce) or ``derived`` (computed independently).  ``run_fixture`` replays
-the scenario and compares every expectation.  A product fixture's
+reproduce) or ``derived`` (computed independently).  ``run_fixture`` runs
+the runner of that name and compares every expectation.  A product fixture's
 ``product_oracle_sha256`` is `tables_sha256` of the paper's general formula.
 """
 
@@ -21,9 +21,6 @@ from . import braces, bracoids, groups, ideals, maps, ybe
 from .errors import PreconditionError
 from .groups import Subgroup
 
-FIXTURE_NAMES = ("d4_psi", "d4xd4_tower", "cpq_v4", "c8_s4",
-                 "permy_c3", "abelian_idempotent", "gencase_generic")
-
 
 def load_fixture(name: str) -> dict:
     if name not in FIXTURE_NAMES:
@@ -31,7 +28,7 @@ def load_fixture(name: str) -> dict:
                                 f"known: {', '.join(FIXTURE_NAMES)}")
     path = resources.files(__package__) / "corpus" / f"{name}.json"
     fixture = json.loads(path.read_text())
-    for key in ("name", "description", "scenario", "expected"):
+    for key in ("name", "description", "expected"):
         if key not in fixture:
             raise PreconditionError(f"fixture {name!r} is missing {key!r}")
     if fixture["name"] != name:
@@ -313,16 +310,15 @@ _RUNNERS = {
     "abelian_idempotent": _run_abelian_idempotent,
     "gencase_generic": _run_gencase_generic,
 }
+FIXTURE_NAMES = tuple(_RUNNERS)
 
 
 def run_fixture(name: str) -> FixtureResult:
     fx = load_fixture(name)
-    actual = _RUNNERS[fx["scenario"]](fx)
-    checks = []
-    for check, entry in fx["expected"].items():
-        checks.append(FixtureCheck(check, entry["value"],
-                                   actual.get(check), entry["provenance"]))
-    return FixtureResult(name, checks)
+    actual = _RUNNERS[name](fx)
+    return FixtureResult(name, [FixtureCheck(check, entry["value"], actual.get(check),
+                                             entry["provenance"])
+                                for check, entry in fx["expected"].items()])
 
 
 def run_all() -> list[FixtureResult]:

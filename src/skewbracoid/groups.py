@@ -191,7 +191,8 @@ def inverses(mul: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """An immutable finite group: Cayley table, display names (a0, a1, ...
-    by default), inverses.  A table not known to be a group needs `from_table`."""
+    by default), inverses.  `mul` is trusted: built or proved a group where
+    it was made (a circle table, a coset quotient), or checked by `from_table`."""
 
     mul: np.ndarray
     inv: np.ndarray = field(init=False)
@@ -280,8 +281,8 @@ def _holds_bool(values, arr: np.ndarray) -> bool:
 
 
 def from_table(mul, names=None, generators=None) -> FiniteGroup:
-    """Build a group from an explicit Cayley table, verifying the axioms:
-    the one way a table that is not known to be a group becomes one."""
+    """Build a group from a Cayley table that may not be one (a `table` spec,
+    a re-imported export, a phi^n image), verifying the axioms exactly."""
     table = int_array(mul, "multiplication table")
     found = verify_group_table(table)
     if generators is not None:
@@ -446,48 +447,40 @@ def _spec_field(spec, key: str):
     return spec[key]
 
 
-def _spec_order(spec: dict) -> int:
+def _read_spec(spec) -> tuple:
+    """The order of GroupSpec `spec` and a function of `order_cap` that builds
+    it, from one read of the whole spec that allocates no table.  A part of
+    order < 1 (it fails to build) counts as 1: no part outgrows the whole."""
     kind = _spec_field(spec, "kind")
-    if kind == "cyclic":
-        return _spec_field(spec, "n")
-    if kind == "dihedral":
-        return 2 * _spec_field(spec, "n")
-    if kind == "symmetric":
+    if kind in ("cyclic", "dihedral", "symmetric"):
         n = _spec_field(spec, "n")
-        if not 1 <= n <= 8:  # before n! of a large n is computed
+        if kind == "symmetric" and not 1 <= n <= 8:  # before n! of a large n is computed
             raise PreconditionError("symmetric group builder supports 1 <= n <= 8")
-        return math.factorial(n)
+        order = n if kind == "cyclic" else 2 * n if kind == "dihedral" else math.factorial(n)
+        build = {"cyclic": cyclic, "dihedral": dihedral, "symmetric": symmetric}[kind]
+        return order, lambda cap: build(n, order_cap=cap)
     if kind == "product":
-        return math.prod(map(_spec_order, _spec_field(spec, "factors")))
+        parts = [_read_spec(f) for f in _spec_field(spec, "factors")]
+        return math.prod(max(1, order) for order, _ in parts), lambda cap: direct_product(
+            *(build(cap) for _, build in parts), order_cap=cap)
     if kind == "semidirect":
-        return (_spec_order(_spec_field(spec, "base"))
-                * _spec_order(_spec_field(spec, "acting")))
+        (nb, base), (na, acting) = (_read_spec(_spec_field(spec, k)) for k in ("base", "acting"))
+        action = _spec_field(spec, "action")
+        return max(1, nb) * max(1, na), lambda cap: semidirect(
+            base(cap), acting(cap), action, order_cap=cap)
     if kind == "table":
-        return len(_spec_field(spec, "mul"))
+        mul = _spec_field(spec, "mul")
+        return len(mul), lambda cap: from_table(mul, spec.get("names"), spec.get("generators"))
     raise PreconditionError(f"unknown group spec kind {kind!r}")
 
 
 def build_group(spec: dict, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Build a group from a GroupSpec dict (see the JSON interface docs).
-    The order of the whole spec is checked against `order_cap` before any
-    part of it is built."""
-    _check_order(_spec_order(spec), order_cap)
-    kind = spec["kind"]
-    if kind == "cyclic":
-        return cyclic(spec["n"], order_cap=order_cap)
-    if kind == "dihedral":
-        return dihedral(spec["n"], order_cap=order_cap)
-    if kind == "symmetric":
-        return symmetric(spec["n"], order_cap=order_cap)
-    if kind == "product":
-        return direct_product(*(build_group(f, order_cap=order_cap)
-                                for f in spec["factors"]), order_cap=order_cap)
-    if kind == "semidirect":
-        base = build_group(spec["base"], order_cap=order_cap)
-        acting = build_group(spec["acting"], order_cap=order_cap)
-        return semidirect(base, acting, _spec_field(spec, "action"),
-                          order_cap=order_cap)
-    return from_table(spec["mul"], spec.get("names"), spec.get("generators"))
+    The whole spec is read, and its order checked against `order_cap`, once
+    before any part is built; each builder checks its own order too."""
+    order, build = _read_spec(spec)
+    _check_order(order, order_cap)
+    return build(order_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -863,11 +856,15 @@ class CosetSpace:
         return act if np.array_equal(cos[op], act[:, cos]) else None
 
     def quotient(self, op: np.ndarray) -> FiniteGroup | None:
-        """The group that the table `op` on the elements induces on the
-        classes, or None if `op` is not well-defined on them."""
+        """The group that the group table `op` induces on the classes, or
+        None if `op` is not well-defined on them.  Where `action` and `rows`
+        are defined, the classes are a congruence, so the induced table is
+        the image of a group under x -> class of x: a group, with identity
+        the class of 0, which must be class 0 (as in `coset_space`), and no
+        group-table check is needed."""
         act = self.action(op)
         induced = None if act is None else self.rows(act)
-        return None if induced is None else from_table(induced)
+        return None if induced is None else FiniteGroup(induced)
 
 
 def fibres(labels) -> CosetSpace:

@@ -136,7 +136,6 @@ def classify_subgroup(G: FiniteGroup, psi: GroupMap, H: Subgroup,
     column code runs on the one-row stack [H]."""
     if H.parent is not G:
         raise PreconditionError("subgroup does not belong to the given group")
-    maps.require_abelian_endomorphism(psi)
     if row is None:
         tables = tables or _brace_tables(G, psi)
         row, = _columns(G, tables, groups.subgroup_lattice(G, [H.members]), [H])

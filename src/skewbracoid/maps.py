@@ -173,7 +173,7 @@ def enumerate_abelian_maps(G: FiniteGroup, Gp: FiniteGroup | None = None) -> lis
     """All homomorphisms G -> G' with abelian image, in lexicographic order
     of their generator images.
 
-    An abelian map kills [G, G], so it factors through Q = G/[G, G]:
+    An abelian map kills [G, G], so it factors through the group Q = G/[G, G]:
     generator x can only map to some y with y^d = e, where d is the order
     of x[G, G], and the generator images commute pairwise.  Those choices
     come in blocks, one to a row; a block is extended along one spanning
@@ -236,15 +236,12 @@ def _commuting_blocks(mul: np.ndarray, candidates: list[np.ndarray], chosen: np.
 @dataclass(eq=False)
 class MapAnalysis:
     kernel: Subgroup
-    image: Subgroup
     fix: Subgroup | None
 
 
 def map_analysis(f: GroupMap) -> MapAnalysis:
-    """Kernel, image, and (for endomorphisms) fix psi = {g : psi(g) = g}."""
-    ker = tuple(np.flatnonzero(f.image_of == 0).tolist())
-    kernel = Subgroup(f.domain, ker)
-    image = Subgroup(f.codomain, f.image_members())
+    """Kernel and (for endomorphisms) fix psi = {g : psi(g) = g}."""
+    kernel = Subgroup(f.domain, np.flatnonzero(f.image_of == 0).tolist())
     fix = None
     if f.is_endomorphism():
         fixed = tuple(np.flatnonzero(
@@ -254,7 +251,7 @@ def map_analysis(f: GroupMap) -> MapAnalysis:
         except PreconditionError as exc:
             raise InternalConsistencyError(
                 "fix psi failed its subgroup closure check") from exc
-    return MapAnalysis(kernel, image, fix)
+    return MapAnalysis(kernel, fix)
 
 
 def phi_of(psi: GroupMap) -> np.ndarray:

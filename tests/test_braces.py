@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from skewbracoid import braces, corpus, groups, maps
+from skewbracoid import braces, bracoids, corpus, groups, ideals, maps
 from skewbracoid.errors import InternalConsistencyError, PreconditionError
 
 from conftest import CATALOGUE, brace_oracle, circle_inverse, circle_product
@@ -82,6 +82,51 @@ def test_certificate_refuses_a_changed_cell():
     for t in bad:
         with pytest.raises(InternalConsistencyError, match="is not multiplicative on"):
             braces._certified(t, G, phi, im)
+
+
+def test_quotients_pass_lights_test(monkeypatch):
+    """Light's test is the oracle for the congruence proof that makes each
+    coset quotient a group unchecked: every quotient built on the catalogue
+    groups of order <= 8 by the C1 and C2 targets, plain and opposite, the
+    acting groups of their reductions, and `quotient_brace` by every ideal
+    of (G, ., o), and G/[G, G] of every catalogue group, passes the
+    group-table check, which finds the generating set the quotient finds."""
+    made = {"G/[G, G]": [], "targets": [], "reduced": [], "braces": []}
+    phase = "G/[G, G]"
+    real = groups.CosetSpace.quotient
+
+    def quotient(cs, op):
+        made[phase].append(real(cs, op))
+        return made[phase][-1]
+
+    monkeypatch.setattr(groups.CosetSpace, "quotient", quotient)
+    for _, build in CATALOGUE:
+        G = build()
+        phase = "G/[G, G]"
+        psis = maps.enumerate_abelian_maps(G)
+        if G.order > 8:
+            continue
+        for psi in psis:
+            phase, bs = "targets", []
+            for H in groups.enumerate_subgroups(G):
+                for make in (bracoids.bracoid_from_C1, bracoids.bracoid_from_C2):
+                    for opposite in (False, True):
+                        try:
+                            bs.append(make(G, psi, H, opposite=opposite))
+                        except PreconditionError:
+                            continue
+            phase = "reduced"
+            for b in bs:
+                bracoids.reduce_bracoid(b)
+            phase = "braces"
+            brace = braces.make_brace(braces.table_of(G), braces.circle_table(G, psi))
+            for v in ideals.find_strong_left_ideals(G, psi):
+                if "(.,o)" in v.ideal_of:
+                    braces.quotient_brace(brace, v.subgroup)
+    assert all(made.values())
+    for Q in itertools.chain(*made.values()):
+        assert Q is not None and Q.generators is None
+        assert groups.verify_group_table(Q.mul) == Q.generating_set()
 
 
 def test_verify_brace_agrees_with_oracle():

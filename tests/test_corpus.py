@@ -17,7 +17,7 @@ def test_fixture_schema():
     for name in corpus.FIXTURE_NAMES:
         fx = corpus.load_fixture(name)
         assert fx["name"] == name
-        assert fx["scenario"] in corpus._RUNNERS
+        assert fx["name"] in corpus._RUNNERS
         for entry in fx["expected"].values():
             assert entry["provenance"] in ("published", "derived")
 

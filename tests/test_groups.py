@@ -314,8 +314,40 @@ def test_build_group_threads_its_cap_into_the_builders(monkeypatch):
         {"kind": "semidirect", "base": {"kind": "cyclic", "n": 5},
          "acting": {"kind": "cyclic", "n": 2}, "action": _multiplier_action(5, 2, 4)}]}
     assert groups.build_group(spec, order_cap=77).order == 60
-    # five specs checked by build_group, and the five builders they call
-    assert caps == [77] * 10
+    # the whole spec checked once by build_group, then the five builders
+    assert caps == [77] * 6
+
+
+@pytest.mark.parametrize("bad", [{"kind": "cyclic", "n": 0}, {"kind": "dihedral", "n": -3},
+                                 {"kind": "table", "mul": []}])
+def test_build_group_caps_a_table_beside_a_part_of_order_below_one(monkeypatch, bad):
+    """The whole spec's cap bounds each part, so a table part over the cap
+    is refused before it is checked, whatever part of order < 1 sits beside
+    it; each such part fails on its own."""
+    checks = []
+    monkeypatch.setattr(groups, "verify_group_table", lambda mul: checks.append(1))
+    table = {"kind": "table", "mul": groups.cyclic(200).mul.tolist()}
+    for spec in ({"kind": "product", "factors": [table, bad]},
+                 {"kind": "semidirect", "base": table, "acting": bad, "action": []}):
+        with pytest.raises(PreconditionError, match="order 200 exceeds cap 100"):
+            groups.build_group(spec, order_cap=100)
+    assert not checks
+    monkeypatch.undo()
+    with pytest.raises(PreconditionError):
+        groups.build_group(bad)
+
+
+def test_build_group_reads_the_whole_spec_before_building(monkeypatch):
+    built = []
+    for name in ("cyclic", "symmetric", "direct_product"):
+        monkeypatch.setattr(groups, name, lambda *a, **k: built.append(a))
+    spec = {"kind": "product", "factors": [
+        {"kind": "cyclic", "n": 2},
+        {"kind": "semidirect", "base": {"kind": "symmetric", "n": 5},
+         "acting": {"kind": "cyclic", "n": 2}}]}
+    with pytest.raises(PreconditionError, match="group spec needs 'action'"):
+        groups.build_group(spec)
+    assert not built
 
 
 def test_build_group_specs():

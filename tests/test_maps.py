@@ -319,7 +319,7 @@ def test_map_analysis_named_sets():
     analysis = maps.map_analysis(psi)
     assert [G.names[m] for m in analysis.kernel.members] == ["e", "r^2", "s", "r^2s"]
     assert [G.names[m] for m in analysis.fix.members] == ["e", "rs"]
-    assert analysis.image.members == (0, G.index_of("rs"))
+    assert psi.image_members() == (0, G.index_of("rs"))
 
 
 def test_circle_product_hand_values():

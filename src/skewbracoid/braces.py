@@ -44,12 +44,13 @@ def table_of(G: FiniteGroup) -> OpTable:
     return OpTable(G, ".")
 
 
-def circle_table(G: FiniteGroup, psi: GroupMap, label: str = "o") -> OpTable:
+def circle_table(G: FiniteGroup, psi: GroupMap, label: str = "o",
+                 phi: np.ndarray | None = None) -> OpTable:
     """Group table of g o h = phi(g) h psi(g), phi(g) = g psi(g^-1), for an
-    abelian endomorphism psi of G, certified a group by `_certified`."""
-    maps.require_abelian_endomorphism(psi)
+    abelian endomorphism psi of G, certified a group by `_certified`; `phi`
+    is maps.phi_of(psi), passed by a caller that already has it."""
+    phi = maps.phi_of(psi) if phi is None else phi
     im = psi.image_of
-    phi = G.mul[np.arange(G.order), im[G.inv]]
     return OpTable(_certified(G.mul[G.mul[phi], im[:, None]], G, phi, im), label)
 
 

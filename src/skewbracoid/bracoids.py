@@ -90,10 +90,10 @@ def _require_valid(b: Bracoid) -> Bracoid:
 def bracoid_from_C1(G: FiniteGroup, psi: GroupMap, H: Subgroup,
                     opposite: bool = False) -> Bracoid:
     """(G, ., G/H, o, (+)) with g (+) xH = (gx)H, for H satisfying C1."""
-    phiH = maps.phi_of(psi)[list(H.members)]
-    if not groups.commutator_condition(G, phiH, H):
+    phi = maps.phi_of(psi)
+    if not groups.commutator_condition(G, phi[list(H.members)], H):
         raise PreconditionError("C1 fails: [G, phi(H)] is not contained in H")
-    circ = braces.circle_table(G, psi)
+    circ = braces.circle_table(G, psi, phi=phi)
     cs = groups.coset_space(G, H)
     # o well-defined on the cosets gives y o H = (y o e)H = yH
     target = cs.quotient(circ.op.T if opposite else circ.op)
@@ -111,16 +111,16 @@ def bracoid_from_C2(G: FiniteGroup, psi: GroupMap, H: Subgroup,
     """(G, o, G/H, ., (+)) with g (+) xH = (g o x)H, for H normal in (G, .)."""
     if not groups.is_normal(G, H):
         raise PreconditionError("C2 fails: H is not normal in (G, .)")
-    circ = braces.circle_table(G, psi)
+    phi = maps.phi_of(psi)
+    circ = braces.circle_table(G, psi, phi=phi)
     cs = groups.coset_space(G, H)
     target = cs.quotient(G.mul.T if opposite else G.mul)
     action = cs.action(circ.op)
     if target is None or action is None:
         raise InternalConsistencyError("dot operation or action ill-defined on cosets")
-    phiH = maps.phi_of(psi)[list(H.members)]
     provenance = {"construction": "from_C2", "subgroup": list(H.members),
                   "opposite": opposite,
-                  "C1": groups.commutator_condition(G, phiH, H)}
+                  "C1": groups.commutator_condition(G, phi[list(H.members)], H)}
     if G.factors is not None and len(G.factors) == 2:
         for k in (0, 1):
             if set(H.members) == set(groups.factor_embedding(G, k)):

@@ -23,7 +23,8 @@ INTERFACE_VERSION = "1.0"
 
 
 def _load_json_arg(arg: str) -> dict:
-    """A positional group/map argument: inline JSON or a path to a file."""
+    """A positional group/map argument: inline JSON or a path to a file,
+    read by `serialize.load_json` (a table in it may be an int64 array)."""
     text = arg
     if not arg.lstrip().startswith("{"):
         try:
@@ -32,7 +33,7 @@ def _load_json_arg(arg: str) -> dict:
         except OSError as exc:
             raise PreconditionError(f"cannot read {arg!r}: {exc}") from exc
     try:
-        obj = json.loads(text)
+        obj = serialize.load_json(text)
     except json.JSONDecodeError as exc:
         raise PreconditionError(f"invalid JSON in {arg!r}: {exc}") from exc
     if not isinstance(obj, dict):

@@ -233,7 +233,9 @@ class FiniteGroup:
 
     def index_of(self, name) -> int:
         """The index of the element that `name` names, or `name` if it is an
-        index."""
+        index (a table that `serialize.load_json` read is neither)."""
+        if isinstance(name, np.ndarray):
+            name = name.tolist()
         if isinstance(name, (int, np.integer)) and not isinstance(name, bool) \
                 and 0 <= name < self.order:
             return int(name)
@@ -254,9 +256,9 @@ class FiniteGroup:
 
 
 def int_array(values, what: str) -> np.ndarray:
-    """`values` as an int64 array; PreconditionError if they are ragged or
-    hold anything but integers (a float such as 0.7 or 1.0, a string, a
-    boolean)."""
+    """`values` (nested lists, or an integer array as `serialize.load_json`
+    reads a table) as an int64 array; PreconditionError if they are ragged or
+    hold anything but integers (a float such as 0.7 or 1.0, a string, a bool)."""
     try:
         arr = np.asarray(values)
     except ValueError:
@@ -270,7 +272,7 @@ def int_array(values, what: str) -> np.ndarray:
 def _holds_bool(values, arr: np.ndarray) -> bool:
     """Whether the nested sequence `values`, read as the integer array `arr`,
     has a boolean among its cells: NumPy casts True and False mixed with
-    integers to 1 and 0, so only those cells are looked up."""
+    integers to 1 and 0, so only those cells are looked up (an array is not)."""
     for cell in zip(*(ix.tolist() for ix in np.nonzero(arr <= 1))):
         v = values
         for i in cell:
@@ -437,14 +439,19 @@ def semidirect(base: FiniteGroup, acting: FiniteGroup, action, *,
 
 
 def _spec_field(spec, key: str):
-    """spec[key]; PreconditionError unless `spec` holds it (an integer "n")."""
+    """spec[key]; PreconditionError unless `spec` holds it (an integer "n").
+    A table that `serialize.load_json` read as an int64 array is kept as one
+    for "mul" and "action", and read back as its lists anywhere else."""
     if not isinstance(spec, dict) or key not in spec:
         raise PreconditionError(f"group spec needs {key!r}")
-    if key == "n" and type(spec[key]) is not int:  # not a bool, float or str
-        raise PreconditionError(f"group spec 'n' must be an integer, not {spec[key]!r}")
-    if key in ("factors", "mul") and not isinstance(spec[key], list):
-        raise PreconditionError(f"group spec {key!r} must be a list, not {spec[key]!r}")
-    return spec[key]
+    value = spec[key]
+    if isinstance(value, np.ndarray) and key not in ("mul", "action"):
+        value = value.tolist()
+    if key == "n" and type(value) is not int:  # not a bool, float or str
+        raise PreconditionError(f"group spec 'n' must be an integer, not {value!r}")
+    if key in ("factors", "mul") and not isinstance(value, (list, np.ndarray)):
+        raise PreconditionError(f"group spec {key!r} must be a list, not {value!r}")
+    return value
 
 
 def _read_spec(spec) -> tuple:

@@ -69,7 +69,8 @@ def _brace_tables(G: FiniteGroup, psi: GroupMap) -> dict:
     entry of FAMILIES the orbit roots of h -> f_g(h), g in G ("roots"),
     found as one partition of six disjoint copies of G."""
     dot, inv, n = G.mul, G.inv, G.order
-    circle = braces.circle_table(G, psi).group
+    phi = maps.phi_of(psi)
+    circle = braces.circle_table(G, psi, phi=phi).group
     circ, cinv = circle.mul, circle.inv
     perms = (lambda g: circ[circ[g], cinv[g][:, None]],
              lambda g: circ[cinv[g][:, None], dot[g]],
@@ -79,7 +80,7 @@ def _brace_tables(G: FiniteGroup, psi: GroupMap) -> dict:
              lambda g: dot[inv[g][:, None], circ[:, g].T])
     roots = groups.orbit_roots(
         lambda g: np.hstack([f(g) + k * n for k, f in enumerate(perms)]), n, 6 * n)
-    return {"circ": circ, "phi": maps.phi_of(psi),
+    return {"circ": circ, "phi": phi,
             "roots": roots.reshape(6, n) - n * np.arange(6)[:, None]}
 
 

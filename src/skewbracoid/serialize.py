@@ -1,4 +1,4 @@
-"""Canonical JSON export and spec parsing.
+"""Canonical JSON export, its reader, and spec parsing.
 
 Exports are canonical (sorted keys, no insignificant whitespace) so golden
 files diff stably; exporting the same value twice is byte-identical.
@@ -85,23 +85,37 @@ def to_jsonable(value):
 
 
 # Tables stand in the tree as "<token><index>" and their text is spliced in
-# after json.dumps; the token is random, and export_json refuses an export
-# in which a user string matches a placeholder.
-_TOKEN = secrets.token_hex(16)
+# after json.dumps; load_json stands their text in as "0.<token><index>".  The
+# token is random and decimal; export_json refuses an export in which a user
+# string matches a placeholder, and load_json does not splice a text with it.
+_TOKEN = f"{secrets.randbelow(10 ** 32):032d}"
 _PLACEHOLDER = re.compile(f'"{_TOKEN}(\\d+)"')
+
+
+def _is_table(t: np.ndarray) -> bool:
+    """Whether `t` is written as a table: a nonempty 2-D integer array whose
+    entries index its rows or columns (`_table_texts` looks them up)."""
+    return bool(t.ndim == 2 and t.dtype.kind in "iu" and t.size
+                and t.min() >= 0 and t.max() < max(t.shape))
+
+
+def _table_texts(tables: list) -> list[str]:
+    """The canonical JSON text of each table, written from the decimal text
+    of its entries instead of a Python int per cell."""
+    digits = np.array([str(i) for i in range(max(max(t.shape) for t in tables))],
+                      dtype=object)
+    return ["[[" + "],[".join([",".join(digits[row].tolist()) for row in t]) + "]]"
+            for t in tables]
 
 
 def export_json(value) -> str:
     """Canonical JSON of `value`: the bytes of json.dumps(to_jsonable(value),
-    sort_keys=True, separators=(",", ":")), with each table written from the
-    decimal text of its entries instead of a Python int per cell."""
+    sort_keys=True, separators=(",", ":")), with each table written by
+    `_table_texts`."""
     tables = []
 
     def record(t: np.ndarray):
-        # entries of a table index its rows or columns; any other table (a
-        # negative entry would index `digits` from the end) keeps tolist
-        if (t.ndim == 2 and t.dtype.kind in "iu" and t.size
-                and t.min() >= 0 and t.max() < max(t.shape)):
+        if _is_table(t):
             tables.append(t)
             return f"{_TOKEN}{len(tables) - 1}"
         return t.tolist()
@@ -113,14 +127,41 @@ def export_json(value) -> str:
     if len(parts) != 2 * len(tables) + 1:
         raise InternalConsistencyError(
             f"{len(parts) // 2} table placeholders in the export for {len(tables)} tables")
-    digits = np.array([str(i) for i in range(max(max(t.shape) for t in tables))],
-                      dtype=object)
-
-    def table_text(t: np.ndarray) -> str:
-        return "[[" + "],[".join([",".join(digits[row].tolist()) for row in t]) + "]]"
-
-    parts[1::2] = [table_text(tables[int(i)]) for i in parts[1::2]]
+    parts[1::2] = _table_texts([tables[int(i)] for i in parts[1::2]])
     return "".join(parts)
+
+
+def _read_table(span: str) -> np.ndarray | None:
+    """The table that `_table_texts` writes as `span`, byte for byte, else None."""
+    try:  # on text it cannot read, NumPy 2 raises, NumPy 1 warns and returns a part
+        flat = np.fromstring(span[2:-2].replace("],[", ","), dtype=np.int64, sep=",")
+        table = flat.reshape(span.count("],[") + 1, -1)
+    except (ValueError, DeprecationWarning):  # the warning, where warnings are errors
+        return None
+    return table if _is_table(table) and _table_texts([table])[0] == span else None
+
+
+def load_json(text: str):
+    """json.loads(text), except that each `[[...]]` span that `_table_texts`
+    writes back byte for byte is read by NumPy, an int64 array in place of
+    its lists."""
+    if _TOKEN in text:
+        return json.loads(text)
+    parts, tables, done, pos = [], {}, 0, 0
+    while (start := text.find("[[", pos)) >= 0 and (pos := text.find("]]", start) + 2) > 1:
+        table = _read_table(text[start:pos])
+        if table is not None:
+            parts += [text[done:start], f"0.{_TOKEN}{len(tables)}"]
+            tables[parts[-1]], done = table, pos
+    if not tables:  # parse_float would be a Python call per float
+        return json.loads(text)
+    try:
+        obj = json.loads("".join(parts) + text[done:],
+                         parse_float=lambda s: tables.pop(s) if s in tables else float(s))
+    except json.JSONDecodeError:
+        return json.loads(text)  # raises with the positions in `text`
+    # a placeholder left over stood inside a string: read the text as it is
+    return json.loads(text) if tables else obj
 
 
 def export_pretty(value) -> str:
@@ -129,6 +170,8 @@ def export_pretty(value) -> str:
 
 def parse_group(obj: dict, *, order_cap: int = groups.DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Accept either a GroupSpec or a previously exported group."""
+    if isinstance(obj, np.ndarray):  # a table that load_json read, as no spec
+        obj = obj.tolist()
     if "kind" in obj:
         return groups.build_group(obj, order_cap=order_cap)
     if "mul" in obj:  # an export is a table spec

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import skewbracoid
@@ -257,16 +258,46 @@ MALFORMED = {
     "underscored_tower_index": ["bracoid", "build", D4, PSI, "--via", "tower:1_0"],
     "spaced_tower_index": ["bracoid", "build", D4, PSI, "--via", "tower: 2"],
     "negative_tower_index": ["bracoid", "build", D4, PSI, "--via", "tower:-1"],
+    # a table where a spec holds none: read as an array, refused as its lists
+    "table_kind": ["group", "build", '{"kind":[[0,1],[1,0]]}'],
+    "table_n": ["group", "build", '{"kind":"cyclic","n":[[0]]}'],
+    "table_factors": ["group", "build", '{"kind":"product","factors":[[0,1],[1,0]]}'],
+    "table_base": ["group", "build", '{"kind":"semidirect","base":[[0]],"acting":%s,'
+                   '"action":[[0]]}' % C2],
+    "table_names": ["group", "build", '{"mul":[[0,1],[1,0]],"names":[[0,1],[1,0]]}'],
+    "table_generator_image": ["brace", "build", D4, '{"images":{"r":[[0,1],[1,0]],"s":"e"}}'],
+    "table_image_array": ["brace", "build", C2, '{"image_array":[[0,1],[1,0]]}'],
+    "table_map_group": ["brace", "build", D4, '{"group":[[0]],"images":{"r":"e","s":"e"}}'],
+    "table_action_not_automorphism": ["group", "build", C3_ON_C2 % "[[0,1,2],[1,2,0]]"],
 }
 
 
 @pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
-def test_malformed_specs_are_precondition_errors(capsys, argv):
+def test_malformed_specs_are_precondition_errors(capsys, monkeypatch, argv):
     """Malformed input is refused with exit 1 and a JSON error, neither
-    truncated to an integer nor left to raise a traceback."""
+    truncated to an integer nor left to raise a traceback, and with the
+    error it gets when the arguments are read by plain json.loads."""
     code, out, err = run(capsys, argv)
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "precondition"
+    monkeypatch.setattr(serialize, "load_json", json.loads)
+    assert run(capsys, argv) == (code, out, err)
+
+
+def test_c1000_export_reimports_from_a_file_byte_for_byte(tmp_path, capsys):
+    """An export of C1000 read back from a file builds a group that prints
+    the same bytes; the same text with two cells of a row swapped is still
+    refused.  Both tables are read by NumPy."""
+    export = serialize.export_json(groups.cyclic(1000))
+    path = tmp_path / "c1000.json"
+    path.write_text(export + "\n")
+    assert run(capsys, ["group", "build", str(path)]) == (0, export + "\n", "")
+    swapped = export.replace("[5,6,7,", "[5,7,6,", 1)
+    assert isinstance(serialize.load_json(swapped)["mul"], np.ndarray)
+    path.write_text(swapped)
+    code, out, err = run(capsys, ["group", "build", str(path)])
+    assert code == 1 and out == ""
+    assert json.loads(err)["message"] == "associativity fails"
 
 
 C4 = '{"kind":"cyclic","n":4}'

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewbracoid import braces, groups, ideals, maps
+from skewbracoid import braces, bracoids, groups, ideals, maps
 from skewbracoid.errors import InternalConsistencyError, PreconditionError
 from skewbracoid.ideals import FAMILIES
 
@@ -172,6 +172,12 @@ def test_find_strong_left_ideals_computes_phi_once(monkeypatch):
     H = groups.Subgroup(G, (0, 2))
     ideals.classify_subgroup(G, found[1], H)
     assert calls == [found[1]]
+    # phi_of is the one source of phi, once per build
+    calls.clear()
+    braces.circle_table(G, found[1])
+    bracoids.bracoid_from_C1(G, found[1], H)
+    bracoids.bracoid_from_C2(G, found[1], groups.Subgroup(G, (0, 2, 4, 6)))
+    assert calls == [found[1]] * 3
 
 
 def test_classification_sweeps_only_to_check_the_circle_table(monkeypatch):

@@ -172,7 +172,7 @@ def test_export_matches_oracle_on_relabeled_tables(data):
 
 
 def test_strings_in_the_placeholder_shape_are_not_spliced():
-    shaped = [f"{secrets.token_hex(16)}{i}" for i in range(4)]
+    shaped = [f"{secrets.randbelow(10 ** 32):032d}{i}" for i in range(4)]
     G = groups.from_table(groups.cyclic(4).mul.tolist(), shaped)
     value = {shaped[0]: G, shaped[1]: [braces.table_of(G), shaped[2]]}
     assert serialize.export_json(value) == oracle_json(value)
@@ -206,3 +206,99 @@ def test_unusual_tables_keep_the_oracle_bytes(lam):
                          braces.table_of(groups.cyclic(1)), lam.copy(), {})
     for value in (sol, b, {"raw": lam}):
         assert serialize.export_json(value) == oracle_json(value)
+
+
+def _as_lists(value):
+    """`value` with each array as the lists that json.loads gives for it."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: _as_lists(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_as_lists(v) for v in value]
+    return value
+
+
+def _outcome(load, text: str):
+    try:
+        return "value", repr(_as_lists(load(text)))
+    except Exception as exc:  # the same type and message, positions included
+        return type(exc).__name__, str(exc)
+
+
+def assert_loads_as_json(text: str):
+    assert _outcome(serialize.load_json, text) == _outcome(json.loads, text)
+
+
+_rows = st.lists(st.lists(st.integers(-1, 5) | st.sampled_from([2**63, 2**64]),
+                          max_size=4), max_size=4)
+_square = st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, n), min_size=n, max_size=n), min_size=n, max_size=n))
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text()
+    | _rows | _square | _square.map(lambda t: json.dumps(t, separators=(",", ":"))),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_json_values, separators=st.sampled_from([(",", ":"), (", ", ": ")]),
+       edit=st.none() | st.tuples(st.integers(0, 10**6), st.sampled_from(
+           ["", "[", "]", ",", "0", "1", "-", ".", "e", " ", '"', "[[", "]]"])))
+def test_load_json_reads_what_json_loads_reads(value, separators, edit):
+    """Tables compared as lists, every text (valid or not, with each edit
+    placed anywhere, an empty edit deleting the character there) reads as
+    json.loads reads it, or raises the same error."""
+    text = json.dumps(value, separators=separators)
+    if edit is not None:
+        at, insert = edit[0] % (len(text) + 1), edit[1]
+        text = text[:at] + insert + text[at + (not insert):]
+    assert_loads_as_json(text)
+
+
+@pytest.mark.parametrize("text", [
+    "[[0,1],[1]]", "[[0,1,2],[0]]", "[[0,1,1],[0]]", "[[0,1],[2]]",  # ragged rows
+    "[[00,1],[1,0]]", "[[0,1],[1,01]]",                              # leading zeros
+    "[[0,-1],[1,0]]", "[[-0,1],[1,0]]",                              # negatives
+    "[[0,1],[1,1.0]]", "[[0,1],[1,0.7]]", "[[0,1],[1,0e0]]",        # floats
+    "[[0, 1],[1,0]]", "[[0,1],\n[1,0]]", "[ [0,1],[1,0]]",           # whitespace
+    '{"a":"[[0,1],[1,0]]"}', '["[[0]]",[[0]]]', '{"[[0]]":[[0]]}',  # inside a string
+    "[[[0]]]", "[[[0,1],[1,0]]]", "[[]]", "[[],[]]",
+    "[[0,1],[1,9223372036854775808]]", "[[0,18446744073709551617],[1,0]]",
+    "[[0,2],[2,0]]", "[[1]]", "[[0,1,2],[1,2,3]]",                    # entries >= size
+    "[[0,1],[1,0]]5", "5[[0,1],[1,0]]", "-[[0]]", "[[0]]e5", "[[0]].5",
+    "[[0,1],[1,0]", "[[0,1],[1,0]]]", '{[[0]]:1}', '{"a":[[0]] "b":1}',
+], ids=repr)
+def test_load_json_near_tables(text):
+    assert_loads_as_json(text)
+
+
+def test_load_json_with_a_float_shaped_like_a_placeholder():
+    """A user float literal carrying the token is read as a float, never as
+    a table; the text holding it is read by plain json.loads."""
+    for i in (0, 1):
+        text = f'[0.{serialize._TOKEN}{i},[[0,1],[1,0]]]'
+        assert_loads_as_json(text)
+        assert isinstance(serialize.load_json(text)[0], float)
+
+
+def test_load_json_reads_each_table_as_an_array():
+    text = '{"a":[[0,1],[1,0]],"b":[[0,1,2],[1,2,0]],"c":[[0],[1]],"d":[[0,2],[2,0]]}'
+    got = serialize.load_json(text)
+    for key in "abc":
+        assert got[key].dtype == np.int64 and got[key].tolist() == json.loads(text)[key]
+    assert got["d"] == [[0, 2], [2, 0]]
+
+
+@pytest.mark.parametrize("name", EXPORTED)
+def test_exports_read_back(name):
+    text = serialize.export_json(EXPORTED[name]())
+    assert_loads_as_json(text)
+
+
+def test_exported_groups_read_back_as_arrays():
+    for _, build in CATALOGUE:
+        G = build()
+        got = serialize.load_json(serialize.export_json(G))
+        assert isinstance(got["mul"], np.ndarray) and np.array_equal(got["mul"], G.mul)

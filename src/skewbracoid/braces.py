@@ -44,14 +44,12 @@ def table_of(G: FiniteGroup) -> OpTable:
     return OpTable(G, ".")
 
 
-def circle_table(G: FiniteGroup, psi: GroupMap, label: str = "o",
-                 phi: np.ndarray | None = None) -> OpTable:
+def circle_table(G: FiniteGroup, psi: GroupMap) -> OpTable:
     """Group table of g o h = phi(g) h psi(g), phi(g) = g psi(g^-1), for an
-    abelian endomorphism psi of G, certified a group by `_certified`; `phi`
-    is maps.phi_of(psi), passed by a caller that already has it."""
-    phi = maps.phi_of(psi) if phi is None else phi
-    im = psi.image_of
-    return OpTable(_certified(G.mul[G.mul[phi], im[:, None]], G, phi, im), label)
+    abelian endomorphism psi of G, certified a group by `_certified`.  phi
+    is computed here from psi, so g = phi(g) psi(g) holds by construction."""
+    phi, im = maps.phi_of(psi), psi.image_of
+    return OpTable(_certified(G.mul[G.mul[phi], im[:, None]], G, phi, im), "o")
 
 
 def _certified(table: np.ndarray, G: FiniteGroup, phi: np.ndarray,
@@ -144,12 +142,9 @@ def brace_block(psi: GroupMap, N: int) -> list[OpTable]:
     if N < 0 or N > BRACE_BLOCK_BOUND:
         raise PreconditionError(f"block depth must lie in 0..{BRACE_BLOCK_BOUND}")
     G = psi.domain
-    tables = []
-    for k in range(N + 1):
-        psik = maps.psi_iterate(psi, k)
-        label = "." if k == 0 else ("o" if k == 1 else f"o_{k}")
-        tables.append(circle_table(G, psik, label=label) if k > 0
-                      else table_of(G))
+    psis = [maps.psi_iterate(psi, k) for k in range(N + 1)]  # psi_0 is trivial: o_0 = .
+    tables = [table_of(G)] + [OpTable(circle_table(G, psik).group, "o" if k == 1 else f"o_{k}")
+                              for k, psik in enumerate(psis[1:], start=1)]
     for m, tm in enumerate(tables):
         for n_, tn in enumerate(tables):
             if m == n_:

@@ -93,7 +93,7 @@ def bracoid_from_C1(G: FiniteGroup, psi: GroupMap, H: Subgroup,
     phi = maps.phi_of(psi)
     if not groups.commutator_condition(G, phi[list(H.members)], H):
         raise PreconditionError("C1 fails: [G, phi(H)] is not contained in H")
-    circ = braces.circle_table(G, psi, phi=phi)
+    circ = braces.circle_table(G, psi)
     cs = groups.coset_space(G, H)
     # o well-defined on the cosets gives y o H = (y o e)H = yH
     target = cs.quotient(circ.op.T if opposite else circ.op)
@@ -112,7 +112,7 @@ def bracoid_from_C2(G: FiniteGroup, psi: GroupMap, H: Subgroup,
     if not groups.is_normal(G, H):
         raise PreconditionError("C2 fails: H is not normal in (G, .)")
     phi = maps.phi_of(psi)
-    circ = braces.circle_table(G, psi, phi=phi)
+    circ = braces.circle_table(G, psi)
     cs = groups.coset_space(G, H)
     target = cs.quotient(G.mul.T if opposite else G.mul)
     action = cs.action(circ.op)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 
@@ -57,11 +58,14 @@ def _group_and_map(args):
 
 
 def _parse_subgroup(G, text: str) -> Subgroup:
-    """Comma-separated members: an element name means that element (S_n
-    names are digits), and any other decimal token is an index."""
+    """Members separated by the commas outside parentheses (product names
+    hold commas): an element name means that element (S_n names are
+    digits), and any other decimal token is an index."""
+    depth = list(itertools.accumulate((c == "(") - (c == ")") for c in text))
+    cuts = [-1] + [i for i, c in enumerate(text) if c == "," and not depth[i]] + [len(text)]
     members = []
-    for part in text.split(","):
-        part = part.strip()
+    for lo, hi in zip(cuts, cuts[1:]):
+        part = text[lo + 1:hi].strip()
         members.append(int(part) if part not in G.names and part.lstrip("-").isdigit()
                        else G.index_of(part))
     return Subgroup(G, tuple(members))

@@ -166,10 +166,9 @@ def _run_cpq_v4(fx: dict) -> dict:
         "fix_members": list(analysis.fix.members),
     }
     slis = []
-    tables = ideals._brace_tables(G, psi)
     for members in fx["expected"]["order30_slis"]["value"]:
         H = Subgroup(G, tuple(members))
-        verdict = ideals.classify_subgroup(G, psi, H, tables)
+        verdict = ideals.classify_subgroup(G, psi, H)
         if "(o,.)" in verdict.strong_left_ideal_of:
             slis.append(sorted(H.members))
     out["order30_slis"] = slis

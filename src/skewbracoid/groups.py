@@ -636,24 +636,21 @@ def enumerate_subgroups(G: FiniteGroup) -> list[Subgroup]:
     SWEEP_BLOCK_BYTES, one gather per prime p among them; extensions new by
     their `np.packbits` keys go onto a depth-first stack in zuppo order.
 
-    Work counts the members of every closure and extension computed; past
-    SUBGROUP_WORK_LIMIT WorkLimitError is raised, as one zuppo at a time
-    would raise it.  The lattice is computed once per group; later calls do
-    no work, whatever the limit, and each returns a new list of new
-    Subgroup objects.
+    Work counts the members of every closure computed and of every
+    extension as it is keyed; past SUBGROUP_WORK_LIMIT WorkLimitError is
+    raised, as one zuppo at a time would raise it.  The lattice is computed
+    once per group; later calls do no work, whatever the limit, and each
+    returns a new list of new Subgroup objects.
     """
     cached = getattr(G, "_subgroups", None)
     if cached is not None:
         return [_known_subgroup(G, members) for members in cached]
     n, work, found = G.order, 0, {}
 
-    def count(size: int) -> None:
-        nonlocal work
-        work += size
-        if work > SUBGROUP_WORK_LIMIT:
-            raise WorkLimitError(
-                f"subgroup enumeration work limit exceeded: work {work} > limit "
-                f"{SUBGROUP_WORK_LIMIT}, {len(found)} subgroups found so far")
+    def over_limit() -> WorkLimitError:
+        return WorkLimitError(
+            f"subgroup enumeration work limit exceeded: work {work} > limit "
+            f"{SUBGROUP_WORK_LIMIT}, {len(found)} subgroups found so far")
 
     orders = element_orders(G.mul)
     prime_of = {o: _prime_of_power(o) for o in set(orders.tolist()) if o > 1}
@@ -666,7 +663,9 @@ def enumerate_subgroups(G: FiniteGroup) -> list[Subgroup]:
         if covered[x] or prime_of[o] is None:
             continue
         cyc = np.asarray(closure(G, [x]))
-        count(len(cyc))
+        work += len(cyc)
+        if work > SUBGROUP_WORK_LIMIT:
+            raise over_limit()
         covered[cyc[orders[cyc] == o]] = True
         zuppos.append(x)
         roots.append(cyc[(orders[cyc] == o // prime_of[o]).argmax()])
@@ -681,7 +680,7 @@ def enumerate_subgroups(G: FiniteGroup) -> list[Subgroup]:
             range(p - 1), lambda w, _: G.mul[w, zuppos[of_p]], initial=0 * of_p)), axis=1)
     solvable = len(list(derived_series(G))[-1]) == 1
 
-    width, widest = (n + 7) // 8, 8 * max(powers, default=1)  # bytes in a key, per member
+    widest = 8 * max(powers, default=1)  # bytes of the gather, per member
     queue = [(np.arange(n) == 0, [])]  # a subgroup's mask, with a set that generates it
     found[np.packbits(queue[0][0]).tobytes()] = queue[0][0]
     while queue:
@@ -693,35 +692,29 @@ def enumerate_subgroups(G: FiniteGroup) -> list[Subgroup]:
         normal = mask[G.mul[G.mul[z[:, None], gens], G.inv[z][:, None]]].all(axis=1)
         if solvable:
             cand, z, normal = cand[normal], z[normal], normal[normal]
-        if not cand.size:
-            continue
-        # |H<z>| = p|H| (H and <z> meet in <z^p>), all of <H, z> if z normalizes
-        # H: no z past the first that must exceed the limit is made
-        size = len(members) * primes[cand]
-        total = work + size.cumsum()
-        end = min(len(cand), 1 + int(total.searchsorted(SUBGROUP_WORK_LIMIT, "right")))
+        cut = 1 + (SUBGROUP_WORK_LIMIT - work) // (2 * len(members))  # |<H, z>| >= 2|H|
+        cand, z, normal = cand[:cut], z[:cut], normal[:cut]  # the rest pass the limit
         step = max(1, SWEEP_BLOCK_BYTES // (n + widest * len(members)))
-        for lo in range(0, end, step):
-            hi = min(lo + step, end)
-            c, zs, nz, pc = cand[lo:hi], z[lo:hi], normal[lo:hi], primes[cand[lo:hi]]
-            ext = np.zeros((len(c), n), dtype=bool)
+        for lo in range(0, len(cand), step):
+            c, zs, nz = cand[lo:lo + step], z[lo:lo + step], normal[lo:lo + step]
+            pc = primes[c]
+            # |H<z>| = p|H| (H and <z> meet in <z^p>), all of <H, z> if z normalizes H
+            size, ext = len(members) * pc, np.zeros((len(c), n), dtype=bool)
             for p in set(pc.tolist()):
                 rows = (nz & (pc == p)).nonzero()[0]
                 steps = powers[p][rank[c[rows]]]
                 ext[rows[:, None, None], G.mul[members[:, None], steps[:, None]]] = True
-            if not solvable:
-                for r in (~nz).nonzero()[0]:
-                    _join(G.mul, members, zs[r], ext[r])
-                size[lo:hi] = np.count_nonzero(ext, axis=1)
-                total[lo:] = work + size[lo:].cumsum()
-            stop = int(total[lo:hi].searchsorted(SUBGROUP_WORK_LIMIT, "right"))
-            keys = np.packbits(ext[:stop], axis=1).tobytes()
-            for i, zi in enumerate(zs[:stop].tolist()):
-                key = keys[i * width:(i + 1) * width]
+            for r in (~nz).nonzero()[0]:
+                _join(G.mul, members, zs[r], ext[r])
+                size[r] = np.count_nonzero(ext[r])
+            keys = np.packbits(ext, axis=1).view(f"V{(n + 7) // 8}")[:, 0].tolist()  # one per row
+            for i, (zi, size_i, key) in enumerate(zip(zs.tolist(), size.tolist(), keys)):
+                work += size_i
+                if work > SUBGROUP_WORK_LIMIT:
+                    raise over_limit()
                 if key not in found:
                     found[key] = ext[i].copy()
                     queue.append((found[key], gens + [zi]))
-            count(int(total[lo + min(stop, len(c) - 1)]) - work)
     subs = sorted((tuple(m.nonzero()[0].tolist()) for m in found.values()),
                   key=lambda m: (len(m), m))
     # member tuples only: cached Subgroups would refer back to G, and G in
@@ -775,15 +768,11 @@ def derived_subgroup(G: FiniteGroup) -> np.ndarray:
     return next(derived_series(G))
 
 
-def is_normal(G: FiniteGroup, H, roots=None):
+def is_normal(G: FiniteGroup, H):
     """H is normal iff it is a union of conjugacy classes, that is iff each
     element is in H just when the root of its class is.  H is a Subgroup, or
-    a (k x n) stack of member masks: a column of k verdicts.  With `roots`,
-    the least point of each orbit of r other partitions (r x n), it is a
-    (k x r) matrix: whether each row is a union of orbits of each."""
+    a (k x n) stack of member masks: a column of k verdicts."""
     masks = H.member_mask()[None] if isinstance(H, Subgroup) else H
-    if roots is not None:
-        return (masks[:, roots] == masks[:, None]).all(axis=2)
     normal = (masks == masks[:, _classes(G)[0]]).all(axis=1)
     return bool(normal[0]) if isinstance(H, Subgroup) else normal
 

@@ -69,8 +69,7 @@ def _brace_tables(G: FiniteGroup, psi: GroupMap) -> dict:
     entry of FAMILIES the orbit roots of h -> f_g(h), g in G ("roots"),
     found as one partition of six disjoint copies of G."""
     dot, inv, n = G.mul, G.inv, G.order
-    phi = maps.phi_of(psi)
-    circle = braces.circle_table(G, psi, phi=phi).group
+    circle = braces.circle_table(G, psi).group
     circ, cinv = circle.mul, circle.inv
     perms = (lambda g: circ[circ[g], cinv[g][:, None]],
              lambda g: circ[cinv[g][:, None], dot[g]],
@@ -80,7 +79,7 @@ def _brace_tables(G: FiniteGroup, psi: GroupMap) -> dict:
              lambda g: dot[inv[g][:, None], circ[:, g].T])
     roots = groups.orbit_roots(
         lambda g: np.hstack([f(g) + k * n for k, f in enumerate(perms)]), n, 6 * n)
-    return {"circ": circ, "phi": phi,
+    return {"circ": circ, "phi": maps.phi_of(psi),
             "roots": roots.reshape(6, n) - n * np.arange(6)[:, None]}
 
 
@@ -95,7 +94,8 @@ def _columns(G: FiniteGroup, tables: dict, rows: dict, subgroups) -> list[tuple]
     # H is a subgroup of (G, .) already, and C2 is its normality there.  An
     # opposite operation has the subgroups and normal subgroups of its
     # original, so only the gamma checks tell the opposites apart.
-    normal_o, *gamma = groups.is_normal(G, M, tables["roots"]).T
+    # whether each row is a union of orbits of each partition of FAMILIES
+    normal_o, *gamma = (M[:, tables["roots"]] == M[:, None]).all(axis=2).T
     # a finite subset closed under o is a subgroup of (G, o)
     sub = _closed(tables["circ"], M, rows["stacks"]) & C2
     direct = np.array([normal_o, normal_o, sub, sub, sub]) & gamma
@@ -128,18 +128,16 @@ def _closed(circ: np.ndarray, masks: np.ndarray, stacks) -> np.ndarray:
 
 
 def classify_subgroup(G: FiniteGroup, psi: GroupMap, H: Subgroup,
-                      tables: dict | None = None, row: tuple | None = None) -> IdealVerdict:
+                      row: tuple | None = None) -> IdealVerdict:
     """Verdict for a single subgroup, predicate vs definition cross-checked.
 
-    `tables`, made once per psi by `find_strong_left_ideals`, holds the
-    table of `o`, phi and the orbit roots; `row` is H's (C1, C2) from the
-    columns it checked over the whole lattice.  Without a row, the same
-    column code runs on the one-row stack [H]."""
+    `row` is H's (C1, C2) from the columns `find_strong_left_ideals` checked
+    over the whole lattice.  Without a row, the same column code runs on
+    the one-row stack [H]."""
     if H.parent is not G:
         raise PreconditionError("subgroup does not belong to the given group")
     if row is None:
-        tables = tables or _brace_tables(G, psi)
-        row, = _columns(G, tables, groups.subgroup_lattice(G, [H.members]), [H])
+        row, = _columns(G, _brace_tables(G, psi), groups.subgroup_lattice(G, [H.members]), [H])
     return IdealVerdict(H, *row, *PREDICATE_LABELS[row])
 
 
@@ -174,5 +172,5 @@ def find_strong_left_ideals(G: FiniteGroup, psi: GroupMap) -> list[IdealVerdict]
     tables = _brace_tables(G, psi)
     subgroups = groups.enumerate_subgroups(G)
     rows = _columns(G, tables, groups.subgroup_lattice(G), subgroups)
-    return [classify_subgroup(G, psi, H, tables, row)
+    return [classify_subgroup(G, psi, H, row)
             for H, row in zip(subgroups, rows)]

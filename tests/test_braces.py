@@ -84,6 +84,22 @@ def test_certificate_refuses_a_changed_cell():
             braces._certified(t, G, phi, im)
 
 
+def test_circle_table_takes_phi_from_psi_alone():
+    """The certificate's premise g = phi(g) psi(g) holds because phi is
+    computed from psi inside circle_table, so no caller can pass a phi:
+    a zero phi with the trivial psi of D4 gave a certified table whose
+    rows were all 0..7, not a group."""
+    G = groups.dihedral(4)
+    psi = maps.trivial_map(G)
+    zero = np.zeros(G.order, dtype=np.int64)
+    with pytest.raises(TypeError):
+        braces.circle_table(G, psi, phi=zero)
+    with pytest.raises(TypeError):
+        braces.circle_table(G, psi, "o", zero)
+    circ = braces.circle_table(G, psi)
+    assert circ.label == "o" and np.array_equal(circ.op, G.mul)
+
+
 def test_quotients_pass_lights_test(monkeypatch):
     """Light's test is the oracle for the congruence proof that makes each
     coset quotient a group unchecked: every quotient built on the catalogue

@@ -159,6 +159,19 @@ def test_find_contained_brace_prefers_provenance_candidates():
     assert K.members == tuple(b.provenance["target_members"])
 
 
+def test_find_contained_brace_skips_a_candidate_that_is_no_subgroup():
+    """A recorded candidate that is not a subgroup is passed over, and the
+    search falls back to the lattice."""
+    G, psi = d4_setup()
+    fix = groups.subgroup_generated(G, [G.index_of("rs")])
+    b = bracoids.bracoid_from_C1(G, psi, fix)
+    K = bracoids.find_contained_brace(b)
+    for bad in ([0, 1], [0, 1, 4, 5]):  # {e, r, s, rs} lacks r^2
+        marked = bracoids.Bracoid(b.acting, b.target, b.action,
+                                  {**b.provenance, "contained_candidates": [bad]})
+        assert bracoids.find_contained_brace(marked).members == K.members
+
+
 def test_phi_tower_orders_d4():
     G, psi = d4_setup()
     b0 = bracoids.phi_tower_bracoid(G, psi, 0)

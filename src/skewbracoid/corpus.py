@@ -165,13 +165,10 @@ def _run_cpq_v4(fx: dict) -> dict:
         "ker_members": list(analysis.kernel.members),
         "fix_members": list(analysis.fix.members),
     }
-    slis = []
-    for members in fx["expected"]["order30_slis"]["value"]:
-        H = Subgroup(G, tuple(members))
-        verdict = ideals.classify_subgroup(G, psi, H)
-        if "(o,.)" in verdict.strong_left_ideal_of:
-            slis.append(sorted(H.members))
-    out["order30_slis"] = slis
+    listed = [Subgroup(G, tuple(members)) for members in fx["expected"]["order30_slis"]["value"]]
+    out["order30_slis"] = [sorted(v.subgroup.members)
+                           for v in ideals.find_strong_left_ideals(G, psi, listed)
+                           if "(o,.)" in v.strong_left_ideal_of]
     return out
 
 

@@ -15,9 +15,28 @@ Normality in (G, o) and gamma-stability are tests that H is a union of
 orbits of a partition computed once per psi.  This is exact: each map
 h -> f_g(h) tested is a permutation of G, made of translations in the
 tables of `.` and `o`, so f_g(H) in H iff f_g(H) = H; that holds for
-every g iff H is a union of orbits of the group the f_g generate.  Every
-g is used: reducing to generators needs the brace relation, which the
-definition route exists to cross-check.
+every g iff H is a union of orbits of the group the f_g generate.
+
+That group is {f_g : g in G}, so the orbit of h is {f_g(h) : g in G} and
+its least point is the least f_g(h) over g.  Proof: `braces.circle_table`
+certifies that its table is exactly g o h = phi(g) h psi(g), with
+g = phi(g) psi(g) and phi, psi multiplicative from (G, o) to (G, .).  The
+o-inverse of g is phi(g)^-1 psi(g)^-1, and the families read
+
+    "o"       f_g(h) = phi(g) phi(h) phi(g)^-1 psi(h)
+    "(o,.)"   f_g(h) = psi(g) h psi(g)^-1
+    "(o',.)"  f_g(h) = g phi(h) g^-1 psi(h)
+    "(.,o)"   f_g(h) = psi(g)^-1 h psi(g)
+    "(.',o)"  f_g(h) = phi(g) h phi(g)^-1
+    "(.,o')"  f_g(h) = g^-1 phi(h) g psi(h)
+
+"(o,.)", "(.,o)" and "(.',o)" are conjugations by psi(g), psi(g)^-1 and
+phi(g).  The others are f_g(h) = c_g(phi(h)) psi(h), with c_g conjugation
+by phi(g), g and g^-1; psi has abelian image, so psi(f_k(h)) =
+psi(phi(h) psi(h)) = psi(h) and phi(f_k(h)) = c_k(phi(h)).  So f_g f_k is
+f_{g o k} for "o" and "(.',o)", f_{gk} for "(o,.)", "(o',.)" and "(.,o)",
+and f_{kg} for "(.,o')": g -> f_g is an action of (G, o) or (G, .), or an
+anti-action of (G, .), and its image is a group.
 
 A disagreement would contradict the classification theorem and raises
 InternalConsistencyError.
@@ -66,21 +85,24 @@ class IdealVerdict:
 
 def _brace_tables(G: FiniteGroup, psi: GroupMap) -> dict:
     """The table of `o` ("circ"), the image array of phi ("phi"), and per
-    entry of FAMILIES the orbit roots of h -> f_g(h), g in G ("roots"),
-    found as one partition of six disjoint copies of G."""
-    dot, inv, n = G.mul, G.inv, G.order
-    circle = braces.circle_table(G, psi).group
-    circ, cinv = circle.mul, circle.inv
-    perms = (lambda g: circ[circ[g], cinv[g][:, None]],
-             lambda g: circ[cinv[g][:, None], dot[g]],
-             lambda g: circ[dot[g], cinv[g][:, None]],
-             lambda g: dot[inv[g][:, None], circ[g]],
-             lambda g: dot[circ[g], inv[g][:, None]],
-             lambda g: dot[inv[g][:, None], circ[:, g].T])
-    roots = groups.orbit_roots(
-        lambda g: np.hstack([f(g) + k * n for k, f in enumerate(perms)]), n, 6 * n)
-    return {"circ": circ, "phi": maps.phi_of(psi),
-            "roots": roots.reshape(6, n) - n * np.arange(6)[:, None]}
+    entry of FAMILIES the orbit roots of h -> f_g(h), g in G ("roots"): the
+    least f_g(h) over g, taken for blocks of g whose int64 arrays take at
+    most SWEEP_BLOCK_BYTES."""
+    circle, n = braces.circle_table(G, psi).group, G.order
+    step = max(1, groups.SWEEP_BLOCK_BYTES // (8 * len(FAMILIES) * n))
+    roots = np.min([_families(G, circle, slice(lo, lo + step)).min(axis=1)
+                    for lo in range(0, n, step)], axis=0)
+    # g o h = phi(g) h psi(g), as certified, at h = psi(g)^-1
+    return {"circ": circle.mul, "phi": circle.mul[np.arange(n), G.inv[psi.image_of]],
+            "roots": roots}
+
+
+def _families(G: FiniteGroup, circle: FiniteGroup, g: slice) -> np.ndarray:
+    """f_g(h) of each entry of FAMILIES, read from the tables of `.` and `o`,
+    as a (families x g x h) array for the rows g and every h."""
+    dot, inv, circ, cinv = G.mul, G.inv[g, None], circle.mul, circle.inv[g, None]
+    return np.array([circ[circ[g], cinv], circ[cinv, dot[g]], circ[dot[g], cinv],
+                     dot[inv, circ[g]], dot[circ[g], inv], dot[inv, circ.T[g]]])
 
 
 def _columns(G: FiniteGroup, tables: dict, rows: dict, subgroups) -> list[tuple]:
@@ -97,7 +119,8 @@ def _columns(G: FiniteGroup, tables: dict, rows: dict, subgroups) -> list[tuple]
     # whether each row is a union of orbits of each partition of FAMILIES
     normal_o, *gamma = (M[:, tables["roots"]] == M[:, None]).all(axis=2).T
     # a finite subset closed under o is a subgroup of (G, o)
-    sub = _closed(tables["circ"], M, rows["stacks"]) & C2
+    sub = _closed(tables["circ"], M, rows["pairs"]
+                  or groups.closure_pairs(rows["stacks"], G.order)) & C2
     direct = np.array([normal_o, normal_o, sub, sub, sub]) & gamma
     # SLI_LABELS then IDEAL_LABELS; an ideal is also normal in (G, M)
     found = np.vstack([direct[:4], direct[[2, 4]] & normal_o, direct[1] & C2])
@@ -112,19 +135,17 @@ def _columns(G: FiniteGroup, tables: dict, rows: dict, subgroups) -> list[tuple]
     return list(zip(C1.tolist(), C2.tolist()))
 
 
-def _closed(circ: np.ndarray, masks: np.ndarray, stacks) -> np.ndarray:
-    """Whether each row of `masks` is closed under o: per member stack P
-    (k x m), whether each P[r, i] o P[r, j] lies in row r, gathered for blocks
-    of i whose int64 arrays take at most SWEEP_BLOCK_BYTES or the size of P."""
-    closed, lo = [], 0
-    for P in stacks:
-        rows, step = np.arange(lo, lo + len(P))[:, None, None], \
-            max(1, groups.SWEEP_BLOCK_BYTES // (8 * P.size))
-        closed.append(np.logical_and.reduce([
-            masks[rows, circ[P[:, i:i + step, None], P[:, None]]].all(axis=(1, 2))
-            for i in range(0, P.shape[1], step)]))
-        lo += len(P)
-    return np.concatenate(closed)
+def _closed(circ: np.ndarray, masks: np.ndarray, blocks) -> np.ndarray:
+    """Whether each row of `masks` is closed under o: whether x o y lies in
+    the row for each pair x, y of its members, one gather per block of
+    `groups.closure_pairs`.  Every row holds e, so no row is an empty run."""
+    closed = np.ones(len(masks), dtype=bool)
+    for cells, offsets, starts in blocks:
+        cells = circ.take(cells)  # the products, in place of the block's cells
+        cells += offsets
+        closed[offsets[starts] // masks.shape[1]] &= np.logical_and.reduceat(
+            masks.take(cells), starts)
+    return closed
 
 
 def classify_subgroup(G: FiniteGroup, psi: GroupMap, H: Subgroup,
@@ -132,8 +153,8 @@ def classify_subgroup(G: FiniteGroup, psi: GroupMap, H: Subgroup,
     """Verdict for a single subgroup, predicate vs definition cross-checked.
 
     `row` is H's (C1, C2) from the columns `find_strong_left_ideals` checked
-    over the whole lattice.  Without a row, the same column code runs on
-    the one-row stack [H]."""
+    over its subgroups.  Without a row, the same column code runs on the
+    one-row stack [H]."""
     if H.parent is not G:
         raise PreconditionError("subgroup does not belong to the given group")
     if row is None:
@@ -167,10 +188,16 @@ def named_subgroups(G: FiniteGroup, psi: GroupMap) -> NamedSubgroups:
     return NamedSubgroups(G, psi, analysis.kernel, analysis.fix, h_hat)
 
 
-def find_strong_left_ideals(G: FiniteGroup, psi: GroupMap) -> list[IdealVerdict]:
-    """Verdicts for every subgroup of G, in canonical (order, members) order."""
-    tables = _brace_tables(G, psi)
-    subgroups = groups.enumerate_subgroups(G)
-    rows = _columns(G, tables, groups.subgroup_lattice(G), subgroups)
+def find_strong_left_ideals(G: FiniteGroup, psi: GroupMap,
+                            subgroups: list[Subgroup] | None = None) -> list[IdealVerdict]:
+    """Verdicts for every subgroup of G, or for `subgroups`, subgroups of G,
+    in canonical (order, members) order, from one set of brace tables."""
+    if subgroups is None:
+        subgroups, lattice = groups.enumerate_subgroups(G), groups.subgroup_lattice(G)
+    elif any(H.parent is not G for H in subgroups):
+        raise PreconditionError("subgroup does not belong to the given group")
+    else:
+        lattice = groups.subgroup_lattice(G, [H.members for H in subgroups])
+    rows = _columns(G, _brace_tables(G, psi), lattice, subgroups)
     return [classify_subgroup(G, psi, H, row)
             for H, row in zip(subgroups, rows)]

@@ -293,6 +293,53 @@ def sli_oracle(A, M, members):
     return sub and normal and stable
 
 
+def fixpoint_roots(G: FiniteGroup, circle: FiniteGroup) -> np.ndarray:
+    """Per entry of ideals.FAMILIES, the orbit roots of h -> f_g(h) for every
+    g, as one `groups.orbit_roots` fixpoint over six disjoint copies of G:
+    the route that assumes nothing about how the f_g compose."""
+    dot, inv, circ, cinv, n = G.mul, G.inv, circle.mul, circle.inv, G.order
+    perms = (lambda g: circ[circ[g], cinv[g][:, None]],
+             lambda g: circ[cinv[g][:, None], dot[g]],
+             lambda g: circ[dot[g], cinv[g][:, None]],
+             lambda g: dot[inv[g][:, None], circ[g]],
+             lambda g: dot[circ[g], inv[g][:, None]],
+             lambda g: dot[inv[g][:, None], circ[:, g].T])
+    roots = groups.orbit_roots(
+        lambda g: np.hstack([f(g) + k * n for k, f in enumerate(perms)]), n, 6 * n)
+    return roots.reshape(6, n) - n * np.arange(6)[:, None]
+
+
+def family_closed_forms(G: FiniteGroup, psi) -> np.ndarray:
+    """f_g(h) of each entry of ideals.FAMILIES by its closed form in phi and
+    psi, as a (families x g x h) array."""
+    m, inv = G.mul, G.inv
+    phi, im = maps.phi_of(psi), psi.image_of
+    g, h = np.arange(G.order)[:, None], np.arange(G.order)[None, :]
+    return np.array([
+        m[m[m[phi[g], phi[h]], inv[phi[g]]], im[h]],  # "o"
+        m[m[im[g], h], inv[im[g]]],  # "(o,.)"
+        m[m[m[g, phi[h]], inv[g]], im[h]],  # "(o',.)"
+        m[m[inv[im[g]], h], im[g]],  # "(.,o)"
+        m[m[phi[g], h], inv[phi[g]]],  # "(.',o)"
+        m[m[m[inv[g], phi[h]], g], im[h]]])  # "(.,o')"
+
+
+def closed_per_stack(circ, masks, stacks):
+    """Whether each row of `masks` is closed under the table `circ`: per
+    member stack P (k x m), whether each P[r, i] o P[r, j] lies in row r,
+    gathered for blocks of i whose int64 arrays take at most
+    SWEEP_BLOCK_BYTES or the size of P."""
+    closed, lo = [], 0
+    for P in stacks:
+        rows, step = np.arange(lo, lo + len(P))[:, None, None], \
+            max(1, groups.SWEEP_BLOCK_BYTES // (8 * P.size))
+        closed.append(np.logical_and.reduce([
+            masks[rows, circ[P[:, i:i + step, None], P[:, None]]].all(axis=(1, 2))
+            for i in range(0, P.shape[1], step)]))
+        lo += len(P)
+    return np.concatenate(closed)
+
+
 def brace_oracle(A, M):
     """Naive triple loop for g o (h . k) = (g o h) . g^-1 . (g o k)."""
     n = A.shape[0]

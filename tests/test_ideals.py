@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewbracoid import braces, bracoids, groups, ideals, maps
+from skewbracoid import braces, bracoids, corpus, groups, ideals, maps
 from skewbracoid.errors import InternalConsistencyError, PreconditionError
 from skewbracoid.ideals import FAMILIES
 
-from conftest import (CATALOGUE, ker_times, normal_oracle, quaternion_group,
+from conftest import (CATALOGUE, closed_per_stack, family_closed_forms,
+                      fixpoint_roots, ker_times, normal_oracle, quaternion_group,
                       sli_oracle)
 
 
@@ -161,7 +162,7 @@ def test_find_strong_left_ideals_enumerates_the_lattice_once(monkeypatch):
 
 def test_phi_of_calls_per_psi_and_per_build(monkeypatch):
     """phi_of is the one source of phi: circle_table takes phi from psi
-    itself, so a caller that reads phi too computes it a second time."""
+    itself, and the classification reads phi off the certified table."""
     calls = []
     phi_of = maps.phi_of
     monkeypatch.setattr(maps, "phi_of", lambda psi: calls.append(psi) or phi_of(psi))
@@ -169,11 +170,11 @@ def test_phi_of_calls_per_psi_and_per_build(monkeypatch):
     found = maps.enumerate_abelian_maps(G)
     for psi in found:
         assert len(ideals.find_strong_left_ideals(G, psi)) == 10
-    assert calls == [psi for psi in found for _ in range(2)]
+    assert calls == found
     calls.clear()
     H = groups.Subgroup(G, (0, 2))
     ideals.classify_subgroup(G, found[1], H)
-    assert calls == [found[1]] * 2
+    assert calls == [found[1]]
     # once for the circle table, twice per bracoid build
     calls.clear()
     braces.circle_table(G, found[1])
@@ -240,6 +241,128 @@ def test_lattice_route_matches_one_row_route(name, builder, step):
         else:
             want = [ideals.classify_subgroup(G, psi, H).to_jsonable() for H in subgroups]
         assert [v.to_jsonable() for v in ideals.find_strong_left_ideals(G, psi)] == want
+
+
+def d4xd4_sample():
+    """D4xD4 and a sample of its abelian maps: every 26th of the products
+    psi1 x psi2 and the swaps (a, b) -> (alpha(b), beta(a)) of abelian maps
+    of D4, 61 maps."""
+    D4 = groups.dihedral(4)
+    G = groups.direct_product(D4, D4)
+    ims = [f.image_of for f in maps.enumerate_abelian_maps(D4)]
+    a, b = np.arange(64) % 8, np.arange(64) // 8  # the first factor runs fastest
+    images = ([x[a] + 8 * y[b] for x in ims for y in ims]
+              + [x[b] + 8 * y[a] for x in ims for y in ims])
+    return G, [maps.make_map(G, G, im) for im in images[::26]]
+
+
+def every_map(builder):
+    G = builder()
+    return G, maps.enumerate_abelian_maps(G)
+
+
+ORBIT_GROUPS = ([(name, lambda b=builder: every_map(b)) for name, builder in CATALOGUE]
+                + [("S4", lambda: every_map(lambda: groups.symmetric(4))),
+                   ("C2xD4", lambda: every_map(lambda: groups.direct_product(
+                       groups.cyclic(2), groups.dihedral(4)))),
+                   ("D4xD4_sample", d4xd4_sample)])
+
+
+@pytest.mark.parametrize("name,maps_of", ORBIT_GROUPS, ids=[name for name, _ in ORBIT_GROUPS])
+def test_one_pass_roots_match_the_fixpoint_and_the_closed_forms(name, maps_of):
+    """The least f_g(h) over g equals the orbit root that the all-g fixpoint
+    finds, as {f_g} is a group; each family read from the tables equals its
+    closed form in phi and psi, cell by cell; and phi read off the certified
+    table is maps.phi_of."""
+    G, found = maps_of()
+    assert len(found) >= 2
+    for psi in found:
+        tables = ideals._brace_tables(G, psi)
+        circle = braces.circle_table(G, psi).group
+        assert np.array_equal(tables["roots"], fixpoint_roots(G, circle))
+        assert np.array_equal(ideals._families(G, circle, slice(None)),
+                              family_closed_forms(G, psi))
+        assert np.array_equal(tables["phi"], maps.phi_of(psi))
+
+
+def blocks_of(G, lattice):
+    return lattice["pairs"] or groups.closure_pairs(lattice["stacks"], G.order)
+
+
+@pytest.mark.parametrize("block_bytes", [None, 4000, 400])
+@pytest.mark.parametrize("builder", [d4xd4_sample, lambda: every_map(lambda: groups.symmetric(5))],
+                         ids=["D4xD4", "S5"])
+def test_closed_matches_per_stack_oracle(builder, block_bytes, monkeypatch):
+    """Closure under o from the flat pair index equals the per-stack loop,
+    with the index kept whole in the lattice record or made per call in
+    blocks; at 400 bytes a block holds ten pairs, less than one run."""
+    if block_bytes:
+        monkeypatch.setattr(groups, "SWEEP_BLOCK_BYTES", block_bytes)
+    G, found = builder()
+    lattice = groups.subgroup_lattice(G)
+    assert (lattice["pairs"] is None) == bool(block_bytes)
+    assert (len(list(blocks_of(G, lattice))) > 1) == bool(block_bytes)
+    seen = set()
+    for psi in found[::8]:
+        circ = braces.circle_table(G, psi).op
+        got = ideals._closed(circ, lattice["masks"], blocks_of(G, lattice))
+        assert np.array_equal(got, closed_per_stack(circ, lattice["masks"], lattice["stacks"]))
+        seen.update(got.tolist())
+    assert seen == {False, True}
+
+
+@pytest.mark.parametrize("name", ["D4xD4", "S5"])
+def test_verdicts_do_not_depend_on_the_block_size(name, monkeypatch):
+    """With blocks of a few KiB, the family minimum and the pair index each
+    take several blocks per map, and every verdict is unchanged."""
+    builder = {"D4xD4": d4xd4_sample,
+               "S5": lambda: every_map(lambda: groups.symmetric(5))}[name]
+    G, found = builder()
+    found = found[::6]
+    want = [[v.to_jsonable() for v in ideals.find_strong_left_ideals(G, psi)] for psi in found]
+    monkeypatch.setattr(groups, "SWEEP_BLOCK_BYTES", 48 * G.order * 5 + 1)
+    counts = {"_families": 0, "blocks": 0}
+    families, closure_pairs = ideals._families, groups.closure_pairs
+
+    def counted_families(*args):
+        counts["_families"] += 1
+        return families(*args)
+
+    def counted_pairs(*args):
+        for block in closure_pairs(*args):
+            counts["blocks"] += 1
+            yield block
+
+    monkeypatch.setattr(ideals, "_families", counted_families)
+    monkeypatch.setattr(groups, "closure_pairs", counted_pairs)
+    G = builder()[0]  # a new group, whose lattice record is made under the patch
+    got = [[v.to_jsonable() for v in ideals.find_strong_left_ideals(
+        G, maps.GroupMap(G, G, psi.image_of))] for psi in found]
+    assert got == want
+    assert counts["_families"] >= 12 * len(found) and counts["blocks"] >= 2 * len(found)
+
+
+def test_listed_subgroups_share_one_set_of_tables(monkeypatch):
+    """find_strong_left_ideals on listed subgroups gives their lattice
+    verdicts and builds the brace tables once: the cpq_v4 fixture
+    classifies its three order-30 subgroups that way."""
+    G, psi = cpq_setup()
+    by_members = {v.subgroup.members: v.to_jsonable()
+                  for v in ideals.find_strong_left_ideals(G, psi)}
+    listed = [groups.Subgroup(G, m) for m in
+              [(0, 15), tuple(range(30)), tuple(range(15)) + tuple(range(45, 60))]]
+    calls = []
+    brace_tables = ideals._brace_tables
+    monkeypatch.setattr(ideals, "_brace_tables",
+                        lambda *a: calls.append(1) or brace_tables(*a))
+    got = ideals.find_strong_left_ideals(G, psi, listed)
+    assert [v.to_jsonable() for v in got] == [by_members[H.members] for H in listed]
+    assert len(calls) == 1
+    calls.clear()
+    assert corpus.run_fixture("cpq_v4").ok
+    assert len(calls) == 1
+    with pytest.raises(PreconditionError):
+        ideals.find_strong_left_ideals(G, psi, [groups.Subgroup(groups.cyclic(60), (0, 30))])
 
 
 def test_disagreement_names_the_first_subgroup(monkeypatch):

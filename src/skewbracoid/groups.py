@@ -31,10 +31,6 @@ DEFAULT_ORDER_CAP = 10_000
 SUBGROUP_WORK_LIMIT = 10**6
 # 4-16 MiB blocks ran fastest on the order-192 braid sweep (4 MiB: 26 MiB peak)
 SWEEP_BLOCK_BYTES = 4 * 2**20
-# bytes per pair of a `closure_pairs` block while it is made and gathered:
-# the int64 cell and row offset of the pair, of the pair in the block before
-# (which the caller still holds), and of its product
-PAIR_BYTES = 40
 
 
 def sweep(bad, axes):
@@ -817,61 +813,19 @@ def commutator_condition(G: FiniteGroup, S, H, commutes=None):
 
 def subgroup_lattice(G: FiniteGroup, members=None) -> dict:
     """Subgroups of G as rows, from their member tuples `members` in (order,
-    members) order: per order the (k x m) array of those tuples ("stacks"),
-    the member masks ("masks"), `is_normal` ("normal"), K of `_commutes`
-    ("commutes"), and the blocks of `closure_pairs` if one block holds them
-    ("pairs"), else None; by default every subgroup of G, computed once per
-    group."""
+    members) order: the member masks ("masks"), `is_normal` ("normal") and K
+    of `_commutes` ("commutes"); by default every subgroup of G, computed
+    once per group."""
     if members is None:
         if getattr(G, "_lattice", None) is None:
             members = getattr(G, "_subgroups", None) or \
                 [s.members for s in enumerate_subgroups(G)]
             object.__setattr__(G, "_lattice", subgroup_lattice(G, members))
         return G._lattice
-    stacks = [np.array(list(same)) for _, same in itertools.groupby(members, len)]
     masks = np.zeros((len(members), G.order), dtype=bool)
     masks[np.repeat(np.arange(len(members)), list(map(len, members))),
-          np.concatenate(stacks, axis=None)] = True
-    pairs = None  # kept if one block holds them, each array in the least dtype that fits
-    if PAIR_BYTES * sum(P.shape[0] * P.shape[1] ** 2 for P in stacks) <= SWEEP_BLOCK_BYTES:
-        pairs = [tuple(a.astype(np.min_scalar_type(a.max()))
-                       for a in next(closure_pairs(stacks, G.order)))]
-    return {"stacks": stacks, "masks": masks, "normal": is_normal(G, masks),
-            "commutes": _commutes(G, masks), "pairs": pairs}
-
-
-def closure_pairs(stacks, n: int):
-    """Blocks (cells, offsets, starts) of the pairs x, y of members of each
-    row of `stacks` (the per-order member stacks of `subgroup_lattice`):
-    the flat cell x * n + y of each pair ("cells"), the flat offset r * n
-    of its row r ("offsets"), and the position of each row's first pair in
-    the block ("starts").  A block holds whole runs of pairs with one x, as
-    many as take at most SWEEP_BLOCK_BYTES at PAIR_BYTES each (at least
-    one run)."""
-    cap, lo, runs, size = max(1, SWEEP_BLOCK_BYTES // PAIR_BYTES), 0, [], 0
-    for P in stacks:
-        k, m = P.shape
-        step = max(1, cap // m)
-        for t in range(0, k * m, step):
-            r, i = np.divmod(np.arange(t, min(t + step, k * m)), m)
-            if runs and size + len(r) * m > cap:
-                yield _pair_block(runs, n)
-                runs, size = [], 0
-            runs.append((lo + r, (P[r, i, None] * n + P[r]).ravel()))
-            size += len(r) * m
-        lo += k
-    if runs:
-        yield _pair_block(runs, n)
-
-
-def _pair_block(runs, n: int) -> tuple:
-    """One block of `closure_pairs` from its pieces, each the row of every
-    run in it and the flat cells of those runs, one run after another."""
-    row = np.concatenate([r for r, _ in runs])
-    length = np.concatenate([np.full(len(r), len(cells) // len(r)) for r, cells in runs])
-    first = np.concatenate([[0], np.cumsum(length)[:-1]])
-    cells = runs[0][1] if len(runs) == 1 else np.concatenate([cells for _, cells in runs])
-    return cells, np.repeat(row * n, length), first[np.diff(row, prepend=-1) != 0]
+          np.concatenate(members)] = True
+    return {"masks": masks, "normal": is_normal(G, masks), "commutes": _commutes(G, masks)}
 
 
 @dataclass(frozen=True, eq=False)

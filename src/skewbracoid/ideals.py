@@ -38,6 +38,15 @@ f_{g o k} for "o" and "(.',o)", f_{gk} for "(o,.)", "(o',.)" and "(.,o)",
 and f_{kg} for "(.,o')": g -> f_g is an action of (G, o) or (G, .), or an
 anti-action of (G, .), and its image is a group.
 
+The labels "(.,o)", "(.',o)" and "(.,o')" need H to be a subgroup of
+(G, o) or (G, o') and normal in (G, .), that is C2; C2 alone gives both,
+so no closure under o is computed.  Proof: H is a subgroup of (G, .), as
+`Subgroup` checks or the lattice built it.  For h, k in H, h = phi(h)
+psi(h) gives h o k = phi(h) k psi(h) = (phi(h) k phi(h)^-1) h, so H is
+closed under o iff phi(h) normalizes H for every h in H, as it does under
+C2.  A finite subset closed under o is a subgroup of (G, o), and of
+(G, o'), as x o' y = y o x.
+
 A disagreement would contradict the classification theorem and raises
 InternalConsistencyError.
 """
@@ -84,17 +93,15 @@ class IdealVerdict:
 
 
 def _brace_tables(G: FiniteGroup, psi: GroupMap) -> dict:
-    """The table of `o` ("circ"), the image array of phi ("phi"), and per
-    entry of FAMILIES the orbit roots of h -> f_g(h), g in G ("roots"): the
-    least f_g(h) over g, taken for blocks of g whose int64 arrays take at
-    most SWEEP_BLOCK_BYTES."""
+    """The image array of phi ("phi"), and per entry of FAMILIES the orbit
+    roots of h -> f_g(h), g in G ("roots"): the least f_g(h) over g, taken
+    for blocks of g whose int64 arrays take at most SWEEP_BLOCK_BYTES."""
     circle, n = braces.circle_table(G, psi).group, G.order
     step = max(1, groups.SWEEP_BLOCK_BYTES // (8 * len(FAMILIES) * n))
     roots = np.min([_families(G, circle, slice(lo, lo + step)).min(axis=1)
                     for lo in range(0, n, step)], axis=0)
     # g o h = phi(g) h psi(g), as certified, at h = psi(g)^-1
-    return {"circ": circle.mul, "phi": circle.mul[np.arange(n), G.inv[psi.image_of]],
-            "roots": roots}
+    return {"phi": circle.mul[np.arange(n), G.inv[psi.image_of]], "roots": roots}
 
 
 def _families(G: FiniteGroup, circle: FiniteGroup, g: slice) -> np.ndarray:
@@ -118,10 +125,8 @@ def _columns(G: FiniteGroup, tables: dict, rows: dict, subgroups) -> list[tuple]
     # original, so only the gamma checks tell the opposites apart.
     # whether each row is a union of orbits of each partition of FAMILIES
     normal_o, *gamma = (M[:, tables["roots"]] == M[:, None]).all(axis=2).T
-    # a finite subset closed under o is a subgroup of (G, o)
-    sub = _closed(tables["circ"], M, rows["pairs"]
-                  or groups.closure_pairs(rows["stacks"], G.order)) & C2
-    direct = np.array([normal_o, normal_o, sub, sub, sub]) & gamma
+    # C2 makes H a subgroup of (G, o) as well (see the module docstring)
+    direct = np.array([normal_o, normal_o, C2, C2, C2]) & gamma
     # SLI_LABELS then IDEAL_LABELS; an ideal is also normal in (G, M)
     found = np.vstack([direct[:4], direct[[2, 4]] & normal_o, direct[1] & C2])
     pred = np.array([C1, C1, C2, C2] + [C1 & C2] * 3)
@@ -133,19 +138,6 @@ def _columns(G: FiniteGroup, tables: dict, rows: dict, subgroups) -> list[tuple]
                         in zip(kinds, SLI_LABELS + IDEAL_LABELS, pred[:, i].tolist(),
                                found[:, i].tolist()) if p != d))
     return list(zip(C1.tolist(), C2.tolist()))
-
-
-def _closed(circ: np.ndarray, masks: np.ndarray, blocks) -> np.ndarray:
-    """Whether each row of `masks` is closed under o: whether x o y lies in
-    the row for each pair x, y of its members, one gather per block of
-    `groups.closure_pairs`.  Every row holds e, so no row is an empty run."""
-    closed = np.ones(len(masks), dtype=bool)
-    for cells, offsets, starts in blocks:
-        cells = circ.take(cells)  # the products, in place of the block's cells
-        cells += offsets
-        closed[offsets[starts] // masks.shape[1]] &= np.logical_and.reduceat(
-            masks.take(cells), starts)
-    return closed
 
 
 def classify_subgroup(G: FiniteGroup, psi: GroupMap, H: Subgroup,

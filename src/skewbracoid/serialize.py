@@ -170,8 +170,8 @@ def export_pretty(value) -> str:
 
 def parse_group(obj: dict, *, order_cap: int = groups.DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Accept either a GroupSpec or a previously exported group."""
-    if isinstance(obj, np.ndarray):  # a table that load_json read, as no spec
-        obj = obj.tolist()
+    if not isinstance(obj, dict):
+        raise PreconditionError("not a recognizable group spec")
     if "kind" in obj:
         return groups.build_group(obj, order_cap=order_cap)
     if "mul" in obj:  # an export is a table spec

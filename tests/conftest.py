@@ -324,13 +324,15 @@ def family_closed_forms(G: FiniteGroup, psi) -> np.ndarray:
         m[m[m[inv[g], phi[h]], g], im[h]]])  # "(.,o')"
 
 
-def closed_per_stack(circ, masks, stacks):
-    """Whether each row of `masks` is closed under the table `circ`: per
-    member stack P (k x m), whether each P[r, i] o P[r, j] lies in row r,
-    gathered for blocks of i whose int64 arrays take at most
+def closed_per_stack(circ, masks, members):
+    """Whether each row of `masks`, whose member tuples `members` are in
+    (order, members) order, is closed under the table `circ`: per stack P
+    (k x m) of the tuples of one order, whether each P[r, i] o P[r, j] lies
+    in row r, gathered for blocks of i whose int64 arrays take at most
     SWEEP_BLOCK_BYTES or the size of P."""
     closed, lo = [], 0
-    for P in stacks:
+    for _, same in itertools.groupby(members, len):
+        P = np.array(list(same))
         rows, step = np.arange(lo, lo + len(P))[:, None, None], \
             max(1, groups.SWEEP_BLOCK_BYTES // (8 * P.size))
         closed.append(np.logical_and.reduce([

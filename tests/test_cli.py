@@ -343,6 +343,14 @@ MALFORMED = {
     "table_image_array": ["brace", "build", C2, '{"image_array":[[0,1],[1,0]]}'],
     "table_map_group": ["brace", "build", D4, '{"group":[[0]],"images":{"r":"e","s":"e"}}'],
     "table_action_not_automorphism": ["group", "build", C3_ON_C2 % "[[0,1,2],[1,2,0]]"],
+    # a map spec's group of another JSON type than an object
+    "int_map_group": ["ideals", "classify", C2, '{"group":5,"image_array":[0,0]}'],
+    "null_map_group": ["ideals", "classify", C2, '{"group":null,"image_array":[0,0]}'],
+    "bool_map_group": ["ideals", "classify", C2, '{"group":true,"image_array":[0,0]}'],
+    "int_map_codomain": ["ideals", "classify", C2, '{"codomain":7,"image_array":[0,0]}'],
+    "int_alpha_codomain": ["ybe", "build", "--construction", "product", "--g1", C2,
+                           "--g2", C2, "--beta", '{"image_array":[0,0]}',
+                           "--alpha", '{"codomain":7,"image_array":[0,0]}'],
 }
 
 

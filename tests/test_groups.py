@@ -614,8 +614,8 @@ def test_lattice_predicates_match_one_row_calls(builder):
 
 
 def test_lattice_record_built_in_small_blocks_is_unchanged(monkeypatch):
-    """The blocked gathers (K by blocks of elements, closure under o by
-    blocks of members) give the same record and verdicts with tiny blocks."""
+    """The blocked gathers (K by blocks of elements, the orbit roots by
+    blocks of g) give the same record and verdicts with tiny blocks."""
     G = groups.symmetric(4)
     psis = maps.enumerate_abelian_maps(G)
     want = groups.subgroup_lattice(G)

@@ -285,61 +285,63 @@ def test_one_pass_roots_match_the_fixpoint_and_the_closed_forms(name, maps_of):
         assert np.array_equal(tables["phi"], maps.phi_of(psi))
 
 
-def blocks_of(G, lattice):
-    return lattice["pairs"] or groups.closure_pairs(lattice["stacks"], G.order)
+def normalized_by_phi(mul, inv, phi, members):
+    """Whether phi(h) normalizes H for every h in H, one element at a time."""
+    H = set(members)
+    return all({mul[mul[phi[h]][k]][inv[phi[h]]] for k in members} == H for h in members)
 
 
-@pytest.mark.parametrize("block_bytes", [None, 4000, 400])
-@pytest.mark.parametrize("builder", [d4xd4_sample, lambda: every_map(lambda: groups.symmetric(5))],
-                         ids=["D4xD4", "S5"])
-def test_closed_matches_per_stack_oracle(builder, block_bytes, monkeypatch):
-    """Closure under o from the flat pair index equals the per-stack loop,
-    with the index kept whole in the lattice record or made per call in
-    blocks; at 400 bytes a block holds ten pairs, less than one run."""
-    if block_bytes:
-        monkeypatch.setattr(groups, "SWEEP_BLOCK_BYTES", block_bytes)
-    G, found = builder()
+def every_8th_map(builder):
+    G, found = every_map(builder)
+    return G, found[::8]
+
+
+CLOSURE_GROUPS = ([(name, maps_of) for name, maps_of in ORBIT_GROUPS if name != "C2xD4"]
+                  + [("S5", lambda: every_8th_map(lambda: groups.symmetric(5))),
+                     ("C2xD4", lambda: every_8th_map(lambda: groups.direct_product(
+                         groups.cyclic(2), groups.dihedral(4))))])
+
+
+@pytest.mark.parametrize("name,maps_of", CLOSURE_GROUPS, ids=[name for name, _ in CLOSURE_GROUPS])
+def test_closure_under_o_is_normalization_by_phi(name, maps_of):
+    """The lemma that lets the definition route take C2 for "H is a subgroup
+    of (G, o)": a subgroup H of (G, .) is closed under o iff phi(h)
+    normalizes H for every h in H, so every normal H is closed.  Closure is
+    not C2: the trivial map makes every subgroup closed, so a group with a
+    non-normal subgroup has a closed row that is not C2."""
+    G, found = maps_of()
+    members = [H.members for H in groups.enumerate_subgroups(G)]
     lattice = groups.subgroup_lattice(G)
-    assert (lattice["pairs"] is None) == bool(block_bytes)
-    assert (len(list(blocks_of(G, lattice))) > 1) == bool(block_bytes)
-    seen = set()
-    for psi in found[::8]:
-        circ = braces.circle_table(G, psi).op
-        got = ideals._closed(circ, lattice["masks"], blocks_of(G, lattice))
-        assert np.array_equal(got, closed_per_stack(circ, lattice["masks"], lattice["stacks"]))
-        seen.update(got.tolist())
-    assert seen == {False, True}
+    masks, C2 = lattice["masks"], lattice["normal"]
+    mul, inv = G.mul.tolist(), G.inv.tolist()
+    closed_apart_from_c2 = False
+    for psi in found:
+        closed = closed_per_stack(braces.circle_table(G, psi).op, masks, members)
+        phi = maps.phi_of(psi).tolist()
+        assert closed.tolist() == [normalized_by_phi(mul, inv, phi, m) for m in members]
+        assert closed[C2].all()
+        closed_apart_from_c2 |= bool(closed[~C2].any())
+    assert closed_apart_from_c2 == (not C2.all())
 
 
 @pytest.mark.parametrize("name", ["D4xD4", "S5"])
 def test_verdicts_do_not_depend_on_the_block_size(name, monkeypatch):
-    """With blocks of a few KiB, the family minimum and the pair index each
-    take several blocks per map, and every verdict is unchanged."""
+    """With blocks of a few KiB, the family minimum takes several blocks per
+    map, and every verdict is unchanged."""
     builder = {"D4xD4": d4xd4_sample,
                "S5": lambda: every_map(lambda: groups.symmetric(5))}[name]
     G, found = builder()
     found = found[::6]
     want = [[v.to_jsonable() for v in ideals.find_strong_left_ideals(G, psi)] for psi in found]
     monkeypatch.setattr(groups, "SWEEP_BLOCK_BYTES", 48 * G.order * 5 + 1)
-    counts = {"_families": 0, "blocks": 0}
-    families, closure_pairs = ideals._families, groups.closure_pairs
-
-    def counted_families(*args):
-        counts["_families"] += 1
-        return families(*args)
-
-    def counted_pairs(*args):
-        for block in closure_pairs(*args):
-            counts["blocks"] += 1
-            yield block
-
-    monkeypatch.setattr(ideals, "_families", counted_families)
-    monkeypatch.setattr(groups, "closure_pairs", counted_pairs)
+    calls = []
+    families = ideals._families
+    monkeypatch.setattr(ideals, "_families", lambda *a: calls.append(1) or families(*a))
     G = builder()[0]  # a new group, whose lattice record is made under the patch
     got = [[v.to_jsonable() for v in ideals.find_strong_left_ideals(
         G, maps.GroupMap(G, G, psi.image_of))] for psi in found]
     assert got == want
-    assert counts["_families"] >= 12 * len(found) and counts["blocks"] >= 2 * len(found)
+    assert len(calls) >= 12 * len(found)
 
 
 def test_listed_subgroups_share_one_set_of_tables(monkeypatch):

@@ -324,6 +324,34 @@ def test_closure_under_o_is_normalization_by_phi(name, maps_of):
     assert closed_apart_from_c2 == (not C2.all())
 
 
+@pytest.mark.parametrize("block_bytes", [None, 4000, 400])
+@pytest.mark.parametrize("builder", [d4xd4_sample, lambda: every_map(lambda: groups.symmetric(5))],
+                         ids=["D4xD4", "S5"])
+def test_closed_matches_per_stack_oracle(builder, block_bytes, monkeypatch):
+    """Every subgroup that a verdict makes a strong left ideal of (.,o),
+    which takes H to be a subgroup of (G, o) from C2, is closed under o by
+    the per-stack oracle, with the lattice record and the orbit roots made
+    whole or in blocks; at 400 bytes a block of `_families` holds one g."""
+    if block_bytes:
+        monkeypatch.setattr(groups, "SWEEP_BLOCK_BYTES", block_bytes)
+    calls = []
+    families = ideals._families
+    monkeypatch.setattr(ideals, "_families", lambda *a: calls.append(1) or families(*a))
+    G, found = builder()
+    lattice = groups.subgroup_lattice(G)
+    members = [H.members for H in groups.enumerate_subgroups(G)]
+    seen = set()
+    for psi in found[::8]:
+        closed = closed_per_stack(braces.circle_table(G, psi).op, lattice["masks"], members)
+        calls.clear()
+        verdicts = ideals.find_strong_left_ideals(G, psi)
+        assert (len(calls) > 1) == bool(block_bytes)
+        assert [v.subgroup.members for v in verdicts] == members
+        assert closed[["(.,o)" in v.strong_left_ideal_of for v in verdicts]].all()
+        seen.update(closed.tolist())
+    assert seen == {False, True}
+
+
 @pytest.mark.parametrize("name", ["D4xD4", "S5"])
 def test_verdicts_do_not_depend_on_the_block_size(name, monkeypatch):
     """With blocks of a few KiB, the family minimum takes several blocks per

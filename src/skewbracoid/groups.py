@@ -341,31 +341,38 @@ def dihedral(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
 def symmetric(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Symmetric group on 0..n-1; composition (s*t)(x) = s(t(x)).
 
-    A one-line permutation read as a base-n number is its key, so
-    lexicographic order is key order and the index of s*t is the rank of
-    the key of s[t] among the sorted keys.  Rows are composed in blocks
-    whose rows x order x n arrays take at most SWEEP_BLOCK_BYTES."""
+    A one-line permutation is fixed by its first n-1 entries, and those read
+    as a base-n number are its key, so lexicographic order is key order.
+    `rank`, a dense array over all n^(n-1) keys (allocated once the order
+    is under the cap), maps the key of each permutation to its index, and
+    the index of s*t is rank at the key of s[t], the sum over k < n-1 of
+    s(t(k)) n^(n-2-k): one gather of the scaled rows of s per k.  Rows are
+    composed in blocks of SWEEP_BLOCK_BYTES / (8 x order x n) rows, whose
+    int64 key arrays take less than SWEEP_BLOCK_BYTES."""
     if n < 1 or n > 8:
         raise PreconditionError("symmetric group builder supports 1 <= n <= 8")
     order = math.factorial(n)
     _check_order(order, order_cap)
     perms = symmetric_perms(n)
     P = np.array(perms, dtype=np.int64)
-    weights = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    keys = P @ weights
+    weights = n ** np.arange(n - 2, -1, -1, dtype=np.int64)
+    rank = np.empty(n ** (n - 1), dtype=np.int64)
+    rank[P[:, :-1] @ weights] = np.arange(order)
     mul = np.empty((order, order), dtype=np.int64)
     step = max(1, SWEEP_BLOCK_BYTES // (8 * order * n))
     for start in range(0, order, step):
-        mul[start:start + step] = np.searchsorted(
-            keys, P[start:start + step][:, P] @ weights)
+        S = P[start:start + step]
+        key = np.zeros((len(S), order), dtype=np.int64)
+        for k, w in enumerate(weights.tolist()):
+            key += (S * w)[:, P[:, k]]
+        mul[start:start + step] = rank[key]
     names = tuple("".join(map(str, p)) for p in perms)
     if n == 1:
         gens: tuple[int, ...] = (0,)
     else:
         transposition = [1, 0] + list(range(2, n))
         ncycle = list(range(1, n)) + [0]
-        gens = tuple(np.searchsorted(keys, np.array([transposition, ncycle])
-                                     @ weights).tolist())
+        gens = tuple(rank[np.array([transposition, ncycle])[:, :-1] @ weights].tolist())
     return FiniteGroup(mul, names, gens)
 
 

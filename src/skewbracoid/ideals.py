@@ -188,6 +188,8 @@ def find_strong_left_ideals(G: FiniteGroup, psi: GroupMap,
         subgroups, lattice = groups.enumerate_subgroups(G), groups.subgroup_lattice(G)
     elif any(H.parent is not G for H in subgroups):
         raise PreconditionError("subgroup does not belong to the given group")
+    elif not subgroups:  # no rows to classify
+        return []
     else:
         lattice = groups.subgroup_lattice(G, [H.members for H in subgroups])
     rows = _columns(G, _brace_tables(G, psi), lattice, subgroups)

@@ -100,12 +100,35 @@ def _is_table(t: np.ndarray) -> bool:
 
 
 def _table_texts(tables: list) -> list[str]:
-    """The canonical JSON text of each table, written from the decimal text
-    of its entries instead of a Python int per cell."""
-    digits = np.array([str(i) for i in range(max(max(t.shape) for t in tables))],
-                      dtype=object)
-    return ["[[" + "],[".join([",".join(digits[row].tolist()) for row in t]) + "]]"
-            for t in tables]
+    """The canonical JSON text of each table, written by one byte lookup per
+    block of rows instead of a Python int or string per cell.
+
+    The lookup holds the text of each entry i below n, the largest table
+    side, followed by "," (i) or by "]" (n + i, for the last column), and
+    ",[" (2n), NUL-padded to one width.  A block of rows is gathered from it
+    with ",[" after each row, its padding deleted and its bytes decoded;
+    joined, the blocks end in ",[", which is cut.  The block arrays take at
+    most SWEEP_BLOCK_BYTES / 16, so the writer's peak is the text twice (its
+    blocks and their join), not the whole table's index and byte arrays."""
+    n = max(max(t.shape) for t in tables)
+    cells = np.array([f"{i}," for i in range(n)] + [f"{i}]" for i in range(n)] + [",["],
+                     dtype=f"S{len(str(n - 1)) + 1}")
+    texts = []
+    for t in tables:
+        cols = t.shape[1]
+        step = max(1, groups.SWEEP_BLOCK_BYTES // 16 // ((cols + 1) * (8 + cells.itemsize)))
+        index = np.empty((min(step, len(t)), cols + 1), dtype=np.intp)
+        index[:, cols] = 2 * n
+        parts = ["[["]
+        for lo in range(0, len(t), step):
+            rows = t[lo:lo + step]
+            block = index[:len(rows)]
+            block[:, :cols] = rows  # in intp, where n + i cannot wrap
+            block[:, cols - 1] += n
+            parts.append(cells[block].tobytes().translate(None, b"\0").decode())
+        parts[-1] = parts[-1][:-2] + "]"
+        texts.append("".join(parts))
+    return texts
 
 
 def export_json(value) -> str:

@@ -63,6 +63,20 @@ def dihedral_oracle(n: int) -> FiniteGroup:
     return FiniteGroup(mul, names, (1, n))
 
 
+def symmetric_rows_oracle(n: int, rows) -> np.ndarray:
+    """The rows `rows` of the table of the symmetric group on 0..n-1, with
+    (s*t)(x) = s(t(x)), by a Python double loop over the lexicographic
+    permutations."""
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    mul = np.empty((len(rows), len(perms)), dtype=np.int64)
+    for r, i in enumerate(rows):
+        p = perms[i]
+        for j, q in enumerate(perms):
+            mul[r, j] = index[tuple(p[q[k]] for k in range(n))]
+    return mul
+
+
 def symmetric_oracle(n: int) -> FiniteGroup:
     """Symmetric group on 0..n-1; composition (s*t)(x) = s(t(x)), by a
     Python double loop over the lexicographic permutations."""
@@ -70,11 +84,7 @@ def symmetric_oracle(n: int) -> FiniteGroup:
         raise PreconditionError("symmetric group builder supports 1 <= n <= 8")
     perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
-    order = len(perms)
-    mul = np.empty((order, order), dtype=np.int64)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            mul[i, j] = index[tuple(p[q[k]] for k in range(n))]
+    mul = symmetric_rows_oracle(n, range(len(perms)))
     names = tuple("".join(map(str, p)) for p in perms)
     if n == 1:
         gens: tuple[int, ...] = (0,)

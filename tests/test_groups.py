@@ -18,7 +18,7 @@ from conftest import (CATALOGUE, brute_force_subgroups, c61_c10, element_orders_
                       derived_series_oracle, dihedral_oracle,
                       extension_bfs_subgroups, normal_oracle, project_to_factor,
                       push_down_oracles, quaternion_group, semidirect_oracle,
-                      symmetric_oracle)
+                      symmetric_oracle, symmetric_rows_oracle)
 
 
 def test_cyclic_matches_modular_addition():
@@ -273,6 +273,29 @@ def test_symmetric_blocks_match_loop_oracle(monkeypatch, n, block_bytes):
     # one row per block, and blocks of 7 rows that do not divide 5! evenly
     monkeypatch.setattr(groups, "SWEEP_BLOCK_BYTES", block_bytes)
     _assert_same_group(groups.symmetric(n), symmetric_oracle(n))
+
+
+def test_symmetric_7_matches_loop_oracle_on_sampled_rows():
+    """Every 97th row of S7 (5040 elements), its names and its generators;
+    the double loop runs on the sampled rows alone."""
+    G, perms = groups.symmetric(7), groups.symmetric_perms(7)
+    rows = range(0, 5040, 97)
+    assert np.array_equal(G.mul[rows], symmetric_rows_oracle(7, rows))
+    assert G.names == tuple("".join(map(str, p)) for p in perms)
+    assert [perms[g] for g in G.generators] == [(1, 0, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6, 0)]
+
+
+def test_symmetric_8_is_refused_before_its_rank_array():
+    """S8's rank array (8^7 int64 keys, 16 MiB) is never allocated under
+    the default cap; the cap test checks the message."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError):
+            groups.symmetric(8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("nb,na,m", [(5, 2, 4), (7, 3, 2), (4, 2, 3), (61, 10, 3)])

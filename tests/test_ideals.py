@@ -144,6 +144,14 @@ def test_classification_builds_no_opposite_table(monkeypatch):
     assert len(ideals.find_strong_left_ideals(G, psi)) == 10
 
 
+def test_find_strong_left_ideals_of_no_subgroups_is_empty():
+    G, psi = d4_setup()
+    assert ideals.find_strong_left_ideals(G, psi, []) == []
+    H = groups.Subgroup(G, (0, 2, 4, 6))
+    verdict, = ideals.find_strong_left_ideals(G, psi, [H])
+    assert verdict.to_jsonable() == ideals.classify_subgroup(G, psi, H).to_jsonable()
+
+
 def test_find_strong_left_ideals_enumerates_the_lattice_once(monkeypatch):
     calls = []
     closure = groups.closure

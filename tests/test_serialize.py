@@ -1,5 +1,6 @@
 import json
 import secrets
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -302,3 +303,90 @@ def test_exported_groups_read_back_as_arrays():
         G = build()
         got = serialize.load_json(serialize.export_json(G))
         assert isinstance(got["mul"], np.ndarray) and np.array_equal(got["mul"], G.mul)
+
+
+def _dumps(t) -> str:
+    return json.dumps(np.asarray(t).tolist(), separators=(",", ":"))
+
+
+def _table(rows: int, cols: int, dtype=np.int64) -> np.ndarray:
+    """A rows x cols table whose entries run over 0..max(rows, cols)-1, the
+    largest value included, in an order that mixes the digit widths."""
+    n = max(rows, cols)
+    return (np.arange(rows * cols).reshape(rows, cols) * 7919 % n).astype(dtype)
+
+
+# the largest side at each digit-width boundary, square and in both
+# orientations, one row, one column and 1x1
+SHAPES = [(n, n) for n in (9, 10, 11, 99, 100, 101)] + [
+    (1000, 3), (3, 1000), (1001, 2), (2, 999), (1, 1), (1, 7), (7, 1), (5, 12), (12, 5)]
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_table_texts_match_json_dumps(shape):
+    t = _table(*shape)
+    assert t.max() == max(shape) - 1
+    assert serialize._table_texts([t]) == [_dumps(t)]
+
+
+@pytest.mark.parametrize("view", [np.transpose, lambda t: t[:, ::2], lambda t: t[::-1, ::-1]],
+                         ids=["transposed", "every_other_column", "reversed"])
+def test_table_texts_of_non_contiguous_tables(view):
+    t = view(_table(101, 100))
+    assert not t.flags.c_contiguous
+    assert serialize._table_texts([t]) == [_dumps(t)]
+
+
+@pytest.mark.parametrize("dtype,shape", [
+    (np.uint8, (2, 200)), (np.uint8, (200, 200)), (np.int8, (3, 120)),
+    (np.int16, (2, 30000)), (np.uint16, (2, 40000)), (np.int32, (300, 70)),
+], ids=lambda v: getattr(v, "__name__", str(v)))
+def test_table_texts_of_narrow_integer_tables(dtype, shape):
+    """Below int32, n + entry overflows the table's own dtype; the writer
+    adds in intp."""
+    t = _table(*shape, dtype=dtype)
+    if np.iinfo(dtype).bits < 32:
+        assert int(t.max()) + max(shape) > np.iinfo(dtype).max
+    assert serialize._table_texts([t]) == [_dumps(t)]
+    assert serialize.export_json({"t": t}) == oracle_json({"t": t})
+
+
+def test_one_export_of_tables_of_different_sizes():
+    """A bracoid's acting, target and action tables share one lookup, made
+    for the largest of them."""
+    acting, target = groups.dihedral(60), groups.cyclic(4)
+    action = np.tile(np.arange(4), (120, 1))
+    b = bracoids.Bracoid(braces.table_of(acting), braces.table_of(target), action, {})
+    assert serialize.export_json(b) == oracle_json(b)
+    tables = [acting.mul, target.mul, action, action.T]
+    assert serialize._table_texts(tables) == [_dumps(t) for t in tables]
+
+
+@pytest.mark.parametrize("block_bytes", [1, 16 * 11 * (8 + 4) * 7],
+                         ids=["one_row", "seven_rows"])
+def test_table_texts_in_small_blocks(monkeypatch, block_bytes):
+    # one row per block, and blocks of 7 rows (11 index columns of 8 bytes
+    # and 4-byte cells each) that do not divide 101
+    monkeypatch.setattr(groups, "SWEEP_BLOCK_BYTES", block_bytes)
+    tables = [_table(101, 10), _table(10, 101), groups.cyclic(101).mul]
+    assert serialize._table_texts(tables) == [_dumps(t) for t in tables]
+
+
+def _writer_peak(t: np.ndarray) -> int:
+    tracemalloc.start()
+    try:
+        serialize._table_texts([t])
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_table_writer_peak_stays_near_twice_its_text(monkeypatch):
+    """On C1000 the writer holds its text twice (the blocks and their join)
+    and little more; in one block its index and byte arrays alone would
+    take four times the text."""
+    t = groups.cyclic(1000).mul
+    limit = 2.5 * len(_dumps(t))
+    assert _writer_peak(t) < limit
+    monkeypatch.setattr(groups, "SWEEP_BLOCK_BYTES", 2**40)
+    assert _writer_peak(t) > limit

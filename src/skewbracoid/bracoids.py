@@ -90,6 +90,8 @@ def _require_valid(b: Bracoid) -> Bracoid:
 def bracoid_from_C1(G: FiniteGroup, psi: GroupMap, H: Subgroup,
                     opposite: bool = False) -> Bracoid:
     """(G, ., G/H, o, (+)) with g (+) xH = (gx)H, for H satisfying C1."""
+    if H.parent is not G:
+        raise PreconditionError("subgroup does not belong to the given group")
     phi = maps.phi_of(psi)
     if not groups.commutator_condition(G, phi[list(H.members)], H):
         raise PreconditionError("C1 fails: [G, phi(H)] is not contained in H")
@@ -109,6 +111,8 @@ def bracoid_from_C1(G: FiniteGroup, psi: GroupMap, H: Subgroup,
 def bracoid_from_C2(G: FiniteGroup, psi: GroupMap, H: Subgroup,
                     opposite: bool = False) -> Bracoid:
     """(G, o, G/H, ., (+)) with g (+) xH = (g o x)H, for H normal in (G, .)."""
+    if H.parent is not G:
+        raise PreconditionError("subgroup does not belong to the given group")
     if not groups.is_normal(G, H):
         raise PreconditionError("C2 fails: H is not normal in (G, .)")
     phi = maps.phi_of(psi)

@@ -31,11 +31,11 @@ def _load_json_arg(arg: str) -> dict:
         try:
             with open(arg) as f:
                 text = f.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise PreconditionError(f"cannot read {arg!r}: {exc}") from exc
     try:
         obj = serialize.load_json(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter nested too deep
         raise PreconditionError(f"invalid JSON in {arg!r}: {exc}") from exc
     if not isinstance(obj, dict):
         raise PreconditionError(f"{arg!r} must contain a JSON object")

@@ -17,26 +17,29 @@ h -> f_g(h) tested is a permutation of G, made of translations in the
 tables of `.` and `o`, so f_g(H) in H iff f_g(H) = H; that holds for
 every g iff H is a union of orbits of the group the f_g generate.
 
-That group is {f_g : g in G}, so the orbit of h is {f_g(h) : g in G} and
-its least point is the least f_g(h) over g.  Proof: `braces.circle_table`
-certifies that its table is exactly g o h = phi(g) h psi(g), with
-g = phi(g) psi(g) and phi, psi multiplicative from (G, o) to (G, .).  The
-o-inverse of g is phi(g)^-1 psi(g)^-1, and the families read
+`braces.circle_table` certifies that its table is exactly g o h =
+phi(g) h psi(g), with g = phi(g) psi(g), phi and psi multiplicative from
+(G, o) to (G, .), and psi a homomorphism of (G, .).  The o-inverse of g
+is phi(g)^-1 psi(g)^-1, and the families f_g(h) read
 
-    "o"       f_g(h) = phi(g) phi(h) phi(g)^-1 psi(h)
-    "(o,.)"   f_g(h) = psi(g) h psi(g)^-1
-    "(o',.)"  f_g(h) = g phi(h) g^-1 psi(h)
-    "(.,o)"   f_g(h) = psi(g)^-1 h psi(g)
-    "(.',o)"  f_g(h) = phi(g) h phi(g)^-1
-    "(.,o')"  f_g(h) = g^-1 phi(h) g psi(h)
+    "o"       phi(g) phi(h) phi(g)^-1 psi(h)    "(.',o)"  phi(g) h phi(g)^-1
+    "(o,.)"   psi(g) h psi(g)^-1                "(.,o)"   psi(g)^-1 h psi(g)
+    "(o',.)"  g phi(h) g^-1 psi(h)              "(.,o')"  g^-1 phi(h) g psi(h)
 
-"(o,.)", "(.,o)" and "(.',o)" are conjugations by psi(g), psi(g)^-1 and
-phi(g).  The others are f_g(h) = c_g(phi(h)) psi(h), with c_g conjugation
-by phi(g), g and g^-1; psi has abelian image, so psi(f_k(h)) =
-psi(phi(h) psi(h)) = psi(h) and phi(f_k(h)) = c_k(phi(h)).  So f_g f_k is
-f_{g o k} for "o" and "(.',o)", f_{gk} for "(o,.)", "(o',.)" and "(.,o)",
-and f_{kg} for "(.,o')": g -> f_g is an action of (G, o) or (G, .), or an
-anti-action of (G, .), and its image is a group.
+Only the left column, FAMILIES, is computed.  Re-indexing: psi(g^-1) =
+psi(g)^-1, so f^(.,o)_g = f^(o,.)_{g^-1} and f^(.,o')_g = f^(o',.)_{g^-1};
+as g -> g^-1 is a bijection of G, each pair is one set of maps, with one
+partition.  C2 decides the other two: f^(.,o) and f^(.',o) are
+conjugations in (G, .), by psi(g)^-1 and phi(g), under which a normal
+subgroup is stable.  Both are tested only beside C2 (see below), so strong
+left ideals of (.,o) and (.',o) are C2 on both routes, and not compared.
+
+Each {f_g : g in G} is a group, so the orbit of h is {f_g(h) : g in G}
+and its least point is the least f_g(h) over g.  Proof: "(o,.)" is
+conjugation by psi(g); "o" and "(o',.)" are f_g(h) = c_g(phi(h)) psi(h),
+c_g conjugation by phi(g) and g; psi has abelian image, so psi(f_k(h)) =
+psi(phi(h) psi(h)) = psi(h) and phi(f_k(h)) = c_k(phi(h)): f_g f_k is
+f_{g o k} for "o" and f_{gk} for the others, an action of (G, o) or (G, .).
 
 The labels "(.,o)", "(.',o)" and "(.,o')" need H to be a subgroup of
 (G, o) or (G, o') and normal in (G, .), that is C2; C2 alone gives both,
@@ -65,8 +68,8 @@ from .maps import GroupMap
 # brace labels, written (additive, multiplicative)
 SLI_LABELS = ("(o,.)", "(o',.)", "(.,o)", "(.',o)")
 IDEAL_LABELS = ("(.,o)", "(.,o')", "(o',.)")
-# conjugation in o, then the gamma maps of these braces
-FAMILIES = ("o", "(o,.)", "(o',.)", "(.,o)", "(.',o)", "(.,o')")
+# conjugation in o, then the gamma maps of (o,.) and (o',.) (see the docstring)
+FAMILIES = ("o", "(o,.)", "(o',.)")
 # the predicate route: the labels per (C1, C2), in the order a verdict lists them
 PREDICATE_LABELS = {(False, False): ((), ()), (True, False): (("(o,.)", "(o',.)"), ()),
                     (False, True): (("(.',o)", "(.,o)"), ()),
@@ -107,9 +110,8 @@ def _brace_tables(G: FiniteGroup, psi: GroupMap) -> dict:
 def _families(G: FiniteGroup, circle: FiniteGroup, g: slice) -> np.ndarray:
     """f_g(h) of each entry of FAMILIES, read from the tables of `.` and `o`,
     as a (families x g x h) array for the rows g and every h."""
-    dot, inv, circ, cinv = G.mul, G.inv[g, None], circle.mul, circle.inv[g, None]
-    return np.array([circ[circ[g], cinv], circ[cinv, dot[g]], circ[dot[g], cinv],
-                     dot[inv, circ[g]], dot[circ[g], inv], dot[inv, circ.T[g]]])
+    dot, circ, cinv = G.mul, circle.mul, circle.inv[g, None]
+    return np.array([circ[circ[g], cinv], circ[cinv, dot[g]], circ[dot[g], cinv]])
 
 
 def _columns(G: FiniteGroup, tables: dict, rows: dict, subgroups) -> list[tuple]:
@@ -120,22 +122,20 @@ def _columns(G: FiniteGroup, tables: dict, rows: dict, subgroups) -> list[tuple]
     # [g, phi(h)] in H for every h in H: K is read at e off H
     C1 = groups.commutator_condition(G, np.where(M, tables["phi"], 0), M,
                                      rows["commutes"])
-    # H is a subgroup of (G, .) already, and C2 is its normality there.  An
-    # opposite operation has the subgroups and normal subgroups of its
-    # original, so only the gamma checks tell the opposites apart.
-    # whether each row is a union of orbits of each partition of FAMILIES
-    normal_o, *gamma = (M[:, tables["roots"]] == M[:, None]).all(axis=2).T
-    # C2 makes H a subgroup of (G, o) as well (see the module docstring)
-    direct = np.array([normal_o, normal_o, C2, C2, C2]) & gamma
-    # SLI_LABELS then IDEAL_LABELS; an ideal is also normal in (G, M)
-    found = np.vstack([direct[:4], direct[[2, 4]] & normal_o, direct[1] & C2])
-    pred = np.array([C1, C1, C2, C2] + [C1 & C2] * 3)
+    # rows are subgroups of (G, .) and (G, .'), normal in both iff C2; per
+    # FAMILIES, whether each row is a union of orbits of the partition
+    normal_o, gamma, gamma_prime = (M[:, tables["roots"]] == M[:, None]).all(axis=2).T
+    # SLI_LABELS then IDEAL_LABELS, but for the strong left ideals of (.,o)
+    # and (.',o): both routes give C2 (see the module docstring)
+    ideal = C2 & normal_o
+    found = np.array([normal_o & gamma, normal_o & gamma_prime, ideal] + [ideal & gamma_prime] * 2)
+    pred = np.array([C1] * 2 + [C1 & C2] * 3)
     if (bad := (found != pred).any(axis=0)).any():
-        i, kinds = int(np.argmax(bad)), ["strong left ideal"] * 4 + ["ideal"] * 3
+        i, kinds = int(np.argmax(bad)), ["strong left ideal"] * 2 + ["ideal"] * 3
         raise InternalConsistencyError(
             f"predicate and definition classifications disagree for H={subgroups[i].members}: "
             + ", ".join(f"{kind} of {label}: predicate {p}, direct {d}" for kind, label, p, d
-                        in zip(kinds, SLI_LABELS + IDEAL_LABELS, pred[:, i].tolist(),
+                        in zip(kinds, SLI_LABELS[:2] + IDEAL_LABELS, pred[:, i].tolist(),
                                found[:, i].tolist()) if p != d))
     return list(zip(C1.tolist(), C2.tolist()))
 

@@ -197,8 +197,12 @@ def parse_group(obj: dict, *, order_cap: int = groups.DEFAULT_ORDER_CAP) -> Fini
         raise PreconditionError("not a recognizable group spec")
     if "kind" in obj:
         return groups.build_group(obj, order_cap=order_cap)
-    if "mul" in obj:  # an export is a table spec
-        return groups.build_group({**obj, "kind": "table"}, order_cap=order_cap)
+    if "mul" in obj:  # an export is a table spec, whose order and inv its table fixes
+        G = groups.build_group({**obj, "kind": "table"}, order_cap=order_cap)
+        for key, value in (("order", G.order), ("inv", G.inv)):
+            if key in obj and not np.array_equal(groups.int_array(obj[key], key), value):
+                raise PreconditionError(f"the export's {key!r} disagrees with its table")
+        return G
     raise PreconditionError("not a recognizable group spec")
 
 

@@ -304,9 +304,10 @@ def sli_oracle(A, M, members):
 
 
 def fixpoint_roots(G: FiniteGroup, circle: FiniteGroup) -> np.ndarray:
-    """Per entry of ideals.FAMILIES, the orbit roots of h -> f_g(h) for every
-    g, as one `groups.orbit_roots` fixpoint over six disjoint copies of G:
-    the route that assumes nothing about how the f_g compose."""
+    """Per family of the `ideals` docstring, ideals.FAMILIES then "(.,o)",
+    "(.',o)" and "(.,o')", the orbit roots of h -> f_g(h) for every g, as
+    one `groups.orbit_roots` fixpoint over six disjoint copies of G: the
+    route that assumes nothing about how the f_g compose."""
     dot, inv, circ, cinv, n = G.mul, G.inv, circle.mul, circle.inv, G.order
     perms = (lambda g: circ[circ[g], cinv[g][:, None]],
              lambda g: circ[cinv[g][:, None], dot[g]],
@@ -320,8 +321,9 @@ def fixpoint_roots(G: FiniteGroup, circle: FiniteGroup) -> np.ndarray:
 
 
 def family_closed_forms(G: FiniteGroup, psi) -> np.ndarray:
-    """f_g(h) of each entry of ideals.FAMILIES by its closed form in phi and
-    psi, as a (families x g x h) array."""
+    """f_g(h) of each family of the `ideals` docstring, ideals.FAMILIES then
+    "(.,o)", "(.',o)" and "(.,o')", by its closed form in phi and psi, as a
+    (families x g x h) array."""
     m, inv = G.mul, G.inv
     phi, im = maps.phi_of(psi), psi.image_of
     g, h = np.arange(G.order)[:, None], np.arange(G.order)[None, :]

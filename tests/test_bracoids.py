@@ -50,6 +50,22 @@ def test_c2_requires_normality():
         bracoids.bracoid_from_C2(G, psi, fix)
 
 
+@pytest.mark.parametrize("opposite", [False, True])
+@pytest.mark.parametrize("build", [bracoids.bracoid_from_C1, bracoids.bracoid_from_C2],
+                         ids=["C1", "C2"])
+def test_a_subgroup_of_another_group_is_refused(build, opposite):
+    """A subgroup of another group is refused, as find_strong_left_ideals
+    refuses it, before its members index into G: those of <2> of C4 run
+    past G's normality test, and <4> of C8 reads as D4's {e, s}, which
+    satisfies C1 under r -> e, s -> s."""
+    G = groups.dihedral(4)
+    psi = maps.make_map(G, G, {"r": "e", "s": "s"})
+    for H in (groups.Subgroup(groups.cyclic(4), (0, 2)),
+              groups.Subgroup(groups.cyclic(8), (0, 4))):
+        with pytest.raises(PreconditionError, match="does not belong to the given group"):
+            build(G, psi, H, opposite=opposite)
+
+
 def test_opposite_target_still_valid():
     G, psi = d4_setup()
     fix = groups.subgroup_generated(G, [G.index_of("rs")])

@@ -230,9 +230,14 @@ def test_max_order_applies_to_reimported_exports(capsys):
 
 
 D4_ZERO = '{"image_array":[0,0,0,0,0,0,0,0]}'
+# a product spec nested deeper than the JSON decoder recurses
+DEEP_PRODUCT = '{"kind":"product","factors":[' * 600 + C2 + "]}" * 600
 REFUSED = {
     "unreadable_path": (["group", "build", "missing.json"], "cannot read 'missing.json'"),
+    "undecodable_file": (["group", "build", "utf16.json"], "cannot read 'utf16.json'"),
     "invalid_json": (["group", "build", "{bad"], "invalid JSON in '{bad'"),
+    "deeply_nested_file": (["group", "build", "deep.json"], "invalid JSON in 'deep.json'"),
+    "deeply_nested_spec": (["group", "build", DEEP_PRODUCT], "invalid JSON in '{"),
     "json_list": (["group", "build", "list.json"], "'list.json' must contain a JSON object"),
     "tower_opposite": (["bracoid", "build", D4, PSI, "--via", "tower:1", "--opposite"],
                        "--opposite does not apply to the tower"),
@@ -254,6 +259,8 @@ def test_refusals_name_their_cause(tmp_path, monkeypatch, capsys, argv, message)
     """Unusable arguments exit 1 with a JSON error that says what is wrong."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "list.json").write_text("[1,2]")
+    (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{}")  # a UTF-16 byte order mark
+    (tmp_path / "deep.json").write_text('{"a":' + "[" * 100_000)
     code, out, err = run(capsys, argv)
     assert (code, out) == (1, "")
     error = json.loads(err)
@@ -304,6 +311,11 @@ MALFORMED = {
     "boolean_cell": ["group", "build", '{"kind":"table","mul":[[0,true],[true,0]]}'],
     "ragged_mul": ["group", "build", '{"kind":"table","mul":[[0,1],[1]]}'],
     "float_cell_in_export": ["group", "build", '{"mul":[[0,1],[1,0.5]]}'],
+    # an export whose order or inv is not its table's
+    "export_order_not_its_table": ["group", "build", '{"order":5,"mul":[[0,1],[1,0]],'
+                                   '"inv":[0,1],"names":["e","g"],"generators":null}'],
+    "export_inv_not_its_table": ["group", "build", '{"order":2,"mul":[[0,1],[1,0]],'
+                                 '"inv":[1,1],"names":["e","g"],"generators":null}'],
     "float_generator": ["group", "build",
                         '{"kind":"table","mul":[[0,1],[1,0]],"generators":[1.5]}'],
     "float_n": ["group", "build", '{"kind":"cyclic","n":2.5}'],

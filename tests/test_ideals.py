@@ -281,15 +281,21 @@ def test_one_pass_roots_match_the_fixpoint_and_the_closed_forms(name, maps_of):
     """The least f_g(h) over g equals the orbit root that the all-g fixpoint
     finds, as {f_g} is a group; each family read from the tables equals its
     closed form in phi and psi, cell by cell; and phi read off the certified
-    table is maps.phi_of."""
+    table is maps.phi_of.  The oracles keep all six families, and the
+    re-indexing lemma holds on them: (.,o) and (.,o') at g are (o,.) and
+    (o',.) at g^-1, so their partitions are those of FAMILIES."""
     G, found = maps_of()
     assert len(found) >= 2
+    k = len(FAMILIES)
     for psi in found:
         tables = ideals._brace_tables(G, psi)
         circle = braces.circle_table(G, psi).group
-        assert np.array_equal(tables["roots"], fixpoint_roots(G, circle))
-        assert np.array_equal(ideals._families(G, circle, slice(None)),
-                              family_closed_forms(G, psi))
+        forms, roots = family_closed_forms(G, psi), fixpoint_roots(G, circle)
+        assert np.array_equal(tables["roots"], roots[:k])
+        assert np.array_equal(ideals._families(G, circle, slice(None)), forms[:k])
+        assert np.array_equal(forms[3], forms[1][G.inv])
+        assert np.array_equal(forms[5], forms[2][G.inv])
+        assert np.array_equal(roots[3], roots[1]) and np.array_equal(roots[5], roots[2])
         assert np.array_equal(tables["phi"], maps.phi_of(psi))
 
 
@@ -332,6 +338,27 @@ def test_closure_under_o_is_normalization_by_phi(name, maps_of):
     assert closed_apart_from_c2 == (not C2.all())
 
 
+@pytest.mark.parametrize("name,maps_of", CLOSURE_GROUPS, ids=[name for name, _ in CLOSURE_GROUPS])
+def test_c2_decides_the_conjugation_families(name, maps_of):
+    """The lemma that leaves (.,o) and (.',o) out of FAMILIES: their f_g are
+    conjugations in (G, .), by psi(g)^-1 and phi(g), so every C2 row is a
+    union of their orbits.  Their tests are not C2: under the trivial map
+    (.',o) is conjugation by every g, so a group with a non-normal subgroup
+    has a row that is not C2 and fails one of them."""
+    G, found = maps_of()
+    lattice = groups.subgroup_lattice(G)
+    masks, C2 = lattice["masks"], lattice["normal"]
+    fails_apart_from_c2 = False
+    for psi in found:
+        # (.,o) and (.',o) of the six closed forms, as (2 x g x h)
+        forms = family_closed_forms(G, psi)[[3, 4]]
+        # rows x 2: whether f_g(H) lies in H for every g
+        stable = (masks[:, forms] | ~masks[:, None, None]).all(axis=(2, 3))
+        assert stable[C2].all()
+        fails_apart_from_c2 |= bool((~stable[~C2]).any())
+    assert fails_apart_from_c2 == (not C2.all())
+
+
 @pytest.mark.parametrize("block_bytes", [None, 4000, 400])
 @pytest.mark.parametrize("builder", [d4xd4_sample, lambda: every_map(lambda: groups.symmetric(5))],
                          ids=["D4xD4", "S5"])
@@ -369,7 +396,7 @@ def test_verdicts_do_not_depend_on_the_block_size(name, monkeypatch):
     G, found = builder()
     found = found[::6]
     want = [[v.to_jsonable() for v in ideals.find_strong_left_ideals(G, psi)] for psi in found]
-    monkeypatch.setattr(groups, "SWEEP_BLOCK_BYTES", 48 * G.order * 5 + 1)
+    monkeypatch.setattr(groups, "SWEEP_BLOCK_BYTES", 8 * len(FAMILIES) * G.order * 5 + 1)
     calls = []
     families = ideals._families
     monkeypatch.setattr(ideals, "_families", lambda *a: calls.append(1) or families(*a))

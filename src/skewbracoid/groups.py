@@ -398,11 +398,10 @@ def direct_product(*groups: FiniteGroup,
         "(" + ",".join(groups[k].names[coords[i, k]] for k in range(len(groups))) + ")"
         for i in range(total)
     )
-    gens = []
-    for k, g in enumerate(groups):
-        for gen in g.generating_set():
-            gens.append(int(weights[k] * gen))
-    return FiniteGroup(mul, names, tuple(gens), tuple(groups))
+    # a trivial factor's generator is e; C1 x .. x C1 keeps (0,), as C1 does
+    gens = tuple(int(weights[k] * gen) for k, g in enumerate(groups)
+                 for gen in g.generating_set() if gen != 0)
+    return FiniteGroup(mul, names, gens or (0,), tuple(groups))
 
 
 def factor_embedding(G: FiniteGroup, k: int) -> list[int]:
@@ -578,23 +577,32 @@ def _known_subgroup(G: FiniteGroup, members: tuple[int, ...]) -> Subgroup:
 
 
 def element_orders(mul: np.ndarray) -> np.ndarray:
-    """Order of every element of the group table `mul`: the least divisor d
-    of the group's order with g^d = e, each g^d by square-and-multiply."""
+    """Order of every element of the group table `mul`, the product of its
+    q-parts for the primes q dividing the group's order n = q^a r: the q-part
+    of the order of g is the order of g^r, the least q^j with g^(r q^j) = e."""
     n = mul.shape[0]
-    orders = np.zeros(n, dtype=np.int64)
-    for d in (d for d in range(1, n + 1) if n % d == 0):
-        todo = (orders == 0).nonzero()[0]
-        if not todo.size:
-            break
-        power, square, k = np.zeros_like(todo), todo, d
-        while k:
-            if k & 1:
-                power = mul[power, square]
-            k >>= 1
-            if k:
-                square = mul[square, square]
-        orders[todo[power == 0]] = d
+    orders, rest, q = np.ones(n, dtype=np.int64), n, 2
+    while rest > 1:
+        if q * q > rest:
+            q = rest  # the last prime factor
+        a = 0
+        while rest % q == 0:
+            rest, a = rest // q, a + 1
+        if a:
+            power = _power(mul, np.arange(n), n // q**a)
+            for _ in range(a):
+                orders[power != 0] *= q
+                power = _power(mul, power, q)
+        q += 1
     return orders
+
+
+def _power(mul: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+    """x^k for k >= 1, elementwise, by repeated squaring."""
+    if k == 1:
+        return x
+    half = _power(mul, mul[x, x], k // 2)
+    return mul[half, x] if k % 2 else half
 
 
 def _prime_of_power(n: int) -> int | None:
@@ -639,20 +647,33 @@ def enumerate_subgroups(G: FiniteGroup) -> list[Subgroup]:
     reached from U, by induction on |V|.  A perfect subgroup has no such U,
     so if G is not solvable the other z are joined by `_join`.
 
-    H is extended by all its zuppos at once, in blocks of at most
-    SWEEP_BLOCK_BYTES, one gather per prime p among them; extensions new by
-    their `np.packbits` keys go onto a depth-first stack in zuppo order.
+    The subgroups are extended in layers by ascending order m, all those of
+    order m at once.  Every extension <H, z> is larger than H: p|H| if z
+    normalizes H, and a multiple of |H| above it for a join, as z is not in
+    H.  So a subgroup of order m that the extensions reach is reached from
+    a smaller one, whose layer ran before: by induction on m, it is found
+    before its own layer runs, and the layers reach what the extensions
+    reach.  A layer waits as the `np.packbits` keys of its subgroups, and
+    runs in row blocks, whose (subgroup, zuppo) pairs run in row-major
+    order in pair blocks; each block is at most SWEEP_BLOCK_BYTES.  Per
+    pair block, one gather tests which z normalize which H, through rows of
+    generators padded with e (which conjugates into every H), and one
+    scatter builds the cosets H z^i, i below the block's largest p (for z
+    of prime p, those with i >= p repeat the others, as z^p is in H); the
+    extensions new by their keys join the layer of their order in pair
+    order.
 
     Work counts the members of every closure computed and of every
-    extension as it is keyed; past SUBGROUP_WORK_LIMIT WorkLimitError is
-    raised, as one zuppo at a time would raise it.  The lattice is computed
+    extension, pair by pair; past SUBGROUP_WORK_LIMIT WorkLimitError is
+    raised.  Total work does not depend on the order of the pairs, so
+    whether a group is refused does not either.  The lattice is computed
     once per group; later calls do no work, whatever the limit, and each
     returns a new list of new Subgroup objects.
     """
     cached = getattr(G, "_subgroups", None)
     if cached is not None:
         return [_known_subgroup(G, members) for members in cached]
-    n, work, found = G.order, 0, {}
+    n, work, found = G.order, 0, set()
 
     def over_limit() -> WorkLimitError:
         return WorkLimitError(
@@ -663,67 +684,90 @@ def enumerate_subgroups(G: FiniteGroup) -> list[Subgroup]:
     prime_of = {o: _prime_of_power(o) for o in set(orders.tolist()) if o > 1}
     # a generator z of each zuppo, a generator of its subgroup <z^p> (any
     # element of <z> of order |z|/p), and p
-    zuppos, roots, primes = [], [], []
-    covered = np.zeros(n, dtype=bool)
-    for x in range(1, n):
-        o = int(orders[x])
-        if covered[x] or prime_of[o] is None:
+    zuppos, roots, primes, covered = [], [], [], set()
+    for x, o in enumerate(orders.tolist()):
+        if x in covered or prime_of.get(o) is None:  # e, of order 1, too
             continue
         cyc = np.asarray(closure(G, [x]))
         work += len(cyc)
         if work > SUBGROUP_WORK_LIMIT:
             raise over_limit()
-        covered[cyc[orders[cyc] == o]] = True
+        covered.update(cyc[orders[cyc] == o].tolist())
         zuppos.append(x)
         roots.append(cyc[(orders[cyc] == o // prime_of[o]).argmax()])
         primes.append(prime_of[o])
     zuppos, roots, primes = (np.array(a, dtype=np.int64) for a in (zuppos, roots, primes))
-    # z^0, .., z^(p-1) for the zuppos of each prime p, as rows rank[z] of powers[p]
-    powers, rank = {}, np.zeros(len(zuppos), dtype=np.int64)
-    for p in set(primes.tolist()):
-        of_p = (primes == p).nonzero()[0]
-        rank[of_p] = np.arange(len(of_p))
-        powers[p] = np.stack(list(itertools.accumulate(
-            range(p - 1), lambda w, _: G.mul[w, zuppos[of_p]], initial=0 * of_p)), axis=1)
+    # z^0, .., z^(q-1) for each zuppo z, q the largest of the primes: for z
+    # of prime p, the cosets H z^i with i >= p are among those with i < p,
+    # as z^p is in H, so one gather serves the zuppos of every prime
+    powers = np.zeros((len(zuppos), primes.max(initial=1)), dtype=np.int64)
+    for i in range(1, powers.shape[1]):
+        powers[:, i] = G.mul[powers[:, i - 1], zuppos]
     solvable = len(list(derived_series(G))[-1]) == 1
 
-    widest = 8 * max(powers, default=1)  # bytes of the gather, per member
-    queue = [(np.arange(n) == 0, [])]  # a subgroup's mask, with a set that generates it
-    found[np.packbits(queue[0][0]).tobytes()] = queue[0][0]
-    while queue:
-        mask, gens = queue.pop()
-        members = mask.nonzero()[0]
-        cand = (mask[roots] > mask[zuppos]).nonzero()[0]
-        z = zuppos[cand]
-        # z normalizes H iff it conjugates the <= log2|H| generators of H into H
-        normal = mask[G.mul[G.mul[z[:, None], gens], G.inv[z][:, None]]].all(axis=1)
-        if solvable:
-            cand, z, normal = cand[normal], z[normal], normal[normal]
-        cut = 1 + (SUBGROUP_WORK_LIMIT - work) // (2 * len(members))  # |<H, z>| >= 2|H|
-        cand, z, normal = cand[:cut], z[:cut], normal[:cut]  # the rest pass the limit
-        step = max(1, SWEEP_BLOCK_BYTES // (n + widest * len(members)))
-        for lo in range(0, len(cand), step):
-            c, zs, nz = cand[lo:lo + step], z[lo:lo + step], normal[lo:lo + step]
-            pc = primes[c]
-            # |H<z>| = p|H| (H and <z> meet in <z^p>), all of <H, z> if z normalizes H
-            size, ext = len(members) * pc, np.zeros((len(c), n), dtype=bool)
-            for p in set(pc.tolist()):
-                rows = (nz & (pc == p)).nonzero()[0]
-                steps = powers[p][rank[c[rows]]]
-                ext[rows[:, None, None], G.mul[members[:, None], steps[:, None]]] = True
-            for r in (~nz).nonzero()[0]:
-                _join(G.mul, members, zs[r], ext[r])
-                size[r] = np.count_nonzero(ext[r])
-            keys = np.packbits(ext, axis=1).view(f"V{(n + 7) // 8}")[:, 0].tolist()  # one per row
-            for i, (zi, size_i, key) in enumerate(zip(zs.tolist(), size.tolist(), keys)):
-                work += size_i
-                if work > SUBGROUP_WORK_LIMIT:
-                    raise over_limit()
-                if key not in found:
-                    found[key] = ext[i].copy()
-                    queue.append((found[key], gens + [zi]))
-    subs = sorted((tuple(m.nonzero()[0].tolist()) for m in found.values()),
-                  key=lambda m: (len(m), m))
+    widest = 8 * powers.shape[1]  # bytes of the gather, per member
+    zinv = G.inv[zuppos]
+    # each order's subgroups not extended yet: their keys (the masks packed
+    # by `np.packbits`, the objects that `found` holds), and blocks of rows
+    # of generators.  The z added to H of order m goes in column
+    # floor(log2 m), which H's row holds free, as orders along the way at
+    # least double; the other columns hold e
+    nbytes = (n + 7) // 8
+    as_key = np.dtype((np.void, nbytes))  # a row of packed bits as one value
+    trivial = np.packbits(np.arange(n) == 0).tobytes()
+    layers = {1: ([trivial], [np.zeros((1, n.bit_length() - 1), dtype=np.int64)])}
+    found.add(trivial)
+    subs = []
+    while layers:
+        m = min(layers)
+        keys, gens = layers.pop(m)
+        gens = gens[0] if len(gens) == 1 else np.concatenate(gens)
+        col, level = m.bit_length() - 1, []
+        # the layer's masks in row blocks, and each block's pairs in pair
+        # blocks, so neither the masks nor the pair index pass the block size
+        rows = max(1, SWEEP_BLOCK_BYTES // (n + 16 * (m + len(zuppos))))
+        step = max(1, SWEEP_BLOCK_BYTES // (n + widest * m))
+        for top in range(0, len(keys), rows):
+            bits = np.frombuffer(b"".join(keys[top:top + rows]), dtype=np.uint8)
+            masks = np.unpackbits(bits.reshape(-1, nbytes), axis=1, count=n).view(bool)
+            members = masks.nonzero()[1].reshape(len(masks), m)
+            level += map(tuple, members.tolist())
+            used = gens[top:top + rows, :col]  # the columns of the orders below m
+            row, cand = (masks.take(roots, 1) > masks.take(zuppos, 1)).nonzero()
+            for lo in range(0, len(cand), step):
+                r, c = row[lo:lo + step], cand[lo:lo + step]
+                # z normalizes H iff it conjugates the generators of H into H
+                conj = G.mul[G.mul[zuppos[c, None], used.take(r, 0)], zinv[c, None]]
+                nz = masks[r[:, None], conj].all(1)
+                if solvable:
+                    r, c, nz = r[nz], c[nz], nz[nz]
+                cut = 1 + (SUBGROUP_WORK_LIMIT - work) // (2 * m)  # |<H, z>| >= 2|H|
+                r, c, nz = r[:cut], c[:cut], nz[:cut]  # the rest pass the limit
+                pc = primes[c]
+                # |H<z>| = p|H| (H and <z> meet in <z^p>), all of <H, z> if z normalizes H
+                size, ext = m * pc, np.zeros((len(c), n), dtype=bool)
+                at = nz.nonzero()[0]
+                steps = powers[c[at], None, :pc.max(initial=1)]  # z^i for i below the largest p
+                ext[at[:, None, None], G.mul[members.take(r[at], 0)[:, :, None], steps]] = True
+                for i in (~nz).nonzero()[0]:
+                    _join(G.mul, members[r[i]], zuppos[c[i]], ext[i])
+                    size[i] = np.count_nonzero(ext[i])
+                exts = np.packbits(ext, axis=1).view(as_key)[:, 0].tolist()  # one per row
+                fresh = {}
+                for i, (size_i, key) in enumerate(zip(size.tolist(), exts)):
+                    work += size_i
+                    if work > SUBGROUP_WORK_LIMIT:
+                        raise over_limit()
+                    if key not in found:
+                        found.add(key)
+                        fresh.setdefault(size_i, []).append(i)
+                for s, at in fresh.items():
+                    gens_of = gens.take(top + r[at], 0)
+                    gens_of[:, col] = zuppos[c[at]]
+                    later = layers.setdefault(s, ([], []))
+                    later[0].extend(map(exts.__getitem__, at))
+                    later[1].append(gens_of)
+        subs += sorted(level)
     # member tuples only: cached Subgroups would refer back to G, and G in
     # a reference cycle outlives its last use until the cycle collector runs
     object.__setattr__(G, "_subgroups", tuple(subs))

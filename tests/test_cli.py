@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -227,6 +228,26 @@ def test_max_order_applies_to_reimported_exports(capsys):
     code, _, err = run(capsys, ["group", "build", export, "--max-order", "4"])
     assert code == 1
     assert json.loads(err)["message"] == "requested order 20 exceeds cap 4"
+
+
+C1 = '{"kind":"cyclic","n":1}'
+
+
+def _product(*factors):
+    return '{"kind":"product","factors":[%s]}' % ",".join(factors)
+
+
+@pytest.mark.parametrize("spec, generators", [
+    (_product(C2, C1), [1]),
+    (_product(C1, C1), [0]),
+    (_product(C1, _product(C1, C2)), [1]),
+    (functools.reduce(_product, [C1] * 40), [0])],
+    ids=["C2xC1", "C1xC1", "C1x(C1xC2)", "C1^40_nested"])
+def test_product_drops_the_generators_of_trivial_factors(capsys, spec, generators):
+    """A trivial factor's generator is e, which generates nothing; a product
+    of trivial factors keeps e alone, as C1 does."""
+    code, out, _ = run(capsys, ["group", "build", spec])
+    assert code == 0 and json.loads(out)["generators"] == generators
 
 
 D4_ZERO = '{"image_array":[0,0,0,0,0,0,0,0]}'

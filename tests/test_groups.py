@@ -1,6 +1,8 @@
+import functools
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -536,7 +538,7 @@ def test_lattice_work_limit_still_applies(monkeypatch):
     """The error says how far the enumeration got.  The cyclic subgroups of
     prime-power order come first, so a small limit stops before the
     lattice has any subgroup."""
-    for limit, work, found in [(100, 108, 18), (20, 24, 0)]:
+    for limit, work, found in [(100, 104, 17), (20, 24, 0)]:
         monkeypatch.setattr(groups, "SUBGROUP_WORK_LIMIT", limit)
         with pytest.raises(WorkLimitError) as exc:
             groups.enumerate_subgroups(groups.symmetric(4))
@@ -547,14 +549,14 @@ def test_lattice_work_limit_still_applies(monkeypatch):
 
 @pytest.mark.parametrize("block_bytes", [None, 64])
 @pytest.mark.parametrize("name, limit, work, found", [
-    ("S5", 1000, 1004, 55), ("S5", 3000, 3024, 60),
-    ("C2^6", groups.SUBGROUP_WORK_LIMIT, 1000004, 917)])
-def test_lattice_work_limit_messages_are_those_of_one_zuppo_at_a_time(
+    ("S5", 1000, 1050, 52), ("S5", 3000, 3066, 77),
+    ("C2^6", groups.SUBGROUP_WORK_LIMIT, 1000004, 2697)])
+def test_lattice_work_limit_messages_follow_the_order_layers(
         monkeypatch, block_bytes, name, limit, work, found):
-    """The messages that extending by one zuppo at a time gave, recorded
-    before the extensions were built in blocks: S5 is not solvable, so its
-    traversal joins, and C2^6 stops at the default limit.  64-byte blocks
-    hold one zuppo each."""
+    """The messages of extending the subgroups of one order after another,
+    each layer's (subgroup, zuppo) pairs in row-major order: S5 is not
+    solvable, so its layers join, and C2^6 stops at the default limit.  They
+    do not depend on the block size: 64-byte blocks hold one pair each."""
     G = groups.symmetric(5) if name == "S5" else groups.direct_product(*[groups.cyclic(2)] * 6)
     monkeypatch.setattr(groups, "SUBGROUP_WORK_LIMIT", limit)
     if block_bytes:
@@ -566,13 +568,75 @@ def test_lattice_work_limit_messages_are_those_of_one_zuppo_at_a_time(
         f"{limit}, {found} subgroups found so far")
 
 
+def test_lattice_refusal_holds_the_keys_found_and_a_few_blocks(monkeypatch):
+    """Up to the work limit the enumeration holds the `np.packbits` key of
+    each subgroup found, a few hundred bytes of bookkeeping per subgroup and
+    a few blocks of SWEEP_BLOCK_BYTES, however many (subgroup, zuppo) pairs a
+    layer has: C2^11's order-2 layer has 2047 subgroups and 2047 zuppos,
+    about 4.2M pairs, whose pair index alone would take 64 MiB.  The limit
+    is lowered to keep the traced run short; the bound is per subgroup
+    found, so it holds at any limit."""
+    G = groups.direct_product(*[groups.cyclic(2)] * 11)  # its 32 MiB table is built outside the trace
+    monkeypatch.setattr(groups, "SUBGROUP_WORK_LIMIT", 30_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(WorkLimitError) as exc:
+            groups.enumerate_subgroups(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    found = int(re.search(r"(\d+) subgroups found", str(exc.value))[1])
+    assert peak < 4 * groups.SWEEP_BLOCK_BYTES + found * (G.order // 8 + 512)
+
+
+@pytest.mark.parametrize("name, builder, threshold", [
+    ("S4", lambda: groups.symmetric(4), 756),
+    ("D4xD4", lambda: groups.direct_product(groups.dihedral(4), groups.dihedral(4)), 150_932),
+    ("C2^5", lambda: groups.direct_product(*[groups.cyclic(2)] * 5), 113_956),
+    ("S5", lambda: groups.symmetric(5), 397_900)])
+def test_lattice_work_limit_refuses_by_total_work(monkeypatch, name, builder, threshold):
+    """Every closure and every (subgroup, zuppo) pair costs its work once, in
+    whatever order they run, so the least limit that lets the enumeration
+    finish is the total work: one less stops at the last pair."""
+    monkeypatch.setattr(groups, "SUBGROUP_WORK_LIMIT", threshold - 1)
+    with pytest.raises(WorkLimitError, match=f"work {threshold} > limit {threshold - 1},"):
+        groups.enumerate_subgroups(builder())
+    monkeypatch.setattr(groups, "SUBGROUP_WORK_LIMIT", threshold)
+    G = builder()
+    assert groups.enumerate_subgroups(G)[-1].order == G.order
+
+
+MIXED_LAYERS = {"D10": lambda: groups.dihedral(10),
+                "S3xS3": lambda: groups.direct_product(groups.symmetric(3), groups.symmetric(3)),
+                "S5": lambda: groups.symmetric(5)}
+
+
+@functools.cache
+def _extension_oracle(name):
+    return [s.members for s in extension_bfs_subgroups(MIXED_LAYERS[name](), work_limit=10**8)]
+
+
+@pytest.mark.parametrize("block_bytes", [64, 4096])
+@pytest.mark.parametrize("name", list(MIXED_LAYERS))
+def test_layers_of_mixed_generator_rows_match_extension_oracle(monkeypatch, name, block_bytes):
+    """A layer's rows of generators hold e in the columns of the orders that
+    its subgroups skipped on the way, which differ from row to row: D10's
+    order-10 layer holds C10, reached from the centre C2, and the two D5,
+    reached from C5, and S3xS3's order-18 layer mixes likewise.  S5 is not
+    solvable, and its joins skip orders (D4 from C2, A5).  64-byte blocks
+    hold one pair each."""
+    monkeypatch.setattr(groups, "SWEEP_BLOCK_BYTES", block_bytes)
+    got = [s.members for s in groups.enumerate_subgroups(MIXED_LAYERS[name]())]
+    assert got == _extension_oracle(name)
+
+
 @pytest.mark.parametrize("block_bytes", [64, 4096])
 @pytest.mark.parametrize("builder", [
     lambda: groups.direct_product(groups.dihedral(4), groups.dihedral(4)),
     lambda: groups.symmetric(5), c61_c10], ids=["D4xD4", "S5", "C61xC10"])
 def test_lattice_in_split_candidate_blocks_is_unchanged(monkeypatch, block_bytes, builder):
-    """Blocks of one zuppo (64 bytes), or of a few (4 KiB), give the same
-    lattice as the default blocks, which hold every zuppo of a subgroup."""
+    """Blocks of one (subgroup, zuppo) pair (64 bytes), or of a few (4 KiB),
+    give the same lattice as the default blocks of a few MiB."""
     want = [H.members for H in groups.enumerate_subgroups(builder())]
     monkeypatch.setattr(groups, "SWEEP_BLOCK_BYTES", block_bytes)
     assert [H.members for H in groups.enumerate_subgroups(builder())] == want

@@ -60,14 +60,14 @@ def _group_and_map(args):
 def _parse_subgroup(G, text: str) -> Subgroup:
     """Members separated by the commas outside parentheses (product names
     hold commas): an element name means that element (S_n names are
-    digits), and any other decimal token is an index."""
+    digits), and any other ASCII decimal token is an index."""
     depth = list(itertools.accumulate((c == "(") - (c == ")") for c in text))
     cuts = [-1] + [i for i, c in enumerate(text) if c == "," and not depth[i]] + [len(text)]
     members = []
     for lo, hi in zip(cuts, cuts[1:]):
         part = text[lo + 1:hi].strip()
-        members.append(int(part) if part not in G.names and part.lstrip("-").isdigit()
-                       else G.index_of(part))
+        decimal = part.isascii() and part.isdigit()  # isdigit() alone takes "²", "٢"
+        members.append(int(part) if decimal and part not in G.names else G.index_of(part))
     return Subgroup(G, tuple(members))
 
 

@@ -130,7 +130,7 @@ def verify_group_table(mul: np.ndarray) -> tuple[int, ...]:
     # every row must contain the identity somewhere (existence of inverses)
     if not np.all((mul == 0).any(axis=1)):
         raise PreconditionError("some element has no right inverse")
-    gens = tuple(itertools.islice(_greedy_generators(mul), n.bit_length()))
+    gens = tuple(itertools.islice(_greedy_generators(mul, range(n)), n.bit_length()))
     if len(gens) == n.bit_length():
         raise PreconditionError("associativity fails")
     if sweep(lambda x, a, y: mul[mul[x, a], y] != mul[x, mul[a, y]],
@@ -139,11 +139,12 @@ def verify_group_table(mul: np.ndarray) -> tuple[int, ...]:
     return gens
 
 
-def _greedy_generators(mul: np.ndarray):
-    """Yield each element that the right closure of those before it misses:
-    at most log2(order) of them in a group, as each doubles what is reached."""
+def _greedy_generators(mul: np.ndarray, candidates):
+    """Yield each of `candidates` that the right closure of those before it
+    misses: at most log2(order) of them in a group, as each doubles what is
+    reached."""
     gens, reached = [], {0}
-    for g in range(mul.shape[0]):
+    for g in candidates:
         if g not in reached:
             gens.append(g)
             yield g
@@ -227,7 +228,7 @@ class FiniteGroup:
             return self.generators
         cached = getattr(self, "_generating_set", None)
         if cached is None:
-            cached = tuple(_greedy_generators(self.mul))
+            cached = tuple(_greedy_generators(self.mul, range(self.order)))
             object.__setattr__(self, "_generating_set", cached)
         return cached
 
@@ -506,7 +507,7 @@ class Subgroup:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        mem = tuple(sorted(set(int(m) for m in self.members)))
+        mem = tuple(sorted(set(_index(m, "subgroup member") for m in self.members)))
         object.__setattr__(self, "members", mem)
         G = self.parent
         if any(m < 0 or m >= G.order for m in mem):
@@ -546,13 +547,21 @@ class Subgroup:
 
 def closure(G: FiniteGroup, gens) -> tuple[int, ...]:
     """Member tuple of the smallest subgroup containing `gens`."""
-    gens = [int(g) for g in gens]
+    gens = [_index(g, "generator") for g in gens]
     for g in gens:
         if g < 0 or g >= G.order:
             raise PreconditionError("generator index out of range")
     # positive words in the generators; in a finite group this already
     # contains all inverses
     return tuple(sorted(_right_closure(G.mul, gens)))
+
+
+def _index(x, what: str) -> int:
+    """`x` as an element index; PreconditionError if it is not an integer
+    (int() would truncate a float such as 2.9, and take True as 1)."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise PreconditionError(f"{what} {x!r} is not an integer")
+    return int(x)
 
 
 def subgroup_generated(G: FiniteGroup, gens) -> Subgroup:
@@ -656,12 +665,13 @@ def enumerate_subgroups(G: FiniteGroup) -> list[Subgroup]:
     reach.  A layer waits as the `np.packbits` keys of its subgroups, and
     runs in row blocks, whose (subgroup, zuppo) pairs run in row-major
     order in pair blocks; each block is at most SWEEP_BLOCK_BYTES.  Per
-    pair block, one gather tests which z normalize which H, through rows of
-    generators padded with e (which conjugates into every H), and one
-    scatter builds the cosets H z^i, i below the block's largest p (for z
-    of prime p, those with i >= p repeat the others, as z^p is in H); the
-    extensions new by their keys join the layer of their order in pair
-    order.
+    pair block, one gather tests which z normalize which H, by conjugating
+    the members of each H, and one scatter builds the cosets H z^i, i below
+    the block's largest p (for z of prime p, those with i >= p repeat the
+    others, as z^p is in H); the extensions new by their keys join the
+    layer of their order in pair order.  A pair costs n bytes of extension
+    mask and 8q bytes per member of H for the cosets, q the largest prime;
+    as q >= 2, that covers the two int64 gathers of the conjugates too.
 
     Work counts the members of every closure computed and of every
     extension, pair by pair; past SUBGROUP_WORK_LIMIT WorkLimitError is
@@ -707,22 +717,17 @@ def enumerate_subgroups(G: FiniteGroup) -> list[Subgroup]:
 
     widest = 8 * powers.shape[1]  # bytes of the gather, per member
     zinv = G.inv[zuppos]
-    # each order's subgroups not extended yet: their keys (the masks packed
-    # by `np.packbits`, the objects that `found` holds), and blocks of rows
-    # of generators.  The z added to H of order m goes in column
-    # floor(log2 m), which H's row holds free, as orders along the way at
-    # least double; the other columns hold e
+    # each order's subgroups not extended yet, as their keys: the masks
+    # packed by `np.packbits`, the objects that `found` holds
     nbytes = (n + 7) // 8
     as_key = np.dtype((np.void, nbytes))  # a row of packed bits as one value
     trivial = np.packbits(np.arange(n) == 0).tobytes()
-    layers = {1: ([trivial], [np.zeros((1, n.bit_length() - 1), dtype=np.int64)])}
+    layers = {1: [trivial]}
     found.add(trivial)
     subs = []
     while layers:
         m = min(layers)
-        keys, gens = layers.pop(m)
-        gens = gens[0] if len(gens) == 1 else np.concatenate(gens)
-        col, level = m.bit_length() - 1, []
+        keys, level = layers.pop(m), []
         # the layer's masks in row blocks, and each block's pairs in pair
         # blocks, so neither the masks nor the pair index pass the block size
         rows = max(1, SWEEP_BLOCK_BYTES // (n + 16 * (m + len(zuppos))))
@@ -732,12 +737,11 @@ def enumerate_subgroups(G: FiniteGroup) -> list[Subgroup]:
             masks = np.unpackbits(bits.reshape(-1, nbytes), axis=1, count=n).view(bool)
             members = masks.nonzero()[1].reshape(len(masks), m)
             level += map(tuple, members.tolist())
-            used = gens[top:top + rows, :col]  # the columns of the orders below m
             row, cand = (masks.take(roots, 1) > masks.take(zuppos, 1)).nonzero()
             for lo in range(0, len(cand), step):
                 r, c = row[lo:lo + step], cand[lo:lo + step]
-                # z normalizes H iff it conjugates the generators of H into H
-                conj = G.mul[G.mul[zuppos[c, None], used.take(r, 0)], zinv[c, None]]
+                # z normalizes H iff it conjugates the members of H into H
+                conj = G.mul[G.mul[zuppos[c, None], members.take(r, 0)], zinv[c, None]]
                 nz = masks[r[:, None], conj].all(1)
                 if solvable:
                     r, c, nz = r[nz], c[nz], nz[nz]
@@ -753,20 +757,13 @@ def enumerate_subgroups(G: FiniteGroup) -> list[Subgroup]:
                     _join(G.mul, members[r[i]], zuppos[c[i]], ext[i])
                     size[i] = np.count_nonzero(ext[i])
                 exts = np.packbits(ext, axis=1).view(as_key)[:, 0].tolist()  # one per row
-                fresh = {}
-                for i, (size_i, key) in enumerate(zip(size.tolist(), exts)):
+                for size_i, key in zip(size.tolist(), exts):
                     work += size_i
                     if work > SUBGROUP_WORK_LIMIT:
                         raise over_limit()
                     if key not in found:
                         found.add(key)
-                        fresh.setdefault(size_i, []).append(i)
-                for s, at in fresh.items():
-                    gens_of = gens.take(top + r[at], 0)
-                    gens_of[:, col] = zuppos[c[at]]
-                    later = layers.setdefault(s, ([], []))
-                    later[0].extend(map(exts.__getitem__, at))
-                    later[1].append(gens_of)
+                        layers.setdefault(size_i, []).append(key)
         subs += sorted(level)
     # member tuples only: cached Subgroups would refer back to G, and G in
     # a reference cycle outlives its last use until the cycle collector runs
@@ -803,12 +800,8 @@ def derived_series(G: FiniteGroup):
     while True:
         hit = np.zeros(G.order, dtype=bool)
         hit[G.mul[G.mul[term[:, None], gens], G.mul[G.inv[term][:, None], G.inv[gens]]]] = True
-        gens, reached = [], {0}
-        for c in np.flatnonzero(hit).tolist():
-            if c not in reached:
-                gens.append(c)
-                reached = _right_closure(G.mul, gens, reached)
-        last, term = term, np.array(sorted(reached), dtype=np.int64)
+        gens = list(_greedy_generators(G.mul, np.flatnonzero(hit).tolist()))
+        last, term = term, np.array(sorted(_right_closure(G.mul, gens)), dtype=np.int64)
         yield term
         if len(term) in (1, len(last)):
             return

@@ -365,6 +365,11 @@ MALFORMED = {
     "underscored_tower_index": ["bracoid", "build", D4, PSI, "--via", "tower:1_0"],
     "spaced_tower_index": ["bracoid", "build", D4, PSI, "--via", "tower: 2"],
     "negative_tower_index": ["bracoid", "build", D4, PSI, "--via", "tower:-1"],
+    # str.isdigit() takes these, int() reads the second as 2
+    "superscript_subgroup_index": ["ideals", "classify", '{"kind":"cyclic","n":4}',
+                                   '{"image_array":[0,0,0,0]}', "--subgroup", "0,\u00b2"],
+    "arabic_indic_subgroup_index": ["ideals", "classify", '{"kind":"cyclic","n":4}',
+                                    '{"image_array":[0,0,0,0]}', "--subgroup", "0,\u0662"],
     # a table where a spec holds none: read as an array, refused as its lists
     "table_kind": ["group", "build", '{"kind":[[0,1],[1,0]]}'],
     "table_n": ["group", "build", '{"kind":"cyclic","n":[[0]]}'],

@@ -411,6 +411,18 @@ def test_subgroup_validation():
     assert H.order == 2 and 4 in H.members and 1 not in H.members
 
 
+@pytest.mark.parametrize("value", [2.9, 2.0, np.float64(2.0), True, np.True_])
+def test_non_integer_members_and_generators_are_refused(value):
+    """A float or bool member or generator is refused, not truncated to an
+    index: int(2.9) is 2 and int(True) is 1."""
+    G = groups.cyclic(4)
+    with pytest.raises(PreconditionError, match="subgroup member .* is not an integer"):
+        groups.Subgroup(G, (0, value, 2, 3))
+    with pytest.raises(PreconditionError, match="generator .* is not an integer"):
+        groups.closure(G, [value])
+    assert groups.Subgroup(G, (0, np.int64(2))).members == groups.closure(G, [np.int64(2)])
+
+
 @pytest.mark.parametrize("builder, members, message", [
     (lambda: groups.dihedral(4), (0, 1), "subgroup not closed under inversion"),
     (lambda: groups.dihedral(4), (1, 2), "subgroup must contain the identity"),
@@ -618,13 +630,13 @@ def _extension_oracle(name):
 
 @pytest.mark.parametrize("block_bytes", [64, 4096])
 @pytest.mark.parametrize("name", list(MIXED_LAYERS))
-def test_layers_of_mixed_generator_rows_match_extension_oracle(monkeypatch, name, block_bytes):
-    """A layer's rows of generators hold e in the columns of the orders that
-    its subgroups skipped on the way, which differ from row to row: D10's
-    order-10 layer holds C10, reached from the centre C2, and the two D5,
-    reached from C5, and S3xS3's order-18 layer mixes likewise.  S5 is not
-    solvable, and its joins skip orders (D4 from C2, A5).  64-byte blocks
-    hold one pair each."""
+def test_layers_whose_subgroups_skipped_orders_match_extension_oracle(monkeypatch, name,
+                                                                      block_bytes):
+    """A layer's subgroups may have been reached through different orders
+    on the way: D10's order-10 layer holds C10, reached from the centre C2,
+    and the two D5, reached from C5, and S3xS3's order-18 layer mixes
+    likewise.  S5 is not solvable, and its joins skip orders (D4 from C2,
+    A5).  64-byte blocks hold one pair each."""
     monkeypatch.setattr(groups, "SWEEP_BLOCK_BYTES", block_bytes)
     got = [s.members for s in groups.enumerate_subgroups(MIXED_LAYERS[name]())]
     assert got == _extension_oracle(name)

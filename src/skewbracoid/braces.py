@@ -63,7 +63,7 @@ def _certified(table: np.ndarray, G: FiniteGroup, phi: np.ndarray,
     subgroup, and `table` is a group with identity iota^-1(e, e) = 0.  As
     iota(g o h) = iota(g) iota(h), a cell other than g o h fails."""
     for name, f in (("phi", phi), ("psi", psi)):
-        if not np.array_equal(f[table], G.mul[f[:, None], f]):
+        if not (f[table] == G.mul[f[:, None], f]).all():
             raise InternalConsistencyError(f"{name} is not multiplicative on (G, o)")
     return FiniteGroup(table)
 

@@ -19,6 +19,7 @@ Element ordering is construction-defined and stable:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -127,8 +128,9 @@ def verify_group_table(mul: np.ndarray) -> tuple[int, ...]:
     idx = np.arange(n)
     if not (np.array_equal(mul[0], idx) and np.array_equal(mul[:, 0], idx)):
         raise PreconditionError("index 0 is not a two-sided identity")
-    # every row must contain the identity somewhere (existence of inverses)
-    if not np.all((mul == 0).any(axis=1)):
+    # every row must contain the identity somewhere (existence of inverses);
+    # `inverses` gives column 0 to a row without it, and row x has x there
+    if not (mul[idx, inverses(mul)] == 0).all():
         raise PreconditionError("some element has no right inverse")
     gens = tuple(itertools.islice(_greedy_generators(mul, range(n)), n.bit_length()))
     if len(gens) == n.bit_length():
@@ -184,9 +186,24 @@ def action_failure(act: np.ndarray, group: FiniteGroup) -> tuple | None:
     return sweep(bad, (g_all, g_all, t_all))
 
 
+@functools.lru_cache(maxsize=32)
+def _default_names(n: int) -> tuple[str, ...]:
+    """a0 .. a(n-1), made once per order: every circle table takes them."""
+    return tuple(f"a{i}" for i in range(n))
+
+
 def inverses(mul: np.ndarray) -> np.ndarray:
-    """Right inverse of every element of a table with identity 0."""
-    return np.argmax(mul == 0, axis=1).astype(np.int64)
+    """Right inverse of every element of a table with identity 0 (0 for a
+    row without one), in blocks of rows whose masks take at most
+    SWEEP_BLOCK_BYTES."""
+    n = len(mul)
+    step = max(1, SWEEP_BLOCK_BYTES // max(1, n))
+    if step >= n:  # one block: orders up to 2,048 at the default block size
+        return np.argmax(mul == 0, axis=1).astype(np.int64, copy=False)
+    inv = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, step):
+        inv[lo:lo + step] = np.argmax(mul[lo:lo + step] == 0, axis=1)
+    return inv
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,7 +220,7 @@ class FiniteGroup:
 
     def __post_init__(self):
         if self.names is None:
-            object.__setattr__(self, "names", tuple(f"a{i}" for i in range(len(self.mul))))
+            object.__setattr__(self, "names", _default_names(len(self.mul)))
         elif not (isinstance(self.names, (list, tuple)) and len(self.names) == len(self.mul)
                   and all(isinstance(x, str) for x in self.names)):
             raise PreconditionError("names must be a list of strings, one per element")
@@ -851,7 +868,7 @@ def commutator_condition(G: FiniteGroup, S, H, commutes=None):
     masks = H.member_mask()[None] if isinstance(H, Subgroup) else H
     K = _commutes(G, masks) if commutes is None else commutes
     S = np.asarray(S, dtype=np.int64).reshape(len(masks), -1)
-    ok = np.take_along_axis(K, S, axis=1).all(axis=1)
+    ok = K[np.arange(len(S))[:, None], S].all(axis=1)
     return bool(ok[0]) if isinstance(H, Subgroup) else ok
 
 

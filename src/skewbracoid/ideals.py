@@ -50,8 +50,11 @@ closed under o iff phi(h) normalizes H for every h in H, as it does under
 C2.  A finite subset closed under o is a subgroup of (G, o), and of
 (G, o'), as x o' y = y o x.
 
-A disagreement would contradict the classification theorem and raises
-InternalConsistencyError.
+The routes are compared as one boolean column per psi, true on the rows
+where some label disagrees; the per-label arrays of both routes are built
+only when it has a true row, to name the first disagreeing H and its
+labels.  A disagreement would contradict the classification theorem and
+raises InternalConsistencyError.
 """
 
 from __future__ import annotations
@@ -101,8 +104,9 @@ def _brace_tables(G: FiniteGroup, psi: GroupMap) -> dict:
     for blocks of g whose int64 arrays take at most SWEEP_BLOCK_BYTES."""
     circle, n = braces.circle_table(G, psi).group, G.order
     step = max(1, groups.SWEEP_BLOCK_BYTES // (8 * len(FAMILIES) * n))
-    roots = np.min([_families(G, circle, slice(lo, lo + step)).min(axis=1)
-                    for lo in range(0, n, step)], axis=0)
+    roots = _families(G, circle, slice(0, step)).min(axis=1)
+    for lo in range(step, n, step):
+        np.minimum(roots, _families(G, circle, slice(lo, lo + step)).min(axis=1), out=roots)
     # g o h = phi(g) h psi(g), as certified, at h = psi(g)^-1
     return {"phi": circle.mul[np.arange(n), G.inv[psi.image_of]], "roots": roots}
 
@@ -124,13 +128,16 @@ def _columns(G: FiniteGroup, tables: dict, rows: dict, subgroups) -> list[tuple]
                                      rows["commutes"])
     # rows are subgroups of (G, .) and (G, .'), normal in both iff C2; per
     # FAMILIES, whether each row is a union of orbits of the partition
-    normal_o, gamma, gamma_prime = (M[:, tables["roots"]] == M[:, None]).all(axis=2).T
+    normal_o, gamma, gamma_prime = unions = (M[:, tables["roots"]] == M[:, None]).all(axis=2).T
     # SLI_LABELS then IDEAL_LABELS, but for the strong left ideals of (.,o)
-    # and (.',o): both routes give C2 (see the module docstring)
-    ideal = C2 & normal_o
-    found = np.array([normal_o & gamma, normal_o & gamma_prime, ideal] + [ideal & gamma_prime] * 2)
-    pred = np.array([C1] * 2 + [C1 & C2] * 3)
-    if (bad := (found != pred).any(axis=0)).any():
+    # and (.',o): both routes give C2 (see the module docstring).  The
+    # routes agree iff the first three labels do: the last two read
+    # C2 & normal_o & gamma_prime, which is C1 & C2 once the second agrees
+    bad = ((unions[1:] & normal_o) != C1).any(axis=0) | (C2 & (normal_o != C1))
+    if bad.any():
+        ideal = C2 & normal_o
+        found = np.array([normal_o & gamma, normal_o & gamma_prime, ideal] + [ideal & gamma_prime] * 2)
+        pred = np.array([C1] * 2 + [C1 & C2] * 3)
         i, kinds = int(np.argmax(bad)), ["strong left ideal"] * 2 + ["ideal"] * 3
         raise InternalConsistencyError(
             f"predicate and definition classifications disagree for H={subgroups[i].members}: "

@@ -264,7 +264,7 @@ def phi_of(psi: GroupMap) -> np.ndarray:
     require_abelian_endomorphism(psi)
     G, im = psi.domain, psi.image_of
     phi = G.mul[np.arange(G.order), im[G.inv]]
-    if not np.array_equal(phi == 0, im == np.arange(G.order)):
+    if ((phi == 0) != (im == np.arange(G.order))).any():
         raise InternalConsistencyError("ker phi differs from fix psi")
     phi.setflags(write=False)
     return phi

@@ -91,7 +91,14 @@ def verify_ybe(s: YbeSolution) -> YbeReport:
     valid bracoid and a regular subgroup K whose recipe gives exactly the
     tables of s, the relation holds on every triple, at any order (method
     "bracoid").  Otherwise it is swept over all order^3 triples (method
-    "sweep"), reporting the lexicographically first failing triple."""
+    "sweep"), reporting the lexicographically first failing triple.
+
+    A certified solution is left non-degenerate iff K is the whole acting
+    group G; a disagreement raises InternalConsistencyError.  Proof: each
+    lambda_x(y) = ident(gamma_x(pi(y))) lies in K, so no lambda_x is onto
+    G when K is smaller; for K = G, pi(y) = y+e and ident are bijections,
+    as K acts regularly, and gamma_x an automorphism of the target, so
+    lambda_x = ident o gamma_x o pi is a bijection (see `_certified`)."""
     lam, rho = s.lam, s.rho
     idx = np.arange(s.set_order)
     # the rows that are not permutations, under the name of their witness
@@ -100,6 +107,11 @@ def verify_ybe(s: YbeSolution) -> YbeReport:
     nd = NondegeneracyReport(not bad_rows["left_x"].size, not bad_rows["right_y"].size,
                              {key: int(r[0]) for key, r in bad_rows.items() if r.size})
     if _certified(s):
+        b, K = s.source
+        whole = groups.as_subgroup(b.acting.group, K).order == b.acting_order
+        if nd.left != whole:
+            raise InternalConsistencyError(
+                f"left non-degeneracy is {nd.left} but |K| = |G| is {whole} on {b!r}")
         return YbeReport(True, nd, None, "bracoid")
 
     def bad(x, y, z):

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -332,13 +334,13 @@ def test_opposite_brace_verdicts_survive_relabeling():
     assert verdicts.count(False) == 24 and len(verdicts) == 40
 
 
-def test_every_small_bracoid_is_valid_and_gives_a_solution():
-    """End to end over the catalogue groups of order <= 8 and every abelian
-    map on them: every C1 and C2 bracoid of every subgroup, plain and
-    opposite, and the phi-towers n = 0..2, each also reduced, passes
-    `verify_bracoid`, and where a regular K exists its recipe solution
-    passes the braid relation swept over all triples, with no certificate."""
-    seen = {"bracoids": 0, "solutions": 0}
+@functools.cache
+def small_bracoids() -> tuple:
+    """Over the catalogue groups of order <= 8 and every abelian map on
+    them: every C1 and C2 bracoid of every subgroup, plain and opposite,
+    and the phi-towers n = 0..2, each also reduced, with the K that
+    `find_contained_brace` finds in it (None if there is none)."""
+    out = []
     for _, build in CATALOGUE:
         G = build()
         if G.order > 8:
@@ -352,12 +354,42 @@ def test_every_small_bracoid_is_valid_and_gives_a_solution():
                             bs.append(make(G, psi, H, opposite=opposite))
                         except PreconditionError:
                             continue
-            for b in bs + [bracoids.reduce_bracoid(b) for b in bs]:
-                assert bracoids.verify_bracoid(b).ok
-                seen["bracoids"] += 1
-                K = bracoids.find_contained_brace(b)
-                if K is not None:
-                    rep = ybe.verify_ybe(ybe.build_ybe_from_contained_brace(b, K).with_tables())
-                    assert rep.method == "sweep" and rep.holds
-                    seen["solutions"] += 1
+            out += [(b, bracoids.find_contained_brace(b))
+                    for b in bs + [bracoids.reduce_bracoid(b) for b in bs]]
+    return tuple(out)
+
+
+def test_every_small_bracoid_is_valid_and_gives_a_solution():
+    """End to end over `small_bracoids`: each passes `verify_bracoid`, and
+    where a regular K exists its recipe solution passes the braid relation
+    swept over all triples, with no certificate."""
+    seen = {"bracoids": 0, "solutions": 0}
+    for b, K in small_bracoids():
+        assert bracoids.verify_bracoid(b).ok
+        seen["bracoids"] += 1
+        if K is not None:
+            rep = ybe.verify_ybe(ybe.build_ybe_from_contained_brace(b, K).with_tables())
+            assert rep.method == "sweep" and rep.holds
+            seen["solutions"] += 1
     assert seen == {"bracoids": 3146, "solutions": 2884}
+
+
+def test_certified_solutions_are_left_nondegenerate_iff_k_is_the_acting_group(monkeypatch):
+    """On every solution of `small_bracoids`, the certificate's left
+    prediction holds: left non-degenerate iff |K| = |G|, which `verify_ybe`
+    checks.  Observed, not checked by the library: every one is right
+    non-degenerate.  A report whose left flag is flipped raises."""
+    left = {True: 0, False: 0}
+    for b, K in small_bracoids():
+        if K is not None:
+            rep = ybe.verify_ybe(ybe.build_ybe_from_contained_brace(b, K))
+            assert rep.method == "bracoid" and rep.holds and rep.nondegeneracy.right
+            assert rep.nondegeneracy.left == (K.order == b.acting_order)
+            left[rep.nondegeneracy.left] += 1
+    assert left == {True: 1906, False: 978}
+    report = ybe.NondegeneracyReport
+    monkeypatch.setattr(ybe, "NondegeneracyReport",
+                        lambda left, right, witnesses: report(not left, right, witnesses))
+    b, K = next((b, K) for b, K in small_bracoids() if K is not None)
+    with pytest.raises(InternalConsistencyError, match="left non-degeneracy"):
+        ybe.verify_ybe(ybe.build_ybe_from_contained_brace(b, K))

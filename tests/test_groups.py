@@ -233,6 +233,37 @@ def test_finite_group_takes_no_inverses():
     assert G.names == C4.names and G.inv.tolist() == [0, 3, 2, 1]
 
 
+@pytest.mark.parametrize("block_bytes", [None, 1, 24, 100])
+def test_inverses_in_row_blocks_match_one_block(monkeypatch, block_bytes):
+    """Blocks of 1, 3 (24 bytes over 8 columns) or 12 rows give the inverses
+    of one block, and a row without the identity reads 0 in any of them,
+    so `verify_group_table` refuses it with the same message."""
+    if block_bytes is not None:
+        monkeypatch.setattr(groups, "SWEEP_BLOCK_BYTES", block_bytes)
+    for G in (groups.dihedral(4), groups.symmetric(4), quaternion_group()):
+        assert groups.inverses(G.mul).tolist() == G.inv.tolist()
+    no_inverse = [[0, 1, 2], [1, 2, 1], [2, 1, 0]]  # row 1 has no 0
+    assert groups.inverses(np.array(no_inverse)).tolist() == [0, 0, 2]
+    with pytest.raises(PreconditionError, match="some element has no right inverse"):
+        groups.from_table(no_inverse)
+
+
+def test_inverses_peak_stays_within_two_blocks():
+    """On an order-4,000 table, whose `mul == 0` would take 15.3 MiB at
+    once, the peak is the result and at most two row blocks."""
+    n = 4000
+    a = np.arange(n, dtype=np.int16)
+    mul = (a[:, None] + a) % np.int16(n)  # C_n, built before tracing
+    tracemalloc.start()
+    try:
+        inv = groups.inverses(mul)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inv.tolist() == [(n - x) % n for x in range(n)]
+    assert peak < 8 * n + 2 * groups.SWEEP_BLOCK_BYTES
+
+
 def test_semidirect_rejects_bad_action():
     base = groups.cyclic(4)
     acting = groups.cyclic(2)

@@ -459,6 +459,27 @@ def test_disagreement_names_the_first_subgroup(monkeypatch):
     assert "strong left ideal of (o,.): predicate True, direct False" in str(exc.value)
 
 
+def test_agreement_column_compares_the_ideal_labels_too():
+    """On inputs no psi gives, where both strong-left-ideal labels agree
+    and only "ideal of (.,o)" differs, the one agreement column still
+    flags the row, and the error names it and that label alone.  C4 with
+    rows {e} and H = {0, 2}: K is false off e, so C1 fails on H; H is
+    normal; the "o" partition is singletons, so H is normal in (G, o),
+    and the gamma partitions join 1 and 2, which H splits."""
+    G = groups.cyclic(4)
+    subgroups = [groups.Subgroup(G, (0,)), groups.Subgroup(G, (0, 2))]
+    masks = np.array([[True, False, False, False], [True, False, True, False]])
+    commutes = np.zeros((2, 4), dtype=bool)
+    commutes[:, 0] = True
+    rows = {"masks": masks, "normal": np.array([True, True]), "commutes": commutes}
+    merged = [0, 1, 1, 3]
+    tables = {"phi": np.arange(4), "roots": np.array([[0, 1, 2, 3], merged, merged])}
+    with pytest.raises(InternalConsistencyError) as exc:
+        ideals._columns(G, tables, rows, subgroups)
+    assert str(exc.value).endswith(
+        "H=(0, 2): ideal of (.,o): predicate False, direct True")
+
+
 def test_label_order_is_pinned_for_every_c1_c2():
     """The JSON of a verdict lists its labels in one fixed order for each
     (C1, C2), on the lattice route and the one-row route alike."""

@@ -198,11 +198,9 @@ def inverses(mul: np.ndarray) -> np.ndarray:
     SWEEP_BLOCK_BYTES."""
     n = len(mul)
     step = max(1, SWEEP_BLOCK_BYTES // max(1, n))
-    if step >= n:  # one block: orders up to 2,048 at the default block size
-        return np.argmax(mul == 0, axis=1).astype(np.int64, copy=False)
     inv = np.empty(n, dtype=np.int64)
-    for lo in range(0, n, step):
-        inv[lo:lo + step] = np.argmax(mul[lo:lo + step] == 0, axis=1)
+    for lo in range(0, n, step):  # the method: np.argmax's dispatch costs more
+        (mul[lo:lo + step] == 0).argmax(axis=1, out=inv[lo:lo + step])
     return inv
 
 

@@ -2,6 +2,15 @@
 
 Exports are canonical (sorted keys, no insignificant whitespace) so golden
 files diff stably; exporting the same value twice is byte-identical.
+
+`export_json` writes tables and maps in bulk.  Each table goes through one
+byte lookup of entry texts; the image arrays of the maps are stacked per
+length and written by the same lookup; and the text around a map's image
+(its flags and provenance) is written by json.dumps once per distinct set
+of them.  The bytes are those of json.dumps on the nested lists: the lookup
+holds json.dumps's own text of each integer, and a map's text is its
+sorted-key dict, whose only entry that differs between two maps with the
+same flags and provenance is the image array.
 """
 
 from __future__ import annotations
@@ -22,9 +31,31 @@ from .maps import GroupMap
 from .ybe import NondegeneracyReport, YbeReport, YbeSolution
 
 
-def _tree(value, table):
+# Most nodes of a tree are these, so _tree tests their exact type first; its
+# isinstance chain still takes their subclasses.
+_SCALARS = frozenset({bool, int, float, str, type(None)})
+
+
+def _tree(value, table, write_map=None):
     """`value` as JSON data, with `table` applied to each 2-D integer table
-    (a Cayley table, an operation table, an action, lambda and rho)."""
+    (a Cayley table, an operation table, an action, lambda and rho) and to
+    each map's image array; `write_map`, if given, writes each GroupMap in
+    place of its dict."""
+    if type(value) in _SCALARS:
+        return value
+    if isinstance(value, GroupMap):
+        if write_map is not None:
+            return write_map(value)
+        return {
+            "image_array": table(value.image_of),
+            "flags": {
+                "is_hom": True,
+                "abelian_image": value.abelian_image,
+                "idempotent": value.idempotent,
+                "fixed_point_free": value.fixed_point_free,
+            },
+            "provenance": value.provenance,
+        }
     if isinstance(value, (bool, int, float, str)) or value is None:
         return value
     if isinstance(value, (np.integer,)):
@@ -32,9 +63,9 @@ def _tree(value, table):
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, (list, tuple)):
-        return [_tree(v, table) for v in value]
+        return [_tree(v, table, write_map) for v in value]
     if isinstance(value, dict):
-        return {str(k): _tree(v, table) for k, v in value.items()}
+        return {str(k): _tree(v, table, write_map) for k, v in value.items()}
     if isinstance(value, FiniteGroup):
         return {
             "order": value.order,
@@ -48,32 +79,21 @@ def _tree(value, table):
     if isinstance(value, CosetSpace):
         return {"coset_of": value.coset_of.tolist(),
                 "representatives": value.representatives.tolist()}
-    if isinstance(value, GroupMap):
-        return {
-            "image_array": value.image_of.tolist(),
-            "flags": {
-                "is_hom": True,
-                "abelian_image": value.abelian_image,
-                "idempotent": value.idempotent,
-                "fixed_point_free": value.fixed_point_free,
-            },
-            "provenance": value.provenance,
-        }
     if isinstance(value, OpTable):
         return {"label": value.label, "order": value.order,
                 "table": table(value.op)}
     if isinstance(value, SkewBrace):
-        return {"additive": _tree(value.additive, table),
-                "multiplicative": _tree(value.multiplicative, table)}
+        return {"additive": _tree(value.additive, table, write_map),
+                "multiplicative": _tree(value.multiplicative, table, write_map)}
     if isinstance(value, Bracoid):
-        return {"acting": _tree(value.acting, table),
-                "target": _tree(value.target, table),
+        return {"acting": _tree(value.acting, table, write_map),
+                "target": _tree(value.target, table, write_map),
                 "action": table(value.action),
-                "provenance": _tree(value.provenance, table)}
+                "provenance": _tree(value.provenance, table, write_map)}
     if isinstance(value, YbeSolution):
         return {"order": value.set_order, "lambda": table(value.lam),
                 "rho": table(value.rho),
-                "provenance": _tree(value.provenance, table)}
+                "provenance": _tree(value.provenance, table, write_map)}
     if isinstance(value, (BraceReport, BracoidReport, IdealVerdict,
                           YbeReport, NondegeneracyReport)):
         return value.to_jsonable()
@@ -84,8 +104,8 @@ def to_jsonable(value):
     return _tree(value, np.ndarray.tolist)
 
 
-# Tables stand in the tree as "<token><index>" and their text is spliced in
-# after json.dumps; load_json stands their text in as "0.<token><index>".  The
+# Tables and maps stand in the tree as "<token><index>", their text spliced in
+# after json.dumps; load_json stands a table's text in as "0.<token><index>".  The
 # token is random and decimal; export_json refuses an export in which a user
 # string matches a placeholder, and load_json does not splice a text with it.
 _TOKEN = f"{secrets.randbelow(10 ** 32):032d}"
@@ -99,58 +119,121 @@ def _is_table(t: np.ndarray) -> bool:
                 and t.min() >= 0 and t.max() < max(t.shape))
 
 
-def _table_texts(tables: list) -> list[str]:
-    """The canonical JSON text of each table, written by one byte lookup per
-    block of rows instead of a Python int or string per cell.
+def _cells(n: int) -> np.ndarray:
+    """The byte lookup for entries below n: the text of each entry i followed
+    by "," (i) or by "]" (n + i, for the last column), and ",[" (2n),
+    NUL-padded to one width."""
+    return np.array([f"{i}," for i in range(n)] + [f"{i}]" for i in range(n)] + [",["],
+                    dtype=f"S{len(str(n - 1)) + 1}")
 
-    The lookup holds the text of each entry i below n, the largest table
-    side, followed by "," (i) or by "]" (n + i, for the last column), and
-    ",[" (2n), NUL-padded to one width.  A block of rows is gathered from it
-    with ",[" after each row, its padding deleted and its bytes decoded;
-    joined, the blocks end in ",[", which is cut.  The block arrays take at
-    most SWEEP_BLOCK_BYTES / 16, so the writer's peak is the text twice (its
-    blocks and their join), not the whole table's index and byte arrays."""
-    n = max(max(t.shape) for t in tables)
-    cells = np.array([f"{i}," for i in range(n)] + [f"{i}]" for i in range(n)] + [",["],
-                     dtype=f"S{len(str(n - 1)) + 1}")
-    texts = []
-    for t in tables:
-        cols = t.shape[1]
-        step = max(1, groups.SWEEP_BLOCK_BYTES // 16 // ((cols + 1) * (8 + cells.itemsize)))
-        index = np.empty((min(step, len(t)), cols + 1), dtype=np.intp)
-        index[:, cols] = 2 * n
-        parts = ["[["]
-        for lo in range(0, len(t), step):
-            rows = t[lo:lo + step]
-            block = index[:len(rows)]
-            block[:, :cols] = rows  # in intp, where n + i cannot wrap
-            block[:, cols - 1] += n
-            parts.append(cells[block].tobytes().translate(None, b"\0").decode())
-        parts[-1] = parts[-1][:-2] + "]"
-        texts.append("".join(parts))
+
+def _rows_per_block(cols: int, cells: np.ndarray) -> int:
+    """The rows of a block of `cols` columns whose index and byte arrays take
+    at most SWEEP_BLOCK_BYTES / 16."""
+    return max(1, groups.SWEEP_BLOCK_BYTES // 16 // ((cols + 1) * (8 + cells.itemsize)))
+
+
+def _table_text(t: np.ndarray, cells: np.ndarray) -> str:
+    """The canonical JSON text of table `t`, whose entries lie below the n of
+    `cells`, written by one byte lookup per block of rows instead of a
+    Python int or string per cell.
+
+    A block of rows is gathered from the lookup with ",[" after each row,
+    its padding deleted and its bytes decoded; joined, the blocks end in
+    ",[", which is cut.  The blocks take `_rows_per_block` rows, so the
+    writer's peak is the text twice (its blocks and their join), not the
+    whole table's index and byte arrays."""
+    n, cols = len(cells) // 2, t.shape[1]
+    step = _rows_per_block(cols, cells)
+    index = np.empty((min(step, len(t)), cols + 1), dtype=np.intp)
+    index[:, cols] = 2 * n
+    parts = ["[["]
+    for lo in range(0, len(t), step):
+        rows = t[lo:lo + step]
+        block = index[:len(rows)]
+        block[:, :cols] = rows  # in intp, where n + i cannot wrap
+        block[:, cols - 1] += n
+        parts.append(cells[block].tobytes().translate(None, b"\0").decode())
+    parts[-1] = parts[-1][:-2] + "]"
+    return "".join(parts)
+
+
+def _table_texts(tables: list) -> list[str]:
+    """The canonical JSON text of each table, through one lookup made for
+    the largest table side."""
+    cells = _cells(max(max(t.shape) for t in tables))
+    return [_table_text(t, cells) for t in tables]
+
+
+def _map_ends(m: GroupMap) -> tuple[str, str]:
+    """The canonical JSON text of map `m` before and after the entries of its
+    image array: its `_tree` dict, written with a placeholder for the image."""
+    parts = _PLACEHOLDER.split(json.dumps(_tree(m, lambda t: f"{_TOKEN}0"),
+                                          sort_keys=True, separators=(",", ":")))
+    if len(parts) != 3:
+        raise InternalConsistencyError(
+            f"{len(parts) // 2} image placeholders in the export of one map")
+    return parts[0] + "[", "]" + parts[2]
+
+
+def _spliced_texts(spliced: list) -> list[str]:
+    """The text of each table, and of each map given as (head, tail, image
+    array), in `spliced`, all through one lookup.
+
+    The image arrays of one length are stacked in blocks of
+    `_rows_per_block` rows.  A block whose entries fit the lookup is written
+    as one table and its text split back into rows; another (of maps into a
+    larger codomain) is written by json.dumps a row at a time."""
+    cells = _cells(max(max(s.shape) if isinstance(s, np.ndarray) else len(s[2])
+                       for s in spliced))
+    texts = [_table_text(s, cells) if isinstance(s, np.ndarray) else None for s in spliced]
+    by_length = {}
+    for i, s in enumerate(spliced):
+        if texts[i] is None:
+            by_length.setdefault(len(s[2]), []).append(i)
+    for length, at in by_length.items():
+        step = _rows_per_block(length, cells)
+        for lo in range(0, len(at), step):
+            block = np.concatenate([spliced[i][2] for i in at[lo:lo + step]]).reshape(-1, length)
+            if block.dtype.kind in "iu" and block.min() >= 0 and block.max() < len(cells) // 2:
+                rows = _table_text(block, cells)[2:-2].split("],[")
+            else:
+                rows = [json.dumps(row, separators=(",", ":"))[1:-1] for row in block.tolist()]
+            for i, row in zip(at[lo:lo + step], rows):
+                texts[i] = f"{spliced[i][0]}{row}{spliced[i][1]}"
     return texts
 
 
 def export_json(value) -> str:
     """Canonical JSON of `value`: the bytes of json.dumps(to_jsonable(value),
-    sort_keys=True, separators=(",", ":")), with each table written by
-    `_table_texts`."""
-    tables = []
+    sort_keys=True, separators=(",", ":")), with each table and each map
+    spliced in by `_spliced_texts`.  A map's text around its image array
+    is that of its flags and provenance alone, written once per distinct
+    set of them."""
+    spliced, ends = [], {}
 
     def record(t: np.ndarray):
         if _is_table(t):
-            tables.append(t)
-            return f"{_TOKEN}{len(tables) - 1}"
+            spliced.append(t)
+            return f"{_TOKEN}{len(spliced) - 1}"
         return t.tolist()
 
-    text = json.dumps(_tree(value, record), sort_keys=True, separators=(",", ":"))
-    if not tables:
+    def write_map(m: GroupMap) -> str:
+        key = (m.abelian_image, m.idempotent, m.fixed_point_free, m.provenance)
+        if key not in ends:
+            ends[key] = _map_ends(m)
+        spliced.append((*ends[key], m.image_of))
+        return f"{_TOKEN}{len(spliced) - 1}"
+
+    text = json.dumps(_tree(value, record, write_map), sort_keys=True, separators=(",", ":"))
+    if not spliced:
         return text
     parts = _PLACEHOLDER.split(text)  # text, index, text, ..., index, text
-    if len(parts) != 2 * len(tables) + 1:
+    if len(parts) != 2 * len(spliced) + 1:
         raise InternalConsistencyError(
-            f"{len(parts) // 2} table placeholders in the export for {len(tables)} tables")
-    parts[1::2] = _table_texts([tables[int(i)] for i in parts[1::2]])
+            f"{len(parts) // 2} placeholders in the export for {len(spliced)} tables and maps")
+    texts = _spliced_texts(spliced)
+    parts[1::2] = [texts[int(i)] for i in parts[1::2]]
     return "".join(parts)
 
 

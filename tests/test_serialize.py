@@ -1,6 +1,7 @@
 import json
 import secrets
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -187,6 +188,60 @@ def test_a_string_equal_to_a_live_placeholder_is_refused():
         serialize.export_json(G)
     with pytest.raises(InternalConsistencyError):
         serialize.export_json({f"{serialize._TOKEN}1": groups.cyclic(2), "x": 0})
+    psi = replace(maps.identity_map(groups.cyclic(2)), provenance=f"{serialize._TOKEN}0")
+    with pytest.raises(InternalConsistencyError):
+        serialize.export_json({"maps": [psi]})
+
+
+def _maps_of_two_orders():
+    return {"maps": [*maps.enumerate_abelian_maps(groups.dihedral(4)),
+                     *maps.enumerate_abelian_maps(groups.cyclic(6))]}
+
+
+def _maps_into_a_larger_codomain():
+    """Images of C2 and C3 in C6 and S3: entries at or above the row length,
+    with no table in the export to widen the lookup."""
+    C2, C3, C6, S3 = groups.cyclic(2), groups.cyclic(3), groups.cyclic(6), groups.symmetric(3)
+    return [maps.make_map(C2, C6, [0, 3]), maps.make_map(C3, C6, [0, 2, 4]),
+            maps.make_map(C2, S3, [0, 2]), maps.make_map(C2, C6, [0, 0])]
+
+
+def _maps_with_escaped_provenances():
+    psi = maps.identity_map(groups.cyclic(3))
+    return [replace(psi, provenance=p) for p in ('say "hi"', "back\\slash", "ψ ∘ φ", "é\n\t", "")]
+
+
+# exports of maps: each image array is written by the stacked lookup, or by
+# json.dumps where it does not fit, between its flags and provenance
+MAP_EXPORTS = {
+    "two_domain_orders": _maps_of_two_orders,
+    "larger_codomain": lambda: {"maps": _maps_into_a_larger_codomain()},
+    "larger_codomain_beside_a_table": lambda: {
+        "maps": _maps_into_a_larger_codomain(), "group": groups.cyclic(6)},
+    "non_endomorphisms": lambda: [psi for psi in _maps_into_a_larger_codomain()
+                                  if psi.idempotent is None],
+    "escaped_provenances": _maps_with_escaped_provenances,
+    "empty": lambda: {"count": 0, "maps": []},
+    "mixed": lambda: {"group": groups.dihedral(4), "psi": _d4()[1],
+                      "tables": braces.brace_block(_d4()[1], 2),
+                      "maps": maps.enumerate_abelian_maps(groups.dihedral(4)),
+                      "raw": np.arange(8), "bracoid": _d4_bracoid(),
+                      "nested": [[_d4()[1], groups.cyclic(2)], {"x": _d4()[1]}]},
+}
+
+
+@pytest.mark.parametrize("name", MAP_EXPORTS)
+def test_map_exports_match_the_oracle(name):
+    value = MAP_EXPORTS[name]()
+    assert serialize.export_json(value) == oracle_json(value)
+
+
+def test_map_exports_in_small_blocks(monkeypatch):
+    """One image per block, so blocks that fit the lookup and blocks that
+    do not alternate within one length."""
+    monkeypatch.setattr(groups, "SWEEP_BLOCK_BYTES", 1)
+    for value in (_maps_of_two_orders(), _maps_into_a_larger_codomain()):
+        assert serialize.export_json(value) == oracle_json(value)
 
 
 @pytest.mark.parametrize("lam", [
@@ -372,10 +427,11 @@ def test_table_texts_in_small_blocks(monkeypatch, block_bytes):
     assert serialize._table_texts(tables) == [_dumps(t) for t in tables]
 
 
-def _writer_peak(t: np.ndarray) -> int:
+def _peak(call) -> int:
+    """The tracemalloc peak of call()."""
     tracemalloc.start()
     try:
-        serialize._table_texts([t])
+        call()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -387,6 +443,21 @@ def test_table_writer_peak_stays_near_twice_its_text(monkeypatch):
     take four times the text."""
     t = groups.cyclic(1000).mul
     limit = 2.5 * len(_dumps(t))
-    assert _writer_peak(t) < limit
+    assert _peak(lambda: serialize._table_texts([t])) < limit
     monkeypatch.setattr(groups, "SWEEP_BLOCK_BYTES", 2**40)
-    assert _writer_peak(t) > limit
+    assert _peak(lambda: serialize._table_texts([t])) > limit
+
+
+def test_map_export_peak_stays_near_twice_its_text(monkeypatch):
+    """20,032 maps of C64: the images are stacked in blocks, so the export
+    holds its text twice and little more; stacked whole, they alone take
+    more than the text."""
+    G = groups.cyclic(64)
+    value = {"maps": [maps.make_map(G, G, k * np.arange(64) % 64) for k in range(64)] * 313}
+    text = serialize.export_json(value)
+    if text != oracle_json(value):  # pytest's diff of two 6 MB lines would take minutes
+        pytest.fail("the export differs from the oracle")
+    limit = 2 * len(text) + 2 * groups.SWEEP_BLOCK_BYTES
+    assert _peak(lambda: serialize.export_json(value)) < limit
+    monkeypatch.setattr(groups, "SWEEP_BLOCK_BYTES", 2**40)
+    assert _peak(lambda: serialize.export_json(value)) > limit

@@ -31,18 +31,11 @@ from .maps import GroupMap
 from .ybe import NondegeneracyReport, YbeReport, YbeSolution
 
 
-# Most nodes of a tree are these, so _tree tests their exact type first; its
-# isinstance chain still takes their subclasses.
-_SCALARS = frozenset({bool, int, float, str, type(None)})
-
-
 def _tree(value, table, write_map=None):
     """`value` as JSON data, with `table` applied to each 2-D integer table
     (a Cayley table, an operation table, an action, lambda and rho) and to
     each map's image array; `write_map`, if given, writes each GroupMap in
     place of its dict."""
-    if type(value) in _SCALARS:
-        return value
     if isinstance(value, GroupMap):
         if write_map is not None:
             return write_map(value)
@@ -178,14 +171,13 @@ def _map_ends(m: GroupMap) -> tuple[str, str]:
 
 def _spliced_texts(spliced: list) -> list[str]:
     """The text of each table, and of each map given as (head, tail, image
-    array), in `spliced`, all through one lookup.
+    array, codomain order), in `spliced`, all through one lookup made for
+    the largest table side or codomain order.
 
     The image arrays of one length are stacked in blocks of
-    `_rows_per_block` rows.  A block whose entries fit the lookup is written
-    as one table and its text split back into rows; another (of maps into a
-    larger codomain) is written by json.dumps a row at a time."""
-    cells = _cells(max(max(s.shape) if isinstance(s, np.ndarray) else len(s[2])
-                       for s in spliced))
+    `_rows_per_block` rows; each block is range-checked, written as one
+    table and its text split back into rows."""
+    cells = _cells(max(max(s.shape) if isinstance(s, np.ndarray) else s[3] for s in spliced))
     texts = [_table_text(s, cells) if isinstance(s, np.ndarray) else None for s in spliced]
     by_length = {}
     for i, s in enumerate(spliced):
@@ -195,10 +187,10 @@ def _spliced_texts(spliced: list) -> list[str]:
         step = _rows_per_block(length, cells)
         for lo in range(0, len(at), step):
             block = np.concatenate([spliced[i][2] for i in at[lo:lo + step]]).reshape(-1, length)
-            if block.dtype.kind in "iu" and block.min() >= 0 and block.max() < len(cells) // 2:
-                rows = _table_text(block, cells)[2:-2].split("],[")
-            else:
-                rows = [json.dumps(row, separators=(",", ":"))[1:-1] for row in block.tolist()]
+            if not (block.dtype.kind in "iu" and block.min() >= 0
+                    and block.max() < len(cells) // 2):
+                raise InternalConsistencyError("a map's image lies outside its codomain")
+            rows = _table_text(block, cells)[2:-2].split("],[")
             for i, row in zip(at[lo:lo + step], rows):
                 texts[i] = f"{spliced[i][0]}{row}{spliced[i][1]}"
     return texts
@@ -222,7 +214,7 @@ def export_json(value) -> str:
         key = (m.abelian_image, m.idempotent, m.fixed_point_free, m.provenance)
         if key not in ends:
             ends[key] = _map_ends(m)
-        spliced.append((*ends[key], m.image_of))
+        spliced.append((*ends[key], m.image_of, m.codomain.order))
         return f"{_TOKEN}{len(spliced) - 1}"
 
     text = json.dumps(_tree(value, record, write_map), sort_keys=True, separators=(",", ":"))

@@ -200,7 +200,7 @@ def _maps_of_two_orders():
 
 def _maps_into_a_larger_codomain():
     """Images of C2 and C3 in C6 and S3: entries at or above the row length,
-    with no table in the export to widen the lookup."""
+    which a lookup made for the image length would not hold."""
     C2, C3, C6, S3 = groups.cyclic(2), groups.cyclic(3), groups.cyclic(6), groups.symmetric(3)
     return [maps.make_map(C2, C6, [0, 3]), maps.make_map(C3, C6, [0, 2, 4]),
             maps.make_map(C2, S3, [0, 2]), maps.make_map(C2, C6, [0, 0])]
@@ -211,8 +211,8 @@ def _maps_with_escaped_provenances():
     return [replace(psi, provenance=p) for p in ('say "hi"', "back\\slash", "ψ ∘ φ", "é\n\t", "")]
 
 
-# exports of maps: each image array is written by the stacked lookup, or by
-# json.dumps where it does not fit, between its flags and provenance
+# exports of maps: each image array is written by the stacked lookup, made
+# for the largest codomain, between its flags and provenance
 MAP_EXPORTS = {
     "two_domain_orders": _maps_of_two_orders,
     "larger_codomain": lambda: {"maps": _maps_into_a_larger_codomain()},
@@ -236,12 +236,11 @@ def test_map_exports_match_the_oracle(name):
     assert serialize.export_json(value) == oracle_json(value)
 
 
-def test_map_exports_in_small_blocks(monkeypatch):
-    """One image per block, so blocks that fit the lookup and blocks that
-    do not alternate within one length."""
-    monkeypatch.setattr(groups, "SWEEP_BLOCK_BYTES", 1)
-    for value in (_maps_of_two_orders(), _maps_into_a_larger_codomain()):
-        assert serialize.export_json(value) == oracle_json(value)
+def test_a_map_image_outside_its_codomain_is_refused():
+    psi = maps.make_map(groups.cyclic(2), groups.cyclic(6), [0, 3])
+    psi.image_of = np.array([0, 6])
+    with pytest.raises(InternalConsistencyError):
+        serialize.export_json([psi])
 
 
 @pytest.mark.parametrize("lam", [

@@ -139,7 +139,7 @@ def brace_block(psi: GroupMap, N: int) -> list[OpTable]:
 
     Every ordered pair (o_m, o_n) is verified to satisfy the brace relation.
     """
-    if N < 0 or N > BRACE_BLOCK_BOUND:
+    if not 0 <= groups._index(N, "block depth") <= BRACE_BLOCK_BOUND:
         raise PreconditionError(f"block depth must lie in 0..{BRACE_BLOCK_BOUND}")
     G = psi.domain
     psis = [maps.psi_iterate(psi, k) for k in range(N + 1)]  # psi_0 is trivial: o_0 = .

@@ -65,8 +65,8 @@ def verify_bracoid(b: Bracoid) -> BracoidReport:
     on group tables; reports the lexicographically first failing witness."""
     act = b.action
     n, m = b.acting_order, b.target_order
-    if act.shape != (n, m):
-        raise PreconditionError("action table has the wrong shape")
+    if act.shape != (n, m) or act.dtype.kind not in "iu" or not 0 <= act.min() <= act.max() < m:
+        raise PreconditionError(f"action table must be {n} x {m}, of integers in 0..{m - 1}")
     # e acts as the identity and the action respects the acting product
     if not np.array_equal(act[0], np.arange(m)):
         return BracoidReport(False, False, False, (0,))
@@ -87,25 +87,31 @@ def _require_valid(b: Bracoid) -> Bracoid:
     return b
 
 
+def _coset_bracoid(acting: OpTable, target: OpTable, H: Subgroup, opposite: bool,
+                   provenance: dict) -> Bracoid:
+    """(G, *, G/H, o, (+)) with g (+) xH = (g * x)H, for the acting table * and
+    the target table o (transposed when `opposite`) on H's parent G: o is pushed
+    down to the left cosets of H, and * acts on them."""
+    cs = groups.coset_space(H.parent, H)
+    quotient = cs.quotient(target.op.T if opposite else target.op)
+    action = cs.action(acting.op)
+    if quotient is None or action is None:
+        raise InternalConsistencyError("operation or action ill-defined on cosets")
+    label = target.label + "'" if opposite else target.label
+    return _require_valid(Bracoid(acting, OpTable(quotient, label), action, {
+        **provenance, "subgroup": list(H.members), "opposite": opposite}))
+
+
 def bracoid_from_C1(G: FiniteGroup, psi: GroupMap, H: Subgroup,
                     opposite: bool = False) -> Bracoid:
     """(G, ., G/H, o, (+)) with g (+) xH = (gx)H, for H satisfying C1."""
     if H.parent is not G:
         raise PreconditionError("subgroup does not belong to the given group")
-    phi = maps.phi_of(psi)
-    if not groups.commutator_condition(G, phi[list(H.members)], H):
+    if not groups.commutator_condition(G, maps.phi_of(psi)[list(H.members)], H):
         raise PreconditionError("C1 fails: [G, phi(H)] is not contained in H")
-    circ = braces.circle_table(G, psi)
-    cs = groups.coset_space(G, H)
     # o well-defined on the cosets gives y o H = (y o e)H = yH
-    target = cs.quotient(circ.op.T if opposite else circ.op)
-    action = cs.action(G.mul)
-    if target is None or action is None:
-        raise InternalConsistencyError("circle operation or action ill-defined on cosets")
-    b = Bracoid(braces.table_of(G), OpTable(target, "o'" if opposite else "o"), action,
-                {"construction": "from_C1", "subgroup": list(H.members),
-                 "opposite": opposite, "C2": groups.is_normal(G, H)})
-    return _require_valid(b)
+    return _coset_bracoid(braces.table_of(G), braces.circle_table(G, psi), H, opposite,
+                          {"construction": "from_C1", "C2": groups.is_normal(G, H)})
 
 
 def bracoid_from_C2(G: FiniteGroup, psi: GroupMap, H: Subgroup,
@@ -115,23 +121,14 @@ def bracoid_from_C2(G: FiniteGroup, psi: GroupMap, H: Subgroup,
         raise PreconditionError("subgroup does not belong to the given group")
     if not groups.is_normal(G, H):
         raise PreconditionError("C2 fails: H is not normal in (G, .)")
-    phi = maps.phi_of(psi)
-    circ = braces.circle_table(G, psi)
-    cs = groups.coset_space(G, H)
-    target = cs.quotient(G.mul.T if opposite else G.mul)
-    action = cs.action(circ.op)
-    if target is None or action is None:
-        raise InternalConsistencyError("dot operation or action ill-defined on cosets")
-    provenance = {"construction": "from_C2", "subgroup": list(H.members),
-                  "opposite": opposite,
-                  "C1": groups.commutator_condition(G, phi[list(H.members)], H)}
+    provenance = {"construction": "from_C2",
+                  "C1": groups.commutator_condition(G, maps.phi_of(psi)[list(H.members)], H)}
     if G.factors is not None and len(G.factors) == 2:
         for k in (0, 1):
-            if set(H.members) == set(groups.factor_embedding(G, k)):
-                provenance["contained_candidates"] = [
-                    groups.factor_embedding(G, 1 - k)]
-    b = Bracoid(circ, OpTable(target, ".'" if opposite else "."), action, provenance)
-    return _require_valid(b)
+            if list(H.members) == groups.factor_embedding(G, k):
+                provenance["contained_candidates"] = [groups.factor_embedding(G, 1 - k)]
+    return _coset_bracoid(braces.circle_table(G, psi), braces.table_of(G), H, opposite,
+                          provenance)
 
 
 def reduce_bracoid(b: Bracoid) -> Bracoid:
@@ -145,10 +142,8 @@ def reduce_bracoid(b: Bracoid) -> Bracoid:
     quotient, action = cs.quotient(Gact.mul), cs.rows(b.action)
     if quotient is None or action is None:
         raise InternalConsistencyError("action kernel not normal or its cosets act differently")
-    reduced = Bracoid(OpTable(quotient, b.acting.label), b.target, action,
-                      {"construction": "reduced", "kernel": kernel.tolist(),
-                       "inner": b.provenance})
-    return _require_valid(reduced)
+    return _require_valid(Bracoid(OpTable(quotient, b.acting.label), b.target, action, {
+        "construction": "reduced", "kernel": kernel.tolist(), "inner": b.provenance}))
 
 
 def find_contained_brace(b: Bracoid) -> Subgroup | None:
@@ -164,8 +159,7 @@ def find_contained_brace(b: Bracoid) -> Subgroup | None:
     Gact = b.acting.group
 
     def regular(members) -> bool:
-        vals = [int(b.action[g, 0]) for g in members]
-        return len(set(vals)) == m
+        return len(set(b.action[list(members), 0].tolist())) == m
 
     for cand in b.provenance.get("contained_candidates", []):
         try:
@@ -182,8 +176,6 @@ def find_contained_brace(b: Bracoid) -> Subgroup | None:
 
 def phi_tower_bracoid(G: FiniteGroup, psi: GroupMap, n: int) -> Bracoid:
     """(G, ., phi^n(G), ., (+)_n) with g (+)_n phi^n(x) = phi^n(gx)."""
-    if n < 0:
-        raise PreconditionError("tower index must be non-negative")
     phin = maps.phi_power(psi, n)
     fs = groups.fibres(phin)
     members = phin[fs.representatives]  # target element i: the image of fibre i
@@ -193,8 +185,6 @@ def phi_tower_bracoid(G: FiniteGroup, psi: GroupMap, n: int) -> Bracoid:
     action = fs.action(G.mul)  # None unless phi^n(gx) depends on x only via phi^n(x)
     if action is None:
         raise InternalConsistencyError("phi-tower action ill-defined")
-    b = Bracoid(braces.table_of(G), target, action,
-                {"construction": "phi_tower", "n": n,
-                 "contained_candidates": [members.tolist()] if psi.idempotent else [],
-                 "target_members": members.tolist()})
-    return _require_valid(b)
+    return _require_valid(Bracoid(braces.table_of(G), target, action, {
+        "construction": "phi_tower", "n": n, "target_members": members.tolist(),
+        "contained_candidates": [members.tolist()] if psi.idempotent else []}))

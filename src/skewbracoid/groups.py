@@ -322,7 +322,7 @@ def _check_order(order: int, order_cap: int) -> None:
 
 
 def cyclic(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    if n < 1:
+    if _index(n, "cyclic order") < 1:
         raise PreconditionError("cyclic order must be positive")
     _check_order(n, order_cap)
     idx = np.arange(n)
@@ -340,7 +340,7 @@ def _dihedral_name(i: int, refl: bool, n: int) -> str:
 def dihedral(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Dihedral group of order 2n with presentation r^n = s^2 = (rs)^2 = e.
     All cells at once: r^i s^p * r^j s^q = r^(i + (-1)^p j) s^(p+q)."""
-    if n < 1:
+    if _index(n, "dihedral parameter") < 1:
         raise PreconditionError("dihedral parameter must be positive")
     _check_order(2 * n, order_cap)
     a = np.arange(2 * n)
@@ -365,7 +365,7 @@ def symmetric(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     s(t(k)) n^(n-2-k): one gather of the scaled rows of s per k.  Rows are
     composed in blocks of SWEEP_BLOCK_BYTES / (8 x order x n) rows, whose
     int64 key arrays take less than SWEEP_BLOCK_BYTES."""
-    if n < 1 or n > 8:
+    if not 1 <= _index(n, "symmetric degree") <= 8:
         raise PreconditionError("symmetric group builder supports 1 <= n <= 8")
     order = math.factorial(n)
     _check_order(order, order_cap)
@@ -422,8 +422,8 @@ def direct_product(*groups: FiniteGroup,
 
 def factor_embedding(G: FiniteGroup, k: int) -> list[int]:
     """Indices of the embedded k-th factor of a direct product."""
-    if G.factors is None:
-        raise PreconditionError("group is not a direct product")
+    if G.factors is None or not 0 <= _index(k, "factor position") < len(G.factors):
+        raise PreconditionError(f"group has no direct-product factor at position {k}")
     weight = math.prod(f.order for f in G.factors[:k])
     return [weight * i for i in range(G.factors[k].order)]
 

@@ -273,6 +273,8 @@ def phi_of(psi: GroupMap) -> np.ndarray:
 def phi_power(psi: GroupMap, n: int) -> np.ndarray:
     """Image array of phi composed with itself n times (n = 0 is identity),
     by repeated squaring: about 2 log2(n) compositions."""
+    if groups._index(n, "tower index") < 0:
+        raise PreconditionError("tower index must be non-negative")
     power = phi_of(psi)  # phi^(2^k) at bit k of n
     out = np.arange(psi.domain.order)
     while n > 0:
@@ -285,7 +287,7 @@ def phi_power(psi: GroupMap, n: int) -> np.ndarray:
 def psi_iterate(psi: GroupMap, n: int) -> GroupMap:
     """The n-th iterated map: psi_0 trivial, psi_n(g) = psi(g) psi_{n-1}(phi(g))."""
     require_abelian_endomorphism(psi)
-    if n < 0 or n > PSI_ITERATE_BOUND:
+    if not 0 <= groups._index(n, "iteration index") <= PSI_ITERATE_BOUND:
         raise PreconditionError(f"iteration index must lie in 0..{PSI_ITERATE_BOUND}")
     G = psi.domain
     phi = phi_of(psi)

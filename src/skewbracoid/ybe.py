@@ -19,7 +19,7 @@ order^3 triples, at every order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,9 +40,12 @@ class YbeSolution:
     source: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        n = self.lam.shape[0]
-        if self.lam.shape != (n, n) or self.rho.shape != (n, n):
-            raise PreconditionError("lambda/rho tables must be square and equal-sized")
+        self.lam = groups.int_array(self.lam, "lambda table")
+        self.rho = groups.int_array(self.rho, "rho table")
+        n = len(self.lam) if self.lam.ndim else -1
+        if any(t.shape != (n, n) or n and not 0 <= t.min() <= t.max() < n
+               for t in (self.lam, self.rho)):
+            raise PreconditionError("lambda/rho tables must be n x n, of integers in 0..n-1")
         self.lam.setflags(write=False)
         self.rho.setflags(write=False)
 
@@ -167,7 +170,9 @@ def _from_bracoid(b: Bracoid, provenance: dict) -> YbeSolution:
     if K is None:
         raise InternalConsistencyError(
             f"no subgroup of the acting group acts regularly on the target of {b!r}")
-    return replace(build_ybe_from_contained_brace(b, K), provenance=provenance)
+    sol = build_ybe_from_contained_brace(b, K)
+    sol.provenance = provenance  # in place: replace() would check the tables again
+    return sol
 
 
 def build_ybe_idempotent(G: FiniteGroup, psi: GroupMap) -> YbeSolution:
@@ -214,8 +219,9 @@ def build_ybe_abelian_pair(G: FiniteGroup, psi: GroupMap) -> tuple[YbeSolution, 
         raise PreconditionError("psi must be an idempotent endomorphism")
     R = build_ybe_idempotent(G, psi)
     Rp = build_ybe_idempotent(G, GroupMap(G, G, maps.phi_of(psi)))
-    return (replace(R, provenance={"construction": "abelian_pair_R"}),
-            replace(Rp, provenance={"construction": "abelian_pair_Rprime"}))
+    R.provenance = {"construction": "abelian_pair_R"}
+    Rp.provenance = {"construction": "abelian_pair_Rprime"}
+    return R, Rp
 
 
 def build_ybe_from_contained_brace(b: Bracoid, K) -> YbeSolution:

@@ -393,3 +393,16 @@ def test_certified_solutions_are_left_nondegenerate_iff_k_is_the_acting_group(mo
     b, K = next((b, K) for b, K in small_bracoids() if K is not None)
     with pytest.raises(InternalConsistencyError, match="left non-degeneracy"):
         ybe.verify_ybe(ybe.build_ybe_from_contained_brace(b, K))
+
+
+@pytest.mark.parametrize("entry", [99, -1, 1.0])
+def test_verify_bracoid_refuses_action_entries_outside_the_target(entry):
+    """An action entry is a target element: 99 used to fail as an index,
+    and -1 to wrap to the last element and report a witness."""
+    G = groups.dihedral(4)
+    b = bracoids.phi_tower_bracoid(G, maps.make_map(G, G, {"r": "e", "s": "s"}), 1)
+    act = np.array(b.action, dtype=type(entry))
+    act[1, 1] = entry
+    bad = bracoids.Bracoid(b.acting, b.target, act, {"construction": "corrupted"})
+    with pytest.raises(PreconditionError, match=r"8 x 4, of integers in 0\.\.3"):
+        bracoids.verify_bracoid(bad)

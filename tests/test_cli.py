@@ -2,6 +2,8 @@ import functools
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -521,3 +523,29 @@ def test_stdout_matches_recorded_digest(capsys, name, argv):
     want = next(section[name] for section in recorded.values() if name in section)
     code, out, _ = run(capsys, argv)
     assert {"exit": code, "sha256": hashlib.sha256(out.encode()).hexdigest()} == want
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    """Every command in the README's CLI block exits 0 and prints JSON, run
+    in a directory that holds the files its `echo` lines write."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    commands = 0
+    for line in block.replace("\\\n", " ").splitlines():
+        words = shlex.split(line, comments=True)
+        if not words:
+            continue
+        if words[0] == "echo":
+            assert len(words) == 4 and words[2] == ">", line
+            Path(words[3]).write_text(words[1] + "\n")
+            continue
+        assert words[0] == "skewbracoid", line
+        code, out, err = run(capsys, words[1:])
+        assert code == 0, (line, err)
+        json.loads(out)
+        commands += 1
+    assert commands

@@ -971,3 +971,34 @@ def test_derived_subgroup_stays_small_on_large_groups():
         tracemalloc.stop()
     assert derived.tolist() == [0, 1500, 2000]  # A3 in the second factor
     assert peak < 2**20  # an order x order bool table would take 8.6 MiB
+
+
+def _d4_psi():
+    G = groups.dihedral(4)
+    return maps.make_map(G, G, {"r": "e", "s": "s"})
+
+
+C2_C3 = functools.partial(groups.direct_product, groups.cyclic(2), groups.cyclic(3))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: groups.dihedral(True), "dihedral parameter True is not an integer"),
+    (lambda: groups.cyclic(2.5), "cyclic order 2.5 is not an integer"),
+    (lambda: groups.symmetric(3.0), "symmetric degree 3.0 is not an integer"),
+    (lambda: maps.psi_iterate(_d4_psi(), 2.0), "iteration index 2.0 is not an integer"),
+    (lambda: braces.brace_block(_d4_psi(), 1.5), "block depth 1.5 is not an integer"),
+    (lambda: maps.phi_power(_d4_psi(), -2), "tower index must be non-negative"),
+    (lambda: maps.phi_power(_d4_psi(), 2.0), "tower index 2.0 is not an integer"),
+    (lambda: groups.factor_embedding(C2_C3(), 5), "no direct-product factor at position 5"),
+    (lambda: groups.factor_embedding(C2_C3(), -1), "no direct-product factor at position -1"),
+    (lambda: groups.factor_embedding(C2_C3(), 1.0), "factor position 1.0 is not an integer"),
+    (lambda: groups.factor_embedding(groups.cyclic(6), 0), "no direct-product factor"),
+], ids=["dihedral_bool", "cyclic_float", "symmetric_float", "psi_iterate_float",
+        "brace_block_float", "phi_power_negative", "phi_power_float",
+        "factor_past_the_end", "factor_negative", "factor_float", "not_a_product"])
+def test_integer_arguments_are_refused_unless_integers_in_range(call, message):
+    """bool and float arguments are refused, not built (dihedral(True) was D1)
+    or failed on (a float in range()); so is a negative phi power (it was the
+    identity) and a factor position past the factors (an IndexError)."""
+    with pytest.raises(PreconditionError, match=re.escape(message)):
+        call()

@@ -243,23 +243,29 @@ def test_a_map_image_outside_its_codomain_is_refused():
         serialize.export_json([psi])
 
 
-@pytest.mark.parametrize("lam", [
-    [[0, -1], [1, 0]],        # negative: would index the lookup from the end
-    [[0, 10**12], [1, 0]],    # larger than the table: no lookup that long
-    np.zeros((0, 0), dtype=np.int64),
-    np.zeros((3, 0), dtype=np.int64),
-    [[True, False], [False, True]],
-    [[0.5, 1.0], [1.0, 0.0]],
-    np.array([[0, 1], [1, 0]], dtype=np.uint8),
+@pytest.mark.parametrize("lam, index_table", [
+    ([[0, -1], [1, 0]], False),        # negative: would index the lookup from the end
+    ([[0, 10**12], [1, 0]], False),    # larger than the table: no lookup that long
+    (np.zeros((0, 0), dtype=np.int64), True),
+    (np.zeros((3, 0), dtype=np.int64), False),
+    ([[True, False], [False, True]], False),
+    ([[0.5, 1.0], [1.0, 0.0]], False),
+    (np.array([[0, 1], [1, 0]], dtype=np.uint8), True),
 ], ids=["negative", "huge", "empty", "no_columns", "boolean", "float", "uint8"])
-def test_unusual_tables_keep_the_oracle_bytes(lam):
+def test_unusual_tables_keep_the_oracle_bytes(lam, index_table):
+    """A Bracoid keeps any action array, so its export and a raw table's are
+    compared with the oracle; a YbeSolution holds only an n x n table of
+    0..n-1, and refuses the rest when it is made."""
     lam = np.asarray(lam)
-    sol = None
-    if lam.shape[0] == lam.shape[1]:
-        sol = ybe.YbeSolution(lam, lam.copy(), {"construction": "test"})
-    b = bracoids.Bracoid(braces.table_of(groups.cyclic(3)),
-                         braces.table_of(groups.cyclic(1)), lam.copy(), {})
-    for value in (sol, b, {"raw": lam}):
+    values = [bracoids.Bracoid(braces.table_of(groups.cyclic(3)),
+                               braces.table_of(groups.cyclic(1)), lam.copy(), {}),
+              {"raw": lam}]
+    if index_table:
+        values.append(ybe.YbeSolution(lam, lam.copy(), {"construction": "test"}))
+    else:
+        with pytest.raises(PreconditionError, match="integer|n x n|0..n-1"):
+            ybe.YbeSolution(lam, lam.copy(), {"construction": "test"})
+    for value in values:
         assert serialize.export_json(value) == oracle_json(value)
 
 

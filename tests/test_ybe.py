@@ -1,6 +1,7 @@
 import gc
 import time
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -482,3 +483,43 @@ def test_nondegeneracy_witnesses_are_the_first_bad_rows():
         assert nd.witnesses == ({} if left is None else {"left_x": left}) | \
             ({} if right is None else {"right_y": right})
         assert (nd.left, nd.right) == (left is None, right is None)
+
+
+@pytest.mark.parametrize("entry", [8, -1])
+def test_an_edited_entry_outside_the_set_is_refused(entry):
+    """An entry outside 0..n-1 is refused when the solution is made, not
+    read as an index by verify_ybe (8 failed there, -1 wrapped to 7)."""
+    G = groups.dihedral(4)
+    sol = ybe.build_ybe_idempotent(G, maps.make_map(G, G, {"r": "e", "s": "s"}))
+    lam = np.array(sol.lam)
+    lam[1, 1] = entry
+    with pytest.raises(PreconditionError, match="0..n-1"):
+        sol.with_tables(lam=lam)
+    with pytest.raises(PreconditionError, match="0..n-1"):
+        replace(sol, lam=lam)
+
+
+SWAP = [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("lam, rho, message", [
+    (np.array(SWAP, dtype=float), SWAP, "lambda table has an entry that is not an integer"),
+    (SWAP, [[0, 1], [True, 0]], "rho table has an entry that is not an integer"),
+    ([[0, 1], [1]], SWAP, "lambda table is ragged"),
+    (SWAP, [[0, 2], [1, 0]], "0..n-1"),
+    ([[0, 1, 0], [1, 0, 1]], [[0, 1, 0], [1, 0, 1]], "n x n"),
+    (SWAP, [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "n x n"),
+    (np.int64(0), np.int64(0), "n x n"),
+], ids=["float", "bool", "ragged", "nested_out_of_range", "not_square", "unequal",
+        "scalar"])
+def test_tables_that_are_not_index_tables_are_refused(lam, rho, message):
+    with pytest.raises(PreconditionError, match=message):
+        ybe.YbeSolution(lam, rho, {})
+
+
+def test_nested_lists_are_read_as_index_tables():
+    flip = [[0, 1], [0, 1]]  # R(x, y) = (y, x)
+    sol = ybe.YbeSolution(flip, flip, {})
+    assert sol.set_order == 2 and sol.lam.dtype == np.int64
+    assert not sol.lam.flags.writeable and not sol.rho.flags.writeable
+    assert ybe.verify_ybe(sol).holds

@@ -28,6 +28,7 @@ class Bracoid:
     provenance: dict
 
     def __post_init__(self):
+        object.__setattr__(self, "action", np.asarray(self.action))  # a nested list too
         self.action.setflags(write=False)
 
     @property

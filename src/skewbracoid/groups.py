@@ -65,6 +65,14 @@ def sweep(bad, axes):
     return None
 
 
+def blocks(count: int, row_bytes: int) -> list[slice]:
+    """Consecutive slices of 0..count-1 whose rows, at `row_bytes` each, take
+    at most SWEEP_BLOCK_BYTES, with at least one row per slice: the block
+    size of every memory-bounded loop except `sweep`, which stops early."""
+    step = max(1, SWEEP_BLOCK_BYTES // max(1, row_bytes))
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
 def orbit_roots(perms, count: int, n: int) -> np.ndarray:
     """Least point of each orbit of 0..n-1 under the group generated by
     the `count` permutations that `perms(rows)` gives, one to a row, for
@@ -76,8 +84,7 @@ def orbit_roots(perms, count: int, n: int) -> np.ndarray:
     lab[p(x)] >= lab[x] for all p, x: so lab is constant on the cycles of
     each p, hence on orbits, where it is the least point.  Inverses among
     the permutations cut the passes."""
-    step = max(1, SWEEP_BLOCK_BYTES // (8 * n))
-    rows = [np.arange(lo, min(lo + step, count)) for lo in range(0, count, step)]
+    rows = [np.arange(s.start, s.stop) for s in blocks(count, 8 * n)]
     made = [perms(rows[0])] if len(rows) == 1 else None  # one block is kept
     lab = np.arange(n)
     while True:
@@ -197,10 +204,9 @@ def inverses(mul: np.ndarray) -> np.ndarray:
     row without one), in blocks of rows whose masks take at most
     SWEEP_BLOCK_BYTES."""
     n = len(mul)
-    step = max(1, SWEEP_BLOCK_BYTES // max(1, n))
     inv = np.empty(n, dtype=np.int64)
-    for lo in range(0, n, step):  # the method: np.argmax's dispatch costs more
-        (mul[lo:lo + step] == 0).argmax(axis=1, out=inv[lo:lo + step])
+    for s in blocks(n, n):  # the method: np.argmax's dispatch costs more
+        (mul[s] == 0).argmax(axis=1, out=inv[s])
     return inv
 
 
@@ -375,13 +381,12 @@ def symmetric(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     rank = np.empty(n ** (n - 1), dtype=np.int64)
     rank[P[:, :-1] @ weights] = np.arange(order)
     mul = np.empty((order, order), dtype=np.int64)
-    step = max(1, SWEEP_BLOCK_BYTES // (8 * order * n))
-    for start in range(0, order, step):
-        S = P[start:start + step]
+    for s in blocks(order, 8 * order * n):
+        S = P[s]
         key = np.zeros((len(S), order), dtype=np.int64)
         for k, w in enumerate(weights.tolist()):
             key += (S * w)[:, P[:, k]]
-        mul[start:start + step] = rank[key]
+        mul[s] = rank[key]
     names = tuple("".join(map(str, p)) for p in perms)
     if n == 1:
         gens: tuple[int, ...] = (0,)
@@ -745,16 +750,14 @@ def enumerate_subgroups(G: FiniteGroup) -> list[Subgroup]:
         keys, level = layers.pop(m), []
         # the layer's masks in row blocks, and each block's pairs in pair
         # blocks, so neither the masks nor the pair index pass the block size
-        rows = max(1, SWEEP_BLOCK_BYTES // (n + 16 * (m + len(zuppos))))
-        step = max(1, SWEEP_BLOCK_BYTES // (n + widest * m))
-        for top in range(0, len(keys), rows):
-            bits = np.frombuffer(b"".join(keys[top:top + rows]), dtype=np.uint8)
+        for top in blocks(len(keys), n + 16 * (m + len(zuppos))):
+            bits = np.frombuffer(b"".join(keys[top]), dtype=np.uint8)
             masks = np.unpackbits(bits.reshape(-1, nbytes), axis=1, count=n).view(bool)
             members = masks.nonzero()[1].reshape(len(masks), m)
             level += map(tuple, members.tolist())
             row, cand = (masks.take(roots, 1) > masks.take(zuppos, 1)).nonzero()
-            for lo in range(0, len(cand), step):
-                r, c = row[lo:lo + step], cand[lo:lo + step]
+            for pair in blocks(len(cand), n + widest * m):
+                r, c = row[pair], cand[pair]
                 # z normalizes H iff it conjugates the members of H into H
                 conj = G.mul[G.mul[zuppos[c, None], members.take(r, 0)], zinv[c, None]]
                 nz = masks[r[:, None], conj].all(1)
@@ -849,11 +852,10 @@ def _commutes(G: FiniteGroup, masks: np.ndarray) -> np.ndarray:
     root, size = _classes(G)
     by_class, slot = np.argsort(root, kind="stable"), np.arange(size.max())
     first = np.searchsorted(root[by_class], root)
-    step = max(1, SWEEP_BLOCK_BYTES // (len(slot) * max(8, len(masks))))
-    blocks = (np.arange(lo, min(lo + step, G.order))[:, None] for lo in range(0, G.order, step))
-    # each cl(x) is repeated to the size of the largest class
-    return np.hstack([masks[:, G.mul[by_class[first[x] + slot % size[x]], G.inv[x]]].all(axis=2)
-                      for x in blocks])
+    # each cl(x) is repeated to the size of the largest class, for x in s
+    return np.hstack([masks[:, G.mul[by_class[first[s, None] + slot % size[s, None]],
+                                     G.inv[s, None]]].all(axis=2)
+                      for s in blocks(G.order, len(slot) * max(8, len(masks)))])
 
 
 def commutator_condition(G: FiniteGroup, S, H, commutes=None):

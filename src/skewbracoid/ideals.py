@@ -59,6 +59,7 @@ raises InternalConsistencyError.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,10 +104,8 @@ def _brace_tables(G: FiniteGroup, psi: GroupMap) -> dict:
     roots of h -> f_g(h), g in G ("roots"): the least f_g(h) over g, taken
     for blocks of g whose int64 arrays take at most SWEEP_BLOCK_BYTES."""
     circle, n = braces.circle_table(G, psi).group, G.order
-    step = max(1, groups.SWEEP_BLOCK_BYTES // (8 * len(FAMILIES) * n))
-    roots = _families(G, circle, slice(0, step)).min(axis=1)
-    for lo in range(step, n, step):
-        np.minimum(roots, _families(G, circle, slice(lo, lo + step)).min(axis=1), out=roots)
+    roots = functools.reduce(np.minimum, (_families(G, circle, g).min(axis=1)
+                                          for g in groups.blocks(n, 8 * len(FAMILIES) * n)))
     # g o h = phi(g) h psi(g), as certified, at h = psi(g)^-1
     return {"phi": circle.mul[np.arange(n), G.inv[psi.image_of]], "roots": roots}
 

@@ -205,11 +205,10 @@ def enumerate_abelian_maps(G: FiniteGroup, Gp: FiniteGroup | None = None) -> lis
     layers = _spanning_tree(quotient.mul, qgens)
     # the two checks each hold two int64 arrays of `width` entries a row
     width = max(quotient.order * len(qgens), G.order * (1 + len(gens)))
-    step = max(1, groups.SWEEP_BLOCK_BYTES // (16 * width))
     out = []
     for choices in _commuting_blocks(Gp.mul, candidates, np.zeros((1, 0), dtype=np.int64)):
-        for lo in range(0, len(choices), step):
-            img, ok = _extend(layers, quotient.mul, qgens, Gp.mul, choices[lo:lo + step])
+        for s in groups.blocks(len(choices), 16 * width):
+            img, ok = _extend(layers, quotient.mul, qgens, Gp.mul, choices[s])
             out += _abelian_maps(G, Gp, img[ok][:, coset_of], "enumerated")
     return out
 
@@ -223,9 +222,8 @@ def _commuting_blocks(mul: np.ndarray, candidates: list[np.ndarray], chosen: np.
         yield chosen
         return
     cand = candidates[i]
-    step = max(1, groups.SWEEP_BLOCK_BYTES // (8 * len(cand) * (i + 1)))
-    for lo in range(0, len(chosen), step):
-        block = chosen[lo:lo + step]
+    for s in groups.blocks(len(chosen), 8 * len(cand) * (i + 1)):
+        block = chosen[s]
         allowed = np.ones((len(block), len(cand)), dtype=bool)
         for y in block.T:
             allowed &= mul[y[:, None], cand] == mul[cand, y[:, None]]

@@ -120,12 +120,6 @@ def _cells(n: int) -> np.ndarray:
                     dtype=f"S{len(str(n - 1)) + 1}")
 
 
-def _rows_per_block(cols: int, cells: np.ndarray) -> int:
-    """The rows of a block of `cols` columns whose index and byte arrays take
-    at most SWEEP_BLOCK_BYTES / 16."""
-    return max(1, groups.SWEEP_BLOCK_BYTES // 16 // ((cols + 1) * (8 + cells.itemsize)))
-
-
 def _table_text(t: np.ndarray, cells: np.ndarray) -> str:
     """The canonical JSON text of table `t`, whose entries lie below the n of
     `cells`, written by one byte lookup per block of rows instead of a
@@ -133,18 +127,18 @@ def _table_text(t: np.ndarray, cells: np.ndarray) -> str:
 
     A block of rows is gathered from the lookup with ",[" after each row,
     its padding deleted and its bytes decoded; joined, the blocks end in
-    ",[", which is cut.  The blocks take `_rows_per_block` rows, so the
-    writer's peak is the text twice (its blocks and their join), not the
+    ",[", which is cut.  A block's index and byte arrays, (cols + 1) x (8 +
+    the lookup's width) bytes a row, take at most SWEEP_BLOCK_BYTES / 16, so
+    the writer's peak is the text twice (its blocks and their join), not the
     whole table's index and byte arrays."""
     n, cols = len(cells) // 2, t.shape[1]
-    step = _rows_per_block(cols, cells)
-    index = np.empty((min(step, len(t)), cols + 1), dtype=np.intp)
+    spans = groups.blocks(len(t), 16 * (cols + 1) * (8 + cells.itemsize))
+    index = np.empty((spans[0].stop, cols + 1), dtype=np.intp)
     index[:, cols] = 2 * n
     parts = ["[["]
-    for lo in range(0, len(t), step):
-        rows = t[lo:lo + step]
-        block = index[:len(rows)]
-        block[:, :cols] = rows  # in intp, where n + i cannot wrap
+    for s in spans:
+        block = index[:s.stop - s.start]
+        block[:, :cols] = t[s]  # in intp, where n + i cannot wrap
         block[:, cols - 1] += n
         parts.append(cells[block].tobytes().translate(None, b"\0").decode())
     parts[-1] = parts[-1][:-2] + "]"
@@ -174,9 +168,9 @@ def _spliced_texts(spliced: list) -> list[str]:
     array, codomain order), in `spliced`, all through one lookup made for
     the largest table side or codomain order.
 
-    The image arrays of one length are stacked in blocks of
-    `_rows_per_block` rows; each block is range-checked, written as one
-    table and its text split back into rows."""
+    The image arrays of one length are stacked in blocks of the rows that
+    `_table_text` writes at once; each block is range-checked, written as
+    one table and its text split back into rows."""
     cells = _cells(max(max(s.shape) if isinstance(s, np.ndarray) else s[3] for s in spliced))
     texts = [_table_text(s, cells) if isinstance(s, np.ndarray) else None for s in spliced]
     by_length = {}
@@ -184,14 +178,13 @@ def _spliced_texts(spliced: list) -> list[str]:
         if texts[i] is None:
             by_length.setdefault(len(s[2]), []).append(i)
     for length, at in by_length.items():
-        step = _rows_per_block(length, cells)
-        for lo in range(0, len(at), step):
-            block = np.concatenate([spliced[i][2] for i in at[lo:lo + step]]).reshape(-1, length)
+        for s in groups.blocks(len(at), 16 * (length + 1) * (8 + cells.itemsize)):
+            block = np.concatenate([spliced[i][2] for i in at[s]]).reshape(-1, length)
             if not (block.dtype.kind in "iu" and block.min() >= 0
                     and block.max() < len(cells) // 2):
                 raise InternalConsistencyError("a map's image lies outside its codomain")
             rows = _table_text(block, cells)[2:-2].split("],[")
-            for i, row in zip(at[lo:lo + step], rows):
+            for i, row in zip(at[s], rows):
                 texts[i] = f"{spliced[i][0]}{row}{spliced[i][1]}"
     return texts
 

@@ -8,13 +8,13 @@ coordinate of R(x, y) and ``rho[y][x]`` the second.  The braid relation
 is proved, at any order, from a skew bracoid (G, N, (+)) and a subgroup K
 of G acting regularly on N.  Every builder here builds such a bracoid,
 finds K in it, and returns the tables of their contained-brace recipe
-(`build_ybe_from_contained_brace`) with (bracoid, K) as the source; a
-bracoid without a regular K is an internal inconsistency.  The recipe
-always gives a solution (Martin-Lyons and Truman; the argument is in
-`_certified`), so a valid bracoid whose recipe gives both tables exactly
-is an exact certificate.  A solution without a source (`with_tables`
-drops it), or whose certificate fails, has the relation swept over all
-order^3 triples, at every order.
+(`_recipe`) with (bracoid, K) as the source; a bracoid without a regular
+K is an internal inconsistency.  The recipe always gives a solution
+(Martin-Lyons and Truman; the argument is in `_certified`), so the
+certificate is a valid bracoid whose recipe tables equal both tables of
+the solution exactly.  A solution without a source (`with_tables` drops
+it), or whose certificate fails, has the relation swept over all order^3
+triples, at every order.
 """
 
 from __future__ import annotations
@@ -40,6 +40,9 @@ class YbeSolution:
     source: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        if self.source is not None and not (type(self.source) is tuple and len(self.source) == 2
+                                            and isinstance(self.source[0], Bracoid)):
+            raise PreconditionError("source must be None or a (bracoid, subgroup) pair")
         self.lam = groups.int_array(self.lam, "lambda table")
         self.rho = groups.int_array(self.rho, "rho table")
         n = len(self.lam) if self.lam.ndim else -1
@@ -96,8 +99,8 @@ def verify_ybe(s: YbeSolution) -> YbeReport:
     "bracoid").  Otherwise it is swept over all order^3 triples (method
     "sweep"), reporting the lexicographically first failing triple.
 
-    A certified solution is left non-degenerate iff K is the whole acting
-    group G; a disagreement raises InternalConsistencyError.  Proof: each
+    A certified solution is left non-degenerate iff K = G, that is iff
+    |N| = |G|; a disagreement raises InternalConsistencyError.  Proof: each
     lambda_x(y) = ident(gamma_x(pi(y))) lies in K, so no lambda_x is onto
     G when K is smaller; for K = G, pi(y) = y+e and ident are bijections,
     as K acts regularly, and gamma_x an automorphism of the target, so
@@ -110,8 +113,8 @@ def verify_ybe(s: YbeSolution) -> YbeReport:
     nd = NondegeneracyReport(not bad_rows["left_x"].size, not bad_rows["right_y"].size,
                              {key: int(r[0]) for key, r in bad_rows.items() if r.size})
     if _certified(s):
-        b, K = s.source
-        whole = groups.as_subgroup(b.acting.group, K).order == b.acting_order
+        b = s.source[0]
+        whole = b.target_order == b.acting_order
         if nd.left != whole:
             raise InternalConsistencyError(
                 f"left non-degeneracy is {nd.left} but |K| = |G| is {whole} on {b!r}")
@@ -153,10 +156,10 @@ def _certified(s: YbeSolution) -> bool:
     try:
         if not bracoids.verify_bracoid(b).ok:
             return False
-        r = build_ybe_from_contained_brace(b, K)
+        lam, rho = _recipe(b, groups.as_subgroup(b.acting.group, K))
     except PreconditionError:  # e.g. K is not a subgroup acting regularly
         return False
-    return np.array_equal(r.lam, s.lam) and np.array_equal(r.rho, s.rho)
+    return np.array_equal(lam, s.lam) and np.array_equal(rho, s.rho)
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +173,7 @@ def _from_bracoid(b: Bracoid, provenance: dict) -> YbeSolution:
     if K is None:
         raise InternalConsistencyError(
             f"no subgroup of the acting group acts regularly on the target of {b!r}")
-    sol = build_ybe_from_contained_brace(b, K)
-    sol.provenance = provenance  # in place: replace() would check the tables again
-    return sol
+    return YbeSolution(*_recipe(b, K), provenance, (b, K))
 
 
 def build_ybe_idempotent(G: FiniteGroup, psi: GroupMap) -> YbeSolution:
@@ -217,11 +218,9 @@ def build_ybe_abelian_pair(G: FiniteGroup, psi: GroupMap) -> tuple[YbeSolution, 
         raise PreconditionError("the abelian pair requires an abelian group")
     if not (psi.is_endomorphism() and psi.idempotent):
         raise PreconditionError("psi must be an idempotent endomorphism")
-    R = build_ybe_idempotent(G, psi)
-    Rp = build_ybe_idempotent(G, GroupMap(G, G, maps.phi_of(psi)))
-    R.provenance = {"construction": "abelian_pair_R"}
-    Rp.provenance = {"construction": "abelian_pair_Rprime"}
-    return R, Rp
+    phi = GroupMap(G, G, maps.phi_of(psi))
+    return tuple(_from_bracoid(bracoids.phi_tower_bracoid(G, f, 1), {"construction": name})
+                 for f, name in ((psi, "abelian_pair_R"), (phi, "abelian_pair_Rprime")))
 
 
 def build_ybe_from_contained_brace(b: Bracoid, K) -> YbeSolution:
@@ -233,6 +232,14 @@ def build_ybe_from_contained_brace(b: Bracoid, K) -> YbeSolution:
     where ident sends a target element to the unique k in K with k+e = it.
     """
     K = groups.as_subgroup(b.acting.group, K)
+    return YbeSolution(*_recipe(b, K),
+                       {"construction": "contained_brace", "K": list(K.members),
+                        "inner": b.provenance}, (b, K))
+
+
+def _recipe(b: Bracoid, K: Subgroup) -> tuple[np.ndarray, np.ndarray]:
+    """The lambda and rho tables of the recipe on b and K, a subgroup of its
+    acting group; PreconditionError if K does not act regularly."""
     act = b.action
     G = b.acting.op
     T = b.target.op
@@ -250,6 +257,4 @@ def build_ybe_from_contained_brace(b: Bracoid, K) -> YbeSolution:
     lam = ident[T[tinv[e_col][:, None], inner]]
     r1 = G[ginv[lam], np.arange(n)[:, None]]                # lam^-1 x
     rho_xy = G[r1, np.arange(n)[None, :]]                   # ... y
-    return YbeSolution(lam, rho_xy.T.copy(),
-                       {"construction": "contained_brace", "K": list(K.members),
-                        "inner": b.provenance}, (b, K))
+    return lam, rho_xy.T.copy()

@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from skewbracoid import braces, bracoids, corpus, groups, maps, ybe
+from skewbracoid import braces, bracoids, corpus, groups, maps, serialize, ybe
 from skewbracoid.errors import InternalConsistencyError, PreconditionError
 
 from conftest import CATALOGUE, action_oracle, bracoid_oracle, phi_tower_oracle
@@ -406,3 +406,28 @@ def test_verify_bracoid_refuses_action_entries_outside_the_target(entry):
     bad = bracoids.Bracoid(b.acting, b.target, act, {"construction": "corrupted"})
     with pytest.raises(PreconditionError, match=r"8 x 4, of integers in 0\.\.3"):
         bracoids.verify_bracoid(bad)
+
+
+def test_a_nested_list_action_verifies_and_exports_as_the_array():
+    """A Bracoid reads its action through np.asarray, as YbeSolution reads
+    its tables: the list form is the array form."""
+    G, psi = d4_setup()
+    b = bracoids.bracoid_from_C1(G, psi, groups.subgroup_generated(G, [G.index_of("rs")]))
+    listed = bracoids.Bracoid(b.acting, b.target, b.action.tolist(), {})
+    arrayed = bracoids.Bracoid(b.acting, b.target, np.array(b.action), {})
+    assert isinstance(listed.action, np.ndarray) and not listed.action.flags.writeable
+    assert bracoids.verify_bracoid(listed).to_jsonable() == \
+        bracoids.verify_bracoid(arrayed).to_jsonable() == bracoids.verify_bracoid(b).to_jsonable()
+    assert serialize.export_json(listed) == serialize.export_json(arrayed)
+
+
+def test_an_identity_that_moves_a_point_fails_at_it():
+    """e must act trivially: a first row that is not the identity is the
+    first failure, reported as [0]."""
+    G, psi = d4_setup()
+    b = bracoids.bracoid_from_C1(G, psi, groups.subgroup_generated(G, [G.index_of("rs")]))
+    act = np.array(b.action)
+    act[0] = np.roll(act[0], 1)
+    rep = bracoids.verify_bracoid(bracoids.Bracoid(b.acting, b.target, act, {}))
+    assert rep.to_jsonable() == {"action_valid": False, "transitive": False,
+                                 "relation_holds": False, "first_failure": [0]}

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewbracoid import braces, cli, groups, ideals, maps, serialize
+from skewbracoid import braces, cli, groups, ideals, maps, serialize, ybe
 from skewbracoid.errors import (InternalConsistencyError, PreconditionError,
                                 WorkLimitError)
 
@@ -1000,5 +1000,64 @@ def test_integer_arguments_are_refused_unless_integers_in_range(call, message):
     """bool and float arguments are refused, not built (dihedral(True) was D1)
     or failed on (a float in range()); so is a negative phi power (it was the
     identity) and a factor position past the factors (an IndexError)."""
+    with pytest.raises(PreconditionError, match=re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize("count, row_bytes", [(0, 8), (1, 10**9), (10, 0), (10, 16), (17, 48)])
+def test_blocks_cover_the_rows_in_order_within_the_block_size(monkeypatch, count, row_bytes):
+    monkeypatch.setattr(groups, "SWEEP_BLOCK_BYTES", 64)
+    spans = groups.blocks(count, row_bytes)
+    assert [i for s in spans for i in range(count)[s]] == list(range(count))
+    assert all(s.stop > s.start and ((s.stop - s.start) * row_bytes <= 64
+                                     or s.stop - s.start == 1) for s in spans)
+    # the largest blocks that fit: only the last is shorter
+    assert all(s.stop - s.start == max(1, 64 // max(1, row_bytes)) for s in spans[:-1])
+
+
+def _s3_identity():
+    S3 = groups.symmetric(3)
+    return maps.GroupMap(S3, S3, np.arange(6))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: groups.FiniteGroup(groups.cyclic(2).mul, ("a", "a")),
+     "element names must be pairwise distinct"),
+    (lambda: groups.from_table(groups.dihedral(3).mul, generators=[0, 9]),
+     "generator index out of range"),
+    (lambda: groups.closure(groups.cyclic(4), [9]), "generator index out of range"),
+    (lambda: groups.symmetric(9), "symmetric group builder supports 1 <= n <= 8"),
+    (lambda: groups.direct_product(groups.cyclic(2)), "direct product needs at least two factors"),
+    (lambda: groups.semidirect(groups.cyclic(4), groups.cyclic(2), [[0, 1, 2, 3]]),
+     "need one automorphism per acting element"),
+    (lambda: groups.semidirect(groups.cyclic(4), groups.cyclic(2), [[0, 1, 2], [0, 2, 1]]),
+     "action entry is not a permutation of the base"),
+    (lambda: maps.cyclic_chain_map([maps.trivial_map(groups.cyclic(2))]),
+     "need at least two maps in the chain"),
+    (lambda: maps.cyclic_chain_map([maps.trivial_map(groups.cyclic(2), groups.cyclic(4))] * 2),
+     "codomain/domain chain does not close cyclically"),
+    (lambda: maps.cyclic_chain_map([_s3_identity()] * 2), "chain entries must be abelian maps"),
+    (lambda: maps.left_regular_map(groups.cyclic(7)), "left regular embedding capped at order 6"),
+    (lambda: ybe.build_ybe_product(groups.symmetric(3), groups.symmetric(3),
+                                   _s3_identity(), _s3_identity()),
+     "alpha and beta must be abelian maps"),
+    (lambda: ybe.build_ybe_product(groups.cyclic(2), groups.cyclic(4),
+                                   maps.trivial_map(groups.cyclic(2), groups.cyclic(4)),
+                                   maps.trivial_map(groups.cyclic(2))),
+     "alpha/beta do not map between G1 and G2 as required"),
+    (lambda: ybe.build_ybe_abelian_pair(
+        groups.cyclic(4), maps.make_map(groups.cyclic(4), groups.cyclic(4), {"g": "g^2"})),
+     "psi must be an idempotent endomorphism"),
+    (lambda: braces.verify_brace(braces.table_of(groups.cyclic(4)),
+                                 braces.table_of(groups.cyclic(6))),
+     "carrier mismatch between the two tables"),
+    (lambda: braces.make_brace(braces.table_of(groups.cyclic(6)),
+                               braces.table_of(groups.symmetric(3))),
+     "brace relation fails at triple (1, 1, 1)"),
+], ids=["duplicate_names", "table_generator", "closure_generator", "symmetric_9",
+        "one_factor", "one_automorphism_short", "automorphism_too_short", "chain_of_one",
+        "open_chain", "chain_not_abelian", "left_regular_7", "product_not_abelian",
+        "product_orders", "pair_not_idempotent", "brace_carriers", "brace_relation"])
+def test_malformed_builder_input_is_refused_with_its_message(call, message):
     with pytest.raises(PreconditionError, match=re.escape(message)):
         call()

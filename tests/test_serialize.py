@@ -21,6 +21,10 @@ def test_trivial_group_export():
     assert obj["order"] == 1 and obj["mul"] == [[0]]
 
 
+def test_a_numpy_integer_is_written_as_an_int():
+    assert serialize.export_json({"x": np.int64(3), "y": [np.uint8(7)]}) == '{"x":3,"y":[7]}'
+
+
 def test_export_is_canonical_and_stable():
     G = groups.dihedral(4)
     a = serialize.export_json(G)

@@ -523,3 +523,44 @@ def test_nested_lists_are_read_as_index_tables():
     assert sol.set_order == 2 and sol.lam.dtype == np.int64
     assert not sol.lam.flags.writeable and not sol.rho.flags.writeable
     assert ybe.verify_ybe(sol).holds
+
+
+def c8xs4_product():
+    G1, G2 = groups.cyclic(8), groups.symmetric(4)
+    alpha = maps.make_map(G1, G2, {"g": "1230"})
+    beta = maps.make_map(G2, G1, {"1023": "g^4", "1230": "g^4"})
+    return ybe.build_ybe_product(G1, G2, alpha, beta)
+
+
+def test_each_solution_is_made_once(monkeypatch):
+    """Every builder makes its solution once, with its final provenance, and
+    the certificate compares the recipe's tables without making another."""
+    made, real = [], ybe.YbeSolution.__post_init__
+    monkeypatch.setattr(ybe.YbeSolution, "__post_init__",
+                        lambda self: made.append(self.provenance) or real(self))
+    sol = c8xs4_product()
+    assert made == [{"construction": "product", "n1": 8, "n2": 24}]
+    made.clear()
+    rep = ybe.verify_ybe(sol)
+    assert rep.method == "bracoid" and rep.holds and not made
+    A = groups.cyclic(6)
+    ybe.build_ybe_abelian_pair(A, maps.trivial_map(A))
+    assert made == [{"construction": "abelian_pair_R"}, {"construction": "abelian_pair_Rprime"}]
+
+
+@pytest.mark.parametrize("source", ["x", (1, 2), ("bracoid", None), [None, None], ()],
+                         ids=["string", "pair_of_ints", "first_not_a_bracoid", "list", "empty"])
+def test_a_source_that_is_not_a_bracoid_pair_is_refused(source):
+    """verify_ybe used to fail on these with a ValueError or an AttributeError."""
+    flip = [[0, 1], [0, 1]]
+    with pytest.raises(PreconditionError, match="source must be None or a"):
+        ybe.YbeSolution(flip, flip, {}, source)
+
+
+def test_a_source_of_three_items_is_refused():
+    G, psi = d4_setup()
+    sol = ybe.build_ybe_idempotent(G, psi)
+    with pytest.raises(PreconditionError, match="source must be None or a"):
+        ybe.YbeSolution(sol.lam, sol.rho, sol.provenance, (*sol.source, None))
+    with pytest.raises(PreconditionError, match="source must be None or a"):
+        ybe.YbeSolution(sol.lam, sol.rho, sol.provenance, list(sol.source))

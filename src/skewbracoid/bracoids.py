@@ -28,7 +28,10 @@ class Bracoid:
     provenance: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "action", np.asarray(self.action))  # a nested list too
+        try:
+            object.__setattr__(self, "action", np.asarray(self.action))  # a nested list too
+        except ValueError:  # NumPy's refusal of a ragged nested list
+            raise PreconditionError("action is ragged") from None
         self.action.setflags(write=False)
 
     @property

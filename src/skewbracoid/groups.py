@@ -527,7 +527,12 @@ class Subgroup:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        mem = tuple(sorted(set(_index(m, "subgroup member") for m in self.members)))
+        try:
+            members = iter(self.members)
+        except TypeError:
+            raise PreconditionError(f"subgroup members {self.members!r} are not a collection") \
+                from None
+        mem = tuple(sorted(set(_index(m, "subgroup member") for m in members)))
         object.__setattr__(self, "members", mem)
         G = self.parent
         if any(m < 0 or m >= G.order for m in mem):
@@ -593,7 +598,7 @@ def as_subgroup(G: FiniteGroup, H) -> Subgroup:
     Subgroup of G."""
     if isinstance(H, Subgroup) and H.parent is G:
         return H
-    return Subgroup(G, tuple(H.members if isinstance(H, Subgroup) else H))
+    return Subgroup(G, H.members if isinstance(H, Subgroup) else H)
 
 
 def _known_subgroup(G: FiniteGroup, members: tuple[int, ...]) -> Subgroup:

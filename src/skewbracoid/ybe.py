@@ -6,15 +6,18 @@ coordinate of R(x, y) and ``rho[y][x]`` the second.  The braid relation
     (R x id)(id x R)(R x id) = (id x R)(R x id)(id x R)
 
 is proved, at any order, from a skew bracoid (G, N, (+)) and a subgroup K
-of G acting regularly on N.  Every builder here builds such a bracoid,
-finds K in it, and returns the tables of their contained-brace recipe
-(`_recipe`) with (bracoid, K) as the source; a bracoid without a regular
-K is an internal inconsistency.  The recipe always gives a solution
-(Martin-Lyons and Truman; the argument is in `_certified`), so the
-certificate is a valid bracoid whose recipe tables equal both tables of
-the solution exactly.  A solution without a source (`with_tables` drops
-it), or whose certificate fails, has the relation swept over all order^3
-triples, at every order.
+of G acting regularly on N: the contained-brace recipe (`_recipe`) on such
+a pair always gives a solution (Martin-Lyons and Truman; the argument is in
+`_proved`).  Every builder here builds such a bracoid, finds K in it, and
+returns the recipe's tables through `_proved`, which records (bracoid, K)
+as the solution's `source`; a bracoid without a regular K is an internal
+inconsistency.  The source is the certificate, established once where the
+solution is built: no caller can pass one, and a solution made any other
+way (`YbeSolution(...)`, `with_tables`, `dataclasses.replace`) has none.
+`build_ybe_from_contained_brace`, the one builder that takes a bracoid
+from outside, records a source only if that bracoid verifies.  A solution
+without a source has the relation swept over all order^3 triples, at
+every order.
 """
 
 from __future__ import annotations
@@ -30,27 +33,24 @@ from .groups import FiniteGroup, Subgroup
 from .maps import GroupMap
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class YbeSolution:
     lam: np.ndarray  # lam[x, y]  = first coordinate of R(x, y)
     rho: np.ndarray  # rho[y, x]  = second coordinate of R(x, y)
     provenance: dict
-    # (bracoid, K) whose contained-brace recipe gives these tables: set by
-    # every builder, dropped by with_tables, and not exported
-    source: tuple | None = field(default=None, repr=False)
+    # (bracoid, K) whose contained-brace recipe gave these tables: set by
+    # `_proved` alone, and not exported
+    source: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.source is not None and not (type(self.source) is tuple and len(self.source) == 2
-                                            and isinstance(self.source[0], Bracoid)):
-            raise PreconditionError("source must be None or a (bracoid, subgroup) pair")
-        self.lam = groups.int_array(self.lam, "lambda table")
-        self.rho = groups.int_array(self.rho, "rho table")
-        n = len(self.lam) if self.lam.ndim else -1
-        if any(t.shape != (n, n) or n and not 0 <= t.min() <= t.max() < n
-               for t in (self.lam, self.rho)):
+        lam = groups.int_array(self.lam, "lambda table")
+        rho = groups.int_array(self.rho, "rho table")
+        n = len(lam) if lam.ndim else -1
+        if any(t.shape != (n, n) or n and not 0 <= t.min() <= t.max() < n for t in (lam, rho)):
             raise PreconditionError("lambda/rho tables must be n x n, of integers in 0..n-1")
-        self.lam.setflags(write=False)
-        self.rho.setflags(write=False)
+        for name, t in (("lam", lam), ("rho", rho)):
+            t.setflags(write=False)
+            object.__setattr__(self, name, t)
 
     @property
     def set_order(self) -> int:
@@ -93,18 +93,28 @@ class YbeReport:
 def verify_ybe(s: YbeSolution) -> YbeReport:
     """Non-degeneracy and the braid relation, both exact.
 
-    The braid relation is first certified from `s.source`: if it holds a
-    valid bracoid and a regular subgroup K whose recipe gives exactly the
-    tables of s, the relation holds on every triple, at any order (method
-    "bracoid").  Otherwise it is swept over all order^3 triples (method
-    "sweep"), reporting the lexicographically first failing triple.
+    A solution with a `source` has the braid relation proved by its builder
+    (see `_proved`), on every triple and at any order (method "bracoid").
+    Otherwise it is swept over all order^3 triples (method "sweep"),
+    reporting the lexicographically first failing triple.
 
-    A certified solution is left non-degenerate iff K = G, that is iff
-    |N| = |G|; a disagreement raises InternalConsistencyError.  Proof: each
-    lambda_x(y) = ident(gamma_x(pi(y))) lies in K, so no lambda_x is onto
-    G when K is smaller; for K = G, pi(y) = y+e and ident are bijections,
-    as K acts regularly, and gamma_x an automorphism of the target, so
-    lambda_x = ident o gamma_x o pi is a bijection (see `_certified`)."""
+    In `_proved`'s notation, a solution with a source is left
+    non-degenerate iff K = G, that is iff |N| = |G|, and always right
+    non-degenerate; a measured report that disagrees raises
+    InternalConsistencyError.
+
+    Left: each lambda_x(y) = iota(gamma_x(pi(y))) lies in K, so no lambda_x
+    is onto G when K is smaller; for K = G, pi and iota are bijections, as
+    K acts regularly, and gamma_x an automorphism of N, so
+    lambda_x = iota o gamma_x o pi is a bijection.
+
+    Right: fix y and let rho_y(x) = rho_y(x').  With k = lambda_x(y) and
+    k' = lambda_x'(y), k^-1 x = k'^-1 x', so x' = jx for j = k'k^-1 in K.
+    Put eta = gamma_x(pi(y)), so pi(k) = eta.  As gamma is a homomorphism,
+    k' = iota(gamma_j(eta)), so pi(k') = gamma_j(eta); and as k' = jk,
+    pi(k') = pi(j) gamma_j(pi(k)) = pi(j) gamma_j(eta).  So pi(j) = e_N,
+    and j = e because K acts freely: each rho_y is injective on a finite
+    set, that is, a bijection."""
     lam, rho = s.lam, s.rho
     idx = np.arange(s.set_order)
     # the rows that are not permutations, under the name of their witness
@@ -112,12 +122,13 @@ def verify_ybe(s: YbeSolution) -> YbeReport:
                 for key, t in (("left_x", lam), ("right_y", rho))}
     nd = NondegeneracyReport(not bad_rows["left_x"].size, not bad_rows["right_y"].size,
                              {key: int(r[0]) for key, r in bad_rows.items() if r.size})
-    if _certified(s):
+    if s.source is not None:
         b = s.source[0]
         whole = b.target_order == b.acting_order
-        if nd.left != whole:
+        if (nd.left, nd.right) != (whole, True):
             raise InternalConsistencyError(
-                f"left non-degeneracy is {nd.left} but |K| = |G| is {whole} on {b!r}")
+                f"non-degeneracy is (left {nd.left}, right {nd.right}) where the bracoid "
+                f"proves (left {whole}, right True) on {b!r}")
         return YbeReport(True, nd, None, "bracoid")
 
     def bad(x, y, z):
@@ -134,46 +145,42 @@ def verify_ybe(s: YbeSolution) -> YbeReport:
     return YbeReport(witness is None, nd, witness)
 
 
-def _certified(s: YbeSolution) -> bool:
-    """Whether `s.source` = (b, K) proves the braid relation for s: b is a
-    valid bracoid, K a subgroup of its acting group G acting regularly on
-    its target N, and the recipe on (b, K) gives exactly the tables of s.
-
-    Why that suffices: write gamma_x(eta) = (x+e)^-1 (x+eta), pi(y) = y+e
-    and iota for the inverse of k -> k+e on K.  The bracoid relation makes
-    each gamma_x an automorphism of N and, with the action axiom, gamma a
-    homomorphism; and pi(ab) = pi(a) gamma_a(pi(b)).  The recipe's
-    lambda_x(y) is iota(gamma_x(pi(y))), so lambda_x lambda_y = lambda_xy,
-    and rho makes R preserve the product.  Then in
-    (R x id)(id x R)(R x id)(x, y, z) and its mirror the first coordinates
-    are both lambda_xy(z) = A; the middle ones both lie in K with the same
-    pi-image gamma_{A^-1}(pi(A)^-1 pi(B) pi(A)), where B = lambda_x(y), so
-    they are equal; and the product xyz fixes the third.
-    """
-    if s.source is None:
-        return False
-    b, K = s.source
-    try:
-        if not bracoids.verify_bracoid(b).ok:
-            return False
-        lam, rho = _recipe(b, groups.as_subgroup(b.acting.group, K))
-    except PreconditionError:  # e.g. K is not a subgroup acting regularly
-        return False
-    return np.array_equal(lam, s.lam) and np.array_equal(rho, s.rho)
-
-
 # ---------------------------------------------------------------------------
 # constructors: each builds a bracoid and runs the contained-brace recipe on it
 
 
+def _proved(b: Bracoid, K: Subgroup, provenance: dict, valid: bool) -> YbeSolution:
+    """The recipe's solution on b and K, a subgroup of b's acting group G,
+    with (b, K) as its source if the caller has verified b (`valid`).
+    PreconditionError if K does not act regularly on the target N.
+
+    Why a valid bracoid and a regular K prove the braid relation: write
+    gamma_x(eta) = (x+e)^-1 (x+eta), pi(y) = y+e and iota for the inverse
+    of k -> k+e on K.  The bracoid relation makes each gamma_x an
+    automorphism of N and, with the action axiom, gamma a homomorphism; and
+    pi(ab) = pi(a) gamma_a(pi(b)).  The recipe's lambda_x(y) is
+    iota(gamma_x(pi(y))), so lambda_x lambda_y = lambda_xy, and rho makes R
+    preserve the product.  Then in (R x id)(id x R)(R x id)(x, y, z) and its
+    mirror the first coordinates are both lambda_xy(z) = A; the middle ones
+    both lie in K with the same pi-image gamma_{A^-1}(pi(A)^-1 pi(B) pi(A)),
+    where B = lambda_x(y), so they are equal; and the product xyz fixes the
+    third.
+    """
+    sol = YbeSolution(*_recipe(b, K), provenance)
+    if valid:
+        object.__setattr__(sol, "source", (b, K))
+    return sol
+
+
 def _from_bracoid(b: Bracoid, provenance: dict) -> YbeSolution:
-    """The recipe's solution on b and the K that `find_contained_brace`
-    finds in it, under the builder's own provenance."""
+    """The recipe's solution on b, which its builder has verified, and the K
+    that `find_contained_brace` finds in it, under the builder's own
+    provenance."""
     K = bracoids.find_contained_brace(b)
     if K is None:
         raise InternalConsistencyError(
             f"no subgroup of the acting group acts regularly on the target of {b!r}")
-    return YbeSolution(*_recipe(b, K), provenance, (b, K))
+    return _proved(b, K, provenance, True)
 
 
 def build_ybe_idempotent(G: FiniteGroup, psi: GroupMap) -> YbeSolution:
@@ -230,11 +237,12 @@ def build_ybe_from_contained_brace(b: Bracoid, K) -> YbeSolution:
         rho_y(x)    = inverse(lambda_x(y)) x y      (in the acting group)
 
     where ident sends a target element to the unique k in K with k+e = it.
+    b is verified here, once: the solution has b and K as its source only
+    if b is a valid bracoid, and is swept by `verify_ybe` otherwise.
     """
     K = groups.as_subgroup(b.acting.group, K)
-    return YbeSolution(*_recipe(b, K),
-                       {"construction": "contained_brace", "K": list(K.members),
-                        "inner": b.provenance}, (b, K))
+    return _proved(b, K, {"construction": "contained_brace", "K": list(K.members),
+                          "inner": b.provenance}, bracoids.verify_bracoid(b).ok)
 
 
 def _recipe(b: Bracoid, K: Subgroup) -> tuple[np.ndarray, np.ndarray]:

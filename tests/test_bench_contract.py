@@ -69,3 +69,18 @@ def test_sweep_call_shape_is_pinned():
         "ideals.classify_subgroup": 2982, "braces.circle_table": 282,
         "maps.phi_of": 282, "groups.commutator_condition": 282}
     assert (metrics["ideals.verdicts"], metrics["ideals.sli_verdicts"]) == (2982, 1738)
+
+
+def test_corpus_call_shape_is_pinned():
+    """One corpus pass verifies each bracoid once, where it is built or
+    taken in: 28 phi-towers and 5 C2 bracoids in their builders, one C2
+    bracoid that a fixture checks itself, and the one that
+    `build_ybe_from_contained_brace` takes (57 when every certified
+    `verify_ybe` verified its bracoid again).  So a change that re-derives
+    a certificate fails here, and not only in the per-layer metrics."""
+    _, _, spans = traced_pass("corpus")
+    calls = tracing.call_counts(spans)
+    assert {name: calls[name] for name in (
+        "bracoids.verify_bracoid", "ybe.verify_ybe", "groups.verify_group_table")} == {
+        "bracoids.verify_bracoid": 35, "ybe.verify_ybe": 24,
+        "groups.verify_group_table": 28}

@@ -1,4 +1,5 @@
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -375,10 +376,10 @@ def test_every_small_bracoid_is_valid_and_gives_a_solution():
 
 
 def test_certified_solutions_are_left_nondegenerate_iff_k_is_the_acting_group(monkeypatch):
-    """On every solution of `small_bracoids`, the certificate's left
-    prediction holds: left non-degenerate iff |K| = |G|, which `verify_ybe`
-    checks.  Observed, not checked by the library: every one is right
-    non-degenerate.  A report whose left flag is flipped raises."""
+    """On every solution of `small_bracoids`, the certificate's predictions
+    hold, and `verify_ybe` checks both: left non-degenerate iff |K| = |G|,
+    and always right non-degenerate (both proved in its docstring).  A
+    report with either flag flipped raises."""
     left = {True: 0, False: 0}
     for b, K in small_bracoids():
         if K is not None:
@@ -387,12 +388,16 @@ def test_certified_solutions_are_left_nondegenerate_iff_k_is_the_acting_group(mo
             assert rep.nondegeneracy.left == (K.order == b.acting_order)
             left[rep.nondegeneracy.left] += 1
     assert left == {True: 1906, False: 978}
-    report = ybe.NondegeneracyReport
-    monkeypatch.setattr(ybe, "NondegeneracyReport",
-                        lambda left, right, witnesses: report(not left, right, witnesses))
     b, K = next((b, K) for b, K in small_bracoids() if K is not None)
-    with pytest.raises(InternalConsistencyError, match="left non-degeneracy"):
-        ybe.verify_ybe(ybe.build_ybe_from_contained_brace(b, K))
+    sol = ybe.build_ybe_from_contained_brace(b, K)
+    whole = K.order == b.acting_order
+    report = ybe.NondegeneracyReport
+    for flip_left, flip_right in ((True, False), (False, True)):
+        monkeypatch.setattr(ybe, "NondegeneracyReport", lambda left, right, witnesses: report(
+            left ^ flip_left, right ^ flip_right, witnesses))
+        measured = f"(left {whole ^ flip_left}, right {not flip_right})"
+        with pytest.raises(InternalConsistencyError, match=re.escape(measured)):
+            ybe.verify_ybe(sol)
 
 
 @pytest.mark.parametrize("entry", [99, -1, 1.0])
@@ -419,6 +424,13 @@ def test_a_nested_list_action_verifies_and_exports_as_the_array():
     assert bracoids.verify_bracoid(listed).to_jsonable() == \
         bracoids.verify_bracoid(arrayed).to_jsonable() == bracoids.verify_bracoid(b).to_jsonable()
     assert serialize.export_json(listed) == serialize.export_json(arrayed)
+
+
+def test_a_ragged_action_is_refused():
+    """NumPy's ValueError on a ragged nested list used to escape here."""
+    C2 = braces.table_of(groups.cyclic(2))
+    with pytest.raises(PreconditionError, match="action is ragged"):
+        bracoids.Bracoid(C2, C2, [[0, 1], [1]], {})
 
 
 def test_an_identity_that_moves_a_point_fails_at_it():

@@ -1,12 +1,12 @@
 import gc
 import time
 import weakref
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
-from skewbracoid import braces, bracoids, groups, maps, ybe
+from skewbracoid import bracoids, groups, maps, ybe
 from skewbracoid.errors import InternalConsistencyError, PreconditionError
 
 from conftest import (CATALOGUE, abelian_pair_oracle, braid_oracle,
@@ -200,16 +200,6 @@ def test_builders_raise_without_a_regular_subgroup(monkeypatch):
             build()
 
 
-def test_contained_brace_rejects_irregular_subgroup():
-    G, psi = d4_setup()
-    b = bracoids.phi_tower_bracoid(G, psi, 1)
-    with pytest.raises(PreconditionError):
-        ybe.build_ybe_from_contained_brace(b, (0, 2))  # too small
-    with pytest.raises(PreconditionError):
-        # right order but contains fix, so it does not act freely
-        ybe.build_ybe_from_contained_brace(b, (0, 2, 5, 7))
-
-
 def test_verify_detects_corrupted_lambda():
     G, psi = d4_setup()
     sol = ybe.build_ybe_idempotent(G, psi)
@@ -322,7 +312,9 @@ def test_certificate_on_builder_solutions():
 
 
 def test_certificate_rejects_a_corrupted_source_action():
-    # the criterion-10 corruption: two cells of one row of the action swapped
+    """The criterion-10 corruption, two cells of one row of the action
+    swapped: the recipe reproduces its own tables, so only the builder's
+    bracoid check stops it, and the solution is made without a source."""
     G, psi = d4_setup()
     fix = groups.subgroup_generated(G, [G.index_of("rs")])
     b = bracoids.bracoid_from_C1(G, psi, fix)
@@ -331,58 +323,70 @@ def test_certificate_rejects_a_corrupted_source_action():
     act[5, 0], act[5, 1] = act[5, 1], act[5, 0]
     bad = bracoids.Bracoid(b.acting, b.target, act, {"construction": "corrupted"})
     assert not bracoids.verify_bracoid(bad).ok
-    # the recipe reproduces its own tables, so only the bracoid check stops it
     sol = ybe.build_ybe_from_contained_brace(bad, K)
-    assert sol.source == (bad, K)
+    assert sol.source is None
     rep = ybe.verify_ybe(sol)
     assert rep.method == "sweep" and not rep.holds
     assert rep.witness == braid_oracle(sol) == (0, 0, 4)
-    assert rep.to_jsonable() == ybe.verify_ybe(sol.with_tables()).to_jsonable()
-    # a valid solution carrying the corrupted source is swept, and holds
-    good = ybe.build_ybe_from_contained_brace(b, K)
-    attached = ybe.YbeSolution(good.lam, good.rho, good.provenance, (bad, K))
-    rep = ybe.verify_ybe(attached)
-    assert rep.method == "sweep" and rep.holds and rep.checked == "exhaustive"
+    assert ybe.build_ybe_from_contained_brace(b, K).source == (b, K)
 
 
 def test_certificate_rejects_a_source_with_other_tables():
+    """Edited tables lose the source, whichever way they are made, and are
+    swept to the oracle's witness."""
     G, psi = d4_setup()
     sol = ybe.build_ybe_idempotent(G, psi)
     lam = np.array(sol.lam)
     lam[3, 4] = (lam[3, 4] + 1) % 8
-    bad = ybe.YbeSolution(lam, sol.rho, sol.provenance, sol.source)
-    rep = ybe.verify_ybe(bad)
-    assert rep.method == "sweep" and not rep.holds
-    assert rep.witness == braid_oracle(bad)
-    assert rep.to_jsonable() == ybe.verify_ybe(sol.with_tables(lam=lam)).to_jsonable()
-    # a table that is not a group never becomes a source's acting table,
-    # and a source acting through another group is not a certificate
+    edited = [replace(sol, lam=lam), sol.with_tables(lam=lam)]
+    assert [e.source for e in edited] == [None, None]
+    reports = [ybe.verify_ybe(e) for e in edited]
+    assert all(r.method == "sweep" and not r.holds for r in reports)
+    assert [r.witness for r in reports] == [braid_oracle(edited[0])] * 2
+    assert reports[0].to_jsonable() == reports[1].to_jsonable()
+    # a table that is not a group never becomes a bracoid's acting table
     with pytest.raises(PreconditionError):
         groups.from_table(np.zeros((8, 8), dtype=np.int64))
-    b, K = sol.source
-    other = bracoids.Bracoid(braces.table_of(groups.cyclic(8)), b.target, b.action, {})
-    rep = ybe.verify_ybe(ybe.YbeSolution(sol.lam, sol.rho, {}, (other, K)))
-    assert rep.method == "sweep" and rep.holds
 
 
 @pytest.mark.parametrize("K", [(0, 1), (0, 2), (0, 2, 5, 7)],
                          ids=["not_a_subgroup", "too_small", "not_free"])
 def test_certificate_refuses_a_source_subgroup_that_is_not_regular(K):
-    """A source whose K is no subgroup, or a subgroup that does not act
-    regularly, certifies nothing: the relation is swept, with the verdict
-    of the solution without a source."""
+    """Members that are no subgroup, a subgroup of the wrong order, and one
+    of the right order that contains fix, so does not act freely: the
+    builder makes no solution on any of them."""
     G, psi = d4_setup()
-    sol = ybe.build_ybe_idempotent(G, psi)
-    b, _ = sol.source
-    rep = ybe.verify_ybe(ybe.YbeSolution(sol.lam, sol.rho, sol.provenance, (b, K)))
-    assert rep.method == "sweep" and rep.holds
-    assert rep.to_jsonable() == ybe.verify_ybe(sol.with_tables()).to_jsonable()
+    b = bracoids.phi_tower_bracoid(G, psi, 1)
+    with pytest.raises(PreconditionError):
+        ybe.build_ybe_from_contained_brace(b, K)
+
+
+@pytest.mark.parametrize("make", [
+    lambda G, b, K: groups.Subgroup(G, K),
+    lambda G, b, K: groups.as_subgroup(G, K),
+    lambda G, b, K: ybe.build_ybe_from_contained_brace(b, K),
+], ids=["Subgroup", "as_subgroup", "contained_brace"])
+@pytest.mark.parametrize("K", [5, None, np.int64(0), np.array(0)],
+                         ids=["int", "None", "numpy_int", "zero_dim_array"])
+def test_subgroup_members_that_are_not_a_collection_are_refused(make, K):
+    """These used to fail with a TypeError where the members are iterated."""
+    G, psi = d4_setup()
+    b = bracoids.phi_tower_bracoid(G, psi, 1)
+    with pytest.raises(PreconditionError, match="not a collection"):
+        make(G, b, K)
 
 
 def test_with_tables_drops_the_source():
+    """`source` is not an init field, so neither `with_tables` nor
+    `dataclasses.replace` carries it, and the tables it was proved for
+    cannot be rebound."""
     G, psi = d4_setup()
     sol = ybe.build_ybe_idempotent(G, psi)
-    assert sol.source is not None and sol.with_tables().source is None
+    assert sol.source is not None
+    assert sol.with_tables().source is None and replace(sol).source is None
+    for name in ("lam", "rho", "source"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(sol, name, None)
 
 
 def test_source_holds_no_reference_cycle():
@@ -534,16 +538,29 @@ def c8xs4_product():
 
 def test_each_solution_is_made_once(monkeypatch):
     """Every builder makes its solution once, with its final provenance, and
-    the certificate compares the recipe's tables without making another."""
+    verifies its bracoid once; a certified verify_ybe verifies nothing again
+    and runs no recipe."""
     made, real = [], ybe.YbeSolution.__post_init__
     monkeypatch.setattr(ybe.YbeSolution, "__post_init__",
                         lambda self: made.append(self.provenance) or real(self))
+    checked, verify = [], bracoids.verify_bracoid
+    monkeypatch.setattr(bracoids, "verify_bracoid", lambda b: checked.append(b) or verify(b))
+    recipes, recipe = [], ybe._recipe
+    monkeypatch.setattr(ybe, "_recipe", lambda b, K: recipes.append(b) or recipe(b, K))
     sol = c8xs4_product()
     assert made == [{"construction": "product", "n1": 8, "n2": 24}]
+    assert len(checked) == len(recipes) == 1
     made.clear()
+    checked.clear()
+    recipes.clear()
     rep = ybe.verify_ybe(sol)
     assert rep.method == "bracoid" and rep.holds and not made
+    assert checked == recipes == []
+    b, K = sol.source
+    assert ybe.build_ybe_from_contained_brace(b, K).source == (b, K)
+    assert checked == recipes == [b]
     A = groups.cyclic(6)
+    made.clear()
     ybe.build_ybe_abelian_pair(A, maps.trivial_map(A))
     assert made == [{"construction": "abelian_pair_R"}, {"construction": "abelian_pair_Rprime"}]
 
@@ -551,16 +568,22 @@ def test_each_solution_is_made_once(monkeypatch):
 @pytest.mark.parametrize("source", ["x", (1, 2), ("bracoid", None), [None, None], ()],
                          ids=["string", "pair_of_ints", "first_not_a_bracoid", "list", "empty"])
 def test_a_source_that_is_not_a_bracoid_pair_is_refused(source):
-    """verify_ybe used to fail on these with a ValueError or an AttributeError."""
+    """No caller can give a solution a source: the constructor takes none,
+    by position or by name (verify_ybe once failed on these with a
+    ValueError or an AttributeError)."""
     flip = [[0, 1], [0, 1]]
-    with pytest.raises(PreconditionError, match="source must be None or a"):
+    with pytest.raises(TypeError):
         ybe.YbeSolution(flip, flip, {}, source)
+    with pytest.raises(TypeError):
+        ybe.YbeSolution(flip, flip, {}, source=source)
 
 
-def test_a_source_of_three_items_is_refused():
+def test_a_solution_takes_no_source_even_its_own():
+    """Only a builder sets a source: the builder's own (bracoid, K) is
+    refused by the constructor and by `dataclasses.replace` alike."""
     G, psi = d4_setup()
     sol = ybe.build_ybe_idempotent(G, psi)
-    with pytest.raises(PreconditionError, match="source must be None or a"):
-        ybe.YbeSolution(sol.lam, sol.rho, sol.provenance, (*sol.source, None))
-    with pytest.raises(PreconditionError, match="source must be None or a"):
-        ybe.YbeSolution(sol.lam, sol.rho, sol.provenance, list(sol.source))
+    with pytest.raises(TypeError):
+        ybe.YbeSolution(sol.lam, sol.rho, sol.provenance, sol.source)
+    with pytest.raises(ValueError, match="init=False"):
+        replace(sol, source=sol.source)

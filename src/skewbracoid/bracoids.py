@@ -29,10 +29,10 @@ class Bracoid:
 
     def __post_init__(self):
         try:
-            object.__setattr__(self, "action", np.asarray(self.action))  # a nested list too
+            action = np.asarray(self.action)  # a nested list too
         except ValueError:  # NumPy's refusal of a ragged nested list
             raise PreconditionError("action is ragged") from None
-        self.action.setflags(write=False)
+        object.__setattr__(self, "action", groups.read_only(action, self.action))
 
     @property
     def acting_order(self) -> int:

@@ -291,6 +291,17 @@ def int_array(values, what: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def read_only(arr: np.ndarray, given) -> np.ndarray:
+    """`arr`, read from the caller's `given`, made read-only without freezing
+    the caller's memory: a writable array that may share it (`given` itself,
+    or a view) is copied first, and an array that is read-only already, as
+    every builder hands one over, is kept."""
+    if arr.flags.writeable and (arr is given or arr.base is not None):
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
 def _holds_bool(values, arr: np.ndarray) -> bool:
     """Whether the nested sequence `values`, read as the integer array `arr`,
     has a boolean among its cells: NumPy casts True and False mixed with
@@ -328,11 +339,12 @@ def _check_order(order: int, order_cap: int) -> None:
 
 
 def cyclic(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+    """Cyclic group of order n, g^i at index i: the table is one copy of
+    the rotations view, so the build peaks at the table and 2n entries."""
     if _index(n, "cyclic order") < 1:
         raise PreconditionError("cyclic order must be positive")
     _check_order(n, order_cap)
-    idx = np.arange(n)
-    mul = (idx[:, None] + idx[None, :]) % n
+    mul = _rotations(n, 1).copy()
     names = ["e"] + [f"g^{i}" if i > 1 else "g" for i in range(1, n)]
     return FiniteGroup(mul, names, (1,) if n > 1 else (0,))
 
@@ -345,19 +357,33 @@ def _dihedral_name(i: int, refl: bool, n: int) -> str:
 
 def dihedral(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Dihedral group of order 2n with presentation r^n = s^2 = (rs)^2 = e.
-    All cells at once: r^i s^p * r^j s^q = r^(i + (-1)^p j) s^(p+q)."""
+    r^i s^p * r^j s^q = r^(i + (-1)^p j) s^(p+q): each quadrant is written
+    once, in place, from a view of rotations, i + j or i - j mod n, plus n
+    where p + q = 1, so the build peaks at the table and 4n entries."""
     if _index(n, "dihedral parameter") < 1:
         raise PreconditionError("dihedral parameter must be positive")
     _check_order(2 * n, order_cap)
-    a = np.arange(2 * n)
-    i, p = a % n, a // n
-    mul = np.outer(1 - 2 * p, i)  # (-1)^p j
-    mul += i[:, None]
-    mul %= n
-    mul[:n, n:] += n
-    mul[n:, :n] += n
+    mul = np.empty((2 * n, 2 * n), dtype=np.int64)
+    plus, minus = _rotations(n, 1), _rotations(n, -1)
+    mul[:n, :n] = plus
+    np.add(plus, n, out=mul[:n, n:])
+    np.add(minus, n, out=mul[n:, :n])
+    mul[n:, n:] = minus
     names = tuple(_dihedral_name(x % n, x >= n, n) for x in range(2 * n))
     return FiniteGroup(mul, names, (1, n))
+
+
+def _rotations(n: int, sign: int) -> np.ndarray:
+    """The n x n view whose cell (i, j) is i + sign * j mod n, for sign 1
+    or -1: row i is a window of 0..n-1 written twice (reversed for -1),
+    starting i along it, so the view holds 2n entries.  The ndarray
+    constructor makes the strided view in well under a microsecond, where
+    `sliding_window_view` takes about ten."""
+    seq = np.arange(2 * n, dtype=np.int64) % n
+    if sign > 0:
+        return np.ndarray((n, n), np.int64, seq, 0, (8, 8))
+    # reversed, cell (i, j) is seq[n - 1 - i + j]
+    return np.ndarray((n, n), np.int64, seq[::-1].copy(), 8 * (n - 1), (-8, 8))
 
 
 def symmetric(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -404,21 +430,28 @@ def symmetric_perms(n: int) -> list[tuple[int, ...]]:
 
 def direct_product(*groups: FiniteGroup,
                    order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Direct product; index encodes (i1, .., ik) with the first factor fastest."""
+    """Direct product; index encodes (i1, .., ik) with the first factor fastest.
+
+    The table is filled in place, one broadcast sum per factor of order > 1
+    into its view as an array of 2k digit axes, so the build peaks at the
+    table and the factors' scaled tables."""
     if len(groups) < 2:
         raise PreconditionError("direct product needs at least two factors")
     orders = [g.order for g in groups]
     total = math.prod(orders)
     _check_order(total, order_cap)
     weights = np.cumprod([1] + orders[:-1])
-    coords = np.arange(total)[:, None] // weights % orders
     mul = np.zeros((total, total), dtype=np.int64)
-    for k, g in enumerate(groups):
-        mul += weights[k] * g.mul[coords[:, k][:, None], coords[:, k][None, :]]
-    names = tuple(
-        "(" + ",".join(groups[k].names[coords[i, k]] for k in range(len(groups))) + ")"
-        for i in range(total)
-    )
+    # in mixed radix, last factor first, cell (x, y) is the sum over factors
+    # k of weights[k] times the product of digits k in factor k; C1 adds 0
+    parts = [(w, g) for w, g in zip(weights.tolist(), groups) if g.order > 1]
+    cells = mul.reshape([g.order for _, g in parts[::-1]] * 2)
+    for k, (w, g) in enumerate(parts):
+        shape = [1] * cells.ndim
+        shape[len(parts) - 1 - k] = shape[-1 - k] = g.order
+        cells += (w * g.mul).reshape(shape)
+    names = tuple("(" + ",".join(t[::-1]) + ")"
+                  for t in itertools.product(*(g.names for g in groups[::-1])))
     # a trivial factor's generator is e; C1 x .. x C1 keeps (0,), as C1 does
     gens = tuple(int(weights[k] * gen) for k, g in enumerate(groups)
                  for gen in g.generating_set() if gen != 0)
@@ -439,7 +472,9 @@ def semidirect(base: FiniteGroup, acting: FiniteGroup, action, *,
 
     `action` lists, for each acting element, the image array of an
     automorphism of `base`; the list must itself be a homomorphism from
-    the acting group into Aut(base).  Both conditions are verified.
+    the acting group into Aut(base).  Both conditions are verified.  The
+    table is written in place, in blocks of rows whose gathers take at
+    most SWEEP_BLOCK_BYTES, however small the acting group.
     """
     nb = base.order
     _check_order(nb * acting.order, order_cap)
@@ -455,12 +490,17 @@ def semidirect(base: FiniteGroup, acting: FiniteGroup, action, *,
         raise PreconditionError("acting identity must act trivially")
     if action_failure(action, acting):
         raise PreconditionError("action is not a homomorphism from the acting group")
-    g = np.arange(nb * acting.order)
-    b, a = g % nb, g // nb
-    # (b1, a1)(b2, a2) = (b1 a1(b2), a1 a2), gathered for all cells at once
-    mul = base.mul[:, action][b[:, None], a[:, None], b]
-    mul += (nb * acting.mul)[a[:, None], a]
-    names = [f"({base.names[x % nb]},{acting.names[x // nb]})" for x in g.tolist()]
+    na = acting.order
+    mul = np.empty((nb * na, nb * na), dtype=np.int64)
+    # (b1, a1)(b2, a2) = (b1 a1(b2), a1 a2): row (b1, a1) holds, at (b2, a2),
+    # b1 a1(b2) + nb (a1 a2); a row's gathers take 3 nb + na int64s
+    cells = mul.reshape(-1, na, nb)
+    scaled = nb * acting.mul
+    for s in blocks(nb * na, 8 * (3 * nb + na)):
+        a1, b1 = np.divmod(np.arange(s.start, s.stop), nb)
+        np.add(base.mul[b1[:, None], action[a1]][:, None, :], scaled[a1][:, :, None],
+               out=cells[s])
+    names = [f"({b},{a})" for a, b in itertools.product(acting.names, base.names)]
     gens = list(base.generating_set()) + [nb * a for a in acting.generating_set()]
     return FiniteGroup(mul, names, tuple(gens))
 
@@ -906,14 +946,20 @@ class CosetSpace:
         """The representatives' rows of `table`, or None unless every
         element's row equals its representative's."""
         rows = table[self.representatives]
-        return rows if np.array_equal(table, rows[self.coset_of]) else None
+        if not np.array_equal(table, rows[self.coset_of]):
+            return None
+        rows.setflags(write=False)  # a Bracoid keeps it uncopied
+        return rows
 
     def action(self, op: np.ndarray) -> np.ndarray | None:
         """[g, class of x] -> class of op(g, x), or None unless the class of
         op(g, x) depends on x only through its class."""
         cos = self.coset_of
         act = cos[op[:, self.representatives]]
-        return act if np.array_equal(cos[op], act[:, cos]) else None
+        if not np.array_equal(cos[op], act[:, cos]):
+            return None
+        act.setflags(write=False)  # a Bracoid keeps it uncopied
+        return act
 
     def quotient(self, op: np.ndarray) -> FiniteGroup | None:
         """The group that the group table `op` induces on the classes, or

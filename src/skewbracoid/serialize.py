@@ -140,7 +140,7 @@ def _table_text(t: np.ndarray, cells: np.ndarray) -> str:
         block = index[:s.stop - s.start]
         block[:, :cols] = t[s]  # in intp, where n + i cannot wrap
         block[:, cols - 1] += n
-        parts.append(cells[block].tobytes().translate(None, b"\0").decode())
+        parts.append(cells[block].tobytes().replace(b"\0", b"").decode())
     parts[-1] = parts[-1][:-2] + "]"
     return "".join(parts)
 
@@ -222,11 +222,19 @@ def export_json(value) -> str:
     return "".join(parts)
 
 
+_BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
+
+
 def _read_table(span: str) -> np.ndarray | None:
-    """The table that `_table_texts` writes as `span`, byte for byte, else None."""
+    """The table that `_table_texts` writes as `span`, byte for byte, else None.
+
+    NumPy reads the entries with the brackets blanked, so it skips them as
+    it skips spaces, and the first row gives the column count.  That read
+    takes more than the canonical text (spaces, leading zeros, a plus sign,
+    ragged rows whose total divides), so the write-back is the only test."""
     try:  # on text it cannot read, NumPy 2 raises, NumPy 1 warns and returns a part
-        flat = np.fromstring(span[2:-2].replace("],[", ","), dtype=np.int64, sep=",")
-        table = flat.reshape(span.count("],[") + 1, -1)
+        flat = np.fromstring(span.encode().translate(_BLANK_BRACKETS), dtype=np.int64, sep=",")
+        table = flat.reshape(-1, span.count(",", 0, span.find("]")) + 1)
     except (ValueError, DeprecationWarning):  # the warning, where warnings are errors
         return None
     return table if _is_table(table) and _table_texts([table])[0] == span else None

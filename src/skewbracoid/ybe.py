@@ -49,8 +49,7 @@ class YbeSolution:
         if any(t.shape != (n, n) or n and not 0 <= t.min() <= t.max() < n for t in (lam, rho)):
             raise PreconditionError("lambda/rho tables must be n x n, of integers in 0..n-1")
         for name, t in (("lam", lam), ("rho", rho)):
-            t.setflags(write=False)
-            object.__setattr__(self, name, t)
+            object.__setattr__(self, name, groups.read_only(t, getattr(self, name)))
 
     @property
     def set_order(self) -> int:
@@ -60,10 +59,8 @@ class YbeSolution:
         return int(self.lam[x, y]), int(self.rho[y, x])
 
     def with_tables(self, lam=None, rho=None, note="modified") -> "YbeSolution":
-        return YbeSolution(
-            np.array(self.lam if lam is None else lam),
-            np.array(self.rho if rho is None else rho),
-            {"construction": note, "inner": self.provenance})
+        return YbeSolution(self.lam if lam is None else lam, self.rho if rho is None else rho,
+                           {"construction": note, "inner": self.provenance})
 
 
 @dataclass(eq=False)
@@ -265,4 +262,7 @@ def _recipe(b: Bracoid, K: Subgroup) -> tuple[np.ndarray, np.ndarray]:
     lam = ident[T[tinv[e_col][:, None], inner]]
     r1 = G[ginv[lam], np.arange(n)[:, None]]                # lam^-1 x
     rho_xy = G[r1, np.arange(n)[None, :]]                   # ... y
-    return lam, rho_xy.T.copy()
+    rho = rho_xy.T.copy()
+    for t in (lam, rho):
+        t.setflags(write=False)  # the solution keeps them uncopied
+    return lam, rho

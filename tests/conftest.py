@@ -44,6 +44,32 @@ CATALOGUE = ([(f"C{n}", lambda n=n: groups.cyclic(n)) for n in range(2, 17)]
              + [("Q8", quaternion_group), ("S3", lambda: groups.symmetric(3))])
 
 
+def cyclic_oracle(n: int) -> FiniteGroup:
+    """Cyclic group of order n, g^i at index i, by a Python double loop."""
+    mul = np.array([[(i + j) % n for j in range(n)] for i in range(n)], dtype=np.int64)
+    names = ["e"] + [f"g^{i}" if i > 1 else "g" for i in range(1, n)]
+    return FiniteGroup(mul, tuple(names), (1,) if n > 1 else (0,))
+
+
+def direct_product_oracle(*factors: FiniteGroup) -> FiniteGroup:
+    """Direct product by a Python double loop over digit tuples, the first
+    factor fastest; names and generators as the builder gives them."""
+    orders = [f.order for f in factors]
+    weights = [int(np.prod(orders[:k])) for k in range(len(orders))]
+    total = int(np.prod(orders))
+    digits = [[x // w % o for w, o in zip(weights, orders)] for x in range(total)]
+    mul = np.empty((total, total), dtype=np.int64)
+    for x in range(total):
+        for y in range(total):
+            mul[x, y] = sum(w * int(f.mul[i, j]) for w, f, i, j
+                            in zip(weights, factors, digits[x], digits[y]))
+    names = tuple("(" + ",".join(f.names[i] for f, i in zip(factors, d)) + ")"
+                  for d in digits)
+    gens = tuple(w * g for w, f in zip(weights, factors)
+                 for g in f.generating_set() if g != 0)
+    return FiniteGroup(mul, names, gens or (0,), factors)
+
+
 def dihedral_oracle(n: int) -> FiniteGroup:
     """Dihedral group of order 2n with presentation r^n = s^2 = (rs)^2 = e,
     by a Python double loop: the builder this library used before its

@@ -426,6 +426,21 @@ def test_a_nested_list_action_verifies_and_exports_as_the_array():
     assert serialize.export_json(listed) == serialize.export_json(arrayed)
 
 
+def test_a_callers_writable_action_is_copied_and_a_builders_is_kept():
+    """The caller's action stays writable and unshared, where it once was
+    frozen in place; a builder's action is read-only already and kept."""
+    G, psi = d4_setup()
+    b = bracoids.bracoid_from_C1(G, psi, groups.subgroup_generated(G, [G.index_of("rs")]))
+    assert not b.action.flags.writeable
+    assert bracoids.Bracoid(b.acting, b.target, b.action, {}).action is b.action
+    act = np.array(b.action)
+    copied = bracoids.Bracoid(b.acting, b.target, act, {})
+    assert act.flags.writeable and not copied.action.flags.writeable
+    assert not np.shares_memory(act, copied.action)
+    act[1, 1] = 0
+    assert np.array_equal(copied.action, b.action)
+
+
 def test_a_ragged_action_is_refused():
     """NumPy's ValueError on a ragged nested list used to escape here."""
     C2 = braces.table_of(groups.cyclic(2))

@@ -17,7 +17,8 @@ from skewbracoid.errors import (InternalConsistencyError, PreconditionError,
 
 from conftest import (CATALOGUE, brute_force_subgroups, c61_c10, element_orders_oracle,
                       commutator_closure_oracle, commutator_oracle, coset_space_oracle,
-                      derived_series_oracle, dihedral_oracle,
+                      cyclic_oracle, derived_series_oracle, dihedral_oracle,
+                      direct_product_oracle,
                       extension_bfs_subgroups, normal_oracle, project_to_factor,
                       push_down_oracles, quaternion_group, semidirect_oracle,
                       symmetric_oracle, symmetric_rows_oracle)
@@ -337,6 +338,74 @@ def test_semidirect_matches_loop_oracle(nb, na, m):
     action = _multiplier_action(nb, na, m)
     _assert_same_group(groups.semidirect(base, acting, action),
                        semidirect_oracle(base, acting, action))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_cyclic_matches_loop_oracle(n):
+    _assert_same_group(groups.cyclic(n), cyclic_oracle(n))
+
+
+@pytest.mark.parametrize("factors", [
+    lambda: (groups.cyclic(1), groups.dihedral(3)),
+    lambda: (groups.cyclic(4), groups.cyclic(1)),
+    lambda: (groups.cyclic(1), groups.cyclic(1)),
+    lambda: (groups.dihedral(3), groups.cyclic(2)),
+    lambda: (groups.cyclic(2), groups.cyclic(1), groups.symmetric(3)),
+    lambda: (groups.cyclic(3), groups.dihedral(2), groups.cyclic(2)),
+    lambda: (quaternion_group(), groups.cyclic(1), groups.cyclic(1))])
+def test_direct_product_matches_loop_oracle(factors):
+    """Two and three factors, with and without C1: cells, names and
+    generators as the digit-by-digit loop gives them."""
+    fs = factors()
+    G, oracle = groups.direct_product(*fs), direct_product_oracle(*fs)
+    _assert_same_group(G, oracle)
+    assert G.factors == oracle.factors
+
+
+@pytest.mark.parametrize("block_bytes", [1, 8 * (3 * 7 + 3) * 4])
+@pytest.mark.parametrize("nb,na,m", [(7, 3, 2), (5, 2, 4), (61, 10, 3)])
+def test_semidirect_blocks_match_loop_oracle(monkeypatch, nb, na, m, block_bytes):
+    """One row per block, and blocks of 4 rows (for C7 x| C3) or fewer,
+    which cut across the rows of one acting element."""
+    monkeypatch.setattr(groups, "SWEEP_BLOCK_BYTES", block_bytes)
+    base, acting = groups.cyclic(nb), groups.cyclic(na)
+    action = _multiplier_action(nb, na, m)
+    _assert_same_group(groups.semidirect(base, acting, action),
+                       semidirect_oracle(base, acting, action))
+
+
+def _inversion_action(n: int) -> list[list[int]]:
+    """C2 acting on Cn by x -> -x."""
+    return [list(range(n)), [(-x) % n for x in range(n)]]
+
+
+def _semidirect_of(base, acting, action):
+    """The semidirect build, with its factors and action made beforehand."""
+    return lambda: groups.semidirect(base, acting, action)
+
+
+@pytest.mark.parametrize("prepare", [
+    lambda: lambda: groups.cyclic(4000),
+    lambda: lambda: groups.dihedral(2000),
+    lambda: functools.partial(groups.direct_product, groups.cyclic(64), groups.cyclic(64)),
+    lambda: _semidirect_of(groups.cyclic(401), groups.cyclic(10),
+                           _multiplier_action(401, 10, 29)),
+    lambda: _semidirect_of(groups.cyclic(2000), groups.cyclic(2), _inversion_action(2000))],
+    ids=["C4000", "D2000", "C64xC64", "C401xC10", "C2000xC2"])
+def test_builders_peak_near_one_table(prepare):
+    """At orders near 4,000 (tables of 122-128 MiB) each builder writes its
+    table in place: the peak is the table and at most two blocks, where
+    whole-table temporaries once doubled or tripled it.  The factors and
+    the action are made before tracing, the action's checks inside."""
+    build = prepare()
+    tracemalloc.start()
+    try:
+        G = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 4000 <= G.order <= 4096
+    assert peak < G.mul.nbytes + 2 * groups.SWEEP_BLOCK_BYTES
 
 
 @pytest.mark.parametrize("build,order", [

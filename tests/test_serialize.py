@@ -339,6 +339,23 @@ def test_load_json_near_tables(text):
     assert_loads_as_json(text)
 
 
+@pytest.mark.parametrize("span", [
+    "[[0, 1],[1, 0]]",      # a space, which NumPy skips
+    "[[00,1],[1,0]]",       # a leading zero, which NumPy reads as 0
+    "[[+1,0],[0,1]]",       # a plus sign, which NumPy reads as 1
+    "[[0,1],[2,3,4,5]]",    # ragged, six entries in rows of two
+    "[[0,1],[1,0,0,1]]",    # the same, with entries that index three rows
+    '[["é",1],[1,0]]',      # a non-ASCII string
+], ids=repr)
+def test_a_span_numpy_reads_loosely_is_refused_by_the_write_back(span):
+    """The reader parses more than the canonical text; the byte-for-byte
+    write-back alone decides, so each span is read as json.loads reads it,
+    in an object and alone, and none is taken as a table."""
+    assert serialize._read_table(span) is None
+    for text in (span, f'{{"a":{span},"b":[[0]]}}'):
+        assert_loads_as_json(text)
+
+
 def test_load_json_with_a_float_shaped_like_a_placeholder():
     """A user float literal carrying the token is read as a float, never as
     a table; the text holding it is read by plain json.loads."""

@@ -529,6 +529,27 @@ def test_nested_lists_are_read_as_index_tables():
     assert ybe.verify_ybe(sol).holds
 
 
+def test_a_callers_writable_tables_are_copied_and_a_builders_are_kept():
+    """The caller's int64 arrays stay writable and unshared; a built
+    solution's tables are read-only already, so `with_tables` and
+    `dataclasses.replace` keep them uncopied."""
+    lam, rho = np.array([[0, 1], [0, 1]]), np.array([[0, 1], [0, 1]])
+    view = np.array([[0, 1], [0, 1]])[:, ::1]
+    sol = ybe.YbeSolution(lam, view, {})
+    for given, kept in ((lam, sol.lam), (view, sol.rho)):
+        assert given.flags.writeable and not kept.flags.writeable
+        assert not np.shares_memory(given, kept)
+    lam[0, 0] = 1
+    assert sol.lam.tolist() == [[0, 1], [0, 1]]
+    G, psi = d4_setup()
+    built = ybe.build_ybe_idempotent(G, psi)
+    assert not built.lam.flags.writeable and not built.rho.flags.writeable
+    for other in (built.with_tables(), replace(built)):
+        assert other.lam is built.lam and other.rho is built.rho
+    mixed = ybe.YbeSolution(built.lam, np.array(built.rho), {})
+    assert mixed.lam is built.lam and mixed.rho is not built.rho
+
+
 def c8xs4_product():
     G1, G2 = groups.cyclic(8), groups.symmetric(4)
     alpha = maps.make_map(G1, G2, {"g": "1230"})

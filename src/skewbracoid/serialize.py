@@ -140,7 +140,9 @@ def _table_text(t: np.ndarray, cells: np.ndarray) -> str:
         block = index[:s.stop - s.start]
         block[:, :cols] = t[s]  # in intp, where n + i cannot wrap
         block[:, cols - 1] += n
-        parts.append(cells[block].tobytes().replace(b"\0", b"").decode())
+        # translate, not replace: stacked map images hold a NUL every few
+        # bytes, where replace's copy per match costs more than the scan
+        parts.append(cells[block].tobytes().translate(None, b"\0").decode())
     parts[-1] = parts[-1][:-2] + "]"
     return "".join(parts)
 

@@ -374,33 +374,24 @@ def test_semidirect_blocks_match_loop_oracle(monkeypatch, nb, na, m, block_bytes
                        semidirect_oracle(base, acting, action))
 
 
-def _inversion_action(n: int) -> list[list[int]]:
-    """C2 acting on Cn by x -> -x."""
-    return [list(range(n)), [(-x) % n for x in range(n)]]
-
-
-def _semidirect_of(base, acting, action):
-    """The semidirect build, with its factors and action made beforehand."""
-    return lambda: groups.semidirect(base, acting, action)
-
-
 @pytest.mark.parametrize("prepare", [
-    lambda: lambda: groups.cyclic(4000),
-    lambda: lambda: groups.dihedral(2000),
-    lambda: functools.partial(groups.direct_product, groups.cyclic(64), groups.cyclic(64)),
-    lambda: _semidirect_of(groups.cyclic(401), groups.cyclic(10),
-                           _multiplier_action(401, 10, 29)),
-    lambda: _semidirect_of(groups.cyclic(2000), groups.cyclic(2), _inversion_action(2000))],
+    lambda: (groups.cyclic, 4000),
+    lambda: (groups.dihedral, 2000),
+    lambda: (groups.direct_product, groups.cyclic(64), groups.cyclic(64)),
+    lambda: (groups.semidirect, groups.cyclic(401), groups.cyclic(10),
+             _multiplier_action(401, 10, 29)),
+    lambda: (groups.semidirect, groups.cyclic(2000), groups.cyclic(2),
+             [list(range(2000)), [(-x) % 2000 for x in range(2000)]])],
     ids=["C4000", "D2000", "C64xC64", "C401xC10", "C2000xC2"])
 def test_builders_peak_near_one_table(prepare):
     """At orders near 4,000 (tables of 122-128 MiB) each builder writes its
     table in place: the peak is the table and at most two blocks, where
     whole-table temporaries once doubled or tripled it.  The factors and
     the action are made before tracing, the action's checks inside."""
-    build = prepare()
+    build, *args = prepare()
     tracemalloc.start()
     try:
-        G = build()
+        G = build(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -533,7 +533,7 @@ def test_a_callers_writable_tables_are_copied_and_a_builders_are_kept():
     """The caller's int64 arrays stay writable and unshared; a built
     solution's tables are read-only already, so `with_tables` and
     `dataclasses.replace` keep them uncopied."""
-    lam, rho = np.array([[0, 1], [0, 1]]), np.array([[0, 1], [0, 1]])
+    lam = np.array([[0, 1], [0, 1]])
     view = np.array([[0, 1], [0, 1]])[:, ::1]
     sol = ybe.YbeSolution(lam, view, {})
     for given, kept in ((lam, sol.lam), (view, sol.rho)):

@@ -65,12 +65,12 @@ def _certified(table: np.ndarray, G: FiniteGroup, phi: np.ndarray,
     for name, f in (("phi", phi), ("psi", psi)):
         if not (f[table] == G.mul[f[:, None], f]).all():
             raise InternalConsistencyError(f"{name} is not multiplicative on (G, o)")
-    return FiniteGroup(table)
+    return FiniteGroup(groups.frozen(table))
 
 
 def opposite_table(t: OpTable) -> OpTable:
     """The opposite group's table, the transpose: a group table as t's is."""
-    return OpTable(FiniteGroup(t.op.T.copy()), t.label + "'")
+    return OpTable(FiniteGroup(groups.frozen(t.op.T.copy())), t.label + "'")
 
 
 @dataclass(frozen=True, eq=False)

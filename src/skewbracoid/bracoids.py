@@ -185,7 +185,7 @@ def phi_tower_bracoid(G: FiniteGroup, psi: GroupMap, n: int) -> Bracoid:
     members = phin[fs.representatives]  # target element i: the image of fibre i
     pos = np.full(G.order, -1, dtype=np.int64)  # -1 off the image: from_table refuses
     pos[members] = np.arange(len(members))
-    target = OpTable(groups.from_table(pos[G.mul[members[:, None], members]]), ".")
+    target = OpTable(groups.from_table(groups.frozen(pos[G.mul[members[:, None], members]])), ".")
     action = fs.action(G.mul)  # None unless phi^n(gx) depends on x only via phi^n(x)
     if action is None:
         raise InternalConsistencyError("phi-tower action ill-defined")

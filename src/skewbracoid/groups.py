@@ -231,9 +231,8 @@ class FiniteGroup:
         elif len(set(self.names)) != len(self.names):
             raise PreconditionError("element names must be pairwise distinct")
         object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "inv", inverses(self.mul))
-        self.mul.setflags(write=False)
-        self.inv.setflags(write=False)
+        object.__setattr__(self, "mul", read_only(self.mul, self.mul))
+        object.__setattr__(self, "inv", frozen(inverses(self.mul)))
 
     @property
     def order(self) -> int:
@@ -291,15 +290,28 @@ def int_array(values, what: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-def read_only(arr: np.ndarray, given) -> np.ndarray:
-    """`arr`, read from the caller's `given`, made read-only without freezing
-    the caller's memory: a writable array that may share it (`given` itself,
-    or a view) is copied first, and an array that is read-only already, as
-    every builder hands one over, is kept."""
-    if arr.flags.writeable and (arr is given or arr.base is not None):
-        arr = arr.copy()
+def frozen(arr: np.ndarray) -> np.ndarray:
+    """`arr`, which the library made and no caller holds, as a read-only view
+    over a read-only base: NumPy refuses to make such a view writable again,
+    so a table cannot be edited after it was checked.  Every library
+    producer hands its tables over in this form, and `read_only` keeps it."""
+    if arr.base is None:
+        arr.setflags(write=False)
+        return arr.view()
+    arr.base.setflags(write=False)
     arr.setflags(write=False)
     return arr
+
+
+def read_only(arr: np.ndarray, given) -> np.ndarray:
+    """`arr`, read from the caller's `given`, `frozen` without freezing the
+    caller's memory: an array that is a read-only view over a read-only base
+    already is kept, and any other that may share the caller's memory
+    (`given` itself, or a view) is copied first."""
+    if not arr.flags.writeable and isinstance(arr.base, np.ndarray) \
+            and not arr.base.flags.writeable:
+        return arr
+    return frozen(arr.copy() if arr is given or arr.base is not None else arr)
 
 
 def _holds_bool(values, arr: np.ndarray) -> bool:
@@ -326,7 +338,7 @@ def from_table(mul, names=None, generators=None) -> FiniteGroup:
             raise PreconditionError("generator index out of range")
         generators = tuple(gens.tolist())
         require_generating(table, generators)
-    G = FiniteGroup(table, names, generators)
+    G = FiniteGroup(read_only(table, mul), names, generators)
     object.__setattr__(G, "_generating_set", found)
     return G
 
@@ -346,7 +358,7 @@ def cyclic(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     _check_order(n, order_cap)
     mul = _rotations(n, 1).copy()
     names = ["e"] + [f"g^{i}" if i > 1 else "g" for i in range(1, n)]
-    return FiniteGroup(mul, names, (1,) if n > 1 else (0,))
+    return FiniteGroup(frozen(mul), names, (1,) if n > 1 else (0,))
 
 
 def _dihedral_name(i: int, refl: bool, n: int) -> str:
@@ -370,7 +382,7 @@ def dihedral(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     np.add(minus, n, out=mul[n:, :n])
     mul[n:, n:] = minus
     names = tuple(_dihedral_name(x % n, x >= n, n) for x in range(2 * n))
-    return FiniteGroup(mul, names, (1, n))
+    return FiniteGroup(frozen(mul), names, (1, n))
 
 
 def _rotations(n: int, sign: int) -> np.ndarray:
@@ -420,7 +432,7 @@ def symmetric(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         transposition = [1, 0] + list(range(2, n))
         ncycle = list(range(1, n)) + [0]
         gens = tuple(rank[np.array([transposition, ncycle])[:, :-1] @ weights].tolist())
-    return FiniteGroup(mul, names, gens)
+    return FiniteGroup(frozen(mul), names, gens)
 
 
 def symmetric_perms(n: int) -> list[tuple[int, ...]]:
@@ -455,7 +467,7 @@ def direct_product(*groups: FiniteGroup,
     # a trivial factor's generator is e; C1 x .. x C1 keeps (0,), as C1 does
     gens = tuple(int(weights[k] * gen) for k, g in enumerate(groups)
                  for gen in g.generating_set() if gen != 0)
-    return FiniteGroup(mul, names, gens or (0,), tuple(groups))
+    return FiniteGroup(frozen(mul), names, gens or (0,), tuple(groups))
 
 
 def factor_embedding(G: FiniteGroup, k: int) -> list[int]:
@@ -502,7 +514,7 @@ def semidirect(base: FiniteGroup, acting: FiniteGroup, action, *,
                out=cells[s])
     names = [f"({b},{a})" for a, b in itertools.product(acting.names, base.names)]
     gens = list(base.generating_set()) + [nb * a for a in acting.generating_set()]
-    return FiniteGroup(mul, names, tuple(gens))
+    return FiniteGroup(frozen(mul), names, tuple(gens))
 
 
 def _spec_field(spec, key: str):
@@ -948,8 +960,7 @@ class CosetSpace:
         rows = table[self.representatives]
         if not np.array_equal(table, rows[self.coset_of]):
             return None
-        rows.setflags(write=False)  # a Bracoid keeps it uncopied
-        return rows
+        return frozen(rows)  # a Bracoid keeps it uncopied
 
     def action(self, op: np.ndarray) -> np.ndarray | None:
         """[g, class of x] -> class of op(g, x), or None unless the class of
@@ -958,8 +969,7 @@ class CosetSpace:
         act = cos[op[:, self.representatives]]
         if not np.array_equal(cos[op], act[:, cos]):
             return None
-        act.setflags(write=False)  # a Bracoid keeps it uncopied
-        return act
+        return frozen(act)  # a Bracoid keeps it uncopied
 
     def quotient(self, op: np.ndarray) -> FiniteGroup | None:
         """The group that the group table `op` induces on the classes, or

@@ -3,19 +3,23 @@
 Exports are canonical (sorted keys, no insignificant whitespace) so golden
 files diff stably; exporting the same value twice is byte-identical.
 
-`export_json` writes tables and maps in bulk.  Each table goes through one
-byte lookup of entry texts; the image arrays of the maps are stacked per
-length and written by the same lookup; and the text around a map's image
-(its flags and provenance) is written by json.dumps once per distinct set
-of them.  The bytes are those of json.dumps on the nested lists: the lookup
-holds json.dumps's own text of each integer, and a map's text is its
-sorted-key dict, whose only entry that differs between two maps with the
-same flags and provenance is the image array.
+`export_json` writes tables and maps in bulk.  Each table, and each list
+made only of maps (a lone map is such a list without its brackets), stands
+in the tree as one placeholder.  A table goes through one byte lookup of
+entry texts; a list's image arrays are stacked per run of one length and
+written by the same lookup, in blocks whose rows are joined with the text
+around each image (its flags and provenance), which json.dumps writes once
+per distinct set of them.  The bytes are those of json.dumps on the nested
+lists: the lookup holds json.dumps's own text of each integer, and a map's
+text is its sorted-key dict, whose only entry that differs between two
+maps with the same flags and provenance is the image array.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import operator
 import re
 import secrets
 
@@ -31,14 +35,16 @@ from .maps import GroupMap
 from .ybe import NondegeneracyReport, YbeReport, YbeSolution
 
 
-def _tree(value, table, write_map=None):
+def _tree(value, table, write_maps=None):
     """`value` as JSON data, with `table` applied to each 2-D integer table
     (a Cayley table, an operation table, an action, lambda and rho) and to
-    each map's image array; `write_map`, if given, writes each GroupMap in
-    place of its dict."""
+    each map's image array; `write_maps`, if given, writes each list (or
+    tuple) made only of GroupMaps, and each GroupMap elsewhere, in place of
+    its dicts: write_maps(maps, bracketed), with the list's brackets or,
+    for a lone map, none."""
     if isinstance(value, GroupMap):
-        if write_map is not None:
-            return write_map(value)
+        if write_maps is not None:
+            return write_maps((value,), False)
         return {
             "image_array": table(value.image_of),
             "flags": {
@@ -56,9 +62,12 @@ def _tree(value, table, write_map=None):
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, (list, tuple)):
-        return [_tree(v, table, write_map) for v in value]
+        if write_maps is not None and value and isinstance(value[0], GroupMap) \
+                and all(map(isinstance, value, itertools.repeat(GroupMap))):
+            return write_maps(value, True)
+        return [_tree(v, table, write_maps) for v in value]
     if isinstance(value, dict):
-        return {str(k): _tree(v, table, write_map) for k, v in value.items()}
+        return {str(k): _tree(v, table, write_maps) for k, v in value.items()}
     if isinstance(value, FiniteGroup):
         return {
             "order": value.order,
@@ -76,17 +85,17 @@ def _tree(value, table, write_map=None):
         return {"label": value.label, "order": value.order,
                 "table": table(value.op)}
     if isinstance(value, SkewBrace):
-        return {"additive": _tree(value.additive, table, write_map),
-                "multiplicative": _tree(value.multiplicative, table, write_map)}
+        return {"additive": _tree(value.additive, table, write_maps),
+                "multiplicative": _tree(value.multiplicative, table, write_maps)}
     if isinstance(value, Bracoid):
-        return {"acting": _tree(value.acting, table, write_map),
-                "target": _tree(value.target, table, write_map),
+        return {"acting": _tree(value.acting, table, write_maps),
+                "target": _tree(value.target, table, write_maps),
                 "action": table(value.action),
-                "provenance": _tree(value.provenance, table, write_map)}
+                "provenance": _tree(value.provenance, table, write_maps)}
     if isinstance(value, YbeSolution):
         return {"order": value.set_order, "lambda": table(value.lam),
                 "rho": table(value.rho),
-                "provenance": _tree(value.provenance, table, write_map)}
+                "provenance": _tree(value.provenance, table, write_maps)}
     if isinstance(value, (BraceReport, BracoidReport, IdealVerdict,
                           YbeReport, NondegeneracyReport)):
         return value.to_jsonable()
@@ -97,10 +106,11 @@ def to_jsonable(value):
     return _tree(value, np.ndarray.tolist)
 
 
-# Tables and maps stand in the tree as "<token><index>", their text spliced in
-# after json.dumps; load_json stands a table's text in as "0.<token><index>".  The
-# token is random and decimal; export_json refuses an export in which a user
-# string matches a placeholder, and load_json does not splice a text with it.
+# Tables and lists of maps stand in the tree as "<token><index>", their text
+# spliced in after json.dumps; load_json stands a table's text in as
+# "0.<token><index>".  The token is random and decimal; export_json refuses an
+# export in which a user string matches a placeholder, and load_json does not
+# splice a text with it.
 _TOKEN = f"{secrets.randbelow(10 ** 32):032d}"
 _PLACEHOLDER = re.compile(f'"{_TOKEN}(\\d+)"')
 
@@ -154,49 +164,71 @@ def _table_texts(tables: list) -> list[str]:
     return [_table_text(t, cells) for t in tables]
 
 
+_FLAGS = operator.attrgetter("abelian_image", "idempotent", "fixed_point_free", "provenance")
+_IMAGE, _CODOMAIN = operator.attrgetter("image_of"), operator.attrgetter("codomain")
+
+
 def _map_ends(m: GroupMap) -> tuple[str, str]:
     """The canonical JSON text of map `m` before and after the entries of its
-    image array: its `_tree` dict, written with a placeholder for the image."""
+    image array, the first after a ",": its `_tree` dict, written with a
+    placeholder for the image."""
     parts = _PLACEHOLDER.split(json.dumps(_tree(m, lambda t: f"{_TOKEN}0"),
                                           sort_keys=True, separators=(",", ":")))
     if len(parts) != 3:
         raise InternalConsistencyError(
             f"{len(parts) // 2} image placeholders in the export of one map")
-    return parts[0] + "[", "]" + parts[2]
+    return f",{parts[0]}[", f"]{parts[2]}"
 
 
-def _spliced_texts(spliced: list) -> list[str]:
-    """The text of each table, and of each map given as (head, tail, image
-    array, codomain order), in `spliced`, all through one lookup made for
-    the largest table side or codomain order.
+def _maps_text(heads: tuple, images: list, tails: tuple, bracketed: bool,
+               cells: np.ndarray) -> str:
+    """The text of a list of maps, each given by its head, image array and
+    tail (`_map_ends`), within brackets if `bracketed`.
 
-    The image arrays of one length are stacked in blocks of the rows that
+    Each run of images of one length is stacked in blocks of the rows that
     `_table_text` writes at once; each block is range-checked, written as
-    one table and its text split back into rows."""
-    cells = _cells(max(max(s.shape) if isinstance(s, np.ndarray) else s[3] for s in spliced))
-    texts = [_table_text(s, cells) if isinstance(s, np.ndarray) else None for s in spliced]
-    by_length = {}
-    for i, s in enumerate(spliced):
-        if texts[i] is None:
-            by_length.setdefault(len(s[2]), []).append(i)
-    for length, at in by_length.items():
-        for s in groups.blocks(len(at), 16 * (length + 1) * (8 + cells.itemsize)):
-            block = np.concatenate([spliced[i][2] for i in at[s]]).reshape(-1, length)
+    one table and split into rows, which slice assignment interleaves with
+    the heads and tails, and the block's text is joined.  Joined, the
+    blocks are the text: the peak is the text twice and about one block."""
+    lengths = list(map(len, images))
+    cuts = [0, *itertools.compress(itertools.count(1), map(operator.ne, lengths, lengths[1:])),
+            len(images)]
+    texts = ["["] if bracketed else []
+    for lo, hi in zip(cuts, cuts[1:]):
+        length = lengths[lo]
+        for s in groups.blocks(hi - lo, 16 * (length + 1) * (8 + cells.itemsize)):
+            s = slice(lo + s.start, lo + s.stop)
+            block = np.concatenate(images[s]).reshape(-1, length)
             if not (block.dtype.kind in "iu" and block.min() >= 0
                     and block.max() < len(cells) // 2):
                 raise InternalConsistencyError("a map's image lies outside its codomain")
-            rows = _table_text(block, cells)[2:-2].split("],[")
-            for i, row in zip(at[s], rows):
-                texts[i] = f"{spliced[i][0]}{row}{spliced[i][1]}"
-    return texts
+            parts = [None] * (3 * (s.stop - s.start))
+            parts[0::3], parts[2::3] = heads[s], tails[s]
+            parts[1::3] = _table_text(block, cells)[2:-2].split("],[")
+            if s.start == 0:
+                parts[0] = parts[0][1:]  # no "," before the first map
+            texts.append("".join(parts))
+    if bracketed:
+        texts.append("]")
+    return "".join(texts)
+
+
+def _spliced_texts(spliced: list) -> list[str]:
+    """The text of each table, and of each list of maps given as (heads,
+    image arrays, tails, bracketed, largest codomain order), in `spliced`,
+    all through one lookup made for the largest table side or codomain
+    order."""
+    cells = _cells(max(max(s.shape) if isinstance(s, np.ndarray) else s[4] for s in spliced))
+    return [_table_text(s, cells) if isinstance(s, np.ndarray) else _maps_text(*s[:4], cells)
+            for s in spliced]
 
 
 def export_json(value) -> str:
     """Canonical JSON of `value`: the bytes of json.dumps(to_jsonable(value),
-    sort_keys=True, separators=(",", ":")), with each table and each map
-    spliced in by `_spliced_texts`.  A map's text around its image array
-    is that of its flags and provenance alone, written once per distinct
-    set of them."""
+    sort_keys=True, separators=(",", ":")), with each table and each list of
+    maps spliced in by `_spliced_texts`.  A map's text around its image
+    array is that of its flags and provenance alone, written once per
+    distinct set of them."""
     spliced, ends = [], {}
 
     def record(t: np.ndarray):
@@ -205,20 +237,23 @@ def export_json(value) -> str:
             return f"{_TOKEN}{len(spliced) - 1}"
         return t.tolist()
 
-    def write_map(m: GroupMap) -> str:
-        key = (m.abelian_image, m.idempotent, m.fixed_point_free, m.provenance)
-        if key not in ends:
-            ends[key] = _map_ends(m)
-        spliced.append((*ends[key], m.image_of, m.codomain.order))
+    def write_maps(ms, bracketed: bool) -> str:
+        keys = list(map(_FLAGS, ms))
+        for key, m in dict(zip(keys, ms)).items():
+            if key not in ends:
+                ends[key] = _map_ends(m)
+        heads, tails = zip(*map(ends.__getitem__, keys))
+        spliced.append((heads, list(map(_IMAGE, ms)), tails, bracketed,
+                        max(G.order for G in set(map(_CODOMAIN, ms)))))
         return f"{_TOKEN}{len(spliced) - 1}"
 
-    text = json.dumps(_tree(value, record, write_map), sort_keys=True, separators=(",", ":"))
+    text = json.dumps(_tree(value, record, write_maps), sort_keys=True, separators=(",", ":"))
     if not spliced:
         return text
     parts = _PLACEHOLDER.split(text)  # text, index, text, ..., index, text
     if len(parts) != 2 * len(spliced) + 1:
         raise InternalConsistencyError(
-            f"{len(parts) // 2} placeholders in the export for {len(spliced)} tables and maps")
+            f"{len(parts) // 2} placeholders in the export for {len(spliced)} entries")
     texts = _spliced_texts(spliced)
     parts[1::2] = [texts[int(i)] for i in parts[1::2]]
     return "".join(parts)
@@ -228,7 +263,8 @@ _BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
 
 
 def _read_table(span: str) -> np.ndarray | None:
-    """The table that `_table_texts` writes as `span`, byte for byte, else None.
+    """The table that `_table_texts` writes as `span`, byte for byte, else None;
+    `groups.frozen`, so `from_table` keeps it uncopied.
 
     NumPy reads the entries with the brackets blanked, so it skips them as
     it skips spaces, and the first row gives the column count.  That read
@@ -239,7 +275,7 @@ def _read_table(span: str) -> np.ndarray | None:
         table = flat.reshape(-1, span.count(",", 0, span.find("]")) + 1)
     except (ValueError, DeprecationWarning):  # the warning, where warnings are errors
         return None
-    return table if _is_table(table) and _table_texts([table])[0] == span else None
+    return groups.frozen(table) if _is_table(table) and _table_texts([table])[0] == span else None
 
 
 def load_json(text: str):

@@ -263,6 +263,4 @@ def _recipe(b: Bracoid, K: Subgroup) -> tuple[np.ndarray, np.ndarray]:
     r1 = G[ginv[lam], np.arange(n)[:, None]]                # lam^-1 x
     rho_xy = G[r1, np.arange(n)[None, :]]                   # ... y
     rho = rho_xy.T.copy()
-    for t in (lam, rho):
-        t.setflags(write=False)  # the solution keeps them uncopied
-    return lam, rho
+    return groups.frozen(lam), groups.frozen(rho)  # the solution keeps them uncopied

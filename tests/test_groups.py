@@ -218,6 +218,23 @@ def test_every_builder_computes_the_brute_force_inverses(build):
     assert G.inv.tolist() == brute and not G.inv.flags.writeable
 
 
+def test_a_callers_table_is_copied_not_frozen_and_a_builders_is_kept():
+    """`from_table(m)` once made the caller's `m` read-only and kept its
+    memory; now `m` stays writable and unshared.  A table the library made
+    is a read-only view over a read-only base, which a group keeps."""
+    m = np.array(groups.cyclic(4).mul)
+    G = groups.from_table(m)
+    assert m.flags.writeable and not np.shares_memory(m, G.mul)
+    m[1, 1] = 3
+    assert G.mul[1, 1] == 2
+    for t in (G.mul, groups.dihedral(4).mul, serialize.parse_group(
+            serialize.load_json(serialize.export_json(G))).mul):
+        assert groups.FiniteGroup(t).mul is t
+    frozen = groups.cyclic(4).mul.copy()
+    frozen.setflags(write=False)  # read-only, but the caller may flip it back
+    assert not np.shares_memory(groups.FiniteGroup(frozen).mul, frozen)
+
+
 def test_finite_group_takes_no_inverses():
     """`inv` is computed from the table.  A call that still passes it binds
     the inverses to `names` and is refused, instead of running with names

@@ -215,9 +215,34 @@ def _maps_with_escaped_provenances():
     return [replace(psi, provenance=p) for p in ('say "hi"', "back\\slash", "ψ ∘ φ", "é\n\t", "")]
 
 
-# exports of maps: each image array is written by the stacked lookup, made
-# for the largest codomain, between its flags and provenance
+def _c2xs4_maps():
+    """C2 x S4's 208 maps, with 4 distinct sets of flags and provenance."""
+    C2xS4 = groups.direct_product(groups.cyclic(2), groups.symmetric(4))
+    return maps.enumerate_abelian_maps(C2xS4)
+
+
+def _maps_of_two_codomains_and_lengths():
+    """D4's maps (length 8, into D4) with maps of C3 into S3 (length 3)
+    between them, so the list holds runs of either length."""
+    C3, S3 = groups.cyclic(3), groups.symmetric(3)
+    into_s3 = [maps.make_map(C3, S3, [0, 3, 4]), maps.trivial_map(C3, S3)]
+    found = maps.enumerate_abelian_maps(groups.dihedral(4))
+    return [*found[:5], into_s3[0], *found[5:9], *into_s3, *found[9:]]
+
+
+# exports of maps: each list of them is one entry, its image arrays written
+# by the stacked lookup, made for the largest codomain, between each map's
+# flags and provenance
 MAP_EXPORTS = {
+    "c2xs4_four_flag_sets": lambda: {"count": 208, "maps": _c2xs4_maps()},
+    "two_codomains_two_lengths": _maps_of_two_codomains_and_lengths,
+    "one_map_list": lambda: {"maps": [_d4()[1]]},
+    "tuple_of_maps": lambda: tuple(maps.enumerate_abelian_maps(groups.cyclic(6))),
+    "maps_beside_other_values": lambda: [_d4()[1], 3, "x", *_maps_into_a_larger_codomain(),
+                                         None, maps.identity_map(groups.cyclic(2))],
+    "nested_lists": lambda: [[_d4()[1], maps.identity_map(groups.dihedral(4))],
+                             [[*_maps_into_a_larger_codomain()], []],
+                             {"inner": [[maps.trivial_map(groups.cyclic(3))]]}],
     "two_domain_orders": _maps_of_two_orders,
     "larger_codomain": lambda: {"maps": _maps_into_a_larger_codomain()},
     "larger_codomain_beside_a_table": lambda: {
@@ -238,6 +263,32 @@ MAP_EXPORTS = {
 def test_map_exports_match_the_oracle(name):
     value = MAP_EXPORTS[name]()
     assert serialize.export_json(value) == oracle_json(value)
+
+
+@pytest.mark.parametrize("name", MAP_EXPORTS)
+def test_map_exports_in_one_row_blocks(monkeypatch, name):
+    """A list of maps that spans many blocks: one row, so one map, each."""
+    monkeypatch.setattr(groups, "SWEEP_BLOCK_BYTES", 1)
+    value = MAP_EXPORTS[name]()
+    assert serialize.export_json(value) == oracle_json(value)
+
+
+def test_a_list_of_maps_is_one_spliced_entry(monkeypatch):
+    """C2 x D4's 960 maps reach the writer as one entry, not 960."""
+    entries = []
+    spliced_texts = serialize._spliced_texts
+
+    def spy(spliced):
+        entries.append(len(spliced))
+        return spliced_texts(spliced)
+
+    monkeypatch.setattr(serialize, "_spliced_texts", spy)
+    found = maps.enumerate_abelian_maps(
+        groups.direct_product(groups.cyclic(2), groups.dihedral(4)))
+    value = {"count": len(found), "maps": found}
+    assert len(found) == 960
+    assert serialize.export_json(value) == oracle_json(value)
+    assert entries == [1]
 
 
 def test_a_map_image_outside_its_codomain_is_refused():

@@ -550,6 +550,24 @@ def test_a_callers_writable_tables_are_copied_and_a_builders_are_kept():
     assert mixed.lam is built.lam and mixed.rho is not built.rho
 
 
+def test_certified_tables_refuse_the_writeable_flag():
+    """On the D4 idempotent solution, `sol.lam.setflags(write=True)` and one
+    edited cell once left `verify_ybe` reporting holds from its certificate.
+    Every table the library makes is a read-only view over a read-only base,
+    whose flag NumPy refuses to set: the solution's, the bracoid's action
+    and the groups' tables."""
+    G, psi = d4_setup()
+    sol = ybe.build_ybe_idempotent(G, psi)
+    b = bracoids.bracoid_from_C1(G, psi, groups.subgroup_generated(G, [G.index_of("rs")]))
+    for t in (sol.lam, sol.rho, b.action, b.target.group.mul, G.mul, G.inv,
+              ybe.YbeSolution(np.array(sol.lam), sol.rho, {}).lam):
+        with pytest.raises(ValueError):
+            t.setflags(write=True)
+        with pytest.raises(ValueError):
+            t[(0,) * t.ndim] = 1
+    assert ybe.verify_ybe(sol).holds and ybe.verify_ybe(sol.with_tables()).holds
+
+
 def c8xs4_product():
     G1, G2 = groups.cyclic(8), groups.symmetric(4)
     alpha = maps.make_map(G1, G2, {"g": "1230"})
